@@ -12,9 +12,25 @@ working inside a degree-(D+1) workspace, until a fixpoint.  The action
 raises degree by exactly one, so images of S stay inside the workspace;
 degree lowering happens only through cancellation across varying m, and
 keeping the degree-(D+1) shell inside the workspace is what preserves
-those cancellations (spanning over the index box realizes the
-coefficient extraction in m1, m2, for which a box radius of D + 2 gives
-more than enough interpolation points).
+those cancellations.
+
+The box actually swept has radius r = min(B, (D+2)//2), and the result
+is the same as sweeping [-B, B]^2.  Proof: drop the scalar lambda^m
+(it does not change a span).  For a row v of degree <= D the image
+L(m).v = v(d - m) * g_m(d), with g_m = (m2+q)*d1 - m1*(d2+q*alpha), is a
+workspace-vector-valued polynomial in (m1, m2) of degree <= D+1 in each
+variable: v(d - m) has degree <= D in m and g_m degree 1.  Write it as
+sum over a, b <= D+1 of m1^a * m2^b * C_ab.  A tensor grid with at
+least D+2 points per axis is unisolvent for such polynomials, so the
+coefficient vectors C_ab are rational combinations of the images at the
+grid points, and every image at any m is a combination of the C_ab.
+Hence the images of v over any such grid span exactly span{C_ab}.  The
+grid [-r, r]^2 has 2r+1 >= D+2 points per axis when r = (D+2)//2, and
+it is the whole box when B < (D+2)//2.  So each row contributes the
+same span at radius r as at radius B; since every pass inserts the
+images of a snapshot whose span depends only on the span at pass start,
+the span after each pass, the pass count, the additions per pass and
+the final reduced basis are all independent of B >= r.
 
 The intersection step is free: under a degree-graded monomial order an
 echelonized spanning set splits by leading-monomial degree, so the
@@ -41,7 +57,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .omega import ParamSet
-from .poly import IndexPair, Monomial2, Poly2, grlex_key
+from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box
 
 
 class ClosureTag(Enum):
@@ -260,9 +276,11 @@ def closure(seeds: list[Poly2], D: int, B: int,
 
     Deterministic: seeds in the given order, box in row-major order,
     batch passes with the spanning set snapshotted at each pass start.
-    The terminating pass doubles as an invariance certificate: it
-    verifies that every single-step image of the final basis reduces to
-    zero inside the workspace.
+    The box swept is [-r, r]^2 with r = min(B, (D+2)//2), which spans
+    the same images as [-B, B]^2 (see the module docstring).  The
+    terminating pass doubles as an invariance certificate: it verifies
+    that every single-step image of the final basis reduces to zero
+    inside the workspace.
     """
     if D < 1:
         raise ValueError("degree bound D must be at least 1")
@@ -284,9 +302,8 @@ def closure(seeds: list[Poly2], D: int, B: int,
         if stored is not None and stored[0] < degree_rank_cap:
             active.append(stored[1])
 
-    box = [IndexPair(a, b)
-           for a in range(-B, B + 1)
-           for b in range(-B, B + 1)]
+    radius = min(B, (D + 2) // 2)     # interpolation bound; see the module docstring
+    box = index_box(radius)
 
     passes = 0
     growth: list[int] = []
@@ -314,7 +331,9 @@ def closure(seeds: list[Poly2], D: int, B: int,
     diagnostics = (
         f"{result.diagnostics}; passes={passes}, workspace additions per pass="
         f"{growth}; fixpoint certificate: all single-step images of the final "
-        f"basis over the box [-{B},{B}]^2 reduce to zero in the degree-{D + 1} workspace")
+        f"basis over the box [-{radius},{radius}]^2 reduce to zero in the degree-{D + 1} "
+        f"workspace, and by the degree-{D + 1} interpolation bound they span the same "
+        f"space as the images over [-{B},{B}]^2")
     return basis, ClosureResult(result.tag, result.dimension, diagnostics)
 
 

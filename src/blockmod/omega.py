@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import blockalg, poly
 from .blockalg import AlgebraContext, AlgebraElement
 from .exactnum import rat_pow
-from .poly import IndexPair, Poly1, Poly2
+from .poly import IndexPair, Poly1, Poly2, index_box
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,8 @@ def witt_restrict(m: IndexPair, i_lo: int, i_hi: int,
 
 def _witness_scan(radius: int):
     """Box indices ordered closest-to-origin first, positive side preferred."""
-    box = [IndexPair(a, b)
-           for a in range(-radius, radius + 1)
-           for b in range(-radius, radius + 1)]
-    box.sort(key=lambda m: (abs(m.m1) + abs(m.m2), abs(m.m1), -m.m1, -m.m2))
-    return box
+    return sorted(index_box(radius),
+                  key=lambda m: (abs(m.m1) + abs(m.m2), abs(m.m1), -m.m1, -m.m2))
 
 
 def iso_check(left: ParamSet, right: ParamSet,

@@ -75,6 +75,13 @@ class IndexPair:
         return f"({self.m1},{self.m2})"
 
 
+def index_box(radius: int) -> list[IndexPair]:
+    """All indices of [-radius, radius]^2 in row-major order (m1 outer, m2 inner)."""
+    return [IndexPair(a, b)
+            for a in range(-radius, radius + 1)
+            for b in range(-radius, radius + 1)]
+
+
 def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
     """Join (coefficient, monomial-text) pairs into a canonical string."""
     if not parts:

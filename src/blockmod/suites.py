@@ -18,7 +18,7 @@ from . import blockalg, identities, omega
 from .blockalg import AlgebraContext, AlgebraElement
 from .closure import ClosureTag, closure, filtration_dimension
 from .omega import ParamSet, action_on_one, action_on_one_alt
-from .poly import IndexPair, Poly1, Poly2
+from .poly import IndexPair, Poly1, Poly2, index_box
 from .prng import SplitMix64
 
 
@@ -77,12 +77,6 @@ def sample_poly1(rng: SplitMix64, max_degree: int, max_terms: int = 5) -> Poly1:
     return Poly1(terms)
 
 
-def _box(radius: int) -> list[IndexPair]:
-    return [IndexPair(a, b)
-            for a in range(-radius, radius + 1)
-            for b in range(-radius, radius + 1)]
-
-
 def exceptional_indices(p: ParamSet) -> list[IndexPair]:
     """The lattice indices (0,-q) and (0,-2q) when they exist."""
     out = []
@@ -97,7 +91,7 @@ def exceptional_indices(p: ParamSet) -> list[IndexPair]:
 
 def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
     """Jacobi defect of every ordered generator triple in the box, plus D2."""
-    generators = [AlgebraElement.basis(m) for m in _box(radius)]
+    generators = [AlgebraElement.basis(m) for m in index_box(radius)]
     generators.append(AlgebraElement.derivation())
     checks = []
     for q in q_values:
@@ -122,7 +116,7 @@ def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
 
 def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
     """Scan all ordered generator pairs; return (cases scanned, first defect)."""
-    generators = [AlgebraElement.basis(m) for m in _box(radius)]
+    generators = [AlgebraElement.basis(m) for m in index_box(radius)]
     generators.append(AlgebraElement.derivation())
     count = 0
     for x, y in itertools.product(generators, repeat=2):
@@ -175,7 +169,7 @@ def variant_control_suite(p: ParamSet, polys: list[Poly2],
          if failure is None else
          f"image {CANONICAL_IMAGE_TEXT} unexpectedly fails: x={failure[0]}, y={failure[1]}")))
 
-    generators = [AlgebraElement.basis(m) for m in _box(radius)]
+    generators = [AlgebraElement.basis(m) for m in index_box(radius)]
     generators.append(AlgebraElement.derivation())
     variant_witness = None
     for x, y in itertools.product(generators, repeat=2):
@@ -291,7 +285,7 @@ def witt_restriction_suite(ms: list[IndexPair], i_lo: int, i_hi: int,
 # --- identity replays ------------------------------------------------------------
 
 def _sample_pairs(rng: SplitMix64, radius: int, cap: int) -> list[tuple[IndexPair, IndexPair]]:
-    box = _box(radius)
+    box = index_box(radius)
     pairs = [(m, n) for m in box for n in box]
     if len(pairs) <= cap:
         return pairs
@@ -332,7 +326,7 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
                             "pass" if failure is None else "fail",
                             failure or f"{len(pairs)} pairs, all defects zero"))
 
-        singles = _box(radius) + exceptional_indices(p)
+        singles = index_box(radius) + exceptional_indices(p)
         failure = None
         for m in singles:
             defect = identities.replay_pair_difference(m, p)
@@ -380,8 +374,8 @@ def commutator_variant_control(p: ParamSet, radius: int = 3) -> Check:
     if p.alpha == 1:
         raise ValueError("control parameter set needs alpha != 1")
     witness = None
-    for m in _box(radius):
-        for n in _box(radius):
+    for m in index_box(radius):
+        for n in index_box(radius):
             defect = identities.replay_commutator(m, n, p, image=action_on_one_alt)
             if defect:
                 witness = f"m={m}, n={n}, defect={defect}"

@@ -74,6 +74,33 @@ def test_usage_errors_exit_2():
     assert "exponent" in err
 
 
+def test_closure_huge_box_radius_is_fast():
+    # closure sweeps radius min(B, (D+2)//2), so B costs nothing beyond that
+    result = subprocess.run(
+        [sys.executable, "-m", "blockmod.cli", "closure", "--seed", "1",
+         "--D", "2", "--B", "1000000000"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == 0
+    assert "tag=FULL, dim=6" in result.stdout
+
+
+def test_degree_bound_ceiling_exits_2(tmp_path):
+    assert run_cli(["bracket", "L(1,0)", "D2", "--D", "12"])[0] == 0
+    code, out, err = run_cli(["closure", "--seed", "1", "--D", "13"])
+    assert code == 2 and out == ""
+    assert "D=13 exceeds the cost ceiling 12" in err
+    config = tmp_path / "run.cfg"
+    config.write_text("D=13\n")
+    code, _, err = run_cli(["closure", "--seed", "1", "--config", str(config)])
+    assert code == 2 and "ceiling" in err
+
+
+def test_witt_rejects_m1_zero_as_usage_error():
+    code, out, err = run_cli(["witt", "--m", "0,1"])
+    assert code == 2 and out == ""
+    assert "m1 != 0" in err
+
+
 def test_failing_check_exits_1():
     code, out, _ = run_cli(["axioms", "--use-variant-action", "--radius", "1",
                             "--q", "1", "--alpha", "1/3", "--sweeps", "2"])

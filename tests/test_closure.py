@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,8 +44,12 @@ def _rref(rows):
     return basis
 
 
-def oracle_closure(seeds, D, B, p):
-    """Reference fixpoint: returns the low-degree basis as {pivot: dict} rows."""
+def oracle_closure(seeds, D, B, p, growth=None):
+    """Reference fixpoint: returns the low-degree basis as {pivot: dict} rows.
+
+    If a list is given as growth, the workspace dimension gained in each
+    pass is appended to it.
+    """
     spanning = [seed.terms() for seed in seeds if seed]
     while True:
         basis = _rref(spanning)
@@ -58,6 +63,8 @@ def oracle_closure(seeds, D, B, p):
                     if image:
                         images.append(image.terms())
         new_basis = _rref([vec for _, vec in basis] + images)
+        if growth is not None:
+            growth.append(len(new_basis) - len(basis))
         new_low = [vec for pivot, vec in new_basis if sum(pivot) <= D]
         if len(new_low) == len(low):
             return new_low
@@ -236,3 +243,59 @@ def test_closure_nontrivial_lambda_and_alpha():
     assert result.tag is ClosureTag.OMEGA_PRIME and result.dimension == 9
     basis, result = closure([seed + 1], 3, 5, p)
     assert result.tag is ClosureTag.FULL and result.dimension == 10
+
+
+# --- the interpolation-box shortcut --------------------------------------------
+# The engine sweeps radius min(B, (D+2)//2); the oracle sweeps the whole
+# [-B, B]^2 box.  B runs from below that radius to D+2.  A box one point
+# short of the bound can still reach the same fixpoint, in a different
+# number of additions per pass, so the per-pass growth is compared too.
+
+def _growth(result):
+    match = re.search(r"additions per pass=\[([\d, ]*)\]", result.diagnostics)
+    return [int(x) for x in match.group(1).split(",")]
+
+
+def _strip_zeros(growth):
+    # the oracle stops once the degree-<=D part stops growing; the engine
+    # runs one more pass when the last one only grew the degree-(D+1) shell
+    while growth and growth[-1] == 0:
+        growth = growth[:-1]
+    return growth
+
+
+def test_closure_matches_full_box_oracle_for_every_small_B():
+    generic = ParamSet(Fraction(5, 7), 2, Fraction(1, 3), Fraction(3, 4))
+    half = ParamSet(1, 1, 1, Fraction(1, 2))
+    linear = poly.D1 - 2 * poly.D2
+    quadratic = poly.D1 * poly.D2 - 2 * poly.D2
+    runs = [(generic, D, seed, range(1, D + 3), (0, 1))
+            for D, seed in ((1, linear), (2, quadratic), (3, quadratic))]
+    runs += [(generic, 4, quadratic, (2, 4), (0,)),
+             (half, 2, poly.D2**2, range(1, 5), (0, 1))]
+    for p, D, raw, radii, shifts in runs:
+        x1, x2 = p.vanishing_point()
+        for B in radii:
+            for shift in shifts:
+                seed = raw - raw.eval_at(x1, x2) + shift
+                basis, result = closure([seed], D, B, p)
+                growth = []
+                assert spans_agree(basis, oracle_closure([seed], D, B, p, growth)), \
+                    (D, B, seed)
+                assert _strip_zeros(_growth(result)) == _strip_zeros(growth), (D, B, seed)
+                if B >= (D + 2) // 2:
+                    expected = ClosureTag.FULL if shift else ClosureTag.OMEGA_PRIME
+                    assert result.tag is expected, (D, B, seed)
+
+
+def test_closure_independent_of_box_radius_beyond_interpolation_bound():
+    p = ParamSet(1, 1, 1, Fraction(1, 2))
+    for D in range(1, 6):
+        for seed in (poly.D1 + poly.D2**2 if D >= 2 else poly.D1, Poly2.const(3)):
+            reference, ref_result = closure([seed], D, 2 * D + 3, p)
+            prefix = ref_result.diagnostics.split("; fixpoint")[0]
+            assert "passes=" in prefix and "additions per pass=" in prefix
+            for B in ((D + 2) // 2, D + 2):
+                basis, result = closure([seed], D, B, p)
+                assert basis.vectors == reference.vectors, (D, B)
+                assert result.diagnostics.split("; fixpoint")[0] == prefix, (D, B)
