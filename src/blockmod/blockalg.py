@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import IndexPair, ParseError, _Parser
+from .exactnum import ParseError, _Parser
+from .poly import IndexPair
 
 
 @dataclass(frozen=True)
@@ -176,14 +177,6 @@ def _struct_coeff(q: Fraction, cross: int, diff: int) -> Fraction:
     return cross + q * diff
 
 
-def bracket_basis(m: IndexPair, n: IndexPair, ctx: AlgebraContext) -> AlgebraElement:
-    """Bracket of two basis vectors; a single term on L(m + n), possibly zero."""
-    coeff = _struct_coeff(ctx.q, n.m1 * m.m2 - m.m1 * n.m2, n.m1 - m.m1)
-    if not coeff:
-        return AlgebraElement()
-    return AlgebraElement({_basis_gen(m.m1 + n.m1, m.m2 + n.m2): coeff})
-
-
 def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> AlgebraElement:
     """Bilinear bracket on the extended algebra."""
     q = ctx.q
@@ -240,38 +233,16 @@ class _ElementParser(_Parser):
         self.ctx = ctx
 
     def parse(self) -> AlgebraElement:
-        if not self.tokens:
-            raise ParseError("empty expression", self.text, 0)
-        total = AlgebraElement()
-        sign = 1
-        if self.peek()[1] in ("+", "-"):
-            sign = -1 if self.take()[1] == "-" else 1
-        total = total + self.term(sign)
-        while self.peek()[0] != "end":
-            kind, text, at = self.take()
-            if text == "+":
-                total = total + self.term(1)
-            elif text == "-":
-                total = total + self.term(-1)
-            else:
-                raise ParseError(f"unexpected {text!r}", self.text, at)
+        total = self.term(self.sign())
+        while self.peek()[1] in ("+", "-"):
+            total = total + self.term(self.sign())
+        self.finish()
         return total
 
     def term(self, sign: int) -> AlgebraElement:
         coeff = Fraction(sign)
-        kind, text, at = self.peek()
-        if kind == "int":
-            self.take()
-            value = Fraction(int(text))
-            if self.peek()[1] == "/":
-                self.take()
-                dkind, dtext, dat = self.take()
-                if dkind != "int":
-                    raise ParseError("denominator must be an integer", self.text, dat)
-                if int(dtext) == 0:
-                    raise ParseError("zero denominator", self.text, dat)
-                value = Fraction(int(text), int(dtext))
-            coeff *= value
+        if self.peek()[0] == "int":
+            coeff *= self.rational()
             self.expect("*")
         return coeff * self.generator()
 
@@ -294,9 +265,7 @@ class _ElementParser(_Parser):
         raise ParseError(f"unknown generator {text!r}", self.text, at)
 
     def integer(self) -> int:
-        sign = 1
-        if self.peek()[1] in ("+", "-"):
-            sign = -1 if self.take()[1] == "-" else 1
+        sign = self.sign()
         kind, text, at = self.take()
         if kind != "int":
             raise ParseError("expected an integer", self.text, at)

@@ -17,7 +17,10 @@ closure cost climbs steeply with D (the seed d1+d2^2 closes in about
 15 s at D=10 and about 60 s at D=12 on one Xeon core under Python 3.11);
 a larger D, from a flag or a config file, is a usage error.  The box
 radius B needs no cap: closure sweeps radius min(B, (D+2)//2), which
-gives the same result as the full box.
+gives the same result as the full box.  Polynomial expressions are
+capped at degree poly.MAX_EXPRESSION_DEGREE, and a grid that would check
+nothing (a negative box radius, an empty Witt index range, a zero pair
+cap) raises ValueError in the library; both are usage errors too.
 """
 
 from __future__ import annotations
@@ -119,6 +122,24 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _argument_type(parse):
+    """``parse`` as an argparse type whose ValueError text reaches the user.
+
+    argparse replaces the message of a ValueError with "invalid <name>
+    value"; an ArgumentTypeError keeps it.
+    """
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    return convert
+
+
+_rational_argument = _argument_type(parse_rational)
+
+
+@_argument_type
 def _parse_lambda_pair(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -126,6 +147,7 @@ def _parse_lambda_pair(text: str) -> tuple[Fraction, Fraction]:
     return parse_rational(parts[0]), parse_rational(parts[1])
 
 
+@_argument_type
 def _parse_param_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -133,6 +155,7 @@ def _parse_param_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(parse_rational(part) for part in parts)
 
 
+@_argument_type
 def _parse_index_pair(text: str) -> IndexPair:
     """A Witt line index m1,m2; m1 = 0 is invalid input."""
     parts = text.split(",")
@@ -140,7 +163,7 @@ def _parse_index_pair(text: str) -> IndexPair:
         raise ValueError("expected two comma-separated integers, e.g. 2,3")
     m = IndexPair(int(parts[0]), int(parts[1]))
     if m.m1 == 0:
-        raise argparse.ArgumentTypeError(f"Witt line index needs m1 != 0, got {text}")
+        raise ValueError(f"Witt line index needs m1 != 0, got {text}")
     return m
 
 
@@ -181,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     # written before or after the subcommand; values default to SUPPRESS and
     # build_config fills in the real defaults
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=parse_rational, default=argparse.SUPPRESS,
+    common.add_argument("--q", type=_rational_argument, default=argparse.SUPPRESS,
                         help="algebra parameter (nonzero rational)")
     common.add_argument("--lambda", dest="lam", type=_parse_lambda_pair,
                         default=argparse.SUPPRESS, metavar="L1,L2",
                         help="module parameters lambda1,lambda2")
-    common.add_argument("--alpha", type=parse_rational, default=argparse.SUPPRESS,
+    common.add_argument("--alpha", type=_rational_argument, default=argparse.SUPPRESS,
                         help="module parameter alpha")
     common.add_argument("--D", dest="degree_bound", type=int, default=argparse.SUPPRESS,
                         help=f"degree bound (at most {MAX_DEGREE_BOUND})")

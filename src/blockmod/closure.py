@@ -53,11 +53,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import comb, gcd
+from math import gcd, lcm
 
-from .omega import ParamSet
-from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box
+from .omega import ParamSet, action_on_one, in_proper_submodule
+from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box, shift_terms
 
 
 class ClosureTag(Enum):
@@ -200,9 +199,12 @@ class _ActTable:
     """Per-index generator action on workspace monomials, integer scaled.
 
     For each box index m the image of a monomial under L(m) is the
-    shifted monomial times the generator image of 1; a fixed positive
-    rational rescaling per index keeps every image integral without
-    changing its span.
+    monomial shifted by m (:func:`poly.shift_terms`, the same expansion
+    as ``Poly2.shifted``) times g_m, the image of 1 under L(m)
+    (:func:`omega.action_on_one`).  The scalar lambda^m is divided out
+    of g_m and the rest is scaled by the lcm of its denominators: a
+    fixed positive rational rescaling per index keeps every image
+    integral without changing its span.
     """
 
     def __init__(self, D: int, p: ParamSet):
@@ -216,12 +218,8 @@ class _ActTable:
     def _generator_terms(self, m: IndexPair) -> list[tuple[Monomial2, int]]:
         terms = self._g_terms.get(m)
         if terms is None:
-            q, alpha = self.p.q, self.p.alpha
-            coeffs = {(1, 0): m.m2 + q, (0, 1): Fraction(-m.m1), (0, 0): -m.m1 * q * alpha}
-            scale = 1
-            for c in coeffs.values():
-                scale = scale * c.denominator // gcd(scale, c.denominator)
-            terms = [(mono, int(c * scale)) for mono, c in coeffs.items() if c]
+            g = (1 / self.p.lam_pow(m)) * action_on_one(m, self.p)
+            terms = list(_integer_terms(g).items())
             self._g_terms[m] = terms
         return terms
 
@@ -230,19 +228,11 @@ class _ActTable:
         key = (m, mono)
         column = self._columns.get(key)
         if column is None:
-            a, b = mono
             accum: dict[int, int] = {}
-            for i in range(a + 1):
-                ci = comb(a, i) * (-m.m1) ** (a - i)
-                if not ci:
-                    continue
-                for j in range(b + 1):
-                    cij = ci * comb(b, j) * (-m.m2) ** (b - j)
-                    if not cij:
-                        continue
-                    for (g1, g2), gc in self._generator_terms(m):
-                        r = _rank((i + g1, j + g2))
-                        accum[r] = accum.get(r, 0) + cij * gc
+            for (i, j), c in shift_terms({mono: 1}, m.m1, m.m2).items():
+                for (g1, g2), gc in self._generator_terms(m):
+                    r = _rank((i + g1, j + g2))
+                    accum[r] = accum.get(r, 0) + c * gc
             column = [(r, c) for r, c in sorted(accum.items()) if c]
             self._columns[key] = column
         return column
@@ -256,13 +246,17 @@ class _ActTable:
         return out
 
 
+def _integer_terms(f: Poly2) -> dict[Monomial2, int]:
+    """f scaled by the lcm of its denominators: integral, and spanning the same line."""
+    terms = f.terms()
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {mono: int(c * scale) for mono, c in terms.items()}
+
+
 def _poly_to_int_row(f: Poly2, dim: int) -> list[int]:
-    scale = 1
-    for c in f.terms().values():
-        scale = scale * c.denominator // gcd(scale, c.denominator)
     row = [0] * dim
-    for mono, c in f.terms().items():
-        row[_rank(mono)] = int(c * scale)
+    for mono, c in _integer_terms(f).items():
+        row[_rank(mono)] = c
     return row
 
 
@@ -348,8 +342,8 @@ def classify_span(basis: SubspaceBasis, D: int, p: ParamSet) -> ClosureResult:
     if n == full:
         return ClosureResult(ClosureTag.FULL, n,
                              f"spans the whole degree-{D} level (dim {full})")
-    x1, x2 = p.vanishing_point()
-    vanishing = all(v.eval_at(x1, x2) == 0 for v in basis.vectors)
+    x2 = p.vanishing_point()[1]
+    vanishing = all(in_proper_submodule(v, p) for v in basis.vectors)
     if n == full - 1 and vanishing:
         return ClosureResult(
             ClosureTag.OMEGA_PRIME, n,

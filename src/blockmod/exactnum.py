@@ -1,11 +1,17 @@
-"""Exact rational scalars.
+"""Exact rational scalars and the token grammar shared by every parser.
 
 Every coefficient in this package is a ``fractions.Fraction``: arbitrary
 precision, reduced on construction, positive denominator, zero stored as
 0/1.  Canonical form is enforced by the type itself, so equality of
 values is structural equality.  This module pins that choice under the
-name ``Rational`` and adds the parse/format/power helpers shared by the
-CLI grammar and the verification suites.
+name ``Rational`` and adds the format/power helpers shared by the CLI
+and the verification suites.
+
+It also holds the tokenizer and the parser base class of the expression
+grammars (polynomials in :mod:`blockmod.poly`, algebra elements in
+:mod:`blockmod.blockalg`), including the one rational-literal rule
+``int ['/' int]``; :func:`parse_rational` is that rule on its own, with
+an optional sign.
 
 Only rational instances are supported; irrational or complex parameter
 values are out of scope for this toolkit.
@@ -18,11 +24,79 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
+_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/,])")
 
 
-class RationalSyntaxError(ValueError):
-    """Text does not denote an exact rational."""
+class ParseError(ValueError):
+    """Syntax error in an expression, with a character position."""
+
+    def __init__(self, message: str, text: str, position: int):
+        super().__init__(f"{message} (at position {position} in {text!r})")
+        self.position = position
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
+        if match.lastgroup != "ws":
+            tokens.append((match.lastgroup, match.group(), pos))
+        pos = match.end()
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        if not self.tokens:
+            raise ParseError("empty expression", text, 0)
+        self.pos = 0
+
+    def peek(self):
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        return ("end", "", len(self.text))
+
+    def take(self):
+        token = self.peek()
+        if token[0] != "end":
+            self.pos += 1
+        return token
+
+    def expect(self, value: str):
+        kind, text, at = self.take()
+        if text != value:
+            raise ParseError(f"expected {value!r}", self.text, at)
+
+    def finish(self):
+        kind, text, at = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", self.text, at)
+
+    def sign(self) -> int:
+        """An optional leading ``+`` or ``-``, as +1 or -1."""
+        if self.peek()[1] in ("+", "-"):
+            return -1 if self.take()[1] == "-" else 1
+        return 1
+
+    def rational(self) -> Fraction:
+        """The rational-literal rule: an integer, optionally ``/`` a positive integer."""
+        kind, text, at = self.take()
+        if kind != "int":
+            raise ParseError("expected an integer or a/b rational literal", self.text, at)
+        if self.peek()[1] != "/":
+            return Fraction(int(text))
+        self.take()
+        dkind, dtext, dat = self.take()
+        if dkind != "int":
+            raise ParseError("denominator must be an integer", self.text, dat)
+        if int(dtext) == 0:
+            raise ParseError("zero denominator", self.text, dat)
+        return Fraction(int(text), int(dtext))
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -37,28 +111,17 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``a`` or ``a/b`` with integer a and positive integer b."""
-    match = _RATIONAL_RE.match(text)
-    if match is None:
-        raise RationalSyntaxError(f"not a rational literal: {text!r}")
-    numerator = int(match.group(1))
-    if match.group(2) is None:
-        return Fraction(numerator)
-    denominator = int(match.group(2))
-    if denominator == 0:
-        raise RationalSyntaxError(f"zero denominator in {text!r}")
-    return Fraction(numerator, denominator)
+    """Parse ``a`` or ``a/b`` with an optional sign, integer a and positive integer b."""
+    parser = _Parser(text)
+    sign = parser.sign()
+    value = parser.rational()
+    parser.finish()
+    return sign * value
 
 
 def format_rational(value: Fraction) -> str:
     """Render as ``a`` or ``a/b``; inverse of :func:`parse_rational`."""
     return str(value)
-
-
-def rat_inv(value: Fraction) -> Fraction:
-    if value == 0:
-        raise ZeroDivisionError("zero has no inverse")
-    return 1 / Fraction(value)
 
 
 def rat_pow(base: Fraction, exponent: int) -> Fraction:

@@ -14,18 +14,26 @@ leading terms and pivot selection all use this single order, which
 makes printed forms and echelon bases canonical.
 
 Values are immutable: every operation returns a fresh polynomial.  The
-shared expression grammar used by the command line lives here as well:
-integer and ``a/b`` rational literals, variables, ``+ - * ^`` and
-parentheses, whitespace insensitive, nonnegative integer exponents.
+substitution d -> d - m behind every generator action is one binomial
+expansion on term maps, :func:`shift_terms`.
+
+The polynomial expression grammar used by the command line lives here as
+well: rational literals (the one literal rule of :mod:`blockmod.exactnum`),
+variables, ``+ - * ^`` and parentheses, whitespace insensitive,
+nonnegative integer exponents.  A product or power whose total degree
+would exceed ``MAX_EXPRESSION_DEGREE``, and any exponent above it, is a
+parse error: expanding a product costs the product of the term counts,
+so ``d1^1000000000`` would never return.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator
+
+from .exactnum import ParseError, _Parser
 
 Monomial2 = tuple[int, int]
 
@@ -77,9 +85,36 @@ class IndexPair:
 
 def index_box(radius: int) -> list[IndexPair]:
     """All indices of [-radius, radius]^2 in row-major order (m1 outer, m2 inner)."""
+    if radius < 0:
+        raise ValueError(f"index box radius must be at least 0, got {radius}")
     return [IndexPair(a, b)
             for a in range(-radius, radius + 1)
             for b in range(-radius, radius + 1)]
+
+
+def shift_terms(terms: dict, m1, m2) -> dict:
+    """Term map of f(d1 - m1, d2 - m2) from the term map of f.
+
+    Keys are (e1, e2) exponent pairs.  Coefficients may be ints or
+    Fractions, and so may m1 and m2.  The binomial factors of each
+    exponent are formed once per call, so each output contribution costs
+    one multiplication by a coefficient.  Zero coefficients are dropped.
+    """
+    rows1 = {a: _binomial_row(a, m1) for a in {a for a, _ in terms}}
+    rows2 = {b: _binomial_row(b, m2) for b in {b for _, b in terms}}
+    data: dict = {}
+    for (a, b), c in terms.items():
+        row2 = rows2[b]
+        for i, f1 in rows1[a]:
+            for j, f2 in row2:
+                key = (i, j)
+                data[key] = data.get(key, 0) + c * (f1 * f2)
+    return {key: c for key, c in data.items() if c}
+
+
+def _binomial_row(e: int, m) -> list:
+    """Nonzero terms (i, comb(e, i) * (-m)^(e - i)) of the expansion of (x - m)^e."""
+    return [(i, f) for i in range(e + 1) if (f := comb(e, i) * (-m) ** (e - i))]
 
 
 def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
@@ -229,30 +264,15 @@ class Poly2:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def shifted(self, m: IndexPair) -> "Poly2":
         """Substitute d1 -> d1 - m1 and d2 -> d2 - m2."""
-        data: dict[Monomial2, Fraction] = {}
-        for (a, b), c in self._terms.items():
-            for i in range(a + 1):
-                ci = c * comb(a, i) * (-m.m1) ** (a - i)
-                if not ci:
-                    continue
-                for j in range(b + 1):
-                    cij = ci * comb(b, j) * (-m.m2) ** (b - j)
-                    if not cij:
-                        continue
-                    key = (i, j)
-                    acc = data.get(key, _ZERO) + cij
-                    if acc:
-                        data[key] = acc
-                    elif key in data:
-                        del data[key]
         out = Poly2()
-        out._terms = data
+        out._terms = shift_terms(self._terms, m.m1, m.m2)
         return out
 
     def eval_at(self, x1, x2) -> Fraction:
@@ -396,20 +416,9 @@ class Poly1:
 
     def shifted(self, c) -> "Poly1":
         """Substitute t -> t - c; c may be any rational."""
-        c = Fraction(c)
-        data: dict[int, Fraction] = {}
-        for k, coeff in self._terms.items():
-            for i in range(k + 1):
-                ci = coeff * comb(k, i) * (-c) ** (k - i)
-                if not ci:
-                    continue
-                acc = data.get(i, _ZERO) + ci
-                if acc:
-                    data[i] = acc
-                elif i in data:
-                    del data[i]
+        shifted = shift_terms({(k, 0): v for k, v in self._terms.items()}, c, 0)
         out = Poly1()
-        out._terms = data
+        out._terms = {i: v for (i, _), v in shifted.items()}
         return out
 
     def eval_at(self, x) -> Fraction:
@@ -516,54 +525,8 @@ def rewrite_in_xm(f: Poly2, m: IndexPair) -> Poly2:
 
 # --- expression grammar (shared with the CLI) -------------------------------
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/,])")
-
-
-class ParseError(ValueError):
-    """Syntax error in an expression, with a character position."""
-
-    def __init__(self, message: str, text: str, position: int):
-        super().__init__(f"{message} (at position {position} in {text!r})")
-        self.position = position
-
-
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
-        if match.lastgroup != "ws":
-            tokens.append((match.lastgroup, match.group(), pos))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("end", "", len(self.text))
-
-    def take(self):
-        token = self.peek()
-        if token[0] != "end":
-            self.pos += 1
-        return token
-
-    def expect(self, value: str):
-        kind, text, at = self.take()
-        if text != value:
-            raise ParseError(f"expected {value!r}", self.text, at)
-
-    def fail(self, message: str):
-        raise ParseError(message, self.text, self.peek()[2])
+# cost guard: the largest total degree and exponent the grammar accepts
+MAX_EXPRESSION_DEGREE = 32
 
 
 class _PolyParser(_Parser):
@@ -572,15 +535,10 @@ class _PolyParser(_Parser):
     def __init__(self, text: str, variables: dict[str, Monomial2]):
         super().__init__(text)
         self.variables = variables
-        self.used: set[str] = set()
 
     def parse(self) -> Poly2:
-        if not self.tokens:
-            raise ParseError("empty expression", self.text, 0)
         value = self.expr()
-        kind, text, at = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r}", self.text, at)
+        self.finish()
         return value
 
     def expr(self) -> Poly2:
@@ -594,8 +552,10 @@ class _PolyParser(_Parser):
     def term(self) -> Poly2:
         value = self.unary()
         while self.peek()[1] == "*":
-            self.take()
-            value = value * self.unary()
+            at = self.take()[2]
+            rhs = self.unary()
+            self.check_degree(value.total_degree() + rhs.total_degree(), at)
+            value = value * rhs
         return value
 
     def unary(self) -> Poly2:
@@ -612,26 +572,27 @@ class _PolyParser(_Parser):
             kind, text, at = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", self.text, at)
-            base = base ** int(text)
+            exponent = int(text)
+            if exponent > MAX_EXPRESSION_DEGREE:
+                raise ParseError(f"exponent {exponent} exceeds the expression degree "
+                                 f"ceiling {MAX_EXPRESSION_DEGREE}", self.text, at)
+            self.check_degree(base.total_degree() * exponent, at)
+            base = base ** exponent
         return base
 
+    def check_degree(self, degree: int, at: int) -> None:
+        if degree > MAX_EXPRESSION_DEGREE:
+            raise ParseError(f"degree {degree} exceeds the expression degree ceiling "
+                             f"{MAX_EXPRESSION_DEGREE}", self.text, at)
+
     def atom(self) -> Poly2:
-        kind, text, at = self.take()
+        kind, text, at = self.peek()
         if kind == "int":
-            value = Fraction(int(text))
-            if self.peek()[1] == "/":
-                self.take()
-                dkind, dtext, dat = self.take()
-                if dkind != "int":
-                    raise ParseError("denominator must be an integer", self.text, dat)
-                if int(dtext) == 0:
-                    raise ParseError("zero denominator", self.text, dat)
-                value = Fraction(int(text), int(dtext))
-            return Poly2.const(value)
+            return Poly2.const(self.rational())
+        self.take()
         if kind == "name":
             if text not in self.variables:
                 raise ParseError(f"unknown variable {text!r}", self.text, at)
-            self.used.add(text)
             return Poly2({self.variables[text]: 1})
         if text == "(":
             value = self.expr()
@@ -649,18 +610,3 @@ def parse_poly1(text: str) -> Poly1:
     """Parse an expression in the single variable t."""
     parsed = _PolyParser(text, {"t": (1, 0)}).parse()
     return to_single_variable(parsed, keep=0)
-
-
-def parse_poly(text: str) -> Poly2 | Poly1:
-    """Parse an expression, deciding the carrier from the variables used.
-
-    Expressions in t give a Poly1, expressions in d1/d2 (or constants)
-    give a Poly2; mixing t with d1/d2 is an error.
-    """
-    probe = _PolyParser(text, {"d1": (1, 0), "d2": (0, 1), "t": (0, 0)})
-    probe.parse()
-    if "t" in probe.used and (probe.used & {"d1", "d2"}):
-        raise ParseError("cannot mix t with d1/d2", text, 0)
-    if "t" in probe.used:
-        return parse_poly1(text)
-    return parse_poly2(text)

@@ -169,23 +169,17 @@ def variant_control_suite(p: ParamSet, polys: list[Poly2],
          if failure is None else
          f"image {CANONICAL_IMAGE_TEXT} unexpectedly fails: x={failure[0]}, y={failure[1]}")))
 
-    generators = [AlgebraElement.basis(m) for m in index_box(radius)]
-    generators.append(AlgebraElement.derivation())
-    variant_witness = None
-    for x, y in itertools.product(generators, repeat=2):
-        for f in polys:
-            defect = omega.module_axiom_defect(x, y, f, p, action_on_one_alt)
-            if defect:
-                variant_witness = f"x={x}, y={y}, f={f}, defect={defect}"
-                break
-        if variant_witness:
-            break
-    checks.append(Check(
-        "variant action fails the axiom grid", "action-variant-control",
-        "pass" if variant_witness is not None else "fail",
-        (f"image {VARIANT_IMAGE_TEXT} has nonzero defect: {variant_witness}; {p.describe()}"
-         if variant_witness is not None else
-         f"image {VARIANT_IMAGE_TEXT} unexpectedly passed the whole grid; {p.describe()}")))
+    _, failure = axiom_grid_scan(p, polys, radius, action_on_one_alt)
+    if failure is None:
+        checks.append(Check(
+            "variant action fails the axiom grid", "action-variant-control", "fail",
+            f"image {VARIANT_IMAGE_TEXT} unexpectedly passed the whole grid; {p.describe()}"))
+    else:
+        x, y, f, defect = failure
+        checks.append(Check(
+            "variant action fails the axiom grid", "action-variant-control", "pass",
+            f"image {VARIANT_IMAGE_TEXT} has nonzero defect: x={x}, y={y}, f={f}, "
+            f"defect={defect}; {p.describe()}"))
     return checks
 
 
@@ -210,8 +204,7 @@ def closure_dichotomy_suite(p: ParamSet, D: int, B: int, runs_full: int,
     outside_failures = []
     for run in range(runs_full):
         seed = sample_poly2(rng, seed_degree)
-        value = seed.eval_at(x1, x2)
-        if value == 0:
+        if omega.in_proper_submodule(seed, p):
             seed = seed + 1      # move off the hyperplane, degree unchanged
         basis, result = closure([seed], D, B, p)
         if result.tag is not ClosureTag.FULL or result.dimension != full_dim:
@@ -240,7 +233,7 @@ def closure_dichotomy_suite(p: ParamSet, D: int, B: int, runs_full: int,
                 f"{result.diagnostics}")
         else:
             for v in basis.vectors:
-                if v.eval_at(x1, x2) != 0:
+                if not omega.in_proper_submodule(v, p):
                     eval_failures.append(f"run {run}: basis vector {v} nonzero at (0,{x2})")
     checks.append(Check(
         f"closure of seeds inside the submodule ({p.describe()})",
@@ -262,6 +255,8 @@ def closure_dichotomy_suite(p: ParamSet, D: int, B: int, runs_full: int,
 
 def witt_restriction_suite(ms: list[IndexPair], i_lo: int, i_hi: int,
                            param_sets: list[ParamSet]) -> list[Check]:
+    if i_lo > i_hi:
+        raise ValueError(f"empty Witt index range [{i_lo},{i_hi}]: need i_lo <= i_hi")
     checks = []
     for index, p in enumerate(param_sets):
         failures = []
@@ -306,8 +301,13 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
     Two-index replays run over a subsample of the box pairs plus, when
     q or 2q is integral, explicit pairs touching the exceptional
     indices (0,-q) and (0,-2q).  Single-index replays run over the
-    whole box.
+    whole box.  Radius 0 would leave the separated-form replay no index
+    with m1 != 0, and a zero pair cap no pairs, so both are rejected.
     """
+    if radius < 1:
+        raise ValueError(f"replay radius must be at least 1, got {radius}")
+    if pair_cap < 1:
+        raise ValueError(f"pair cap must be at least 1, got {pair_cap}")
     rng = SplitMix64(rng_seed)
     checks = []
     for index, p in enumerate(param_sets):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from blockmod.cli import main
 
 
@@ -99,6 +101,39 @@ def test_witt_rejects_m1_zero_as_usage_error():
     code, out, err = run_cli(["witt", "--m", "0,1"])
     assert code == 2 and out == ""
     assert "m1 != 0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["witt", "--m", "1"], "expected two comma-separated integers"),
+    (["bracket", "L(1,0)", "D2", "--lambda", "1"], "expected two comma-separated rationals"),
+    (["bracket", "L(1,0)", "D2", "--q", "x"], "expected an integer or a/b rational literal"),
+])
+def test_argument_type_errors_keep_their_message(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert message in err
+    assert "invalid" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["axioms", "--radius", "-1"], "index box radius must be at least 0, got -1"),
+    (["replay", "--radius", "-1"], "replay radius must be at least 1, got -1"),
+    (["replay", "--pairs", "0"], "pair cap must be at least 1, got 0"),
+    (["witt", "--i-min", "5", "--i-max", "-5"], "empty Witt index range [5,-5]"),
+])
+def test_empty_grids_are_usage_errors(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_expression_degree_ceiling_is_fast():
+    for text in ("d1^1000000000", "(d1+d2)^400"):
+        result = subprocess.run(
+            [sys.executable, "-m", "blockmod.cli", "act", "L(1,0)", text],
+            capture_output=True, text=True, timeout=10)
+        assert result.returncode == 2 and result.stdout == ""
+        assert "exceeds the expression degree ceiling 32" in result.stderr
 
 
 def test_failing_check_exits_1():

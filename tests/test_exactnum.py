@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from blockmod.exactnum import (RationalSyntaxError, format_rational,
-                               parse_rational, rat, rat_inv, rat_pow)
+from blockmod.blockalg import AlgebraContext, AlgebraElement, parse_element
+from blockmod.exactnum import ParseError, format_rational, parse_rational, rat, rat_pow
+from blockmod.poly import IndexPair, Poly2, parse_poly2
 from blockmod.prng import SplitMix64
 
 
@@ -11,12 +12,6 @@ def test_textbook_arithmetic():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert Fraction(-2, 3) * Fraction(3, 2) == -1
     assert -Fraction(4, 6) == Fraction(-2, 3)
-
-
-def test_inverse():
-    assert rat_inv(Fraction(3, 7)) == Fraction(7, 3)
-    with pytest.raises(ZeroDivisionError, match="zero has no inverse"):
-        rat_inv(Fraction(0))
 
 
 def test_powers():
@@ -47,11 +42,33 @@ def test_parse_format_round_trip():
 
 
 def test_parse_errors():
-    for bad in ["", "a", "1/2/3", "1.5", "2/-3"]:
-        with pytest.raises(RationalSyntaxError):
+    for bad in ["", "a", "1/2/3", "1.5", "2/-3", "--3"]:
+        with pytest.raises(ParseError):
             parse_rational(bad)
-    with pytest.raises(RationalSyntaxError, match="zero denominator"):
+    with pytest.raises(ParseError, match="zero denominator"):
         parse_rational("1/0")
+
+
+LITERALS = {"0": Fraction(0), "5": Fraction(5), "-3": Fraction(-3), "5/6": Fraction(5, 6),
+            "+4/6": Fraction(2, 3), "1/0": None, "1.5": None, "2/-3": None, "1/2/3": None}
+
+
+@pytest.mark.parametrize("literal", list(LITERALS))
+def test_one_literal_rule_for_every_grammar(literal):
+    # parse_rational, the polynomial grammar and the element grammar share
+    # one literal rule, so they accept and reject the same literals
+    value = LITERALS[literal]
+    ctx = AlgebraContext(Fraction(1))
+    l00 = AlgebraElement.basis(IndexPair(0, 0))
+    cases = [(lambda: parse_rational(literal), lambda v: v),
+             (lambda: parse_poly2(literal), Poly2.const),
+             (lambda: parse_element(literal + "*L(0,0)", ctx), lambda v: v * l00)]
+    for parse, expected in cases:
+        if value is None:
+            with pytest.raises(ParseError):
+                parse()
+        else:
+            assert parse() == expected(value)
 
 
 def test_field_axioms_randomized():
@@ -65,4 +82,4 @@ def test_field_axioms_randomized():
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a and a * b == b * a
         if a != 0:
-            assert a * rat_inv(a) == 1
+            assert a * (1 / a) == 1

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from blockmod import poly
-from blockmod.poly import (IndexPair, ParseError, Poly1, Poly2, compose2,
-                           from_single_variable, parse_poly, parse_poly1,
-                           parse_poly2, rewrite_in_xm, to_single_variable)
+from blockmod.poly import (MAX_EXPRESSION_DEGREE, IndexPair, ParseError, Poly1,
+                           Poly2, compose2, from_single_variable, parse_poly1,
+                           parse_poly2, rewrite_in_xm, shift_terms,
+                           to_single_variable)
 from blockmod.prng import SplitMix64
 
 
@@ -48,6 +49,9 @@ def test_shift_examples():
         poly.D1 * poly.D2 - 2 * poly.D1 - poly.D2 + 2
     f = Poly2({(3, 1): 2, (0, 2): Fraction(1, 3)})
     assert f.shifted(IndexPair(0, 0)) == f
+    # the one expansion serves integer term maps too: (d1+1)^2*(d2-2) - 1
+    assert shift_terms({(2, 1): 1, (0, 0): -1}, -1, 2) == {
+        (2, 1): 1, (2, 0): -2, (1, 1): 2, (1, 0): -4, (0, 1): 1, (0, 0): -3}
 
 
 def test_shift_additivity_randomized():
@@ -160,14 +164,18 @@ def test_parse_errors():
         parse_poly2("(d1")
     with pytest.raises(ParseError, match="unknown variable"):
         parse_poly1("d1 + 1")
+    with pytest.raises(ParseError, match="unknown variable"):
+        parse_poly2("t + d1")
 
 
-def test_parse_poly_dispatch():
-    assert isinstance(parse_poly("t^2 - t"), Poly1)
-    assert isinstance(parse_poly("d1*d2"), Poly2)
-    assert isinstance(parse_poly("7"), Poly2)
-    with pytest.raises(ParseError, match="mix"):
-        parse_poly("t + d1")
+def test_parse_degree_ceiling():
+    top = MAX_EXPRESSION_DEGREE
+    assert parse_poly2(f"d1^{top}").total_degree() == top
+    assert parse_poly2(f"d1^{top - 1}*d2").total_degree() == top
+    for text in (f"d1^{top + 1}", f"(d1*d2)^{top // 2 + 1}", f"d1^{top}*d2",
+                 f"(d1^{top // 2})^3", f"2^{top + 1}", "d1^1000000000"):
+        with pytest.raises(ParseError, match="ceiling"):
+            parse_poly2(text)
 
 
 def test_print_parse_round_trip_randomized():
