@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import ParseError, _Parser
-from .poly import IndexPair
+from .poly import IndexPair, _format_terms, origin_first_key
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,8 @@ D2 = _Derivation()
 
 
 def _generator_sort_key(gen):
-    # L terms closest to the origin first, positive indices preferred; D2 last
-    if gen is D2:
-        return (1, 0, 0, 0, 0)
-    m = gen.m
-    return (0, abs(m.m1) + abs(m.m2), abs(m.m1), -m.m1, -m.m2)
+    # L terms in origin-first index order; D2 last
+    return (1,) if gen is D2 else (0, *origin_first_key(gen.m))
 
 
 class AlgebraElement:
@@ -150,18 +147,7 @@ class AlgebraElement:
 
 
 def format_element(x: AlgebraElement) -> str:
-    if not x:
-        return "0"
-    pieces = []
-    for position, (gen, coeff) in enumerate(x.items_sorted()):
-        sign = "-" if coeff < 0 else "+"
-        magnitude = -coeff if coeff < 0 else coeff
-        body = str(gen) if magnitude == 1 else f"{magnitude}*{gen}"
-        if position == 0:
-            pieces.append(body if sign == "+" else f"-{body}")
-        else:
-            pieces.append(f" {sign} {body}")
-    return "".join(pieces)
+    return _format_terms([(coeff, str(gen)) for gen, coeff in x.items_sorted()])
 
 
 # the structure constant splits as (n1*m2 - m1*n2) + q*(n1 - m1); both the

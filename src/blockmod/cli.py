@@ -3,9 +3,9 @@
 Subcommands: bracket, act, axioms, closure, witt, iso, replay, report.
 Every invocation prints one JSON report to standard output (fields in a
 fixed order: command, config, checks, overall) and exits 0 when every
-check passed, 1 when any check failed, 2 on usage or expression syntax
-errors.  Reports are byte-deterministic functions of the arguments and
-the configuration, including the rng seed.
+check passed, 1 when any check failed or checked no case, 2 on usage or
+expression syntax errors.  Reports are byte-deterministic functions of
+the arguments and the configuration, including the rng seed.
 
 Rational parameters are written as ``a`` or ``a/b`` (for example
 ``--q 5/7``).  A config file of ``key=value`` lines may supply defaults
@@ -18,7 +18,8 @@ closure cost climbs steeply with D (the seed d1+d2^2 closes in about
 a larger D, from a flag or a config file, is a usage error.  The box
 radius B needs no cap: closure sweeps radius min(B, (D+2)//2), which
 gives the same result as the full box.  Polynomial expressions are
-capped at degree poly.MAX_EXPRESSION_DEGREE, and a grid that would check
+capped at degree poly.MAX_EXPRESSION_DEGREE and their powers at
+coefficients of poly.MAX_POWER_BITS bits, and a grid that would check
 nothing (a negative box radius, an empty Witt index range, a zero pair
 cap) raises ValueError in the library; both are usage errors too.
 """
@@ -73,7 +74,7 @@ class Report:
 
     @property
     def overall(self) -> str:
-        return "pass" if all(c.ok for c in self.checks) else "fail"
+        return "pass" if suites.all_passed(self.checks) else "fail"
 
 
 def report_to_json(report: Report) -> str:
@@ -308,12 +309,11 @@ def _cmd_axioms(args, config: RunConfig) -> list[Check]:
     if args.use_variant_action:
         count, failure = suites.axiom_grid_scan(config.params, polys, args.radius,
                                                 omega.action_on_one_alt)
-        status = "fail" if failure is not None else "pass"
-        witness = (f"variant image {suites.VARIANT_IMAGE_TEXT}: first defect at "
-                   f"x={failure[0]}, y={failure[1]}" if failure is not None else
-                   f"variant image {suites.VARIANT_IMAGE_TEXT}: {count} cases clean")
-        checks.append(Check("module axioms (variant action)",
-                            "module-action-compatibility", status, witness))
+        checks.append(suites.verdict(
+            "module axioms (variant action)", "module-action-compatibility", count,
+            failure and "variant image {}: first defect at x={}, y={}".format(
+                suites.VARIANT_IMAGE_TEXT, *failure[0][:2]),
+            f"variant image {suites.VARIANT_IMAGE_TEXT}: {count} cases clean"))
     else:
         checks += suites.module_axiom_suite([config.params], polys, radius=args.radius)
     return checks

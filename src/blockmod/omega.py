@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import blockalg, poly
 from .blockalg import AlgebraContext, AlgebraElement
 from .exactnum import rat_pow
-from .poly import IndexPair, Poly1, Poly2, index_box
+from .poly import IndexPair, Poly1, Poly2, index_box, origin_first_key
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,6 @@ def witt_restrict(m: IndexPair, i_lo: int, i_hi: int,
     return params, failures
 
 
-def _witness_scan(radius: int):
-    """Box indices ordered closest-to-origin first, positive side preferred."""
-    return sorted(index_box(radius),
-                  key=lambda m: (abs(m.m1) + abs(m.m2), abs(m.m1), -m.m1, -m.m2))
-
-
 def iso_check(left: ParamSet, right: ParamSet,
               box_radius: int = 2) -> tuple[bool, IndexPair | None]:
     """Decide whether two parameter sets give isomorphic modules.
@@ -195,7 +189,7 @@ def iso_check(left: ParamSet, right: ParamSet,
         raise ValueError("box_radius must be at least 1")
     if left == right:
         return True, None
-    for m in _witness_scan(box_radius):
+    for m in sorted(index_box(box_radius), key=origin_first_key):
         if action_on_one(m, left) != action_on_one(m, right):
             return False, m
     raise AssertionError("distinct parameters admit a witness within radius 1")

@@ -23,7 +23,10 @@ variables, ``+ - * ^`` and parentheses, whitespace insensitive,
 nonnegative integer exponents.  A product or power whose total degree
 would exceed ``MAX_EXPRESSION_DEGREE``, and any exponent above it, is a
 parse error: expanding a product costs the product of the term counts,
-so ``d1^1000000000`` would never return.
+so ``d1^1000000000`` would never return.  A power whose coefficients
+could outgrow ``MAX_POWER_BITS`` is a parse error too: each nesting
+level of a constant power such as ``((2^32)^32)^32`` multiplies the
+coefficient size by its exponent.
 """
 
 from __future__ import annotations
@@ -81,6 +84,11 @@ class IndexPair:
 
     def __str__(self) -> str:
         return f"({self.m1},{self.m2})"
+
+
+def origin_first_key(m: IndexPair) -> tuple[int, int, int, int]:
+    """Sort key: indices closest to the origin first, positive side preferred."""
+    return (abs(m.m1) + abs(m.m2), abs(m.m1), -m.m1, -m.m2)
 
 
 def index_box(radius: int) -> list[IndexPair]:
@@ -528,6 +536,11 @@ def rewrite_in_xm(f: Poly2, m: IndexPair) -> Poly2:
 # cost guard: the largest total degree and exponent the grammar accepts
 MAX_EXPRESSION_DEGREE = 32
 
+# cost guard: the largest exponent times coefficient bit length (numerator
+# or denominator) a power may reach; a power of a constant then stays under
+# the 4,300-digit (about 14,284-bit) limit Python puts on printing an int
+MAX_POWER_BITS = 14_000
+
 
 class _PolyParser(_Parser):
     """Polynomial grammar over a fixed variable -> slot map."""
@@ -577,6 +590,11 @@ class _PolyParser(_Parser):
                 raise ParseError(f"exponent {exponent} exceeds the expression degree "
                                  f"ceiling {MAX_EXPRESSION_DEGREE}", self.text, at)
             self.check_degree(base.total_degree() * exponent, at)
+            bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                        for c in base._terms.values()), default=0)
+            if bits * exponent > MAX_POWER_BITS:
+                raise ParseError(f"power {exponent} of a {bits}-bit coefficient exceeds the "
+                                 f"coefficient ceiling of {MAX_POWER_BITS} bits", self.text, at)
             base = base ** exponent
         return base
 

@@ -6,6 +6,12 @@ name, an anchor identifying which mathematical fact the check concerns,
 a pass/fail/error status, and a witness string when there is something
 concrete to show.  All sampling is driven by the package's splitmix
 generator, so a report is a pure function of its configuration.
+
+Every sweep that stops at the first nonzero defect scans with
+:func:`first_defect`, and every check that passes when it finds no
+defect gets its status from :func:`verdict`, which makes a scan that
+checked no case an ``error``, never a pass.  The two negative controls
+pass only when they do find a defect, so they build their Check directly.
 """
 
 from __future__ import annotations
@@ -36,6 +42,32 @@ class Check:
 
 def all_passed(checks: list[Check]) -> bool:
     return all(c.ok for c in checks)
+
+
+def first_defect(cases, defect_of):
+    """Scan ``cases`` in order until ``defect_of(case)`` is nonzero.
+
+    Returns ``(cases scanned, (case, defect))`` at the first nonzero
+    defect, or ``(cases scanned, None)`` when every defect vanished.
+    """
+    count = 0
+    for case in cases:
+        count += 1
+        defect = defect_of(case)
+        if defect:
+            return count, (case, defect)
+    return count, None
+
+
+def verdict(name: str, anchor: str, count: int, failure_text: str | None,
+            clean_text: str) -> Check:
+    """A check that passes when it finds no defect: ``fail`` with ``failure_text``
+    if there is one, else ``error`` if no case was checked, else ``pass``."""
+    if failure_text:
+        return Check(name, anchor, "fail", failure_text)
+    if count == 0:
+        return Check(name, anchor, "error", "no case was checked")
+    return Check(name, anchor, "pass", clean_text)
 
 
 # --- sampling helpers ---------------------------------------------------------
@@ -96,36 +128,30 @@ def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
     checks = []
     for q in q_values:
         ctx = AlgebraContext(Fraction(q))
-        failure = None
-        count = 0
-        for x, y, z in itertools.product(generators, repeat=3):
-            count += 1
-            defect = blockalg.jacobi_defect(x, y, z, ctx)
-            if defect:
-                failure = f"x={x}, y={y}, z={z}, defect={defect}"
-                break
-        checks.append(Check(
-            name=f"jacobi q={q}",
-            anchor="jacobi-identity",
-            status="pass" if failure is None else "fail",
-            witness=failure or f"{count} triples, all defects zero"))
+        count, failure = first_defect(itertools.product(generators, repeat=3),
+                                      lambda xyz: blockalg.jacobi_defect(*xyz, ctx))
+        checks.append(verdict(
+            f"jacobi q={q}", "jacobi-identity", count,
+            failure and "x={}, y={}, z={}, defect={}".format(*failure[0], failure[1]),
+            f"{count} triples, all defects zero"))
     return checks
 
 
 # --- module axioms ------------------------------------------------------------
 
 def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
-    """Scan all ordered generator pairs; return (cases scanned, first defect)."""
+    """Scan all ordered generator pairs and polys with :func:`first_defect`.
+
+    Returns ``(cases scanned, ((x, y, f), defect) or None)``.
+    """
     generators = [AlgebraElement.basis(m) for m in index_box(radius)]
     generators.append(AlgebraElement.derivation())
-    count = 0
-    for x, y in itertools.product(generators, repeat=2):
-        for f in polys:
-            count += 1
-            defect = omega.module_axiom_defect(x, y, f, p, image)
-            if defect:
-                return count, (x, y, f, defect)
-    return count, None
+    cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
+    return first_defect(cases, lambda xyf: omega.module_axiom_defect(*xyf, p, image))
+
+
+def _axiom_failure_text(failure) -> str:
+    return "x={}, y={}, f={}, defect={}".format(*failure[0], failure[1])
 
 
 def module_axiom_suite(param_sets: list[ParamSet], polys: list[Poly2],
@@ -134,14 +160,10 @@ def module_axiom_suite(param_sets: list[ParamSet], polys: list[Poly2],
     checks = []
     for index, p in enumerate(param_sets):
         count, failure = axiom_grid_scan(p, polys, radius, action_on_one)
-        if failure is None:
-            witness = f"{count} (pair, poly) cases, all defects zero; {p.describe()}"
-            checks.append(Check(f"module axioms #{index + 1}", "module-action-compatibility",
-                                "pass", witness))
-        else:
-            x, y, f, defect = failure
-            checks.append(Check(f"module axioms #{index + 1}", "module-action-compatibility",
-                                "fail", f"x={x}, y={y}, f={f}, defect={defect}; {p.describe()}"))
+        checks.append(verdict(
+            f"module axioms #{index + 1}", "module-action-compatibility", count,
+            failure and f"{_axiom_failure_text(failure)}; {p.describe()}",
+            f"{count} (pair, poly) cases, all defects zero; {p.describe()}"))
     return checks
 
 
@@ -151,7 +173,7 @@ VARIANT_IMAGE_TEXT = "lam^m*((q*alpha+m2)*d1 - m1*(d2+alpha))"
 
 def variant_control_suite(p: ParamSet, polys: list[Poly2],
                           radius: int = 2) -> list[Check]:
-    """Negative control: the variant factor placement must break the axioms.
+    """Negative control: the variant factor placement must violate the axioms.
 
     Runs the same generator-pair grid twice.  With the adopted image
     every defect must vanish; with the variant image at least one
@@ -160,27 +182,21 @@ def variant_control_suite(p: ParamSet, polys: list[Poly2],
     """
     if p.alpha in (0, 1):
         raise ValueError("control parameter set needs alpha outside {0, 1}")
-    checks = []
     count, failure = axiom_grid_scan(p, polys, radius, action_on_one)
-    checks.append(Check(
-        "adopted action passes the axiom grid", "action-variant-control",
-        "pass" if failure is None else "fail",
-        (f"image {CANONICAL_IMAGE_TEXT}: {count} cases, all defects zero; {p.describe()}"
-         if failure is None else
-         f"image {CANONICAL_IMAGE_TEXT} unexpectedly fails: x={failure[0]}, y={failure[1]}")))
+    adopted = verdict(
+        "adopted action passes the axiom grid", "action-variant-control", count,
+        failure and "image {} unexpectedly fails: x={}, y={}".format(
+            CANONICAL_IMAGE_TEXT, *failure[0][:2]),
+        f"image {CANONICAL_IMAGE_TEXT}: {count} cases, all defects zero; {p.describe()}")
 
     _, failure = axiom_grid_scan(p, polys, radius, action_on_one_alt)
-    if failure is None:
-        checks.append(Check(
-            "variant action fails the axiom grid", "action-variant-control", "fail",
-            f"image {VARIANT_IMAGE_TEXT} unexpectedly passed the whole grid; {p.describe()}"))
-    else:
-        x, y, f, defect = failure
-        checks.append(Check(
-            "variant action fails the axiom grid", "action-variant-control", "pass",
-            f"image {VARIANT_IMAGE_TEXT} has nonzero defect: x={x}, y={y}, f={f}, "
-            f"defect={defect}; {p.describe()}"))
-    return checks
+    variant = Check(
+        "variant action fails the axiom grid", "action-variant-control",
+        "pass" if failure else "fail",
+        f"image {VARIANT_IMAGE_TEXT} has nonzero defect: {_axiom_failure_text(failure)}; "
+        f"{p.describe()}" if failure else
+        f"image {VARIANT_IMAGE_TEXT} unexpectedly passed the whole grid; {p.describe()}")
+    return [adopted, variant]
 
 
 # --- closure dichotomy ----------------------------------------------------------
@@ -211,12 +227,10 @@ def closure_dichotomy_suite(p: ParamSet, D: int, B: int, runs_full: int,
             outside_failures.append(
                 f"run {run}: seed={seed}, tag={result.tag.value}, dim={result.dimension}, "
                 f"{result.diagnostics}")
-    checks.append(Check(
-        f"closure of seeds outside the submodule ({p.describe()})",
-        "submodule-dichotomy",
-        "pass" if not outside_failures else "fail",
-        (f"{runs_full} runs, all FULL with dim {full_dim} at D={D}, B={B}"
-         if not outside_failures else "; ".join(outside_failures[:3]))))
+    checks.append(verdict(
+        f"closure of seeds outside the submodule ({p.describe()})", "submodule-dichotomy",
+        runs_full, "; ".join(outside_failures[:3]),
+        f"{runs_full} runs, all FULL with dim {full_dim} at D={D}, B={B}"))
 
     inside_failures = []
     eval_failures = []
@@ -235,19 +249,16 @@ def closure_dichotomy_suite(p: ParamSet, D: int, B: int, runs_full: int,
             for v in basis.vectors:
                 if not omega.in_proper_submodule(v, p):
                     eval_failures.append(f"run {run}: basis vector {v} nonzero at (0,{x2})")
-    checks.append(Check(
-        f"closure of seeds inside the submodule ({p.describe()})",
-        "submodule-dichotomy",
-        "pass" if not inside_failures else "fail",
-        (f"{runs_sub} runs, all OMEGA_PRIME with dim {full_dim - 1} at D={D}, B={B}"
-         if not inside_failures else "; ".join(inside_failures[:3]))))
-    checks.append(Check(
+    checks.append(verdict(
+        f"closure of seeds inside the submodule ({p.describe()})", "submodule-dichotomy",
+        runs_sub, "; ".join(inside_failures[:3]),
+        f"{runs_sub} runs, all OMEGA_PRIME with dim {full_dim - 1} at D={D}, B={B}"))
+    checks.append(verdict(
         f"submodule bases vanish at the distinguished point ({p.describe()})",
-        "invariance-certificate",
-        "pass" if not eval_failures else "fail",
-        (f"every basis vector of every OMEGA_PRIME run evaluates to zero at (0,{x2}); "
-         f"one-step image reduction certified by the fixpoint pass"
-         if not eval_failures else "; ".join(eval_failures[:3]))))
+        "invariance-certificate", runs_sub - len(inside_failures),
+        "; ".join(eval_failures[:3]),
+        f"every basis vector of every OMEGA_PRIME run evaluates to zero at (0,{x2}); "
+        f"one-step image reduction certified by the fixpoint pass"))
     return checks
 
 
@@ -268,12 +279,11 @@ def witt_restriction_suite(ms: list[IndexPair], i_lo: int, i_hi: int,
                 continue
             if bad:
                 failures.append(f"m={m}: mismatched i {bad}")
-        checks.append(Check(
-            f"witt line reduction #{index + 1}", "witt-line-reduction",
-            "pass" if not failures else "fail",
-            (f"m in {{{', '.join(str(m) for m in ms)}}}, i in [{i_lo},{i_hi}] all reduce "
-             f"to q*lam_m^i*(d1 - i*m1*alpha); {p.describe()}"
-             if not failures else "; ".join(failures))))
+        checks.append(verdict(
+            f"witt line reduction #{index + 1}", "witt-line-reduction", len(ms),
+            "; ".join(failures),
+            f"m in {{{', '.join(str(m) for m in ms)}}}, i in [{i_lo},{i_hi}] all reduce "
+            f"to q*lam_m^i*(d1 - i*m1*alpha); {p.describe()}"))
     return checks
 
 
@@ -316,79 +326,64 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
         for e in exceptional_indices(p):
             pairs.extend([(e, IndexPair(1, 2)), (IndexPair(-2, 1), e), (e, e)])
 
-        failure = None
-        for m, n in pairs:
-            defect = identities.replay_commutator(m, n, p)
-            if defect:
-                failure = f"m={m}, n={n}, defect={defect}"
-                break
-        checks.append(Check(f"commutator replay {tag}", "commutator-replay",
-                            "pass" if failure is None else "fail",
-                            failure or f"{len(pairs)} pairs, all defects zero"))
+        count, failure = first_defect(
+            pairs, lambda mn: identities.replay_commutator(*mn, p))
+        checks.append(verdict(
+            f"commutator replay {tag}", "commutator-replay", count,
+            failure and "m={}, n={}, defect={}".format(*failure[0], failure[1]),
+            f"{count} pairs, all defects zero"))
 
         singles = index_box(radius) + exceptional_indices(p)
-        failure = None
-        for m in singles:
-            defect = identities.replay_pair_difference(m, p)
-            if defect:
-                failure = f"m={m}, defect={defect}"
-                break
-        checks.append(Check(f"pair difference replay {tag}", "pair-difference-replay",
-                            "pass" if failure is None else "fail",
-                            failure or f"{len(singles)} indices, all defects zero"))
+        count, failure = first_defect(
+            singles, lambda m: identities.replay_pair_difference(m, p))
+        checks.append(verdict(
+            f"pair difference replay {tag}", "pair-difference-replay", count,
+            failure and "m={}, defect={}".format(*failure),
+            f"{count} indices, all defects zero"))
 
-        failure = None
-        separated_count = 0
-        for m in singles:
-            if m.m1 == 0:
-                continue
-            separated_count += 1
+        def separated_defect(m):
             split = identities.replay_separated_form(m, p)
-            if not split.ok:
-                failure = (f"m={m}, residual={split.residual.format(('X', 'd1'))}, "
-                           f"cross delta={split.cross_delta.format('X')}")
-                break
-        checks.append(Check(f"separated form replay {tag}", "separated-form-replay",
-                            "pass" if failure is None else "fail",
-                            failure or (f"{separated_count} indices: no d1 residue and the "
-                                        f"X-part matches -(X-q*m1*(alpha-1))*(X-q*m1*alpha)")))
+            return None if split.ok else split
 
-        failure = None
-        pair_count = 0
-        for m, n in pairs:
-            if m.is_zero() or n.is_zero():
-                continue
-            pair_count += 1
-            defects = identities.replay_coefficient_identities(m, n, p)
-            if any(defects):
-                failure = f"m={m}, n={n}, defects={tuple(str(d) for d in defects)}"
-                break
-        checks.append(Check(f"coefficient replay {tag}", "coefficient-replay",
-                            "pass" if failure is None else "fail",
-                            failure or f"{pair_count} nonzero pairs, three zero defects each"))
+        count, failure = first_defect([m for m in singles if m.m1 != 0], separated_defect)
+        checks.append(verdict(
+            f"separated form replay {tag}", "separated-form-replay", count,
+            failure and (f"m={failure[0]}, "
+                         f"residual={failure[1].residual.format(('X', 'd1'))}, "
+                         f"cross delta={failure[1].cross_delta.format('X')}"),
+            f"{count} indices: no d1 residue and the X-part matches "
+            f"-(X-q*m1*(alpha-1))*(X-q*m1*alpha)"))
+
+        def coefficient_defects(mn):
+            defects = identities.replay_coefficient_identities(*mn, p)
+            return defects if any(defects) else None
+
+        nonzero_pairs = [(m, n) for m, n in pairs if not (m.is_zero() or n.is_zero())]
+        count, failure = first_defect(nonzero_pairs, coefficient_defects)
+        checks.append(verdict(
+            f"coefficient replay {tag}", "coefficient-replay", count,
+            failure and "m={}, n={}, defects={}".format(
+                *failure[0], tuple(str(d) for d in failure[1])),
+            f"{count} nonzero pairs, three zero defects each"))
     return checks
 
 
 def commutator_variant_control(p: ParamSet, radius: int = 3) -> Check:
-    """The variant image must break the commutator identity when alpha != 1."""
+    """The variant image must violate the commutator identity when alpha != 1."""
     if p.alpha == 1:
         raise ValueError("control parameter set needs alpha != 1")
-    witness = None
-    for m in index_box(radius):
-        for n in index_box(radius):
-            defect = identities.replay_commutator(m, n, p, image=action_on_one_alt)
-            if defect:
-                witness = f"m={m}, n={n}, defect={defect}"
-                break
-        if witness:
-            break
+    box = index_box(radius)
+    _, failure = first_defect(
+        itertools.product(box, box),
+        lambda mn: identities.replay_commutator(*mn, p, image=action_on_one_alt))
     return Check(
         "commutator replay rejects the variant image", "action-variant-control",
-        "pass" if witness is not None else "fail",
-        (f"variant {VARIANT_IMAGE_TEXT} breaks the identity: {witness}; adopted "
-         f"{CANONICAL_IMAGE_TEXT} passes (see commutator replay); {p.describe()}"
-         if witness is not None else
-         f"variant {VARIANT_IMAGE_TEXT} unexpectedly satisfied the grid; {p.describe()}"))
+        "pass" if failure else "fail",
+        "variant {} breaks the identity: m={}, n={}, defect={}; adopted {} passes "
+        "(see commutator replay); {}".format(VARIANT_IMAGE_TEXT, *failure[0], failure[1],
+                                             CANONICAL_IMAGE_TEXT, p.describe())
+        if failure else
+        f"variant {VARIANT_IMAGE_TEXT} unexpectedly satisfied the grid; {p.describe()}")
 
 
 # --- isomorphism rigidity ---------------------------------------------------------
@@ -417,11 +412,9 @@ def iso_rigidity_suite(q, box_radius: int = 3) -> list[Check]:
                 failures.append(f"grid[{i}] vs grid[{j}]: missing witness")
             if i != j and witness is not None and witness_example is None:
                 witness_example = f"grid[{i}] vs grid[{j}] differ at m={witness}"
-    return [Check(
+    return [verdict(
         f"isomorphism rigidity over a {len(grid)}-point grid (q={q})",
-        "isomorphism-rigidity",
-        "pass" if not failures else "fail",
-        "; ".join(failures[:3]) if failures else
+        "isomorphism-rigidity", len(grid) ** 2, "; ".join(failures[:3]),
         f"{len(grid) ** 2} ordered pairs decided correctly; e.g. {witness_example}")]
 
 
@@ -454,10 +447,10 @@ def difference_equation_suite(rng_seed: int, positives: int = 100,
         spoiled = F + Poly2({(rng.int_between(0, 2), 3): rng.fraction(nonzero=True)})
         if identities.difference_check(spoiled, a, b, c):
             failures.append(f"run {run}: cubic injection was not rejected")
-    return [Check(
+    # the witness vouches for both halves, so each must have checked a case
+    return [verdict(
         "difference equation solve/check round trip", "difference-equation",
-        "pass" if not failures else "fail",
-        "; ".join(failures[:3]) if failures else
+        min(positives, negatives), "; ".join(failures[:3]),
         f"{positives} round trips pass, {negatives} cubic injections rejected")]
 
 

@@ -136,6 +136,27 @@ def test_expression_degree_ceiling_is_fast():
         assert "exceeds the expression degree ceiling 32" in result.stderr
 
 
+def test_nested_constant_power_is_fast():
+    # five levels would build a 33.5-million-bit integer before the guard
+    result = subprocess.run(
+        [sys.executable, "-m", "blockmod.cli", "act", "L(1,0)", "(((((2^32)^32)^32)^32)^32)"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "exceeds the coefficient ceiling of 14000 bits" in result.stderr
+
+
+def test_empty_sample_is_an_error_not_a_pass():
+    # the one sampled pair holds a zero index and q=5/7 adds no exceptional
+    # pairs, so the coefficient replay has nothing to check
+    code, out, _ = run_cli(["replay", "--eq", "coefficients", "--radius", "1", "--pairs", "1",
+                            "--q", "5/7", "--rng-seed", "2"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["overall"] == "fail"
+    assert [(c["status"], c["witness"]) for c in payload["checks"]] == [
+        ("error", "no case was checked")]
+
+
 def test_failing_check_exits_1():
     code, out, _ = run_cli(["axioms", "--use-variant-action", "--radius", "1",
                             "--q", "1", "--alpha", "1/3", "--sweeps", "2"])

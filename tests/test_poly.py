@@ -62,6 +62,16 @@ def test_shift_additivity_randomized():
         assert f.shifted(m).shifted(n) == f.shifted(m + n)
 
 
+def test_rational_shift_matches_composition():
+    # the difference-equation check shifts by a rational c; compose2 is the oracle
+    rng = SplitMix64(13)
+    for _ in range(40):
+        f = random_poly2(rng, max_degree=5)
+        c1, c2 = rng.fraction(), rng.fraction()
+        assert Poly2(shift_terms(f.terms(), c1, c2)) == \
+            compose2(f, poly.D1 - c1, poly.D2 - c2)
+
+
 def test_eval():
     assert (poly.D1**2 - poly.D2**2).eval_at(2, 1) == 3
     assert Poly2().eval_at(5, -7) == 0
@@ -172,8 +182,12 @@ def test_parse_degree_ceiling():
     top = MAX_EXPRESSION_DEGREE
     assert parse_poly2(f"d1^{top}").total_degree() == top
     assert parse_poly2(f"d1^{top - 1}*d2").total_degree() == top
+    assert parse_poly2("(2^32)^32") == Poly2.const(2 ** 1024)
+    # the guard reads denominators too: 401 bits * 32 passes, 439 bits * 32 does not
+    assert parse_poly2(f"(1/{2 ** 400} + d1)^32").coefficient(0, 0) == Fraction(1, 2 ** 12800)
     for text in (f"d1^{top + 1}", f"(d1*d2)^{top // 2 + 1}", f"d1^{top}*d2",
-                 f"(d1^{top // 2})^3", f"2^{top + 1}", "d1^1000000000"):
+                 f"(d1^{top // 2})^3", f"2^{top + 1}", "d1^1000000000",
+                 "((2^32)^32)^32", f"(1/{2 ** 438} + d1)^32"):
         with pytest.raises(ParseError, match="ceiling"):
             parse_poly2(text)
 

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from blockmod import suites
+from blockmod import blockalg, identities, omega, poly, suites
+from blockmod.blockalg import AlgebraElement
+from blockmod.closure import ClosureResult, ClosureTag
+from blockmod.identities import SeparatedForm
 from blockmod.omega import ParamSet
-from blockmod.poly import IndexPair
+from blockmod.poly import IndexPair, Poly1, Poly2
 from blockmod.prng import SplitMix64
 from blockmod.suites import (all_passed, control_param_set, exceptional_indices,
                              iso_parameter_grid, sample_param_set, sample_poly2)
@@ -71,3 +74,106 @@ def test_check_record():
     check = suites.Check("x", "anchor", "fail", witness="w")
     assert not check.ok
     assert not all_passed([suites.Check("a", "b", "pass"), check])
+
+
+def _defect_at(k, defect, zero):
+    """A stand-in defect function: nonzero ``defect`` at its k-th call only."""
+    def fake(*args, **kwargs):
+        fake.calls.append(args)
+        return defect if len(fake.calls) == k else zero
+    fake.calls = []
+    return fake
+
+
+def test_jacobi_failure_witness(monkeypatch):
+    defect = AlgebraElement.basis(IndexPair(1, 0)) - Fraction(3, 2) * AlgebraElement.derivation()
+    fake = _defect_at(7, defect, AlgebraElement())
+    monkeypatch.setattr(blockalg, "jacobi_defect", fake)
+    checks = suites.jacobi_suite([Fraction(5, 7)], radius=1)
+    assert len(fake.calls) == 7
+    assert checks == [suites.Check(
+        "jacobi q=5/7", "jacobi-identity", "fail",
+        "x=L(-1,-1), y=L(-1,-1), z=L(1,-1), defect=L(1,0) - 3/2*D2")]
+
+
+def test_module_axiom_failure_witness(monkeypatch):
+    p = ParamSet(Fraction(5, 7), 2, 1, Fraction(1, 3))
+    f = Poly2({(1, 0): 1, (0, 2): -3})
+    fake = _defect_at(12, poly.D2 - 1, Poly2())
+    monkeypatch.setattr(omega, "module_axiom_defect", fake)
+    checks = suites.module_axiom_suite([p], [f], radius=1)
+    assert len(fake.calls) == 12
+    assert checks == [suites.Check(
+        "module axioms #1", "module-action-compatibility", "fail",
+        "x=L(-1,0), y=L(-1,0), f=-3*d2^2 + d1, defect=d2 - 1; "
+        "q=5/7, lambda=(2,1), alpha=1/3")]
+
+    # the adopted scan stops at the planted defect; the variant scan then
+    # meets none and runs the whole grid
+    fake = _defect_at(12, poly.D2 - 1, Poly2())
+    monkeypatch.setattr(omega, "module_axiom_defect", fake)
+    checks = suites.variant_control_suite(p, [f], radius=1)
+    assert len(fake.calls) == 12 + 100
+    assert checks == [
+        suites.Check("adopted action passes the axiom grid", "action-variant-control", "fail",
+                     f"image {suites.CANONICAL_IMAGE_TEXT} unexpectedly fails: "
+                     "x=L(-1,0), y=L(-1,0)"),
+        suites.Check("variant action fails the axiom grid", "action-variant-control", "fail",
+                     f"image {suites.VARIANT_IMAGE_TEXT} unexpectedly passed the whole grid; "
+                     "q=5/7, lambda=(2,1), alpha=1/3")]
+
+
+def test_replay_failure_witnesses(monkeypatch):
+    p = ParamSet(Fraction(5, 7), 1, 1, Fraction(1, 2))
+    fakes = {
+        "replay_commutator": _defect_at(3, poly.D1 * poly.D2, Poly2()),
+        "replay_pair_difference": _defect_at(2, Poly2.const(-4), Poly2()),
+        "replay_separated_form": _defect_at(
+            4, SeparatedForm(Poly1(), Poly2({(1, 1): 2}), Poly1({1: Fraction(-1, 3)})),
+            SeparatedForm(Poly1(), Poly2(), Poly1())),
+        "replay_coefficient_identities": _defect_at(
+            3, (Fraction(0), Fraction(1, 2), Fraction(0)), (0, 0, 0)),
+    }
+    for name, fake in fakes.items():
+        monkeypatch.setattr(identities, name, fake)
+    checks = suites.replay_suite([p], rng_seed=3, radius=1, pair_cap=6)
+    assert [len(fake.calls) for fake in fakes.values()] == [3, 2, 4, 3]
+    tag = "#1 (q=5/7, lambda=(1,1), alpha=1/2)"
+    assert checks == [
+        suites.Check(f"commutator replay {tag}", "commutator-replay", "fail",
+                     "m=(0,0), n=(0,1), defect=d1*d2"),
+        suites.Check(f"pair difference replay {tag}", "pair-difference-replay", "fail",
+                     "m=(-1,0), defect=-4"),
+        suites.Check(f"separated form replay {tag}", "separated-form-replay", "fail",
+                     "m=(1,-1), residual=2*X*d1, cross delta=-1/3*X"),
+        suites.Check(f"coefficient replay {tag}", "coefficient-replay", "fail",
+                     "m=(1,0), n=(-1,-1), defects=('0', '1/2', '0')"),
+    ]
+
+
+def test_empty_scans_are_errors():
+    p = ParamSet(1, 1, 1, 0)
+    empty = [
+        *suites.closure_dichotomy_suite(p, D=2, B=2, runs_full=0, runs_sub=1, rng_seed=6),
+        *suites.difference_equation_suite(9, positives=2, negatives=0),
+        *suites.module_axiom_suite([p], []),
+        *suites.witt_restriction_suite([], -4, 4, [p]),
+    ]
+    assert [(c.anchor, c.status, c.witness) for c in empty if not c.ok] == [
+        ("submodule-dichotomy", "error", "no case was checked"),
+        ("difference-equation", "error", "no case was checked"),
+        ("module-action-compatibility", "error", "no case was checked"),
+        ("witt-line-reduction", "error", "no case was checked"),
+    ]
+    assert len(empty) == 6 and not all_passed(empty)
+
+
+def test_invariance_certificate_needs_a_certified_run(monkeypatch):
+    # every inside run off target: the certificate has no basis to vouch for
+    monkeypatch.setattr(suites, "closure", lambda *args: (
+        None, ClosureResult(ClosureTag.OTHER, 1, "stand-in")))
+    checks = suites.closure_dichotomy_suite(ParamSet(1, 1, 1, 0), D=2, B=2, runs_full=0,
+                                            runs_sub=2, rng_seed=6)
+    assert [(c.anchor, c.status) for c in checks] == [
+        ("submodule-dichotomy", "error"), ("submodule-dichotomy", "fail"),
+        ("invariance-certificate", "error")]
