@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import ParseError, _Parser
-from .poly import IndexPair, _format_terms, origin_first_key
+from .poly import IndexPair, _format_terms, add_terms, origin_first_key
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,9 @@ class AlgebraElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for gen, coeff in items:
-                c = Fraction(coeff)
-                if c:
-                    acc = data.get(gen, Fraction(0)) + c
-                    if acc:
-                        data[gen] = acc
-                    elif gen in data:
-                        del data[gen]
-        self._terms = data
+        items = terms.items() if isinstance(terms, dict) else terms
+        self._terms = (add_terms({}, ((gen, Fraction(coeff)) for gen, coeff in items))
+                       if terms else {})
 
     @classmethod
     def basis(cls, m: IndexPair) -> "AlgebraElement":
@@ -116,15 +107,8 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        data = dict(self._terms)
-        for g, c in other._terms.items():
-            acc = data.get(g, Fraction(0)) + c
-            if acc:
-                data[g] = acc
-            elif g in data:
-                del data[g]
         out = AlgebraElement()
-        out._terms = data
+        out._terms = add_terms(dict(self._terms), other._terms.items())
         return out
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":

@@ -17,11 +17,14 @@ closure cost climbs steeply with D (the seed d1+d2^2 closes in about
 15 s at D=10 and about 60 s at D=12 on one Xeon core under Python 3.11);
 a larger D, from a flag or a config file, is a usage error.  The box
 radius B needs no cap: closure sweeps radius min(B, (D+2)//2), which
-gives the same result as the full box.  Polynomial expressions are
-capped at degree poly.MAX_EXPRESSION_DEGREE and their powers at
-coefficients of poly.MAX_POWER_BITS bits, and a grid that would check
-nothing (a negative box radius, an empty Witt index range, a zero pair
-cap) raises ValueError in the library; both are usage errors too.
+gives the same result as the full box.  The axioms sweep radius is
+capped at MAX_AXIOM_RADIUS, the acceptance Jacobi radius, because the
+Jacobi sweep does (2R+1)^6 work (radius 3 with one sweep takes about
+9 s on the same core).  Polynomial expressions are capped at degree
+poly.MAX_EXPRESSION_DEGREE and their powers at coefficients of
+poly.MAX_POWER_BITS bits, and a grid that would check nothing (a
+negative box radius, an empty Witt index range, a zero pair cap) raises
+ValueError in the library; both are usage errors too.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .suites import Check
 _CONFIG_KEYS = ("q", "lambda1", "lambda2", "alpha", "D", "B", "rng_seed", "sweeps")
 
 MAX_DEGREE_BOUND = 12
+MAX_AXIOM_RADIUS = 3
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("axioms", parents=[common],
                               help="Jacobi and module-axiom sweeps")
-    sub.add_argument("--radius", type=int, default=2, help="generator box radius")
+    sub.add_argument("--radius", type=int, default=2,
+                     help=f"generator box radius (at most {MAX_AXIOM_RADIUS})")
     sub.add_argument("--use-variant-action", action="store_true",
                      help="diagnostic: run the module-axiom sweep with the rejected "
                           "variant action (expected to fail)")
@@ -304,6 +309,9 @@ def _cmd_act(args, config: RunConfig) -> list[Check]:
 
 
 def _cmd_axioms(args, config: RunConfig) -> list[Check]:
+    if args.radius > MAX_AXIOM_RADIUS:
+        raise ValueError(f"axioms radius {args.radius} exceeds the cost ceiling "
+                         f"{MAX_AXIOM_RADIUS}")
     checks = suites.jacobi_suite([config.params.q], radius=args.radius)
     polys = suites.sample_axiom_polys(config.rng_seed, count=config.sweep_count)
     if args.use_variant_action:
@@ -339,7 +347,7 @@ def _cmd_witt(args, config: RunConfig) -> list[Check]:
 def _cmd_iso(args, config: RunConfig) -> list[Check]:
     left = ParamSet(config.params.q, *args.left)
     right = ParamSet(config.params.q, *args.right)
-    isomorphic, witness = omega.iso_check(left, right, box_radius=2)
+    isomorphic, witness = omega.iso_check(left, right)
     text = ("isomorphic: equal parameters" if isomorphic else
             f"not isomorphic: generator images differ at m={witness}")
     left_text = ",".join(format_rational(v) for v in args.left)

@@ -172,8 +172,7 @@ def witt_restrict(m: IndexPair, i_lo: int, i_hi: int,
     return params, failures
 
 
-def iso_check(left: ParamSet, right: ParamSet,
-              box_radius: int = 2) -> tuple[bool, IndexPair | None]:
+def iso_check(left: ParamSet, right: ParamSet) -> tuple[bool, IndexPair | None]:
     """Decide whether two parameter sets give isomorphic modules.
 
     Modules over the same algebra are isomorphic exactly when the
@@ -181,15 +180,13 @@ def iso_check(left: ParamSet, right: ParamSet,
     and the generator images are degree-1 polynomials, so the scalar
     cancels and the images themselves must agree.  When the answer is
     no, also returns a witness index m whose generator images differ;
-    a witness always exists within radius 1.
+    a witness always exists within radius 1, so only that box is scanned.
     """
     if left.q != right.q:
         raise ValueError("parameter sets live over different algebras (q mismatch)")
-    if box_radius < 1:
-        raise ValueError("box_radius must be at least 1")
     if left == right:
         return True, None
-    for m in sorted(index_box(box_radius), key=origin_first_key):
+    for m in sorted(index_box(1), key=origin_first_key):
         if action_on_one(m, left) != action_on_one(m, right):
             return False, m
     raise AssertionError("distinct parameters admit a witness within radius 1")

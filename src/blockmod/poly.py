@@ -2,16 +2,16 @@
 
 Two-variable polynomials over the rationals carry the rank-1 modules
 (variables printed ``d1``, ``d2``); one-variable polynomials (variable
-``t``) carry the Witt-algebra side.  Representation:
+``t``) carry the Witt-algebra side.  Both are one representation, a dict
+mapping (e1, e2) exponent pairs to nonzero Fractions, and one body of
+arithmetic on it (:class:`_TermMap`); a ``Poly1`` of degree k stores its
+terms under (k, 0) and speaks of plain degrees in its own interface.
 
-    Poly2:  dict mapping (e1, e2) exponent pairs to nonzero Fraction
-    Poly1:  dict mapping nonnegative degrees to nonzero Fraction
-
-Zero coefficients are never stored, so equality of the term maps is
-polynomial equality.  Monomials are ordered graded-lexicographically
-with d1 > d2 (total degree first, then the d1 exponent); printing,
-leading terms and pivot selection all use this single order, which
-makes printed forms and echelon bases canonical.
+Zero coefficients are never stored (:func:`add_terms`), so equality of
+the term maps is polynomial equality.  Monomials are ordered
+graded-lexicographically with d1 > d2 (total degree first, then the d1
+exponent); printing, leading terms and pivot selection all use this
+single order, which makes printed forms and echelon bases canonical.
 
 Values are immutable: every operation returns a fresh polynomial.  The
 substitution d -> d - m behind every generator action is one binomial
@@ -125,6 +125,22 @@ def _binomial_row(e: int, m) -> list:
     return [(i, f) for i in range(e + 1) if (f := comb(e, i) * (-m) ** (e - i))]
 
 
+def add_terms(data: dict, items) -> dict:
+    """Add (key, coefficient) pairs into the term map ``data`` and return it.
+
+    A key whose coefficients sum to zero is removed, so a term map never
+    stores a zero coefficient and equal maps mean equal values.
+    """
+    for key, c in items:
+        acc = data.get(key)
+        acc = c if acc is None else acc + c
+        if acc:
+            data[key] = acc
+        elif key in data:
+            del data[key]
+    return data
+
+
 def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
     """Join (coefficient, monomial-text) pairs into a canonical string."""
     if not parts:
@@ -146,127 +162,95 @@ def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
     return "".join(pieces)
 
 
-class Poly2:
-    """Exact sparse polynomial in two commuting variables."""
+class _TermMap:
+    """Arithmetic on a map from (e1, e2) exponent pairs to nonzero Fractions.
+
+    :class:`Poly2` is this map; :class:`Poly1` is its one-variable view,
+    whose terms all have e2 = 0.  Values of different classes never mix:
+    only the same class and plain rationals are coerced.  Addition,
+    multiplication and the shift are reached through ``__add__``,
+    ``__mul__`` and ``shifted`` defined in each class's own body, so that
+    each class binds its own function object under those names.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data: dict[Monomial2, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                e1, e2 = mono
-                if e1 < 0 or e2 < 0:
-                    raise ValueError(f"negative exponent in monomial {mono}")
-                c = Fraction(coeff)
-                if c:
-                    key = (int(e1), int(e2))
-                    acc = data.get(key, _ZERO) + c
-                    if acc:
-                        data[key] = acc
-                    elif key in data:
-                        del data[key]
-        self._terms = data
+        items = terms.items() if isinstance(terms, dict) else terms
+        self._terms = add_terms({}, ((self._exponents(key), Fraction(coeff))
+                                     for key, coeff in items)) if terms else {}
 
     @classmethod
-    def const(cls, value) -> "Poly2":
-        return cls({(0, 0): Fraction(value)})
+    def _exponents(cls, key) -> Monomial2:
+        e1, e2 = cls._monomial(key)
+        if e1 < 0 or e2 < 0:
+            raise ValueError(f"negative exponent in monomial {key}")
+        return (int(e1), int(e2))
 
-    def terms(self) -> dict[Monomial2, Fraction]:
-        """Copy of the term map."""
-        return dict(self._terms)
+    @classmethod
+    def _of(cls, data: dict):
+        """Wrap an already normalized term map without copying it."""
+        out = object.__new__(cls)
+        out._terms = data
+        return out
 
-    def items_sorted(self) -> list[tuple[Monomial2, Fraction]]:
-        """Terms in descending graded-lex order (leading term first)."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+    @classmethod
+    def const(cls, value):
+        c = Fraction(value)
+        return cls._of({(0, 0): c} if c else {})
 
-    def coefficient(self, e1: int, e2: int) -> Fraction:
-        return self._terms.get((e1, e2), _ZERO)
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(e1 + e2 for e1, e2 in self._terms)
-
-    def leading_monomial(self) -> Monomial2 | None:
-        if not self._terms:
-            return None
-        return max(self._terms, key=grlex_key)
+    def _coerce(self, value):
+        if type(value) is type(self):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.const(value)
+        return NotImplemented
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly2):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == Poly2.const(other)._terms
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __neg__(self) -> "Poly2":
-        out = Poly2()
-        out._terms = {mono: -c for mono, c in self._terms.items()}
-        return out
+    def __neg__(self):
+        return self._of({mono: -c for mono, c in self._terms.items()})
 
-    def __add__(self, other) -> "Poly2":
-        other = _coerce2(other)
+    def _sum(self, other):
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data = dict(self._terms)
-        for mono, c in other._terms.items():
-            acc = data.get(mono, _ZERO) + c
-            if acc:
-                data[mono] = acc
-            elif mono in data:
-                del data[mono]
-        out = Poly2()
-        out._terms = data
-        return out
+        return self._of(add_terms(dict(self._terms), other._terms.items()))
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly2":
-        other = _coerce2(other)
+    def __sub__(self, other):
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Poly2":
-        return _coerce2(other) + (-self)
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
 
-    def __mul__(self, other) -> "Poly2":
+    def _product(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            out = Poly2()
-            if c:
-                out._terms = {mono: coeff * c for mono, coeff in self._terms.items()}
-            return out
-        if not isinstance(other, Poly2):
+            return self._of({mono: coeff * c for mono, coeff in self._terms.items()}
+                            if c else {})
+        if type(other) is not type(self):
             return NotImplemented
-        data: dict[Monomial2, Fraction] = {}
-        for (a1, a2), ca in self._terms.items():
-            for (b1, b2), cb in other._terms.items():
-                key = (a1 + b1, a2 + b2)
-                acc = data.get(key, _ZERO) + ca * cb
-                if acc:
-                    data[key] = acc
-                elif key in data:
-                    del data[key]
-        out = Poly2()
-        out._terms = data
-        return out
+        return self._of(add_terms({}, (((a1 + b1, a2 + b2), ca * cb)
+                                       for (a1, a2), ca in self._terms.items()
+                                       for (b1, b2), cb in other._terms.items())))
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Poly2":
+    def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Poly2.const(1)
+        result = self.const(1)
         base = self
         k = exponent
         while k:
@@ -277,13 +261,10 @@ class Poly2:
                 base = base * base
         return result
 
-    def shifted(self, m: IndexPair) -> "Poly2":
-        """Substitute d1 -> d1 - m1 and d2 -> d2 - m2."""
-        out = Poly2()
-        out._terms = shift_terms(self._terms, m.m1, m.m2)
-        return out
+    def _sorted_terms(self) -> list[tuple[Monomial2, Fraction]]:
+        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
-    def eval_at(self, x1, x2) -> Fraction:
+    def _eval(self, x1, x2) -> Fraction:
         x1 = Fraction(x1)
         x2 = Fraction(x2)
         total = _ZERO
@@ -291,9 +272,9 @@ class Poly2:
             total += c * x1**a * x2**b
         return total
 
-    def format(self, names: tuple[str, str] = ("d1", "d2")) -> str:
+    def _format(self, names: tuple[str, str]) -> str:
         parts = []
-        for (a, b), c in self.items_sorted():
+        for (a, b), c in self._sorted_terms():
             mono_pieces = []
             if a:
                 mono_pieces.append(names[0] if a == 1 else f"{names[0]}^{a}")
@@ -306,148 +287,98 @@ class Poly2:
         return self.format()
 
     def __repr__(self) -> str:
-        return f"Poly2({self.format()})"
+        return f"{type(self).__name__}({self.format()})"
 
 
-class Poly1:
-    """Exact sparse polynomial in a single variable."""
+class Poly2(_TermMap):
+    """Exact sparse polynomial in two commuting variables."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[int, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for degree, coeff in items:
-                if degree < 0:
-                    raise ValueError(f"negative exponent {degree}")
-                c = Fraction(coeff)
-                if c:
-                    key = int(degree)
-                    acc = data.get(key, _ZERO) + c
-                    if acc:
-                        data[key] = acc
-                    elif key in data:
-                        del data[key]
-        self._terms = data
+    _monomial = staticmethod(tuple)
 
-    @classmethod
-    def const(cls, value) -> "Poly1":
-        return cls({0: Fraction(value)})
-
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    def coefficient(self, degree: int) -> Fraction:
-        return self._terms.get(degree, _ZERO)
-
-    def degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly1):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == Poly1.const(other)._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> "Poly1":
-        out = Poly1()
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
-
-    def __add__(self, other) -> "Poly1":
-        other = _coerce1(other)
-        if other is NotImplemented:
-            return NotImplemented
-        data = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = data.get(k, _ZERO) + c
-            if acc:
-                data[k] = acc
-            elif k in data:
-                del data[k]
-        out = Poly1()
-        out._terms = data
-        return out
+    def __add__(self, other) -> "Poly2":
+        return self._sum(other)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Poly1":
-        other = _coerce1(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly1":
-        return _coerce1(other) + (-self)
-
-    def __mul__(self, other) -> "Poly1":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            out = Poly1()
-            if c:
-                out._terms = {k: coeff * c for k, coeff in self._terms.items()}
-            return out
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        data: dict[int, Fraction] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                key = ka + kb
-                acc = data.get(key, _ZERO) + ca * cb
-                if acc:
-                    data[key] = acc
-                elif key in data:
-                    del data[key]
-        out = Poly1()
-        out._terms = data
-        return out
+    def __mul__(self, other) -> "Poly2":
+        return self._product(other)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly1":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Poly1.const(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+    def shifted(self, m: IndexPair) -> "Poly2":
+        """Substitute d1 -> d1 - m1 and d2 -> d2 - m2."""
+        return Poly2._of(shift_terms(self._terms, m.m1, m.m2))
+
+    def terms(self) -> dict[Monomial2, Fraction]:
+        """Copy of the term map."""
+        return dict(self._terms)
+
+    def items_sorted(self) -> list[tuple[Monomial2, Fraction]]:
+        """Terms in descending graded-lex order (leading term first)."""
+        return self._sorted_terms()
+
+    def coefficient(self, e1: int, e2: int) -> Fraction:
+        return self._terms.get((e1, e2), _ZERO)
+
+    def total_degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max((e1 + e2 for e1, e2 in self._terms), default=-1)
+
+    def leading_monomial(self) -> Monomial2 | None:
+        if not self._terms:
+            return None
+        return max(self._terms, key=grlex_key)
+
+    def eval_at(self, x1, x2) -> Fraction:
+        return self._eval(x1, x2)
+
+    def format(self, names: tuple[str, str] = ("d1", "d2")) -> str:
+        return self._format(names)
+
+
+class Poly1(_TermMap):
+    """Exact sparse polynomial in a single variable.
+
+    The constructor and :meth:`terms` speak of degrees k; the term map
+    stores them as exponent pairs (k, 0).
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _monomial(degree: int) -> Monomial2:
+        return (degree, 0)
+
+    def __add__(self, other) -> "Poly1":
+        return self._sum(other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "Poly1":
+        return self._product(other)
+
+    __rmul__ = __mul__
 
     def shifted(self, c) -> "Poly1":
         """Substitute t -> t - c; c may be any rational."""
-        shifted = shift_terms({(k, 0): v for k, v in self._terms.items()}, c, 0)
-        out = Poly1()
-        out._terms = {i: v for (i, _), v in shifted.items()}
-        return out
+        return Poly1._of(shift_terms(self._terms, c, 0))
+
+    def terms(self) -> dict[int, Fraction]:
+        return {k: c for (k, _), c in self._terms.items()}
+
+    def coefficient(self, degree: int) -> Fraction:
+        return self._terms.get((degree, 0), _ZERO)
+
+    def degree(self) -> int:
+        return max((k for k, _ in self._terms), default=-1)
 
     def eval_at(self, x) -> Fraction:
-        x = Fraction(x)
-        total = _ZERO
-        for k, c in self._terms.items():
-            total += c * x**k
-        return total
+        return self._eval(x, 0)
 
     def format(self, name: str = "t") -> str:
-        parts = []
-        for k, c in sorted(self._terms.items(), reverse=True):
-            mono = "" if k == 0 else (name if k == 1 else f"{name}^{k}")
-            parts.append((c, mono))
-        return _format_terms(parts)
-
-    def __str__(self) -> str:
-        return self.format()
-
-    def __repr__(self) -> str:
-        return f"Poly1({self.format()})"
+        return self._format((name, name))
 
 
 _ZERO = Fraction(0)
@@ -455,22 +386,6 @@ _ZERO = Fraction(0)
 D1 = Poly2({(1, 0): 1})
 D2 = Poly2({(0, 1): 1})
 T = Poly1({1: 1})
-
-
-def _coerce2(value):
-    if isinstance(value, Poly2):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly2.const(value)
-    return NotImplemented
-
-
-def _coerce1(value):
-    if isinstance(value, Poly1):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly1.const(value)
-    return NotImplemented
 
 
 def compose2(f: Poly2, first: Poly2, second: Poly2) -> Poly2:
@@ -498,22 +413,16 @@ def to_single_variable(f: Poly2, keep: int) -> Poly1:
     """
     if keep not in (0, 1):
         raise ValueError("keep must be 0 or 1")
-    other = 1 - keep
-    data = {}
-    for mono, c in f.terms().items():
-        if mono[other] != 0:
-            raise ValueError(f"polynomial depends on slot {other}: {f}")
-        data[mono[keep]] = c
-    return Poly1(data)
+    if any(mono[1 - keep] for mono in f._terms):
+        raise ValueError(f"polynomial depends on slot {1 - keep}: {f}")
+    return Poly1._of({mono[::-1] if keep else mono: c for mono, c in f._terms.items()})
 
 
 def from_single_variable(f: Poly1, slot: int) -> Poly2:
     """Embed a Poly1 into slot 0 or slot 1 of a Poly2."""
     if slot not in (0, 1):
         raise ValueError("slot must be 0 or 1")
-    if slot == 0:
-        return Poly2({(k, 0): c for k, c in f.terms().items()})
-    return Poly2({(0, k): c for k, c in f.terms().items()})
+    return Poly2._of({mono[::-1] if slot else mono: c for mono, c in f._terms.items()})
 
 
 def rewrite_in_xm(f: Poly2, m: IndexPair) -> Poly2:

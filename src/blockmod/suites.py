@@ -290,17 +290,22 @@ def witt_restriction_suite(ms: list[IndexPair], i_lo: int, i_hi: int,
 # --- identity replays ------------------------------------------------------------
 
 def _sample_pairs(rng: SplitMix64, radius: int, cap: int) -> list[tuple[IndexPair, IndexPair]]:
+    """Up to ``cap`` distinct pairs of box indices.
+
+    Pair k of the row-major pair list is (box[k // n], box[k % n]), so the
+    sample is drawn by index without building the (2R+1)^4 list.
+    """
     box = index_box(radius)
-    pairs = [(m, n) for m in box for n in box]
-    if len(pairs) <= cap:
-        return pairs
+    n = len(box)
+    if n * n <= cap:
+        return [(a, b) for a in box for b in box]
     chosen = []
     taken = set()
     while len(chosen) < cap:
-        k = rng.below(len(pairs))
+        k = rng.below(n * n)
         if k not in taken:
             taken.add(k)
-            chosen.append(pairs[k])
+            chosen.append((box[k // n], box[k % n]))
     return chosen
 
 
@@ -399,13 +404,13 @@ def iso_parameter_grid(q) -> list[ParamSet]:
     return [ParamSet(q=q, lambda1=a, lambda2=b, alpha=c) for a, b, c in rows]
 
 
-def iso_rigidity_suite(q, box_radius: int = 3) -> list[Check]:
+def iso_rigidity_suite(q) -> list[Check]:
     grid = iso_parameter_grid(q)
     failures = []
     witness_example = None
     for i, left in enumerate(grid):
         for j, right in enumerate(grid):
-            isomorphic, witness = omega.iso_check(left, right, box_radius)
+            isomorphic, witness = omega.iso_check(left, right)
             if (i == j) != isomorphic:
                 failures.append(f"grid[{i}] vs grid[{j}]: got {isomorphic}")
             if i != j and witness is None:

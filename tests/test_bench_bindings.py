@@ -37,3 +37,15 @@ def test_benchmark_binding_resolves(module, qualname):
         assert hasattr(owner, part), f"blockmod.{module}.{qualname} is missing"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_benchmark_bindings_are_distinct_functions():
+    # the tracer replaces every binding of each named function; two names that
+    # resolve to one object (say a method both carriers inherit) would be wrapped
+    # twice, and every call would count twice
+    owners = {}
+    for module, qualname in BINDINGS:
+        original = layers.resolve(importlib.import_module(f"blockmod.{module}"), qualname)
+        owners.setdefault(id(original), []).append(f"{module}.{qualname}")
+    shared = [names for names in owners.values() if len(names) > 1]
+    assert not shared, f"names bound to one function: {shared}"

@@ -97,6 +97,15 @@ def test_degree_bound_ceiling_exits_2(tmp_path):
     assert code == 2 and "ceiling" in err
 
 
+def test_axioms_radius_ceiling_exits_2():
+    # radius 8 would sweep about 24 million Jacobi triples; the guard refuses it at once
+    result = subprocess.run(
+        [sys.executable, "-m", "blockmod.cli", "axioms", "--radius", "8", "--sweeps", "1"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "axioms radius 8 exceeds the cost ceiling 3" in result.stderr
+
+
 def test_witt_rejects_m1_zero_as_usage_error():
     code, out, err = run_cli(["witt", "--m", "0,1"])
     assert code == 2 and out == ""

@@ -258,8 +258,6 @@ def test_iso_check():
 
     with pytest.raises(ValueError, match="q mismatch"):
         iso_check(ParamSet(1, 1, 1, 0), ParamSet(2, 1, 1, 0))
-    with pytest.raises(ValueError, match="box_radius"):
-        iso_check(p, p, box_radius=0)
 
 
 def test_iso_check_randomized():

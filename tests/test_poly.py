@@ -138,6 +138,40 @@ def test_poly1_arithmetic_and_shift():
     assert str(2 * t - 6) == "2*t - 6"
 
 
+def test_poly1_is_a_one_variable_view():
+    f = Poly1({2: 1})
+    assert f.terms() == {2: 1} and f.coefficient(2) == 1 and f.coefficient(0) == 0
+    assert Poly1([(3, 1), (3, -1), (0, 0)]).terms() == {}
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly1({-1: 1})
+    rng = SplitMix64(16)
+    for _ in range(10):
+        f1 = Poly1([(rng.int_between(0, 5), rng.fraction(nonzero=True)) for _ in range(4)])
+        f2 = from_single_variable(f1, 0)
+        assert f1.format("t") == f2.format(("t", "d2"))
+        assert f1.eval_at(Fraction(2, 3)) == f2.eval_at(Fraction(2, 3), 5)
+        assert f1.degree() == f2.total_degree()
+        assert hash(f1) == hash(Poly1(f1.terms()))
+
+
+def test_poly1_power_matches_repeated_product():
+    base = poly.T - Fraction(1, 2)
+    product = Poly1.const(1)
+    for k in range(8):
+        assert base**k == product
+        product = product * base
+
+
+def test_carriers_do_not_mix():
+    t, d1 = poly.T, poly.D1
+    assert t != d1 and d1 != t
+    for left, right in ((t, d1), (d1, t)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left * right
+
+
 def test_index_pair_helpers():
     m = IndexPair(2, 3)
     assert m.perp() == IndexPair(3, -2)

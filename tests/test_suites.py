@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from blockmod.blockalg import AlgebraElement
 from blockmod.closure import ClosureResult, ClosureTag
 from blockmod.identities import SeparatedForm
 from blockmod.omega import ParamSet
-from blockmod.poly import IndexPair, Poly1, Poly2
+from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import (all_passed, control_param_set, exceptional_indices,
                              iso_parameter_grid, sample_param_set, sample_poly2)
@@ -149,6 +151,40 @@ def test_replay_failure_witnesses(monkeypatch):
         suites.Check(f"coefficient replay {tag}", "coefficient-replay", "fail",
                      "m=(1,0), n=(-1,-1), defects=('0', '1/2', '0')"),
     ]
+
+
+def _materialized_pair_sample(rng, radius, cap):
+    # reference: draw indices into the full row-major list of box pairs
+    box = index_box(radius)
+    pairs = [(m, n) for m in box for n in box]
+    if len(pairs) <= cap:
+        return pairs
+    chosen, taken = [], set()
+    while len(chosen) < cap:
+        k = rng.below(len(pairs))
+        if k not in taken:
+            taken.add(k)
+            chosen.append(pairs[k])
+    return chosen
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_pair_sample_matches_the_materialized_list(radius):
+    for seed in (1, 7):
+        for cap in (1, 40, 200, (2 * radius + 1) ** 4):
+            rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+            assert suites._sample_pairs(rng, radius, cap) == \
+                _materialized_pair_sample(reference_rng, radius, cap)
+            assert rng.next_u64() == reference_rng.next_u64()
+
+
+def test_pair_sample_at_large_radius_is_fast():
+    # radius 40 has 43 million box pairs; the sample must not build them
+    code = ("from blockmod.prng import SplitMix64; from blockmod.suites import _sample_pairs; "
+            "print(len(_sample_pairs(SplitMix64(1), 40, 5)))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=10)
+    assert result.stdout.strip() == "5"
 
 
 def test_empty_scans_are_errors():
