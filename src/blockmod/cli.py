@@ -14,17 +14,22 @@ flags override the file.
 
 Cost guard: the degree bound D is capped at MAX_DEGREE_BOUND, because
 closure cost climbs steeply with D (the seed d1+d2^2 closes in about
-15 s at D=10 and about 60 s at D=12 on one Xeon core under Python 3.11);
-a larger D, from a flag or a config file, is a usage error.  The box
-radius B needs no cap: closure sweeps radius min(B, (D+2)//2), which
+5.5 s at D=10 and about 20 s at D=12 on one Xeon core under Python
+3.11); a larger D, from a flag or a config file, is a usage error.  The
+box radius B needs no cap: closure sweeps radius min(B, (D+2)//2), which
 gives the same result as the full box.  The axioms sweep radius is
 capped at MAX_AXIOM_RADIUS, the acceptance Jacobi radius, because the
 Jacobi sweep does (2R+1)^6 work (radius 3 with one sweep takes about
-9 s on the same core).  Polynomial expressions are capped at degree
-poly.MAX_EXPRESSION_DEGREE and their powers at coefficients of
-poly.MAX_POWER_BITS bits, and a grid that would check nothing (a
-negative box radius, an empty Witt index range, a zero pair cap) raises
-ValueError in the library; both are usage errors too.
+9 s on the same core).  The replay radius is capped at
+MAX_REPLAY_RADIUS, because two replays cover the whole (2R+1)^2 box
+(radius 16 takes about 1.1 s).  The sweep count is capped at
+MAX_SWEEPS, because each sweep is one more module-axiom scan of every
+generator pair (100 sweeps take about 97 s at radius 2).  Polynomial
+expressions are capped at degree poly.MAX_EXPRESSION_DEGREE and their
+powers at coefficients of poly.MAX_POWER_BITS bits, and a grid that
+would check nothing (a negative box radius, an empty Witt index range,
+a zero pair cap) raises ValueError in the library; both are usage
+errors too.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ _CONFIG_KEYS = ("q", "lambda1", "lambda2", "alpha", "D", "B", "rng_seed", "sweep
 
 MAX_DEGREE_BOUND = 12
 MAX_AXIOM_RADIUS = 3
+MAX_REPLAY_RADIUS = 16
+MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,9 @@ class RunConfig:
             raise ValueError("box radius must be at least 1")
         if self.sweep_count < 1:
             raise ValueError("sweep count must be at least 1")
+        if self.sweep_count > MAX_SWEEPS:
+            raise ValueError(f"sweep count {self.sweep_count} exceeds the cost ceiling "
+                             f"{MAX_SWEEPS}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rng-seed", type=int, default=argparse.SUPPRESS,
                         help="seed for the splitmix sampler")
     common.add_argument("--sweeps", type=int, default=argparse.SUPPRESS,
-                        help="sample count for randomized sweeps")
+                        help=f"sample count for randomized sweeps (at most {MAX_SWEEPS})")
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value defaults file; flags override")
 
@@ -278,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--eq", default="all",
                      choices=["commutator", "pair-difference", "separated-form",
                               "coefficients", "control", "all"])
-    sub.add_argument("--radius", type=int, default=3, help="index box radius")
+    sub.add_argument("--radius", type=int, default=3,
+                     help=f"index box radius (at most {MAX_REPLAY_RADIUS})")
     sub.add_argument("--pairs", type=int, default=200, help="pair subsample cap")
 
     sub = commands.add_parser("report", parents=[common],
@@ -357,6 +368,9 @@ def _cmd_iso(args, config: RunConfig) -> list[Check]:
 
 
 def _cmd_replay(args, config: RunConfig) -> list[Check]:
+    if args.radius > MAX_REPLAY_RADIUS:
+        raise ValueError(f"replay radius {args.radius} exceeds the cost ceiling "
+                         f"{MAX_REPLAY_RADIUS}")
     selected: list[Check] = []
     if args.eq in ("commutator", "pair-difference", "separated-form", "coefficients",
                    "all"):

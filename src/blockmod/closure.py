@@ -37,10 +37,38 @@ echelonized spanning set splits by leading-monomial degree, so the
 degree-<=D part of the span is exactly the span of the rows whose pivot
 has degree <= D.
 
-Row reduction runs fraction-free over the integers (each image may be
-scaled by any nonzero rational without changing its span, so generator
-images are normalized to integer vectors first); the returned basis is
-re-canonicalized over the rationals into reduced, monic echelon form.
+The echelon is kept reduced over the integers: each stored row is
+primitive (its entries have gcd 1), positive at its pivot (its highest
+nonzero rank) and zero at every other pivot column.  Let den be the lcm
+of the pivot entries and W_i = (den / row_i[p_i]) * row_i, so that W_i
+holds den at its own pivot and zero at the others.  A vector of the
+span S is fixed by its pivot coordinates, so v lies in S iff
+den*v = sum_i v[p_i]*W_i; both sides agree at every pivot column, and
+membership is the integer check den*v[j] == sum_i v[p_i]*W_i[j] at the
+free (non-pivot) columns j alone.  Nearly every generator image passes
+it, with no elimination and no coefficient growth.  An image v that
+fails it leaves the nonzero residual den*v - sum_i v[p_i]*W_i, which
+vanishes at every pivot column; the residual is divided by the gcd of
+its entries, signed positive at its pivot and stored, and its pivot is
+then eliminated from the other rows, each made primitive again.
+
+The rows added are exactly those of fraction-free elimination.  Within
+the coset v + S exactly one vector vanishes at every pivot column: two
+such differ by a vector of S that vanishes at every pivot, which is
+zero.  Fraction-free elimination in descending pivot order scales v by
+a nonzero integer and subtracts rows, so its residual is a nonzero
+multiple of that vector, and so is the residual above.  Both therefore
+have the same pivot and the same primitive row positive at that pivot.
+By induction over the inserts, the (pivot, row) pairs returned, the
+rows the closure goes on acting with, the images it inserts, the
+additions per pass, the pass count and the diagnostics are those of
+the fraction-free engine.  A returned row is never modified: a later
+elimination replaces a stored row with a new list.
+
+The returned basis is read off the echelon.  The rows whose pivot has
+degree <= D span the degree-<=D part of the span (see above) and are
+zero at each other's pivots, so dividing each by its pivot entry gives
+the reduced monic echelon basis of that part, which is unique.
 
 Classification of the fixpoint is by dimension plus one exact
 evaluation: the full filtration level has dimension (D+1)(D+2)/2, and
@@ -53,7 +81,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .omega import ParamSet, action_on_one, in_proper_submodule
 from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box, shift_terms
@@ -82,7 +112,9 @@ class SubspaceBasis:
     """Reduced echelon basis of a polynomial subspace.
 
     Vectors are monic, ordered by strictly decreasing graded-lex pivot,
-    and each pivot monomial occurs in no other vector.
+    and each pivot monomial occurs in no other vector.  :func:`closure`
+    returns one, read off its integer echelon; :func:`span_insert` builds
+    one a vector at a time.
     """
 
     __slots__ = ("vectors", "degree_cap")
@@ -113,7 +145,11 @@ class SubspaceBasis:
 
 
 def span_insert(basis: SubspaceBasis, v: Poly2) -> SubspaceBasis:
-    """Reduced echelon basis of span(basis + {v}); unchanged if v is in the span."""
+    """Reduced echelon basis of span(basis + {v}); unchanged if v is in the span.
+
+    The rational reference for the integer echelon of :func:`closure`,
+    which does not call it: tests build bases and compare spans with it.
+    """
     if v.total_degree() > basis.degree_cap:
         raise ValueError(
             f"vector of degree {v.total_degree()} exceeds the cap {basis.degree_cap}")
@@ -148,51 +184,66 @@ def _rank(mono: Monomial2) -> int:
     return d * (d + 1) // 2 + e1
 
 
-def _row_gcd_normalize(row: list[int], pivot: int) -> None:
-    g = 0
-    for value in row:
-        if value:
-            g = gcd(g, abs(value))
-            if g == 1:
-                break
-    if g > 1:
-        for index in range(len(row)):
-            if row[index]:
-                row[index] //= g
+def _primitive(row: list[int], pivot: int) -> list[int]:
+    """row divided by the gcd of its entries and signed positive at pivot."""
+    g = gcd(*row)
     if row[pivot] < 0:
-        for index in range(len(row)):
-            if row[index]:
-                row[index] = -row[index]
+        g = -g
+    return [x // g for x in row] if g != 1 else row
 
 
 class _IntEchelon:
-    """Fraction-free echelon over the workspace monomial basis."""
+    """Reduced integer echelon over the workspace monomial basis.
+
+    rows holds (pivot rank, row) pairs in descending pivot order; each
+    row is primitive, positive at its pivot and zero at every other
+    pivot column.  Membership is checked at the free columns only (see
+    the module docstring).
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[tuple[int, list[int]]] = []   # (pivot rank, row), pivot descending
+        self._index([])
 
     def insert(self, row: list[int]) -> tuple[int, list[int]] | None:
-        """Reduce row against the echelon; store and return it if independent."""
-        for pivot, existing in self.rows:
-            c = row[pivot]
-            if c:
-                p = existing[pivot]
-                row = [p * x - c * y for x, y in zip(row, existing)]
-        pivot = -1
-        for index in range(self.dim - 1, -1, -1):
-            if row[index]:
-                pivot = index
+        """Store and return the primitive residual of row, or None if row is in the span."""
+        coeffs = [row[p] for p in self._pivots]
+        den = self._den
+        for j, weights in self._free:
+            if den * row[j] != sum(map(mul, coeffs, weights)):
                 break
-        if pivot < 0:
+        else:
             return None
-        _row_gcd_normalize(row, pivot)
-        entry = (pivot, row)
+        residual = [0] * self.dim
+        for j, weights in self._free:
+            residual[j] = den * row[j] - sum(map(mul, coeffs, weights))
+        pivot = max(j for j, _ in self._free if residual[j])
+        residual = _primitive(residual, pivot)
+        lead = residual[pivot]
+        rows = []
+        for p, existing in self.rows:
+            c = existing[pivot]
+            if c:
+                existing = _primitive([lead * x - c * y for x, y in zip(existing, residual)], p)
+            rows.append((p, existing))
+        entry = (pivot, residual)
         position = 0
-        while position < len(self.rows) and self.rows[position][0] > pivot:
+        while position < len(rows) and rows[position][0] > pivot:
             position += 1
-        self.rows.insert(position, entry)
+        rows.insert(position, entry)
+        self._index(rows)
         return entry
+
+    def _index(self, rows: list[tuple[int, list[int]]]) -> None:
+        """Store rows with their pivots, den (the lcm of the pivot entries)
+        and, for each free column j, the entries W_i[j] in row order."""
+        self.rows = rows
+        self._pivots = [p for p, _ in rows]
+        self._den = lcm(*(row[p] for p, row in rows))
+        scales = [self._den // row[p] for p, row in rows]
+        pivots = set(self._pivots)
+        self._free = [(j, [s * row[j] for s, (_, row) in zip(scales, rows)])
+                      for j in range(self.dim) if j not in pivots]
 
 
 class _ActTable:
@@ -260,8 +311,9 @@ def _poly_to_int_row(f: Poly2, dim: int) -> list[int]:
     return row
 
 
-def _row_to_poly(row: list[int], workspace: list[Monomial2]) -> Poly2:
-    return Poly2({workspace[r]: c for r, c in enumerate(row) if c})
+def _monic_poly(pivot: int, row: list[int], workspace: list[Monomial2]) -> Poly2:
+    lead = row[pivot]
+    return Poly2({workspace[r]: Fraction(c, lead) for r, c in enumerate(row) if c})
 
 
 def closure(seeds: list[Poly2], D: int, B: int,
@@ -317,10 +369,8 @@ def closure(seeds: list[Poly2], D: int, B: int,
         if added == 0:
             break
 
-    basis = SubspaceBasis((), D)
-    for pivot, row in sorted(echelon.rows, key=lambda e: e[0]):
-        if pivot < degree_rank_cap:
-            basis = span_insert(basis, _row_to_poly(row, table.workspace))
+    basis = SubspaceBasis(tuple(_monic_poly(pivot, row, table.workspace)
+                                for pivot, row in echelon.rows if pivot < degree_rank_cap), D)
     result = classify_span(basis, D, p)
     diagnostics = (
         f"{result.diagnostics}; passes={passes}, workspace additions per pass="

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -104,6 +105,29 @@ def test_axioms_radius_ceiling_exits_2():
         capture_output=True, text=True, timeout=10)
     assert result.returncode == 2 and result.stdout == ""
     assert "axioms radius 8 exceeds the cost ceiling 3" in result.stderr
+
+
+def test_replay_radius_ceiling_exits_2():
+    # the single-index replays cover the whole (2R+1)^2 box: radius 1000 would
+    # run for about 40 minutes; the guard refuses it at once
+    result = subprocess.run(
+        [sys.executable, "-m", "blockmod.cli", "replay", "--radius", "1000", "--pairs", "1"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "replay radius 1000 exceeds the cost ceiling 16" in result.stderr
+
+
+def test_sweeps_ceiling_exits_2(tmp_path):
+    # each sweep adds a module-axiom scan of every generator pair; the guard
+    # refuses too many at once, from the flag or from a config file
+    config = tmp_path / "run.cfg"
+    config.write_text("sweeps=101\n")
+    for extra in (["--sweeps", "101"], ["--config", str(config)]):
+        result = subprocess.run(
+            [sys.executable, "-m", "blockmod.cli", "axioms", "--radius", "1", *extra],
+            capture_output=True, text=True, timeout=10)
+        assert result.returncode == 2 and result.stdout == "", extra
+        assert "sweep count 101 exceeds the cost ceiling 100" in result.stderr, extra
 
 
 def test_witt_rejects_m1_zero_as_usage_error():
@@ -242,9 +266,14 @@ def test_global_flags_before_subcommand():
     assert "-3*L(1,1)" in out
 
 
+QUICK_REPORT_SHA256 = "f4bb9a30dada0a2102c9f9f53ba1d6806066de241b05d12678bdb04b249f1ab3"
+
+
 def test_quick_report():
     code, out, _ = run_cli(["report", "--level", "quick"])
     assert code == 0
+    # any byte change to the report must show here, not only in a hand diff
+    assert hashlib.sha256(out.encode()).hexdigest() == QUICK_REPORT_SHA256
     payload = json.loads(out)
     assert payload["overall"] == "pass"
     anchors = {c["anchor"] for c in payload["checks"]}
@@ -254,6 +283,40 @@ def test_quick_report():
             "commutator-replay", "isomorphism-rigidity",
             "difference-equation"} <= anchors
     assert run_cli(["report", "--level", "quick"])[1] == out
+
+
+CLOSURE_REPORT = """{
+  "command": "closure",
+  "config": {
+    "q": "1",
+    "lambda1": "1",
+    "lambda2": "1",
+    "alpha": "0",
+    "degree_bound": 5,
+    "box_radius": 7,
+    "rng_seed": 1,
+    "sweep_count": 10
+  },
+  "checks": [
+    {
+      "name": "closure of [d1+d2^2]",
+      "anchor": "submodule-dichotomy",
+      "status": "pass",
+      "witness": "tag=OMEGA_PRIME, dim=20; spans the evaluation kernel at (0,0) \
+inside the degree-5 level (dim 20); passes=7, workspace additions per pass=[5, 5, 6, 7, 2, 1, 0]; \
+fixpoint certificate: all single-step images of the final basis over the box [-3,3]^2 reduce \
+to zero in the degree-6 workspace, and by the degree-6 interpolation bound they span the same \
+space as the images over [-7,7]^2"
+    }
+  ],
+  "overall": "pass"
+}
+"""
+
+
+def test_closure_report_bytes():
+    code, out, err = run_cli(["closure", "--seed", "d1+d2^2", "--D", "5", "--B", "7"])
+    assert (code, out, err) == (0, CLOSURE_REPORT, "")
 
 
 def test_console_entry_point():

@@ -1,8 +1,10 @@
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from blockmod import closure as engine
 from blockmod import poly
 from blockmod.blockalg import AlgebraElement
 from blockmod.closure import (ClosureTag, SubspaceBasis, classify_span, closure,
@@ -122,6 +124,161 @@ def test_span_insert_invariants_randomized():
         for j, other in enumerate(basis.vectors):
             if i != j:
                 assert other.coefficient(*pivots[i]) == 0
+
+
+# --- the reduced echelon against the fraction-free oracle --------------------
+# The engine's echelon as it was before it was kept reduced: every insert
+# runs a full fraction-free elimination.  The module docstring proves that
+# both return the same (pivot, row) on every insert; these tests check it
+# call by call.
+
+def _row_gcd_normalize(row: list[int], pivot: int) -> None:
+    g = 0
+    for value in row:
+        if value:
+            g = gcd(g, abs(value))
+            if g == 1:
+                break
+    if g > 1:
+        for index in range(len(row)):
+            if row[index]:
+                row[index] //= g
+    if row[pivot] < 0:
+        for index in range(len(row)):
+            if row[index]:
+                row[index] = -row[index]
+
+
+class FractionFreeEchelon:
+    """Fraction-free echelon over the workspace monomial basis."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: list[tuple[int, list[int]]] = []   # (pivot rank, row), pivot descending
+
+    def insert(self, row: list[int]) -> tuple[int, list[int]] | None:
+        """Reduce row against the echelon; store and return it if independent."""
+        for pivot, existing in self.rows:
+            c = row[pivot]
+            if c:
+                p = existing[pivot]
+                row = [p * x - c * y for x, y in zip(row, existing)]
+        pivot = -1
+        for index in range(self.dim - 1, -1, -1):
+            if row[index]:
+                pivot = index
+                break
+        if pivot < 0:
+            return None
+        _row_gcd_normalize(row, pivot)
+        entry = (pivot, row)
+        position = 0
+        while position < len(self.rows) and self.rows[position][0] > pivot:
+            position += 1
+        self.rows.insert(position, entry)
+        return entry
+
+
+def assert_reduced(echelon):
+    pivots = [pivot for pivot, _ in echelon.rows]
+    assert pivots == sorted(set(pivots), reverse=True), pivots
+    for position, (pivot, row) in enumerate(echelon.rows):
+        at_pivots = [row[other] for other in pivots]
+        assert at_pivots[position] > 0 and at_pivots.count(0) == len(pivots) - 1, (pivot, row)
+        assert len(row) == echelon.dim and not any(row[pivot + 1:]), (pivot, row)
+        assert gcd(*row) == 1, (pivot, row)
+
+
+class CheckedEchelon(engine._IntEchelon):
+    """The engine's echelon, compared with the oracle on every insert.
+
+    The invariants are checked in full after every addition; an insert
+    that adds nothing must leave the rows equal to the last checked ones.
+    Every row returned so far must still hold the values it was returned
+    with, because the closure goes on acting with it.
+    """
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.oracle = FractionFreeEchelon(dim)
+        self.calls = self.added = 0
+        self.checked_rows = []
+        self.returned = []
+
+    def insert(self, row):
+        expected = self.oracle.insert(list(row))
+        stored = super().insert(row)
+        assert stored == expected, (self.calls, stored, expected)
+        self.calls += 1
+        if stored is None:
+            assert self.rows == self.checked_rows
+        else:
+            self.added += 1
+            self.returned.append((stored[1], list(stored[1])))
+            assert all(row == copy for row, copy in self.returned)
+            assert_reduced(self)
+            self.checked_rows = [(pivot, list(r)) for pivot, r in self.rows]
+        return stored
+
+
+def span_insert_basis(oracle, D):
+    """The basis built the way the engine once did: span_insert over the low oracle rows."""
+    workspace = engine._monomials_upto(D + 1)
+    basis = SubspaceBasis((), D)
+    for pivot, row in sorted(oracle.rows):
+        if pivot < filtration_dimension(D):
+            basis = span_insert(basis, Poly2({workspace[r]: c for r, c in enumerate(row) if c}))
+    return basis
+
+
+def test_reduced_echelon_matches_fraction_free_on_closure_streams(monkeypatch):
+    echelons = []
+
+    def checked(dim):
+        echelons.append(CheckedEchelon(dim))
+        return echelons[-1]
+
+    monkeypatch.setattr(engine, "_IntEchelon", checked)
+    params = (ParamSet(1, 1, 1, 0), ParamSet(1, 1, 1, Fraction(1, 2)),
+              ParamSet(Fraction(5, 7), Fraction(2, 3), 3, Fraction(1, 2)),
+              ParamSet(-2, 1, 1, Fraction(1, 3)))
+    for p in params:
+        x1, x2 = p.vanishing_point()
+        for D in range(1, 6):
+            raw = poly.D1 - 2 * poly.D2 if D == 1 else poly.D1 * poly.D2 - 2 * poly.D2 + poly.D1
+            inside = raw - raw.eval_at(x1, x2)
+            # B above (D+2)//2 sweeps the box of radius (D+2)//2, the same insert stream
+            for B in range(1, (D + 2) // 2 + 1):
+                for seed in (inside, inside + 1):
+                    basis, result = closure([seed], D, B, p)
+                    echelon = echelons[-1]
+                    assert echelon.calls > echelon.added > 0
+                    assert basis.vectors == span_insert_basis(echelon.oracle, D).vectors
+                    if B == (D + 2) // 2:
+                        expected = ClosureTag.FULL if seed != inside else ClosureTag.OMEGA_PRIME
+                        assert result.tag is expected, (p, D, seed)
+    assert len(echelons) == len(params) * 2 * sum((D + 2) // 2 for D in range(1, 6))
+
+
+def test_reduced_echelon_matches_fraction_free_on_random_rows():
+    rng = SplitMix64(43)
+    for dim in (1, 2, 5, 9):
+        echelon = CheckedEchelon(dim)
+        stored = []
+        for _ in range(60):
+            if stored and rng.below(2):
+                # an integer combination of rows already stored: always dependent
+                row = [0] * dim
+                for _ in range(rng.int_between(1, 3)):
+                    c, base = rng.int_between(-4, 4), rng.choice(stored)
+                    row = [x + c * y for x, y in zip(row, base)]
+            else:
+                row = [rng.int_between(-6, 6) if rng.below(3) else 0 for _ in range(dim)]
+            result = echelon.insert(row)
+            if result is not None:
+                stored.append(list(result[1]))
+        assert echelon.calls == 60 and echelon.added == len(echelon.rows) <= dim
+    assert echelon.added == dim     # the last run fills its whole space
 
 
 # --- closure -------------------------------------------------------------------
