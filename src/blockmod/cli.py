@@ -22,10 +22,12 @@ capped at MAX_AXIOM_RADIUS, the acceptance Jacobi radius, because the
 Jacobi sweep does (2R+1)^6 work (radius 3 with one sweep takes about
 9 s on the same core).  The replay radius is capped at
 MAX_REPLAY_RADIUS, because two replays cover the whole (2R+1)^2 box
-(radius 16 takes about 1.1 s).  The sweep count is capped at
-MAX_SWEEPS, because each sweep is one more module-axiom scan of every
-generator pair (100 sweeps take about 97 s at radius 2).  Polynomial
-expressions are capped at degree poly.MAX_EXPRESSION_DEGREE and their
+(radius 16 takes about 1.1 s), and the replay pair cap at
+MAX_REPLAY_PAIRS, because the commutator replay checks every sampled
+pair (10,000 pairs at radius 16 take about 5.5 s).  The sweep count is
+capped at MAX_SWEEPS, because each sweep is one more module-axiom scan
+of every generator pair (100 sweeps take about 35 s at radius 2).
+Polynomial expressions are capped at degree poly.MAX_EXPRESSION_DEGREE and their
 powers at coefficients of poly.MAX_POWER_BITS bits, and a grid that
 would check nothing (a negative box radius, an empty Witt index range,
 a zero pair cap) raises ValueError in the library; both are usage
@@ -52,6 +54,7 @@ _CONFIG_KEYS = ("q", "lambda1", "lambda2", "alpha", "D", "B", "rng_seed", "sweep
 MAX_DEGREE_BOUND = 12
 MAX_AXIOM_RADIUS = 3
 MAX_REPLAY_RADIUS = 16
+MAX_REPLAY_PAIRS = 10_000
 MAX_SWEEPS = 100
 
 
@@ -290,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "coefficients", "control", "all"])
     sub.add_argument("--radius", type=int, default=3,
                      help=f"index box radius (at most {MAX_REPLAY_RADIUS})")
-    sub.add_argument("--pairs", type=int, default=200, help="pair subsample cap")
+    sub.add_argument("--pairs", type=int, default=200,
+                     help=f"pair subsample cap (at most {MAX_REPLAY_PAIRS})")
 
     sub = commands.add_parser("report", parents=[common],
                               help="full verification suite")
@@ -371,6 +375,9 @@ def _cmd_replay(args, config: RunConfig) -> list[Check]:
     if args.radius > MAX_REPLAY_RADIUS:
         raise ValueError(f"replay radius {args.radius} exceeds the cost ceiling "
                          f"{MAX_REPLAY_RADIUS}")
+    if args.pairs > MAX_REPLAY_PAIRS:
+        raise ValueError(f"pair cap {args.pairs} exceeds the cost ceiling "
+                         f"{MAX_REPLAY_PAIRS}")
     selected: list[Check] = []
     if args.eq in ("commutator", "pair-difference", "separated-form", "coefficients",
                    "all"):

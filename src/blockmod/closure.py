@@ -86,7 +86,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .omega import ParamSet, action_on_one, in_proper_submodule
-from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box, shift_terms
+from .poly import (IndexPair, Monomial2, Poly2, grlex_key, index_box, integer_terms,
+                   shift_terms)
 
 
 class ClosureTag(Enum):
@@ -122,10 +123,6 @@ class SubspaceBasis:
     def __init__(self, vectors: tuple[Poly2, ...] = (), degree_cap: int = 0):
         self.vectors = tuple(vectors)
         self.degree_cap = degree_cap
-
-    @property
-    def pivots(self) -> tuple[Monomial2, ...]:
-        return tuple(v.leading_monomial() for v in self.vectors)
 
     @property
     def dimension(self) -> int:
@@ -270,7 +267,7 @@ class _ActTable:
         terms = self._g_terms.get(m)
         if terms is None:
             g = (1 / self.p.lam_pow(m)) * action_on_one(m, self.p)
-            terms = list(_integer_terms(g).items())
+            terms = list(integer_terms(g.terms())[0].items())
             self._g_terms[m] = terms
         return terms
 
@@ -297,16 +294,10 @@ class _ActTable:
         return out
 
 
-def _integer_terms(f: Poly2) -> dict[Monomial2, int]:
-    """f scaled by the lcm of its denominators: integral, and spanning the same line."""
-    terms = f.terms()
-    scale = lcm(*(c.denominator for c in terms.values()))
-    return {mono: int(c * scale) for mono, c in terms.items()}
-
-
 def _poly_to_int_row(f: Poly2, dim: int) -> list[int]:
+    """f scaled by the lcm of its denominators, as a row over the workspace ranks."""
     row = [0] * dim
-    for mono, c in _integer_terms(f).items():
+    for mono, c in integer_terms(f.terms())[0].items():
         row[_rank(mono)] = c
     return row
 

@@ -108,29 +108,41 @@ def action_on_one_alt(m: IndexPair, p: ParamSet) -> Poly2:
     })
 
 
-def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one) -> Poly2:
+def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one,
+        memo: dict | None = None) -> Poly2:
     """Module action of an algebra element on a carrier polynomial.
 
     L(m) sends f to f(d - m) * g_m(d); the degree derivation acts by
     multiplication with d2.  ``image`` swaps in an alternative generator
-    image (used only by the negative-control suites).
+    image (used only by the negative-control suites).  ``memo``, when
+    given, maps indices m to L(m) . f for this f, p and image: act reads
+    the generator images it holds and adds the ones it computes.
     """
+    images = {} if memo is None else memo
     out = Poly2()
     for gen, c in x.terms().items():
         if gen is blockalg.D2:
             out = out + c * (poly.D2 * f)
         else:
-            out = out + c * (f.shifted(gen.m) * image(gen.m, p))
+            moved = images.get(gen.m)
+            if moved is None:
+                moved = images[gen.m] = f.shifted(gen.m) * image(gen.m, p)
+            out = out + c * moved
     return out
 
 
 def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
-                        p: ParamSet, image=action_on_one) -> Poly2:
-    """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)); contract: zero."""
+                        p: ParamSet, image=action_on_one,
+                        memo: dict | None = None) -> Poly2:
+    """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)); contract: zero.
+
+    ``memo`` is :func:`act`'s memo for f; it serves the three actions on
+    f itself, never the actions on act(y, f) and act(x, f).
+    """
     ctx = p.context()
-    return (act(blockalg.bracket(x, y, ctx), f, p, image)
-            - act(x, act(y, f, p, image), p, image)
-            + act(y, act(x, f, p, image), p, image))
+    return (act(blockalg.bracket(x, y, ctx), f, p, image, memo)
+            - act(x, act(y, f, p, image, memo), p, image)
+            + act(y, act(x, f, p, image, memo), p, image))
 
 
 def in_proper_submodule(f: Poly2, p: ParamSet) -> bool:

@@ -17,6 +17,20 @@ Values are immutable: every operation returns a fresh polynomial.  The
 substitution d -> d - m behind every generator action is one binomial
 expansion on term maps, :func:`shift_terms`.
 
+The shift and the product add up integers, not Fractions, and are exact.
+A term map with coefficients n_k/e_k equals N_k/L, where L is the lcm of
+the e_k and N_k = n_k*(L/e_k) is an integer (:func:`integer_terms`).  A
+product of two maps is then the sums of the N_a*N_b over one fixed
+denominator L_a*L_b.  For a shift by m = u/v, the expansion
+v^a*(x - m)^a = sum_i comb(a, i)*(-u)^(a-i)*v^i*x^i has integer
+coefficients; scaling the numerator of a term with exponent a by
+v^(A-a), where A is the largest exponent of that variable, puts every
+contribution over the one denominator L*v1^A1*v2^A2.  Integer sums are
+exact, so dividing each total once by the common denominator
+(``Fraction`` reduces it) gives the rational sum term by term; a total
+of zero is a term that cancels and is dropped.  The stored term maps
+still hold Fractions.
+
 The polynomial expression grammar used by the command line lives here as
 well: rational literals (the one literal rule of :mod:`blockmod.exactnum`),
 variables, ``+ - * ^`` and parentheses, whitespace insensitive,
@@ -33,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator
 
 from .exactnum import ParseError, _Parser
@@ -100,29 +114,56 @@ def index_box(radius: int) -> list[IndexPair]:
             for b in range(-radius, radius + 1)]
 
 
+def integer_terms(terms: dict) -> tuple[dict, int]:
+    """``(numerators, den)``: the term map as integers over den, the lcm of
+    its coefficients' denominators (1 for an empty map), folded one
+    denominator at a time."""
+    den = 1
+    for c in terms.values():
+        if den % c.denominator:
+            den = lcm(den, c.denominator)
+    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
+
+
 def shift_terms(terms: dict, m1, m2) -> dict:
     """Term map of f(d1 - m1, d2 - m2) from the term map of f.
 
     Keys are (e1, e2) exponent pairs.  Coefficients may be ints or
-    Fractions, and so may m1 and m2.  The binomial factors of each
-    exponent are formed once per call, so each output contribution costs
-    one multiplication by a coefficient.  Zero coefficients are dropped.
+    Fractions, and so may m1 and m2; an all-int input gives int
+    coefficients back (the closure's action table sums them as ints),
+    anything else Fractions.  The sums run over integers (see the module
+    docstring), and each output coefficient is one division at the end.
+    Zero coefficients are dropped.
     """
     rows1 = {a: _binomial_row(a, m1) for a in {a for a, _ in terms}}
     rows2 = {b: _binomial_row(b, m2) for b in {b for _, b in terms}}
+    whole = type(m1) is int and type(m2) is int and all(type(c) is int for c in terms.values())
+    if whole:
+        nums = terms
+    else:
+        nums, den = integer_terms(terms)
+        v1, v2 = m1.denominator, m2.denominator
+        top1, top2 = max(rows1, default=0), max(rows2, default=0)
+        nums = {(a, b): n * v1 ** (top1 - a) * v2 ** (top2 - b) for (a, b), n in nums.items()}
+        den *= v1 ** top1 * v2 ** top2
     data: dict = {}
-    for (a, b), c in terms.items():
+    for (a, b), n in nums.items():
         row2 = rows2[b]
         for i, f1 in rows1[a]:
+            c = n * f1
             for j, f2 in row2:
                 key = (i, j)
-                data[key] = data.get(key, 0) + c * (f1 * f2)
-    return {key: c for key, c in data.items() if c}
+                data[key] = data.get(key, 0) + c * f2
+    if whole:
+        return {key: c for key, c in data.items() if c}
+    return {key: Fraction(c, den) for key, c in data.items() if c}
 
 
 def _binomial_row(e: int, m) -> list:
-    """Nonzero terms (i, comb(e, i) * (-m)^(e - i)) of the expansion of (x - m)^e."""
-    return [(i, f) for i in range(e + 1) if (f := comb(e, i) * (-m) ** (e - i))]
+    """Nonzero terms (i, comb(e, i) * (-u)^(e - i) * v^i) of v^e * (x - m)^e, m = u/v."""
+    u, v = m.numerator, m.denominator
+    row = [(i, f) for i in range(e + 1) if (f := comb(e, i) * (-u) ** (e - i))]
+    return row if v == 1 else [(i, f * v ** i) for i, f in row]
 
 
 def add_terms(data: dict, items) -> dict:
@@ -238,14 +279,22 @@ class _TermMap:
 
     def _product(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             c = Fraction(other)
             return self._of({mono: coeff * c for mono, coeff in self._terms.items()}
                             if c else {})
         if type(other) is not type(self):
             return NotImplemented
-        return self._of(add_terms({}, (((a1 + b1, a2 + b2), ca * cb)
-                                       for (a1, a2), ca in self._terms.items()
-                                       for (b1, b2), cb in other._terms.items())))
+        left, left_den = integer_terms(self._terms)
+        right, right_den = integer_terms(other._terms)
+        data: dict = {}
+        for (a1, a2), ca in left.items():
+            for (b1, b2), cb in right.items():
+                key = (a1 + b1, a2 + b2)
+                data[key] = data.get(key, 0) + ca * cb
+        den = left_den * right_den
+        return self._of({key: Fraction(c, den) for key, c in data.items() if c})
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

@@ -117,6 +117,16 @@ def test_replay_radius_ceiling_exits_2():
     assert "replay radius 1000 exceeds the cost ceiling 16" in result.stderr
 
 
+def test_replay_pairs_ceiling_exits_2():
+    # the commutator replay checks every sampled pair: a cap of a million
+    # pairs would run for minutes; the guard refuses it at once
+    result = subprocess.run(
+        [sys.executable, "-m", "blockmod.cli", "replay", "--radius", "16", "--pairs", "1000000"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "pair cap 1000000 exceeds the cost ceiling 10000" in result.stderr
+
+
 def test_sweeps_ceiling_exits_2(tmp_path):
     # each sweep adds a module-axiom scan of every generator pair; the guard
     # refuses too many at once, from the flag or from a config file

@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from blockmod import poly
 from blockmod.poly import (MAX_EXPRESSION_DEGREE, IndexPair, ParseError, Poly1,
-                           Poly2, compose2, from_single_variable, parse_poly1,
-                           parse_poly2, rewrite_in_xm, shift_terms,
-                           to_single_variable)
+                           Poly2, add_terms, compose2, from_single_variable,
+                           integer_terms, parse_poly1, parse_poly2, rewrite_in_xm,
+                           shift_terms, to_single_variable)
 from blockmod.prng import SplitMix64
 
 
@@ -70,6 +71,131 @@ def test_rational_shift_matches_composition():
         c1, c2 = rng.fraction(), rng.fraction()
         assert Poly2(shift_terms(f.terms(), c1, c2)) == \
             compose2(f, poly.D1 - c1, poly.D2 - c2)
+
+
+# --- the integer kernels against the per-contribution Fraction loops ---------
+# The shift and the product as they were before they summed integer
+# numerators over one common denominator: one Fraction product and one
+# Fraction sum for every contribution.
+
+def reference_shift_terms(terms, m1, m2):
+    def binomial_row(e, m):
+        return [(i, f) for i in range(e + 1) if (f := comb(e, i) * (-m) ** (e - i))]
+
+    rows1 = {a: binomial_row(a, m1) for a in {a for a, _ in terms}}
+    rows2 = {b: binomial_row(b, m2) for b in {b for _, b in terms}}
+    data = {}
+    for (a, b), c in terms.items():
+        row2 = rows2[b]
+        for i, f1 in rows1[a]:
+            for j, f2 in row2:
+                key = (i, j)
+                data[key] = data.get(key, 0) + c * (f1 * f2)
+    return {key: c for key, c in data.items() if c}
+
+
+def reference_product(left, right):
+    return add_terms({}, (((a1 + b1, a2 + b2), ca * cb)
+                          for (a1, a2), ca in left.items()
+                          for (b1, b2), cb in right.items()))
+
+
+# small and large, mostly coprime, so a common denominator can grow fast
+DENOMINATORS = (1, 2, 3, 7, 9, 11, 64, 625, 10007, 1_000_003, 2**61 - 1)
+
+
+def kernel_poly(rng, max_degree=6, max_terms=7):
+    terms = []
+    for _ in range(rng.int_between(0, max_terms)):
+        d = rng.int_between(0, max_degree)
+        a = rng.int_between(0, d)
+        terms.append(((a, d - a), kernel_coefficient(rng)))
+    return Poly2(terms)
+
+
+def kernel_coefficient(rng):
+    return Fraction(rng.int_between(-10**15, 10**15), rng.choice(DENOMINATORS))
+
+
+def kernel_shift(rng):
+    if rng.below(2):
+        return rng.int_between(-5, 5)
+    return Fraction(rng.int_between(-40, 40), rng.choice(DENOMINATORS))
+
+
+def assert_same_terms(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for c in got.values()), got
+
+
+def test_shift_kernel_matches_fraction_loop_randomized():
+    rng = SplitMix64(14)
+    for _ in range(150):
+        f = kernel_poly(rng)
+        m1, m2 = kernel_shift(rng), kernel_shift(rng)
+        assert_same_terms(shift_terms(f.terms(), m1, m2),
+                          reference_shift_terms(f.terms(), m1, m2))
+    assert shift_terms({}, 3, Fraction(1, 2)) == {}
+    assert Poly2().shifted(IndexPair(2, -1)) == Poly2()
+    assert Poly1().shifted(Fraction(5, 3)) == Poly1()
+
+
+def test_shift_kernel_cancellation():
+    rng = SplitMix64(15)
+    for _ in range(40):
+        g = kernel_poly(rng)
+        m1, m2 = kernel_shift(rng), kernel_shift(rng)
+        f = shift_terms(g.terms(), -m1, -m2)
+        # every term of f beyond g's own must cancel on the way back
+        assert_same_terms(shift_terms(f, m1, m2), reference_shift_terms(f, m1, m2))
+        assert shift_terms(f, m1, m2) == g.terms()
+    # (d1 + 1/3)^3 shifted by 1/3 is d1^3: three lower terms cancel to zero
+    cube = Poly2({(3, 0): 1, (2, 0): 1, (1, 0): Fraction(1, 3), (0, 0): Fraction(1, 27)})
+    assert shift_terms(cube.terms(), Fraction(1, 3), 0) == {(3, 0): 1}
+
+
+def test_shift_kernel_keeps_int_coefficients():
+    # the closure's action table shifts single monomials and sums ints
+    rng = SplitMix64(16)
+    for _ in range(60):
+        terms = {(rng.int_between(0, 6), rng.int_between(0, 6)): rng.int_between(-9, 9) or 1
+                 for _ in range(rng.int_between(1, 4))}
+        m1, m2 = rng.int_between(-5, 5), rng.int_between(-5, 5)
+        out = shift_terms(terms, m1, m2)
+        assert out == reference_shift_terms(terms, m1, m2)
+        assert all(type(c) is int for c in out.values()), out
+    # a rational shift, even an integral one, gives Fractions
+    assert type(shift_terms({(2, 0): 1}, Fraction(2), 0)[(0, 0)]) is Fraction
+
+
+def test_product_kernel_matches_fraction_loop_randomized():
+    rng = SplitMix64(17)
+    for _ in range(150):
+        f, g = kernel_poly(rng), kernel_poly(rng)
+        assert_same_terms((f * g).terms(), reference_product(f.terms(), g.terms()))
+    # (d1 - c*d2)(d1 + c*d2): the cross terms cancel to zero
+    c = Fraction(10**12 + 39, 2**61 - 1)
+    assert (poly.D1 - c * poly.D2) * (poly.D1 + c * poly.D2) == poly.D1**2 - c * c * poly.D2**2
+    assert kernel_poly(rng) * Poly2() == Poly2()
+
+
+def test_poly1_rational_shift_matches_fraction_loop():
+    rng = SplitMix64(18)
+    for _ in range(40):
+        f = Poly1([(rng.int_between(0, 9), kernel_coefficient(rng))
+                   for _ in range(rng.int_between(0, 5))])
+        c = kernel_shift(rng)
+        expected = reference_shift_terms({(k, 0): v for k, v in f.terms().items()}, c, 0)
+        assert_same_terms(f.shifted(c).terms(), {k: v for (k, _), v in expected.items()})
+
+
+def test_integer_terms():
+    assert integer_terms({}) == ({}, 1)
+    assert integer_terms({(1, 0): 3, (0, 0): -7}) == ({(1, 0): 3, (0, 0): -7}, 1)
+    assert integer_terms({(1, 0): Fraction(1, 6), (0, 0): Fraction(-3, 4), (0, 1): 2}) == \
+        ({(1, 0): 2, (0, 0): -9, (0, 1): 24}, 12)
+    big = {(1, 0): Fraction(1, 2**61 - 1), (0, 0): Fraction(5, 10007)}
+    assert integer_terms(big) == ({(1, 0): 10007, (0, 0): 5 * (2**61 - 1)}, (2**61 - 1) * 10007)
 
 
 def test_eval():

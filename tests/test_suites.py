@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -123,6 +124,52 @@ def test_module_axiom_failure_witness(monkeypatch):
         suites.Check("variant action fails the axiom grid", "action-variant-control", "fail",
                      f"image {suites.VARIANT_IMAGE_TEXT} unexpectedly passed the whole grid; "
                      "q=5/7, lambda=(2,1), alpha=1/3")]
+
+
+def _unmemoized_axiom_scan(p, polys, radius, image):
+    """The axiom grid scan as a plain per-case loop, with no memo."""
+    generators = [AlgebraElement.basis(m) for m in index_box(radius)]
+    generators.append(AlgebraElement.derivation())
+    cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
+    return suites.first_defect(cases, lambda xyf: omega.module_axiom_defect(*xyf, p, image))
+
+
+@pytest.mark.parametrize("image", [omega.action_on_one, omega.action_on_one_alt])
+def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
+    p = ParamSet(Fraction(5, 7), Fraction(2, 3), -3, Fraction(1, 2))
+    polys = [Poly2({(1, 0): 1, (0, 2): -3}), Poly2({(2, 1): Fraction(3, 4), (0, 0): 2})]
+    radius = 1
+    expected = _unmemoized_axiom_scan(p, polys, radius, image)
+    assert (expected[1] is None) == (image is omega.action_on_one)
+
+    defect, act = omega.module_axiom_defect, omega.act
+    calls, acts = [], []
+
+    def recorded_defect(*args, **kwargs):
+        calls.append(args)
+        return defect(*args, **kwargs)
+
+    def recorded_act(*args, **kwargs):
+        acts.append(args)
+        return act(*args, **kwargs)
+
+    monkeypatch.setattr(omega, "module_axiom_defect", recorded_defect)
+    monkeypatch.setattr(omega, "act", recorded_act)
+    count, failure = suites.axiom_grid_scan(p, polys, radius, image)
+    # the same first failing case and the same defect, or the same clean count
+    assert (count, failure) == expected
+    assert len(calls) == count and len(acts) == 5 * count
+
+    # one memo per polynomial, holding L(m).f for that polynomial only
+    memos = {}
+    for x, y, f, _, _, memo in calls:
+        assert memos.setdefault(id(memo), (f, memo))[0] is f
+    assert len(memos) == min(count, len(polys))
+    box = set(index_box(2 * radius))
+    for f, memo in memos.values():
+        assert set(memo) <= box
+        for m, moved in memo.items():
+            assert moved == f.shifted(m) * image(m, p)
 
 
 def test_replay_failure_witnesses(monkeypatch):
