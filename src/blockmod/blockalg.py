@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import ParseError, _Parser
 from .poly import IndexPair, _format_terms, add_terms, origin_first_key
@@ -134,54 +133,43 @@ def format_element(x: AlgebraElement) -> str:
     return _format_terms([(coeff, str(gen)) for gen, coeff in x.items_sorted()])
 
 
-# the structure constant splits as (n1*m2 - m1*n2) + q*(n1 - m1); both the
-# interned generators and the small set of coefficient values recur heavily
-# in axiom sweeps, so both are cached
-@lru_cache(maxsize=None)
-def _basis_gen(m1: int, m2: int) -> BasisL:
-    return BasisL(IndexPair(m1, m2))
+def structure_constant(m: IndexPair, n: IndexPair, a: int, b: int) -> int:
+    """b * c(m, n) for q = a/b, where [L(m), L(n)] = c(m, n) * L(m + n).
 
-
-@lru_cache(maxsize=None)
-def _struct_coeff(q: Fraction, cross: int, diff: int) -> Fraction:
-    return cross + q * diff
+    c(m, n) = n1*(m2 + q) - m1*(n2 + q) = (n1*m2 - m1*n2) + q*(n1 - m1),
+    so b * c(m, n) = b*(n1*m2 - m1*n2) + a*(n1 - m1) is an integer for
+    integer indices; c(m, n) itself is this value over b.
+    """
+    return b * (n.m1 * m.m2 - m.m1 * n.m2) + a * (n.m1 - m.m1)
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> AlgebraElement:
-    """Bilinear bracket on the extended algebra."""
-    q = ctx.q
-    data: dict = {}
-    for gx, cx in x._terms.items():
-        x_is_basis = type(gx) is BasisL
-        if x_is_basis:
-            mx1, mx2 = gx.m.m1, gx.m.m2
-        for gy, cy in y._terms.items():
-            if x_is_basis and type(gy) is BasisL:
-                my = gy.m
-                coeff = _struct_coeff(q, my.m1 * mx2 - mx1 * my.m2, my.m1 - mx1)
-                if coeff:
-                    gen = _basis_gen(mx1 + my.m1, mx2 + my.m2)
-                    c = cx * cy * coeff
-                else:
-                    continue
-            elif not x_is_basis and type(gy) is BasisL:
-                if not gy.m.m2:
-                    continue
-                gen, c = gy, cx * cy * gy.m.m2
-            elif x_is_basis and gy is D2:
-                if not mx2:
-                    continue
-                gen, c = gx, -cx * cy * mx2
-            else:
-                continue            # [D2, D2] = 0
-            acc = data.get(gen)
-            acc = c if acc is None else acc + c
-            if acc:
-                data[gen] = acc
-            elif gen in data:
-                del data[gen]
+    """Bilinear bracket on the extended algebra.
+
+    Each pair of terms gives one (generator, coefficient) pair.  For
+    L(m), L(n) with coefficients cx, cy the coefficient of L(m + n) is
+    cx*cy*c(m, n), built as one Fraction from the integers of
+    :func:`structure_constant`; [D2, L(m)] = m2 * L(m) and [D2, D2] = 0.
+    """
+    a, b = ctx.q.numerator, ctx.q.denominator
+
+    def pairs():
+        for gx, cx in x._terms.items():
+            for gy, cy in y._terms.items():
+                if type(gx) is BasisL:
+                    if type(gy) is BasisL:
+                        c = structure_constant(gx.m, gy.m, a, b)
+                        if c:
+                            yield (BasisL(gx.m + gy.m),
+                                   Fraction(cx.numerator * cy.numerator * c,
+                                            cx.denominator * cy.denominator * b))
+                    elif gx.m.m2:
+                        yield gx, -cx * cy * gx.m.m2
+                elif type(gy) is BasisL and gy.m.m2:
+                    yield gy, cx * cy * gy.m.m2
+
     out = AlgebraElement()
-    out._terms = data
+    out._terms = add_terms({}, pairs())
     return out
 
 

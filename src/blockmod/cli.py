@@ -27,6 +27,12 @@ MAX_REPLAY_PAIRS, because the commutator replay checks every sampled
 pair (10,000 pairs at radius 16 take about 5.5 s).  The sweep count is
 capped at MAX_SWEEPS, because each sweep is one more module-axiom scan
 of every generator pair (100 sweeps take about 35 s at radius 2).
+Every generator index built from user input (an element's L(m1,m2), a
+Witt line index m and i*m over the Witt range) is capped at
+MAX_GENERATOR_INDEX in |m1| and |m2|, because lambda^m and the shift by m
+grow with the index; i*m also bounds the length of the Witt range,
+and witt over [-1000,1000] takes about 0.5 s at m=1,0 with lambda 2,3
+and about 1.6 s at m=1,1 with lambda 12345/6789,3/1001.
 Polynomial expressions are capped at degree poly.MAX_EXPRESSION_DEGREE and their
 powers at coefficients of poly.MAX_POWER_BITS bits, and a grid that
 would check nothing (a negative box radius, an empty Witt index range,
@@ -56,6 +62,7 @@ MAX_AXIOM_RADIUS = 3
 MAX_REPLAY_RADIUS = 16
 MAX_REPLAY_PAIRS = 10_000
 MAX_SWEEPS = 100
+MAX_GENERATOR_INDEX = 1000
 
 
 @dataclass(frozen=True)
@@ -173,6 +180,12 @@ def _parse_param_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(parse_rational(part) for part in parts)
 
 
+def _check_index(m: IndexPair, what: str) -> None:
+    if max(abs(m.m1), abs(m.m2)) > MAX_GENERATOR_INDEX:
+        raise ValueError(f"{what} {m} exceeds the cost ceiling {MAX_GENERATOR_INDEX} "
+                         f"on |m1| and |m2|")
+
+
 @_argument_type
 def _parse_index_pair(text: str) -> IndexPair:
     """A Witt line index m1,m2; m1 = 0 is invalid input."""
@@ -182,7 +195,16 @@ def _parse_index_pair(text: str) -> IndexPair:
     m = IndexPair(int(parts[0]), int(parts[1]))
     if m.m1 == 0:
         raise ValueError(f"Witt line index needs m1 != 0, got {text}")
+    _check_index(m, "Witt line index")
     return m
+
+
+def _parse_element(text: str, ctx: blockalg.AlgebraContext) -> blockalg.AlgebraElement:
+    element = blockalg.parse_element(text, ctx)
+    for gen in element.terms():
+        if gen is not blockalg.D2:
+            _check_index(gen.m, "generator index")
+    return element
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -307,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bracket(args, config: RunConfig) -> list[Check]:
     ctx = config.params.context()
-    left = blockalg.parse_element(args.left, ctx)
-    right = blockalg.parse_element(args.right, ctx)
+    left = _parse_element(args.left, ctx)
+    right = _parse_element(args.right, ctx)
     result = blockalg.bracket(left, right, ctx)
     return [Check(name=f"bracket {args.left} , {args.right}", anchor="bracket",
                   status="pass", witness=str(result))]
@@ -316,7 +338,7 @@ def _cmd_bracket(args, config: RunConfig) -> list[Check]:
 
 def _cmd_act(args, config: RunConfig) -> list[Check]:
     ctx = config.params.context()
-    element = blockalg.parse_element(args.element, ctx)
+    element = _parse_element(args.element, ctx)
     f = parse_poly2(args.poly)
     result = omega.act(element, f, config.params)
     return [Check(name=f"act {args.element} on {args.poly}", anchor="module-action",
@@ -356,6 +378,9 @@ def _cmd_closure(args, config: RunConfig) -> list[Check]:
 
 def _cmd_witt(args, config: RunConfig) -> list[Check]:
     ms = args.m or [IndexPair(1, 0), IndexPair(2, 3), IndexPair(-1, 4)]
+    i_far = max(args.i_min, args.i_max, key=abs)
+    for m in ms:
+        _check_index(m * i_far, f"Witt index {i_far}*{m} =")
     return suites.witt_restriction_suite(ms, args.i_min, args.i_max, [config.params])
 
 

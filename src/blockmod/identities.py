@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import poly
+from . import blockalg, poly
 from .omega import ParamSet, action_on_one
 from .poly import IndexPair, Poly1, Poly2, shift_terms
 
@@ -87,6 +87,12 @@ def difference_check(F: Poly2, a, b, c) -> bool:
 
 # --- identity replays ---------------------------------------------------------
 
+def _struct_const(m: IndexPair, n: IndexPair, q: Fraction) -> Fraction:
+    """The bracket structure constant c(m, n) at q, from the integer form."""
+    return Fraction(blockalg.structure_constant(m, n, q.numerator, q.denominator),
+                    q.denominator)
+
+
 def replay_commutator(m: IndexPair, n: IndexPair, p: ParamSet,
                       image=action_on_one) -> Poly2:
     """Defect of the bracket-compatibility identity on generator images:
@@ -98,8 +104,7 @@ def replay_commutator(m: IndexPair, n: IndexPair, p: ParamSet,
     g_m = image(m, p)
     g_n = image(n, p)
     g_mn = image(m + n, p)
-    coeff = n.m1 * (m.m2 + p.q) - m.m1 * (n.m2 + p.q)
-    return g_n.shifted(m) * g_m - g_m.shifted(n) * g_n - coeff * g_mn
+    return g_n.shifted(m) * g_m - g_m.shifted(n) * g_n - _struct_const(m, n, p.q) * g_mn
 
 
 def paired_product(m: IndexPair, p: ParamSet) -> Poly2:
@@ -172,7 +177,7 @@ def replay_coefficient_identities(m: IndexPair, n: IndexPair,
     q = p.q
     gamma_nm = n.dot(m.perp())       # (n | m-perp)
     gamma_mn = m.dot(n.perp())       # (m | n-perp) = -gamma_nm
-    beta = n.m1 * (m.m2 + q) - m.m1 * (n.m2 + q)
+    beta = _struct_const(m, n, q)
     lam_ratio = w_mn.lambda_m / (w_m.lambda_m * w_n.lambda_m)
 
     d1_defect = ((q + w_n.a_m * n.m2) * (q * n.m1 + w_m.a_m * gamma_nm)

@@ -3,11 +3,14 @@ from fractions import Fraction
 import pytest
 
 from blockmod import blockalg
-from blockmod.blockalg import (AlgebraContext, AlgebraElement, BasisL,
+from blockmod.blockalg import (D2, AlgebraContext, AlgebraElement, BasisL,
                                bracket, format_element, jacobi_defect,
-                               parse_element)
-from blockmod.poly import IndexPair, ParseError
+                               parse_element, structure_constant)
+from blockmod.poly import IndexPair, ParseError, index_box
 from blockmod.prng import SplitMix64
+from blockmod.suites import ACCEPTANCE_Q_VALUES
+
+ORACLE_Q_VALUES = (*ACCEPTANCE_Q_VALUES, Fraction(-1, 3))
 
 
 def L(m1, m2):
@@ -62,6 +65,96 @@ def test_bracket_bilinear_and_antisymmetric():
         assert bracket(x, x, ctx) == 0
         c = rng.fraction()
         assert bracket(c * x + y, z, ctx) == c * bracket(x, z, ctx) + bracket(y, z, ctx)
+
+
+def reference_bracket(x, y, ctx):
+    """The bracket as first written, kept as the oracle: Fraction structure
+    constants cross + q*diff and its own add-and-drop-zeros loop."""
+    q = ctx.q
+    data: dict = {}
+    for gx, cx in x.terms().items():
+        x_is_basis = type(gx) is BasisL
+        if x_is_basis:
+            mx1, mx2 = gx.m.m1, gx.m.m2
+        for gy, cy in y.terms().items():
+            if x_is_basis and type(gy) is BasisL:
+                my = gy.m
+                coeff = (my.m1 * mx2 - mx1 * my.m2) + q * (my.m1 - mx1)
+                if coeff:
+                    gen = BasisL(IndexPair(mx1 + my.m1, mx2 + my.m2))
+                    c = cx * cy * coeff
+                else:
+                    continue
+            elif not x_is_basis and type(gy) is BasisL:
+                if not gy.m.m2:
+                    continue
+                gen, c = gy, cx * cy * gy.m.m2
+            elif x_is_basis and gy is D2:
+                if not mx2:
+                    continue
+                gen, c = gx, -cx * cy * mx2
+            else:
+                continue            # [D2, D2] = 0
+            acc = data.get(gen)
+            acc = c if acc is None else acc + c
+            if acc:
+                data[gen] = acc
+            elif gen in data:
+                del data[gen]
+    return AlgebraElement(data)
+
+
+def test_structure_constant_closed_form():
+    box = index_box(2)
+    for q in ORACLE_Q_VALUES:
+        for m in box:
+            for n in box:
+                scaled = structure_constant(m, n, q.numerator, q.denominator)
+                assert type(scaled) is int
+                assert Fraction(scaled, q.denominator) == n.m1 * (m.m2 + q) - m.m1 * (n.m2 + q)
+
+
+def test_bracket_matches_reference_on_generators():
+    gens = [AlgebraElement.basis(m) for m in index_box(2)]
+    gens.append(AlgebraElement.derivation())
+    for q in ORACLE_Q_VALUES:
+        ctx = AlgebraContext(q)
+        for x in gens:
+            for y in gens:
+                assert bracket(x, y, ctx).terms() == reference_bracket(x, y, ctx).terms()
+
+
+def test_bracket_matches_reference_on_multi_term_elements():
+    rng = SplitMix64(23)
+
+    def sample():
+        out = AlgebraElement()
+        for _ in range(rng.int_between(1, 5)):
+            m = IndexPair(rng.int_between(-3, 3), rng.int_between(-3, 3))
+            out = out + rng.fraction(nonzero=True) * AlgebraElement.basis(m)
+        if rng.below(2):
+            out = out + rng.fraction(nonzero=True) * AlgebraElement.derivation()
+        return out
+
+    for q in ORACLE_Q_VALUES:
+        ctx = AlgebraContext(q)
+        for _ in range(40):
+            x, y = sample(), sample()
+            assert bracket(x, y, ctx).terms() == reference_bracket(x, y, ctx).terms()
+
+
+def test_structure_constant_jacobi_symbolic():
+    # c(n,k)c(m,n+k) + c(k,m)c(n,k+m) + c(m,n)c(k,m+n) = 0 for all indices
+    # and all q = a/b; the scaled constants carry the common factor b^2
+    sympy = pytest.importorskip("sympy")
+    m, n, k = (IndexPair(*sympy.symbols(f"{v}1 {v}2")) for v in "mnk")
+    a, b = sympy.symbols("a b")
+
+    def c(u, v):
+        return structure_constant(u, v, a, b)
+
+    assert sympy.expand(c(n, k) * c(m, n + k) + c(k, m) * c(n, k + m)
+                        + c(m, n) * c(k, m + n)) == 0
 
 
 def test_jacobi_hand_example():

@@ -140,6 +140,33 @@ def test_sweeps_ceiling_exits_2(tmp_path):
         assert "sweep count 101 exceeds the cost ceiling 100" in result.stderr, extra
 
 
+@pytest.mark.parametrize("argv, message", [
+    # lambda^m for m = (100000, 0) would overflow the integer printer; by
+    # the same arithmetic, L(10^10,0) would first build a 1.25 GB power of 2
+    (["act", "L(100000,0)", "d1", "--lambda", "2,1"], "generator index (100000,0)"),
+    (["bracket", "L(1,0)", "2*L(3,-1001) + D2"], "generator index (3,-1001)"),
+    (["witt", "--m", "1001,0"], "Witt line index (1001,0)"),
+    # this range ran for more than 20 s without the guard
+    (["witt", "--lambda", "2,3", "--i-min", "0", "--i-max", "20000"],
+     "Witt index 20000*(1,0) = (20000,0)"),
+    (["witt", "--m", "2,3", "--i-min", "-334", "--i-max", "5"],
+     "Witt index -334*(2,3) = (-668,-1002)"),
+])
+def test_generator_index_ceiling_exits_2(argv, message):
+    result = subprocess.run([sys.executable, "-m", "blockmod.cli", *argv],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2 and result.stdout == ""
+    assert f"{message} exceeds the cost ceiling 1000 on |m1| and |m2|" in result.stderr
+
+
+def test_generator_index_at_the_ceiling_runs():
+    code, out, _ = run_cli(["act", "L(1000,-1000)", "d1", "--lambda", "2,1"])
+    assert code == 0 and "d1" in out
+    code, out, _ = run_cli(["witt", "--m", "1,0", "--i-min", "-1000", "--i-max", "1000",
+                            "--lambda", "2,3"])
+    assert code == 0 and "i in [-1000,1000]" in out
+
+
 def test_witt_rejects_m1_zero_as_usage_error():
     code, out, err = run_cli(["witt", "--m", "0,1"])
     assert code == 2 and out == ""

@@ -200,6 +200,27 @@ def test_replay_failure_witnesses(monkeypatch):
     ]
 
 
+def test_wrong_structure_constant_is_caught(monkeypatch):
+    # c(m, n) off by one on the single ordered pair m=(1,0), n=(0,1)
+    p = ParamSet(Fraction(5, 7), Fraction(2, 3), -3, Fraction(1, 2))
+    polys = suites.sample_axiom_polys(1, count=1)
+    true_constant = blockalg.structure_constant
+
+    def statuses():
+        replay = suites.replay_suite([p], rng_seed=1, radius=1, pair_cap=81)
+        return ([c.status for c in suites.jacobi_suite([p.q], radius=1)],
+                [c.status for c in suites.module_axiom_suite([p], polys, radius=1)],
+                {c.anchor: c.status for c in replay}["commutator-replay"])
+
+    assert statuses() == (["pass"], ["pass"], "pass")
+
+    def off_by_one(m, n, a, b):
+        return true_constant(m, n, a, b) + b * ((m, n) == (IndexPair(1, 0), IndexPair(0, 1)))
+
+    monkeypatch.setattr(blockalg, "structure_constant", off_by_one)
+    assert statuses() == (["fail"], ["fail"], "fail")
+
+
 def _materialized_pair_sample(rng, radius, cap):
     # reference: draw indices into the full row-major list of box pairs
     box = index_box(radius)
