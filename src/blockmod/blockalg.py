@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import NamedTuple
 
 from .exactnum import ParseError, _Parser
 from .poly import IndexPair, _format_terms, add_terms, origin_first_key
@@ -33,8 +35,9 @@ class AlgebraContext:
             raise ValueError("q must be nonzero")
 
 
-@dataclass(frozen=True)
-class BasisL:
+class BasisL(NamedTuple):
+    """The generator L(m); a tuple, so ``hash(BasisL(m)) == hash((m,))``."""
+
     m: IndexPair
 
     def __str__(self) -> str:
@@ -72,6 +75,14 @@ class AlgebraElement:
                        if terms else {})
 
     @classmethod
+    def _wrap(cls, terms: dict) -> "AlgebraElement":
+        """An element that takes ``terms`` as its term map, unchecked: the
+        caller passes a fresh map with generator keys and no zero values."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def basis(cls, m: IndexPair) -> "AlgebraElement":
         return cls({BasisL(m): 1})
 
@@ -99,26 +110,20 @@ class AlgebraElement:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "AlgebraElement":
-        out = AlgebraElement()
-        out._terms = {g: -c for g, c in self._terms.items()}
-        return out
+        return AlgebraElement._wrap({g: -c for g, c in self._terms.items()})
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        out = AlgebraElement()
-        out._terms = add_terms(dict(self._terms), other._terms.items())
-        return out
+        return AlgebraElement._wrap(add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         c = Fraction(scalar)
-        out = AlgebraElement()
-        if c:
-            out._terms = {g: coeff * c for g, coeff in self._terms.items()}
-        return out
+        return AlgebraElement._wrap({g: coeff * c for g, coeff in self._terms.items()}
+                                    if c else {})
 
     __mul__ = __rmul__
 
@@ -143,42 +148,64 @@ def structure_constant(m: IndexPair, n: IndexPair, a: int, b: int) -> int:
     return b * (n.m1 * m.m2 - m.m1 * n.m2) + a * (n.m1 - m.m1)
 
 
+def _bracket_term(gx, cx, gy, cy, a: int, b: int):
+    """[cx*gx, cy*gy] for generators gx, gy and q = a/b, as one
+    (generator, coefficient) pair, or None when it is zero.
+
+    For L(m), L(n) the coefficient of L(m + n) is cx*cy*c(m, n), built as
+    one Fraction from the integers of :func:`structure_constant`;
+    [D2, L(m)] = m2 * L(m) = -[L(m), D2] and [D2, D2] = 0.  The
+    coefficients cx, cy are nonzero Fractions, so a pair never carries 0.
+    """
+    if type(gx) is BasisL:
+        m = gx.m
+        if type(gy) is BasisL:
+            n = gy.m
+            c = structure_constant(m, n, a, b)
+            if c:
+                nx, dx = cx.as_integer_ratio()
+                ny, dy = cy.as_integer_ratio()
+                return (BasisL(IndexPair(m.m1 + n.m1, m.m2 + n.m2)),
+                        Fraction(nx * ny * c, dx * dy * b))
+        elif m.m2:
+            return gx, -cx * cy * m.m2
+    elif type(gy) is BasisL and gy.m.m2:
+        return gy, cx * cy * gy.m.m2
+    return None
+
+
 def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> AlgebraElement:
     """Bilinear bracket on the extended algebra.
 
-    Each pair of terms gives one (generator, coefficient) pair.  For
-    L(m), L(n) with coefficients cx, cy the coefficient of L(m + n) is
-    cx*cy*c(m, n), built as one Fraction from the integers of
-    :func:`structure_constant`; [D2, L(m)] = m2 * L(m) and [D2, D2] = 0.
+    Each pair of terms gives at most one (generator, coefficient) pair
+    (:func:`_bracket_term`).  When both operands have one term, that pair
+    is the whole result; otherwise the pairs are summed by ``add_terms``.
     """
-    a, b = ctx.q.numerator, ctx.q.denominator
-
-    def pairs():
-        for gx, cx in x._terms.items():
-            for gy, cy in y._terms.items():
-                if type(gx) is BasisL:
-                    if type(gy) is BasisL:
-                        c = structure_constant(gx.m, gy.m, a, b)
-                        if c:
-                            yield (BasisL(gx.m + gy.m),
-                                   Fraction(cx.numerator * cy.numerator * c,
-                                            cx.denominator * cy.denominator * b))
-                    elif gx.m.m2:
-                        yield gx, -cx * cy * gx.m.m2
-                elif type(gy) is BasisL and gy.m.m2:
-                    yield gy, cx * cy * gy.m.m2
-
-    out = AlgebraElement()
-    out._terms = add_terms({}, pairs())
-    return out
+    a, b = ctx.q.as_integer_ratio()
+    xs, ys = x._terms, y._terms
+    if len(xs) == 1 == len(ys):
+        (gx, cx), = xs.items()
+        (gy, cy), = ys.items()
+        term = _bracket_term(gx, cx, gy, cy, a, b)
+        return AlgebraElement._wrap({term[0]: term[1]} if term else {})
+    return AlgebraElement._wrap(add_terms({}, filter(None, (
+        _bracket_term(gx, cx, gy, cy, a, b)
+        for gx, cx in xs.items() for gy, cy in ys.items()))))
 
 
 def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
                   ctx: AlgebraContext) -> AlgebraElement:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; must vanish for a Lie algebra."""
-    return (bracket(x, bracket(y, z, ctx), ctx)
-            + bracket(y, bracket(z, x, ctx), ctx)
-            + bracket(z, bracket(x, y, ctx), ctx))
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; must vanish for a Lie algebra.
+
+    Each of the six brackets is one call of the module-level
+    :func:`bracket` (``perfbench/test_fidelity.py`` counts them there), and
+    the three outer results are summed in one ``add_terms`` pass.
+    """
+    first = bracket(x, bracket(y, z, ctx), ctx)
+    second = bracket(y, bracket(z, x, ctx), ctx)
+    third = bracket(z, bracket(x, y, ctx), ctx)
+    return AlgebraElement._wrap(add_terms(dict(first._terms),
+                                          chain(second._terms.items(), third._terms.items())))
 
 
 # --- element syntax ----------------------------------------------------------

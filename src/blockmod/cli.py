@@ -31,8 +31,14 @@ Every generator index built from user input (an element's L(m1,m2), a
 Witt line index m and i*m over the Witt range) is capped at
 MAX_GENERATOR_INDEX in |m1| and |m2|, because lambda^m and the shift by m
 grow with the index; i*m also bounds the length of the Witt range,
-and witt over [-1000,1000] takes about 0.5 s at m=1,0 with lambda 2,3
-and about 1.6 s at m=1,1 with lambda 12345/6789,3/1001.
+and witt over [-1000,1000] takes about 0.5 s at m=1,0 with lambda 2,3.
+Where act and witt raise lambda to such an index, the power
+lambda1^m1*lambda2^m2 is held to the coefficient ceiling of
+poly.MAX_POWER_BITS bits as well, so that its digits stay printable:
+witt over [-1000,1000] at m=1,1 with lambda 12345/6789,3/1001 would
+need 23,000 bits and is a usage error.
+Option values and positionals may start with "-" (--q -1/3,
+witt --m -1,4, act "L(1,0)" -d1); "--" ends the options.
 Polynomial expressions are capped at degree poly.MAX_EXPRESSION_DEGREE and their
 powers at coefficients of poly.MAX_POWER_BITS bits, and a grid that
 would check nothing (a negative box radius, an empty Witt index range,
@@ -52,7 +58,7 @@ from . import blockalg, omega, suites
 from .closure import ClosureTag, closure
 from .exactnum import format_rational, parse_rational
 from .omega import ParamSet
-from .poly import IndexPair, ParseError, parse_poly2
+from .poly import MAX_POWER_BITS, IndexPair, ParseError, coefficient_bits, parse_poly2
 from .suites import Check
 
 _CONFIG_KEYS = ("q", "lambda1", "lambda2", "alpha", "D", "B", "rng_seed", "sweeps")
@@ -186,6 +192,19 @@ def _check_index(m: IndexPair, what: str) -> None:
                          f"on |m1| and |m2|")
 
 
+def _check_lambda_power(m: IndexPair, params: ParamSet, what: str) -> None:
+    """Reject m when lambda1^m1 * lambda2^m2 could outgrow poly.MAX_POWER_BITS.
+
+    |m1|*bits(lambda1) + |m2|*bits(lambda2) bounds the numerator and the
+    denominator of the power, with bits as in :func:`poly.coefficient_bits`.
+    """
+    bits = (abs(m.m1) * coefficient_bits(params.lambda1)
+            + abs(m.m2) * coefficient_bits(params.lambda2))
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"{what} {m} gives lambda1^m1*lambda2^m2 of up to {bits} bits, "
+                         f"over the coefficient ceiling of {MAX_POWER_BITS} bits")
+
+
 @_argument_type
 def _parse_index_pair(text: str) -> IndexPair:
     """A Witt line index m1,m2; m1 = 0 is invalid input."""
@@ -239,6 +258,24 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that reads a "-" string such as -1,4, -1/3 or -d1 as a value.
+
+    Plain argparse takes only "-" followed by digits (-1, -2.5) as a value,
+    and any other "-" string as an option, so ``--q -1/3`` failed with
+    "expected one argument".  The only single-dash option here is -h; a
+    single-dash string that is not an option string of the parser is an
+    option's value or a positional.  "--" strings and "--" itself keep
+    argparse's meaning.
+    """
+
+    def _parse_optional(self, arg_string):
+        if (arg_string[:1] == "-" and arg_string[1:2] not in ("", "-")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # shared options are attached to every subparser as well, so they may be
     # written before or after the subcommand; values default to SUPPRESS and
@@ -263,10 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value defaults file; flags override")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="blockmod",
         description="Exact verification toolkit for rank-1 polynomial modules "
                     "over Block Lie algebras.",
+        epilog="Values may start with \"-\": --q -1/3, witt --m -1,4, "
+               "act \"L(1,0)\" -d1.  \"--\" ends the options: every later "
+               "argument is positional, even one that starts with \"--\".",
         parents=[common])
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -339,6 +379,9 @@ def _cmd_bracket(args, config: RunConfig) -> list[Check]:
 def _cmd_act(args, config: RunConfig) -> list[Check]:
     ctx = config.params.context()
     element = _parse_element(args.element, ctx)
+    for gen in element.terms():
+        if gen is not blockalg.D2:
+            _check_lambda_power(gen.m, config.params, "generator index")
     f = parse_poly2(args.poly)
     result = omega.act(element, f, config.params)
     return [Check(name=f"act {args.element} on {args.poly}", anchor="module-action",
@@ -381,6 +424,7 @@ def _cmd_witt(args, config: RunConfig) -> list[Check]:
     i_far = max(args.i_min, args.i_max, key=abs)
     for m in ms:
         _check_index(m * i_far, f"Witt index {i_far}*{m} =")
+        _check_lambda_power(m * i_far, config.params, f"Witt index {i_far}*{m} =")
     return suites.witt_restriction_suite(ms, args.i_min, args.i_max, [config.params])
 
 

@@ -45,10 +45,9 @@ coefficient size by its exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterator
+from typing import NamedTuple
 
 from .exactnum import ParseError, _Parser
 
@@ -61,9 +60,13 @@ def grlex_key(mono: Monomial2) -> tuple[int, int]:
     return (e1 + e2, e1)
 
 
-@dataclass(frozen=True)
-class IndexPair:
-    """Integer lattice index m = (m1, m2)."""
+class IndexPair(NamedTuple):
+    """Integer lattice index m = (m1, m2).
+
+    A tuple, so hashing and equality run in C: ``hash(m) == hash((m1, m2))``,
+    and an index equals the plain pair of its coordinates.  Term maps keep
+    IndexPair keys and (e1, e2) monomial keys apart.
+    """
 
     m1: int
     m2: int
@@ -81,10 +84,6 @@ class IndexPair:
         return IndexPair(self.m1 * k, self.m2 * k)
 
     __rmul__ = __mul__
-
-    def __iter__(self) -> Iterator[int]:
-        yield self.m1
-        yield self.m2
 
     def perp(self) -> "IndexPair":
         """The rotated index (m2, -m1)."""
@@ -500,6 +499,11 @@ MAX_EXPRESSION_DEGREE = 32
 MAX_POWER_BITS = 14_000
 
 
+def coefficient_bits(c: Fraction) -> int:
+    """The larger bit length of c's numerator and denominator."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
 class _PolyParser(_Parser):
     """Polynomial grammar over a fixed variable -> slot map."""
 
@@ -548,8 +552,7 @@ class _PolyParser(_Parser):
                 raise ParseError(f"exponent {exponent} exceeds the expression degree "
                                  f"ceiling {MAX_EXPRESSION_DEGREE}", self.text, at)
             self.check_degree(base.total_degree() * exponent, at)
-            bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                        for c in base._terms.values()), default=0)
+            bits = max(map(coefficient_bits, base._terms.values()), default=0)
             if bits * exponent > MAX_POWER_BITS:
                 raise ParseError(f"power {exponent} of a {bits}-bit coefficient exceeds the "
                                  f"coefficient ceiling of {MAX_POWER_BITS} bits", self.text, at)

@@ -8,9 +8,14 @@ function shows up here instead of as a broken ``--trace 1`` run.
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from blockmod import blockalg, suites
+from blockmod.blockalg import AlgebraContext, AlgebraElement
+from blockmod.poly import IndexPair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,3 +54,34 @@ def test_benchmark_bindings_are_distinct_functions():
         owners.setdefault(id(original), []).append(f"{module}.{qualname}")
     shared = [names for names in owners.values() if len(names) > 1]
     assert not shared, f"names bound to one function: {shared}"
+
+
+def test_jacobi_defect_makes_six_bracket_calls(monkeypatch):
+    # perfbench/test_fidelity.py pins blockalg.bracket.calls == 6 * triples;
+    # the tracer counts calls through the module global, as patched here
+    from fractions import Fraction
+
+    from blockmod import blockalg, suites
+    from blockmod.blockalg import AlgebraContext, AlgebraElement
+    from blockmod.poly import IndexPair
+
+    calls = []
+    bracket = blockalg.bracket
+
+    def counting(x, y, ctx):
+        calls.append(1)
+        return bracket(x, y, ctx)
+
+    monkeypatch.setattr(blockalg, "bracket", counting)
+    ctx = AlgebraContext(Fraction(5, 7))
+    d2 = AlgebraElement.derivation()
+    x = AlgebraElement.basis(IndexPair(1, -1))
+    y = Fraction(2, 3) * AlgebraElement.basis(IndexPair(0, 2)) - d2
+    for triple in [(x, x, x), (x, y, d2), (y, y, y), (d2, d2, x), (AlgebraElement(), x, y)]:
+        calls.clear()
+        blockalg.jacobi_defect(*triple, ctx)
+        assert len(calls) == 6
+    calls.clear()
+    [check] = suites.jacobi_suite([Fraction(5, 7)], radius=1)
+    assert check.status == "pass" and check.witness == "1000 triples, all defects zero"
+    assert len(calls) == 6 * 1000

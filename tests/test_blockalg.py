@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -67,9 +68,13 @@ def test_bracket_bilinear_and_antisymmetric():
         assert bracket(c * x + y, z, ctx) == c * bracket(x, z, ctx) + bracket(y, z, ctx)
 
 
-def reference_bracket(x, y, ctx):
+def reference_bracket(x, y, ctx, skew=None):
     """The bracket as first written, kept as the oracle: Fraction structure
-    constants cross + q*diff and its own add-and-drop-zeros loop."""
+    constants cross + q*diff and its own add-and-drop-zeros loop.
+
+    ``skew(m, n)``, when given, is an integer added to b*c(m, n) for
+    q = a/b, as :func:`skewed_constant` does to the library's constant.
+    """
     q = ctx.q
     data: dict = {}
     for gx, cx in x.terms().items():
@@ -80,6 +85,8 @@ def reference_bracket(x, y, ctx):
             if x_is_basis and type(gy) is BasisL:
                 my = gy.m
                 coeff = (my.m1 * mx2 - mx1 * my.m2) + q * (my.m1 - mx1)
+                if skew is not None:
+                    coeff += Fraction(skew(gx.m, my), q.denominator)
                 if coeff:
                     gen = BasisL(IndexPair(mx1 + my.m1, mx2 + my.m2))
                     c = cx * cy * coeff
@@ -104,6 +111,34 @@ def reference_bracket(x, y, ctx):
     return AlgebraElement(data)
 
 
+def skew(m, n):
+    """An integer that breaks the Jacobi identity when added to b*c(m, n)."""
+    return m.m1 * n.m2 + 1
+
+
+def skewed_constant(monkeypatch):
+    true_constant = blockalg.structure_constant
+    monkeypatch.setattr(blockalg, "structure_constant",
+                        lambda m, n, a, b: true_constant(m, n, a, b) + skew(m, n))
+
+
+def sample_element(rng, max_terms=5):
+    out = AlgebraElement()
+    for _ in range(rng.int_between(1, max_terms)):
+        m = IndexPair(rng.int_between(-3, 3), rng.int_between(-3, 3))
+        out = out + rng.fraction(nonzero=True) * AlgebraElement.basis(m)
+    if rng.below(2):
+        out = out + rng.fraction(nonzero=True) * AlgebraElement.derivation()
+    return out
+
+
+def reference_jacobi_defect(x, y, z, ctx, skew=None):
+    """The defect as first written: three bracket compositions added with +."""
+    def br(u, v):
+        return reference_bracket(u, v, ctx, skew)
+    return br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
+
+
 def test_structure_constant_closed_form():
     box = index_box(2)
     for q in ORACLE_Q_VALUES:
@@ -126,21 +161,62 @@ def test_bracket_matches_reference_on_generators():
 
 def test_bracket_matches_reference_on_multi_term_elements():
     rng = SplitMix64(23)
-
-    def sample():
-        out = AlgebraElement()
-        for _ in range(rng.int_between(1, 5)):
-            m = IndexPair(rng.int_between(-3, 3), rng.int_between(-3, 3))
-            out = out + rng.fraction(nonzero=True) * AlgebraElement.basis(m)
-        if rng.below(2):
-            out = out + rng.fraction(nonzero=True) * AlgebraElement.derivation()
-        return out
-
     for q in ORACLE_Q_VALUES:
         ctx = AlgebraContext(q)
         for _ in range(40):
-            x, y = sample(), sample()
+            x, y = sample_element(rng), sample_element(rng)
             assert bracket(x, y, ctx).terms() == reference_bracket(x, y, ctx).terms()
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_bracket_of_single_terms_matches_reference(monkeypatch, skewed):
+    # non-unit coefficients on one generator each: the one-pair path
+    if skewed:
+        skewed_constant(monkeypatch)
+    rng = SplitMix64(24)
+    gens = [BasisL(m) for m in index_box(2)] + [D2]
+    for q in ORACLE_Q_VALUES:
+        ctx = AlgebraContext(q)
+        for gx in gens:
+            for gy in gens:
+                x = AlgebraElement({gx: rng.fraction(nonzero=True) * 2})
+                y = AlgebraElement({gy: -rng.fraction(nonzero=True)})
+                result = bracket(x, y, ctx).terms()
+                assert result == reference_bracket(x, y, ctx, skew if skewed else None).terms()
+                assert len(result) <= 1 and all(result.values())
+
+
+def test_jacobi_defect_matches_three_bracket_sum_on_the_box(monkeypatch):
+    # with the true constant every defect is 0 (criterion 01 checks that);
+    # the skewed one gives nonzero defects, so the one-pass sum is compared
+    # with the reference's two additions on real cancellations
+    skewed_constant(monkeypatch)
+    gens = [AlgebraElement.basis(m) for m in index_box(2)]
+    gens.append(AlgebraElement.derivation())
+    triples = list(itertools.product(gens, repeat=3))[::5]
+    for q in ORACLE_Q_VALUES:
+        ctx = AlgebraContext(q)
+        nonzero = 0
+        for x, y, z in triples:
+            defect = jacobi_defect(x, y, z, ctx)
+            assert defect.terms() == reference_jacobi_defect(x, y, z, ctx, skew).terms()
+            nonzero += bool(defect)
+        assert nonzero > len(triples) // 2
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_jacobi_defect_matches_three_bracket_sum_on_multi_term_elements(monkeypatch, skewed):
+    if skewed:
+        skewed_constant(monkeypatch)
+    rng = SplitMix64(25)
+    for q in ORACLE_Q_VALUES:
+        ctx = AlgebraContext(q)
+        for _ in range(15):
+            x, y, z = sample_element(rng), sample_element(rng), sample_element(rng)
+            defect = jacobi_defect(x, y, z, ctx)
+            assert defect.terms() == reference_jacobi_defect(
+                x, y, z, ctx, skew if skewed else None).terms()
+            assert bool(defect) == skewed
 
 
 def test_structure_constant_jacobi_symbolic():
@@ -230,3 +306,26 @@ def test_generator_types():
     assert str(gen) == "L(1,-2)"
     assert str(blockalg.D2) == "D2"
     assert L(1, -2).terms() == {gen: Fraction(1)}
+
+
+def test_basis_key_contract():
+    m = IndexPair(1, -2)
+    gen = BasisL(m)
+    assert repr(gen) == "BasisL(m=IndexPair(m1=1, m2=-2))"
+    assert hash(gen) == hash((m,)) == hash(((1, -2),))
+    assert gen == BasisL(IndexPair(1, -2)) and gen != BasisL(IndexPair(-2, 1))
+    assert gen.m is m
+    with pytest.raises(AttributeError):
+        gen.m = IndexPair(0, 0)
+    with pytest.raises(AttributeError):
+        gen.extra = 1
+
+
+def test_element_keys_are_generators():
+    rng = SplitMix64(26)
+    ctx = AlgebraContext(Fraction(5, 7))
+    for _ in range(20):
+        x, y = sample_element(rng), sample_element(rng)
+        for element in (x, y, bracket(x, y, ctx), jacobi_defect(x, y, L(1, 1), ctx)):
+            for gen in element.terms():
+                assert gen is D2 or (type(gen) is BasisL and type(gen.m) is IndexPair)

@@ -167,6 +167,68 @@ def test_generator_index_at_the_ceiling_runs():
     assert code == 0 and "i in [-1000,1000]" in out
 
 
+def cli_subprocess(*argv):
+    return subprocess.run([sys.executable, "-m", "blockmod.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    # the default Witt lines include -1,4
+    (["witt", "--m", "-1,4"], ["witt", "--m=-1,4"]),
+    (["bracket", "L(1,0)", "L(0,1)", "--q", "-1/3"],
+     ["bracket", "L(1,0)", "L(0,1)", "--q=-1/3"]),
+    (["closure", "--seed", "-2*d1", "--D", "2", "--B", "2"],
+     ["closure", "--seed=-2*d1", "--D", "2", "--B", "2"]),
+    (["act", "L(1,0)", "-d1", "--lambda", "-2,-1/2"],
+     ["act", "--lambda=-2,-1/2", "--", "L(1,0)", "-d1"]),
+    (["bracket", "-L(1,0)", "-3/2*D2", "--alpha", "-1"],
+     ["bracket", "--alpha=-1", "--", "-L(1,0)", "-3/2*D2"]),
+    (["act", "--", "L(0,1)", "--d1"], ["act", "L(0,1)", "d1"]),
+])
+def test_values_may_start_with_a_minus(argv, same_as):
+    result = cli_subprocess(*argv)
+    assert result.returncode == 0, result.stderr
+    expected = cli_subprocess(*same_as)
+    assert expected.returncode == 0, expected.stderr
+    def outcome(stdout):
+        return [(c["status"], c["witness"]) for c in json.loads(stdout)["checks"]]
+
+    assert outcome(result.stdout) == outcome(expected.stdout)
+
+
+def test_minus_values_keep_options_and_errors():
+    result = cli_subprocess("witt", "-h")
+    assert result.returncode == 0 and "--i-min" in result.stdout
+    for argv in (["witt", "--bogus"], ["witt", "-x"], ["bracket", "L(1,0)", "--q"],
+                 ["bracket", "L(1,0)", "L(0,1)", "--q", "--alpha", "1"]):
+        result = cli_subprocess(*argv)
+        assert result.returncode == 2 and result.stdout == "", argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["act", "L(1000,-1000)", "d1^3", "--lambda", "12345/6789,3/1001", "--q", "5/7"],
+     "generator index (1000,-1000) gives lambda1^m1*lambda2^m2 of up to 23000 bits"),
+    (["act", "L(1,0) + L(0,2)", "d1", "--lambda", "1," + "7" * 2200],
+     "generator index (0,2) gives lambda1^m1*lambda2^m2 of up to 14616 bits"),
+    (["witt", "--m", "1,1", "--lambda", "12345/6789,3/1001", "--i-min", "-1000",
+      "--i-max", "1000"],
+     "Witt index -1000*(1,1) = (-1000,-1000) gives lambda1^m1*lambda2^m2 of up to 23000 bits"),
+])
+def test_lambda_power_ceiling_exits_2(argv, message):
+    result = cli_subprocess(*argv)
+    assert result.returncode == 2 and result.stdout == ""
+    assert f"{message}, over the coefficient ceiling of 14000 bits" in result.stderr
+
+
+def test_lambda_power_at_the_ceiling_runs():
+    # 1000 * bits(12345/6789 = 4115/2263) = 13000 <= 14000
+    code, out, _ = run_cli(["act", "L(1000,0)", "d1", "--lambda", "12345/6789,3/1001"])
+    assert code == 0 and "d1" in out
+    code, out, _ = run_cli(["witt", "--m", "1,0", "--i-min", "-1000", "--i-max", "1000",
+                            "--lambda", "12345/6789,3/1001"])
+    assert code == 0 and "i in [-1000,1000]" in out
+
+
 def test_witt_rejects_m1_zero_as_usage_error():
     code, out, err = run_cli(["witt", "--m", "0,1"])
     assert code == 2 and out == ""

@@ -309,6 +309,36 @@ def test_index_pair_helpers():
     assert IndexPair(0, 0).is_zero() and not m.is_zero()
 
 
+def test_index_pair_key_contract():
+    # a tuple: hash and equality of the plain pair, fields read-only
+    m = IndexPair(2, -3)
+    assert repr(m) == "IndexPair(m1=2, m2=-3)" and str(m) == "(2,-3)"
+    assert hash(m) == hash((2, -3))
+    assert m == (2, -3) and IndexPair(1, 2) == (1, 2)
+    assert tuple(m) == (2, -3) and (m.m1, m.m2) == (2, -3)
+    for value in (m + m, m - m, -m, m * 3, 3 * m, m.perp()):
+        assert type(value) is IndexPair
+    assert (m + IndexPair(1, 1), m - IndexPair(1, 1)) == ((3, -2), (1, -4))
+    assert (3 * m, m * -1, m.perp(), m.dot(m)) == ((6, -9), (-2, 3), (-3, -2), 13)
+    with pytest.raises(AttributeError):
+        m.m1 = 5
+    with pytest.raises(AttributeError):
+        m.extra = 5
+
+
+def test_term_maps_keep_plain_monomial_keys():
+    # IndexPair(1, 0) == (1, 0), so a term map must not take index keys: the
+    # constructor turns every key into a plain tuple, and shifts by an
+    # IndexPair give plain tuples back
+    f = Poly2({IndexPair(1, 0): 3, (0, 1): Fraction(1, 2)})
+    assert f == Poly2({(1, 0): 3, (0, 1): Fraction(1, 2)})
+    rng = SplitMix64(27)
+    polys = [f] + [random_poly2(rng) for _ in range(10)]
+    for g in polys:
+        for h in (g, g.shifted(random_index(rng)), g * g.shifted(IndexPair(1, -1)), g + f):
+            assert all(type(key) is tuple for key in h.terms())
+
+
 # --- expression grammar -------------------------------------------------------
 
 def test_parse_examples():
