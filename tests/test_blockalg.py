@@ -47,21 +47,21 @@ def test_bracket_with_derivation():
     assert bracket(L(0, 0), L(2, 7), ctx) == 2 * L(2, 7)
 
 
+def sample_element(rng, max_terms=5):
+    out = AlgebraElement()
+    for _ in range(rng.int_between(1, max_terms)):
+        m = IndexPair(rng.int_between(-3, 3), rng.int_between(-3, 3))
+        out = out + rng.fraction(nonzero=True) * AlgebraElement.basis(m)
+    if rng.below(2):
+        out = out + rng.fraction(nonzero=True) * AlgebraElement.derivation()
+    return out
+
+
 def test_bracket_bilinear_and_antisymmetric():
     rng = SplitMix64(21)
     ctx = AlgebraContext(Fraction(5, 7))
-
-    def sample():
-        out = AlgebraElement()
-        for _ in range(rng.int_between(1, 3)):
-            m = IndexPair(rng.int_between(-3, 3), rng.int_between(-3, 3))
-            out = out + rng.fraction(nonzero=True) * AlgebraElement.basis(m)
-        if rng.below(2):
-            out = out + rng.fraction(nonzero=True) * AlgebraElement.derivation()
-        return out
-
     for _ in range(50):
-        x, y, z = sample(), sample(), sample()
+        x, y, z = (sample_element(rng, max_terms=3) for _ in range(3))
         assert bracket(x, y, ctx) == -bracket(y, x, ctx)
         assert bracket(x, x, ctx) == 0
         c = rng.fraction()
@@ -120,16 +120,6 @@ def skewed_constant(monkeypatch):
     true_constant = blockalg.structure_constant
     monkeypatch.setattr(blockalg, "structure_constant",
                         lambda m, n, a, b: true_constant(m, n, a, b) + skew(m, n))
-
-
-def sample_element(rng, max_terms=5):
-    out = AlgebraElement()
-    for _ in range(rng.int_between(1, max_terms)):
-        m = IndexPair(rng.int_between(-3, 3), rng.int_between(-3, 3))
-        out = out + rng.fraction(nonzero=True) * AlgebraElement.basis(m)
-    if rng.below(2):
-        out = out + rng.fraction(nonzero=True) * AlgebraElement.derivation()
-    return out
 
 
 def reference_jacobi_defect(x, y, z, ctx, skew=None):
