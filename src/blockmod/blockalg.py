@@ -10,6 +10,13 @@ degree derivation D2 with [D2, L(m)] = m2 * L(m).  The other degree
 derivation is redundant when q != 0 because ad L(0,0) acts as q times
 it, so it is not a stored generator; the element syntax accepts "D1" and
 normalizes it to (1/q) * L(0,0).
+
+An element is a term map from generators (:class:`BasisL` and the
+singleton :data:`D2`) to nonzero Fractions, on the one term-map body of
+:mod:`blockmod.poly`, which also carries the polynomials: constructor,
+sum, difference, negation, equality and hashing are shared.  Elements
+add among themselves and scale by rationals; they never mix with
+polynomials, and the only rational they equal or absorb is 0.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .exactnum import ParseError, _Parser
-from .poly import IndexPair, _format_terms, add_terms, origin_first_key
+from .poly import IndexPair, _format_terms, _TermMap, add_terms, origin_first_key
 
 
 @dataclass(frozen=True)
@@ -64,23 +71,21 @@ def _generator_sort_key(gen):
     return (1,) if gen is D2 else (0, *origin_first_key(gen.m))
 
 
-class AlgebraElement:
-    """Finite rational linear combination of L(m) generators and D2."""
+class AlgebraElement(_TermMap):
+    """Finite rational linear combination of L(m) generators and D2, as a
+    :class:`blockmod.poly._TermMap` keyed by generators."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        items = terms.items() if isinstance(terms, dict) else terms
-        self._terms = (add_terms({}, ((gen, Fraction(coeff)) for gen, coeff in items))
-                       if terms else {})
+    @staticmethod
+    def _key(gen):
+        """Generators are stored as given; there is no exponent to check."""
+        return gen
 
     @classmethod
-    def _wrap(cls, terms: dict) -> "AlgebraElement":
-        """An element that takes ``terms`` as its term map, unchecked: the
-        caller passes a fresh map with generator keys and no zero values."""
-        out = cls.__new__(cls)
-        out._terms = terms
-        return out
+    def const(cls, value):
+        """The zero element for the rational 0; no other rational is an element."""
+        return cls._of({}) if value == 0 else NotImplemented
 
     @classmethod
     def basis(cls, m: IndexPair) -> "AlgebraElement":
@@ -90,52 +95,21 @@ class AlgebraElement:
     def derivation(cls) -> "AlgebraElement":
         return cls({D2: 1})
 
-    def terms(self) -> dict:
-        return dict(self._terms)
-
     def items_sorted(self):
         return sorted(self._terms.items(), key=lambda kv: _generator_sort_key(kv[0]))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AlgebraElement):
-            return self._terms == other._terms
-        if other == 0:
-            return not self._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._wrap({g: -c for g, c in self._terms.items()})
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return AlgebraElement._wrap(add_terms(dict(self._terms), other._terms.items()))
+        return self._sum(other)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+    __radd__ = __add__
 
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        c = Fraction(scalar)
-        return AlgebraElement._wrap({g: coeff * c for g, coeff in self._terms.items()}
-                                    if c else {})
+    def __mul__(self, scalar) -> "AlgebraElement":
+        return self._scale(scalar)
 
-    __mul__ = __rmul__
+    __rmul__ = __mul__
 
-    def __str__(self) -> str:
-        return format_element(self)
-
-    def __repr__(self) -> str:
-        return f"AlgebraElement({format_element(self)})"
-
-
-def format_element(x: AlgebraElement) -> str:
-    return _format_terms([(coeff, str(gen)) for gen, coeff in x.items_sorted()])
+    def format(self) -> str:
+        return _format_terms([(coeff, str(gen)) for gen, coeff in self.items_sorted()])
 
 
 def structure_constant(m: IndexPair, n: IndexPair, a: int, b: int) -> int:
@@ -187,8 +161,8 @@ def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> Algebr
         (gx, cx), = xs.items()
         (gy, cy), = ys.items()
         term = _bracket_term(gx, cx, gy, cy, a, b)
-        return AlgebraElement._wrap({term[0]: term[1]} if term else {})
-    return AlgebraElement._wrap(add_terms({}, filter(None, (
+        return AlgebraElement._of({term[0]: term[1]} if term else {})
+    return AlgebraElement._of(add_terms({}, filter(None, (
         _bracket_term(gx, cx, gy, cy, a, b)
         for gx, cx in xs.items() for gy, cy in ys.items()))))
 
@@ -204,8 +178,8 @@ def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
     first = bracket(x, bracket(y, z, ctx), ctx)
     second = bracket(y, bracket(z, x, ctx), ctx)
     third = bracket(z, bracket(x, y, ctx), ctx)
-    return AlgebraElement._wrap(add_terms(dict(first._terms),
-                                          chain(second._terms.items(), third._terms.items())))
+    return AlgebraElement._of(add_terms(dict(first._terms),
+                                        chain(second._terms.items(), third._terms.items())))
 
 
 # --- element syntax ----------------------------------------------------------

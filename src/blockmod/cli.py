@@ -56,7 +56,7 @@ from fractions import Fraction
 
 from . import blockalg, omega, suites
 from .closure import ClosureTag, closure
-from .exactnum import format_rational, parse_rational
+from .exactnum import parse_rational
 from .omega import ParamSet
 from .poly import MAX_POWER_BITS, IndexPair, ParseError, coefficient_bits, parse_poly2
 from .suites import Check
@@ -69,6 +69,12 @@ MAX_REPLAY_RADIUS = 16
 MAX_REPLAY_PAIRS = 10_000
 MAX_SWEEPS = 100
 MAX_GENERATOR_INDEX = 1000
+
+
+def _check_ceiling(what: str, value: int, ceiling: int) -> None:
+    """Reject a scale above its cost ceiling; ``what`` names it, with ``{}`` for the value."""
+    if value > ceiling:
+        raise ValueError(f"{what.format(value)} exceeds the cost ceiling {ceiling}")
 
 
 @dataclass(frozen=True)
@@ -84,16 +90,12 @@ class RunConfig:
     def __post_init__(self):
         if self.degree_bound < 1:
             raise ValueError("degree bound must be at least 1")
-        if self.degree_bound > MAX_DEGREE_BOUND:
-            raise ValueError(f"degree bound D={self.degree_bound} exceeds the cost "
-                             f"ceiling {MAX_DEGREE_BOUND}")
+        _check_ceiling("degree bound D={}", self.degree_bound, MAX_DEGREE_BOUND)
         if self.box_radius < 1:
             raise ValueError("box radius must be at least 1")
         if self.sweep_count < 1:
             raise ValueError("sweep count must be at least 1")
-        if self.sweep_count > MAX_SWEEPS:
-            raise ValueError(f"sweep count {self.sweep_count} exceeds the cost ceiling "
-                             f"{MAX_SWEEPS}")
+        _check_ceiling("sweep count {}", self.sweep_count, MAX_SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,10 @@ def report_to_json(report: Report) -> str:
     payload = {
         "command": report.command,
         "config": {
-            "q": format_rational(report.config.params.q),
-            "lambda1": format_rational(report.config.params.lambda1),
-            "lambda2": format_rational(report.config.params.lambda2),
-            "alpha": format_rational(report.config.params.alpha),
+            "q": str(report.config.params.q),
+            "lambda1": str(report.config.params.lambda1),
+            "lambda2": str(report.config.params.lambda2),
+            "alpha": str(report.config.params.alpha),
             "degree_bound": report.config.degree_bound,
             "box_radius": report.config.box_radius,
             "rng_seed": report.config.rng_seed,
@@ -389,9 +391,7 @@ def _cmd_act(args, config: RunConfig) -> list[Check]:
 
 
 def _cmd_axioms(args, config: RunConfig) -> list[Check]:
-    if args.radius > MAX_AXIOM_RADIUS:
-        raise ValueError(f"axioms radius {args.radius} exceeds the cost ceiling "
-                         f"{MAX_AXIOM_RADIUS}")
+    _check_ceiling("axioms radius {}", args.radius, MAX_AXIOM_RADIUS)
     checks = suites.jacobi_suite([config.params.q], radius=args.radius)
     polys = suites.sample_axiom_polys(config.rng_seed, count=config.sweep_count)
     if args.use_variant_action:
@@ -434,19 +434,15 @@ def _cmd_iso(args, config: RunConfig) -> list[Check]:
     isomorphic, witness = omega.iso_check(left, right)
     text = ("isomorphic: equal parameters" if isomorphic else
             f"not isomorphic: generator images differ at m={witness}")
-    left_text = ",".join(format_rational(v) for v in args.left)
-    right_text = ",".join(format_rational(v) for v in args.right)
+    left_text = ",".join(str(v) for v in args.left)
+    right_text = ",".join(str(v) for v in args.right)
     return [Check(name=f"iso {left_text} vs {right_text}", anchor="isomorphism-rigidity",
                   status="pass", witness=text)]
 
 
 def _cmd_replay(args, config: RunConfig) -> list[Check]:
-    if args.radius > MAX_REPLAY_RADIUS:
-        raise ValueError(f"replay radius {args.radius} exceeds the cost ceiling "
-                         f"{MAX_REPLAY_RADIUS}")
-    if args.pairs > MAX_REPLAY_PAIRS:
-        raise ValueError(f"pair cap {args.pairs} exceeds the cost ceiling "
-                         f"{MAX_REPLAY_PAIRS}")
+    _check_ceiling("replay radius {}", args.radius, MAX_REPLAY_RADIUS)
+    _check_ceiling("pair cap {}", args.pairs, MAX_REPLAY_PAIRS)
     selected: list[Check] = []
     if args.eq in ("commutator", "pair-difference", "separated-form", "coefficients",
                    "all"):

@@ -4,8 +4,9 @@ Every coefficient in this package is a ``fractions.Fraction``: arbitrary
 precision, reduced on construction, positive denominator, zero stored as
 0/1.  Canonical form is enforced by the type itself, so equality of
 values is structural equality.  This module pins that choice under the
-name ``Rational`` and adds the format/power helpers shared by the CLI
-and the verification suites.
+name ``Rational``; ``str`` prints a Fraction as ``a`` or ``a/b``, the
+inverse of :func:`parse_rational`, and ``**`` gives its exact integer
+powers.
 
 It also holds the tokenizer and the parser base class of the expression
 grammars (polynomials in :mod:`blockmod.poly`, algebra elements in
@@ -118,14 +119,3 @@ def parse_rational(text: str) -> Fraction:
     parser.finish()
     return sign * value
 
-
-def format_rational(value: Fraction) -> str:
-    """Render as ``a`` or ``a/b``; inverse of :func:`parse_rational`."""
-    return str(value)
-
-
-def rat_pow(base: Fraction, exponent: int) -> Fraction:
-    """Exact integer power, negative exponents allowed for nonzero base."""
-    if base == 0 and exponent < 0:
-        raise ZeroDivisionError("zero cannot be raised to a negative power")
-    return Fraction(base) ** exponent

@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from . import blockalg, poly
 from .blockalg import AlgebraContext, AlgebraElement
-from .exactnum import rat_pow
 from .poly import IndexPair, Poly1, Poly2, index_box, origin_first_key
 
 
@@ -58,7 +57,7 @@ class ParamSet:
 
     def lam_pow(self, m: IndexPair) -> Fraction:
         """lambda1^m1 * lambda2^m2, negative exponents included."""
-        return rat_pow(self.lambda1, m.m1) * rat_pow(self.lambda2, m.m2)
+        return self.lambda1 ** m.m1 * self.lambda2 ** m.m2
 
     def vanishing_point(self) -> tuple[Fraction, Fraction]:
         """The point (0, -q*alpha) cutting out the proper submodule."""
@@ -157,7 +156,7 @@ def in_proper_submodule(f: Poly2, p: ParamSet) -> bool:
 
 def witt_act(i: int, f: Poly1, w: WittParams) -> Poly1:
     """One-variable Witt module action: lambda^i * (t - i*alpha) * f(t - i)."""
-    return rat_pow(w.lam, i) * (poly.T - i * w.alpha) * f.shifted(i)
+    return w.lam ** i * (poly.T - i * w.alpha) * f.shifted(i)
 
 
 def witt_restrict(m: IndexPair, i_lo: int, i_hi: int,
@@ -178,7 +177,7 @@ def witt_restrict(m: IndexPair, i_lo: int, i_hi: int,
     for i in range(i_lo, i_hi + 1):
         g = action_on_one(i * m, p)
         reduced = poly.compose2(g, poly.D1, ratio * poly.D1)
-        expected = p.q * rat_pow(params.lam, i) * (poly.D1 - i * m.m1 * params.alpha)
+        expected = p.q * params.lam ** i * (poly.D1 - i * m.m1 * params.alpha)
         if reduced != expected:
             failures.append(i)
     return params, failures

@@ -6,6 +6,8 @@ Two-variable polynomials over the rationals carry the rank-1 modules
 mapping (e1, e2) exponent pairs to nonzero Fractions, and one body of
 arithmetic on it (:class:`_TermMap`); a ``Poly1`` of degree k stores its
 terms under (k, 0) and speaks of plain degrees in its own interface.
+The same term-map body, keyed by generators instead of exponent pairs,
+carries the algebra elements of :mod:`blockmod.blockalg`.
 
 Zero coefficients are never stored (:func:`add_terms`), so equality of
 the term maps is polynomial equality.  Monomials are ordered
@@ -13,9 +15,11 @@ graded-lexicographically with d1 > d2 (total degree first, then the d1
 exponent); printing, leading terms and pivot selection all use this
 single order, which makes printed forms and echelon bases canonical.
 
-Values are immutable: every operation returns a fresh polynomial.  The
-substitution d -> d - m behind every generator action is one binomial
-expansion on term maps, :func:`shift_terms`.
+Values are immutable: every operation returns a fresh value (scaling by
+1 returns the value itself).  A difference f - g is one ``add_terms``
+pass of g's negated terms into a copy of f.  The substitution d -> d - m
+behind every generator action is one binomial expansion on term maps,
+:func:`shift_terms`.
 
 The shift and the product add up integers, not Fractions, and are exact.
 A term map with coefficients n_k/e_k equals N_k/L, where L is the lcm of
@@ -203,25 +207,31 @@ def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
 
 
 class _TermMap:
-    """Arithmetic on a map from (e1, e2) exponent pairs to nonzero Fractions.
+    """Arithmetic on a map from keys to nonzero Fractions.
 
-    :class:`Poly2` is this map; :class:`Poly1` is its one-variable view,
-    whose terms all have e2 = 0.  Values of different classes never mix:
-    only the same class and plain rationals are coerced.  Addition,
-    multiplication and the shift are reached through ``__add__``,
-    ``__mul__`` and ``shifted`` defined in each class's own body, so that
-    each class binds its own function object under those names.
+    :class:`Poly2` keys the map by (e1, e2) exponent pairs; :class:`Poly1`
+    is its one-variable view, whose terms all have e2 = 0; and
+    :class:`blockmod.blockalg.AlgebraElement` keys it by generators.  The
+    constructor passes every key through the hook ``_key`` (exponent
+    validation for polynomials, none for generators).  Values of
+    different classes never mix: only the same class and the rationals
+    that ``const`` accepts are coerced.  Addition, multiplication and the
+    shift are reached through ``__add__``, ``__mul__`` and ``shifted``
+    defined in each class's own body, so that each class binds its own
+    function object under those names.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms
-        self._terms = add_terms({}, ((self._exponents(key), Fraction(coeff))
+        self._terms = add_terms({}, ((self._key(key), Fraction(coeff))
                                      for key, coeff in items)) if terms else {}
 
     @classmethod
-    def _exponents(cls, key) -> Monomial2:
+    def _key(cls, key) -> Monomial2:
+        """The stored form of a constructor key: its exponent pair, checked
+        nonnegative.  A term map keyed by generators overrides this."""
         e1, e2 = cls._monomial(key)
         if e1 < 0 or e2 < 0:
             raise ValueError(f"negative exponent in monomial {key}")
@@ -246,6 +256,10 @@ class _TermMap:
             return self.const(value)
         return NotImplemented
 
+    def terms(self) -> dict:
+        """Copy of the term map."""
+        return dict(self._terms)
+
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -259,7 +273,7 @@ class _TermMap:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self):
-        return self._of({mono: -c for mono, c in self._terms.items()})
+        return self._of({key: -c for key, c in self._terms.items()})
 
     def _sum(self, other):
         other = self._coerce(other)
@@ -271,20 +285,27 @@ class _TermMap:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._of(add_terms(dict(self._terms),
+                                  ((key, -c) for key, c in other._terms.items())))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def _scale(self, c):
+        """c times this value for a rational c; NotImplemented for anything else."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        if c == 1:
+            return self
+        c = Fraction(c)
+        return self._of({key: coeff * c for key, coeff in self._terms.items()} if c else {})
 
     def _product(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            c = Fraction(other)
-            return self._of({mono: coeff * c for mono, coeff in self._terms.items()}
-                            if c else {})
         if type(other) is not type(self):
-            return NotImplemented
+            return self._scale(other)
         left, left_den = integer_terms(self._terms)
         right, right_den = integer_terms(other._terms)
         data: dict = {}
@@ -358,10 +379,6 @@ class Poly2(_TermMap):
     def shifted(self, m: IndexPair) -> "Poly2":
         """Substitute d1 -> d1 - m1 and d2 -> d2 - m2."""
         return Poly2._of(shift_terms(self._terms, m.m1, m.m2))
-
-    def terms(self) -> dict[Monomial2, Fraction]:
-        """Copy of the term map."""
-        return dict(self._terms)
 
     def items_sorted(self) -> list[tuple[Monomial2, Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""

@@ -56,15 +56,27 @@ def test_benchmark_bindings_are_distinct_functions():
     assert not shared, f"names bound to one function: {shared}"
 
 
+@pytest.mark.parametrize("module, qualname",
+                         [binding for binding in BINDINGS if "." in binding[1]])
+def test_benchmark_methods_have_their_own_body(module, qualname):
+    # a method inherited from a shared base would be one function under two
+    # class names (see above), and calls on the base's other subclasses would
+    # be counted too: each class named in the tables defines the method
+    # itself, and no other blockmod class binds that function
+    owner = importlib.import_module(f"blockmod.{module}")
+    *classes, method = qualname.split(".")
+    for part in classes:
+        owner = getattr(owner, part)
+    assert method in vars(owner), f"blockmod.{module}.{qualname} is inherited"
+    original = vars(owner)[method]
+    holders = {value for mod in layers.blockmod_modules().values() for value in vars(mod).values()
+               if isinstance(value, type) and any(v is original for v in vars(value).values())}
+    assert holders == {owner}, f"blockmod.{module}.{qualname} is bound in {holders}"
+
+
 def test_jacobi_defect_makes_six_bracket_calls(monkeypatch):
     # perfbench/test_fidelity.py pins blockalg.bracket.calls == 6 * triples;
     # the tracer counts calls through the module global, as patched here
-    from fractions import Fraction
-
-    from blockmod import blockalg, suites
-    from blockmod.blockalg import AlgebraContext, AlgebraElement
-    from blockmod.poly import IndexPair
-
     calls = []
     bracket = blockalg.bracket
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from blockmod.blockalg import AlgebraContext, AlgebraElement, parse_element
-from blockmod.exactnum import ParseError, format_rational, parse_rational, rat, rat_pow
+from blockmod.exactnum import ParseError, parse_rational, rat
 from blockmod.poly import IndexPair, Poly2, parse_poly2
 from blockmod.prng import SplitMix64
 
@@ -12,14 +12,6 @@ def test_textbook_arithmetic():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert Fraction(-2, 3) * Fraction(3, 2) == -1
     assert -Fraction(4, 6) == Fraction(-2, 3)
-
-
-def test_powers():
-    assert rat_pow(Fraction(2, 3), -2) == Fraction(9, 4)
-    assert rat_pow(Fraction(5), 0) == 1
-    assert rat_pow(Fraction(-1, 2), 3) == Fraction(-1, 8)
-    with pytest.raises(ZeroDivisionError):
-        rat_pow(Fraction(0), -1)
 
 
 def test_canonical_form():
@@ -34,9 +26,7 @@ def test_canonical_form():
 def test_parse_format_round_trip():
     for text in ["0", "5", "-3", "5/6", "-22/7", "+4/6"]:
         value = parse_rational(text)
-        assert parse_rational(format_rational(value)) == value
-    assert format_rational(Fraction(3, 2)) == "3/2"
-    assert format_rational(Fraction(-7)) == "-7"
+        assert parse_rational(str(value)) == value
     assert rat("5/7") == Fraction(5, 7)
     assert rat(4) == 4
 

@@ -1,9 +1,11 @@
+import operator
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from blockmod import poly
+from blockmod.blockalg import AlgebraElement
 from blockmod.poly import (MAX_EXPRESSION_DEGREE, IndexPair, ParseError, Poly1,
                            Poly2, add_terms, compose2, from_single_variable,
                            integer_terms, parse_poly1, parse_poly2, rewrite_in_xm,
@@ -296,6 +298,47 @@ def test_carriers_do_not_mix():
             left + right
         with pytest.raises(TypeError):
             left * right
+
+
+def test_elements_share_the_term_map_but_no_polynomial_operation():
+    # AlgebraElement runs on the polynomials' term-map body, keyed by
+    # generators: the only rational it coerces is 0, and it never mixes
+    # with a polynomial
+    x = Fraction(3, 2) * AlgebraElement.basis(IndexPair(1, 0)) - AlgebraElement.derivation()
+    zero = AlgebraElement()
+    for carrier in (poly.D1, poly.T, Poly2(), Poly1()):
+        assert x != carrier and carrier != x and zero != carrier and carrier != zero
+        for left, right in ((x, carrier), (carrier, x)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(left, right)
+    for op in (lambda: x * x, lambda: x ** 2, lambda: x + 1, lambda: 1 + x, lambda: x - 1,
+               lambda: 1 - x, lambda: x + Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            op()
+    assert x != 5 and 5 != x and x != Fraction(3, 2)
+    assert zero == 0 and 0 == zero and zero == Fraction(0) and x != 0 and not zero
+    assert 0 - x == -x and x - 0 == x and x + 0 == x and 0 + x == x and x - x == zero
+    same = AlgebraElement([(gen, coeff) for gen, coeff in reversed(x.items_sorted())])
+    assert same == x and hash(same) == hash(x) and hash(zero) == hash(AlgebraElement())
+    assert repr(x) == "AlgebraElement(3/2*L(1,0) - D2)" and repr(zero) == "AlgebraElement(0)"
+
+
+def test_difference_makes_no_intermediate_sum(monkeypatch):
+    # f - g adds the negated terms of g into a copy of f in one pass: it
+    # neither builds -g nor calls __add__ (the benchmark counts those calls)
+    rng = SplitMix64(29)
+    pairs = [(random_poly2(rng), random_poly2(rng)) for _ in range(20)]
+    wanted = [f + (-g) for f, g in pairs]
+
+    def no_sum(self, other):
+        raise AssertionError("a difference called __add__")
+
+    monkeypatch.setattr(Poly2, "__add__", no_sum)
+    monkeypatch.setattr(Poly2, "__radd__", no_sum)
+    for (f, g), want in zip(pairs, wanted):
+        assert f - g == want and g - f == -want and f - f == 0
+        assert 0 - f == -f and f - 0 == f and 1 - f == -(f - 1)
 
 
 def test_index_pair_helpers():
