@@ -12,7 +12,8 @@ it, so it is not a stored generator; the element syntax accepts "D1" and
 normalizes it to (1/q) * L(0,0).
 
 An element is a term map from generators (:class:`BasisL` and the
-singleton :data:`D2`) to nonzero Fractions, on the one term-map body of
+singleton :data:`D2`) to nonzero integer numerators over one positive
+denominator, in lowest terms, on the one term-map body of
 :mod:`blockmod.poly`, which also carries the polynomials: constructor,
 sum, difference, negation, equality and hashing are shared.  Elements
 add among themselves and scale by rationals; they never mix with
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from math import gcd
 from typing import NamedTuple
 
 from .exactnum import ParseError, _Parser
@@ -85,7 +86,7 @@ class AlgebraElement(_TermMap):
     @classmethod
     def const(cls, value):
         """The zero element for the rational 0; no other rational is an element."""
-        return cls._of({}) if value == 0 else NotImplemented
+        return cls._of({}, 1) if value == 0 else NotImplemented
 
     @classmethod
     def basis(cls, m: IndexPair) -> "AlgebraElement":
@@ -96,7 +97,7 @@ class AlgebraElement(_TermMap):
         return cls({D2: 1})
 
     def items_sorted(self):
-        return sorted(self._terms.items(), key=lambda kv: _generator_sort_key(kv[0]))
+        return sorted(self._fraction_items(), key=lambda kv: _generator_sort_key(kv[0]))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self._sum(other)
@@ -122,14 +123,14 @@ def structure_constant(m: IndexPair, n: IndexPair, a: int, b: int) -> int:
     return b * (n.m1 * m.m2 - m.m1 * n.m2) + a * (n.m1 - m.m1)
 
 
-def _bracket_term(gx, cx, gy, cy, a: int, b: int):
-    """[cx*gx, cy*gy] for generators gx, gy and q = a/b, as one
-    (generator, coefficient) pair, or None when it is zero.
+def _bracket_term(gx, nx: int, gy, ny: int, a: int, b: int):
+    """[nx*gx, ny*gy] times b for generators gx, gy and q = a/b, as one
+    (generator, integer) pair, or None when it is zero.
 
-    For L(m), L(n) the coefficient of L(m + n) is cx*cy*c(m, n), built as
-    one Fraction from the integers of :func:`structure_constant`;
-    [D2, L(m)] = m2 * L(m) = -[L(m), D2] and [D2, D2] = 0.  The
-    coefficients cx, cy are nonzero Fractions, so a pair never carries 0.
+    For L(m), L(n) the integer is nx*ny*b*c(m, n), with b*c(m, n) from
+    :func:`structure_constant`; [D2, L(m)] = m2 * L(m) = -[L(m), D2] and
+    [D2, D2] = 0.  The numerators nx, ny are nonzero, so a pair never
+    carries 0.
     """
     if type(gx) is BasisL:
         m = gx.m
@@ -137,34 +138,37 @@ def _bracket_term(gx, cx, gy, cy, a: int, b: int):
             n = gy.m
             c = structure_constant(m, n, a, b)
             if c:
-                nx, dx = cx.as_integer_ratio()
-                ny, dy = cy.as_integer_ratio()
-                return (BasisL(IndexPair(m.m1 + n.m1, m.m2 + n.m2)),
-                        Fraction(nx * ny * c, dx * dy * b))
+                return BasisL(IndexPair(m.m1 + n.m1, m.m2 + n.m2)), nx * ny * c
         elif m.m2:
-            return gx, -cx * cy * m.m2
+            return gx, -nx * ny * m.m2 * b
     elif type(gy) is BasisL and gy.m.m2:
-        return gy, cx * cy * gy.m.m2
+        return gy, nx * ny * gy.m.m2 * b
     return None
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> AlgebraElement:
     """Bilinear bracket on the extended algebra.
 
-    Each pair of terms gives at most one (generator, coefficient) pair
-    (:func:`_bracket_term`).  When both operands have one term, that pair
-    is the whole result; otherwise the pairs are summed by ``add_terms``.
+    With x = X/dx and y = Y/dy in integer numerators, [x, y] is the sum
+    of the pairs of :func:`_bracket_term` over the denominator dx*dy*b.
+    When both operands have one term, that pair is the whole result and
+    one gcd puts it in lowest terms; otherwise the pairs are summed by
+    ``add_terms`` and reduced by one gcd pass.
     """
     a, b = ctx.q.as_integer_ratio()
-    xs, ys = x._terms, y._terms
+    xs, ys = x._nums, y._nums
+    den = x._den * y._den * b
     if len(xs) == 1 == len(ys):
-        (gx, cx), = xs.items()
-        (gy, cy), = ys.items()
-        term = _bracket_term(gx, cx, gy, cy, a, b)
-        return AlgebraElement._of({term[0]: term[1]} if term else {})
-    return AlgebraElement._of(add_terms({}, filter(None, (
-        _bracket_term(gx, cx, gy, cy, a, b)
-        for gx, cx in xs.items() for gy, cy in ys.items()))))
+        (gx, nx), = xs.items()
+        (gy, ny), = ys.items()
+        term = _bracket_term(gx, nx, gy, ny, a, b)
+        if term is None:
+            return AlgebraElement._of({}, 1)
+        g = gcd(term[1], den)
+        return AlgebraElement._of({term[0]: term[1] // g}, den // g)
+    return AlgebraElement._reduced(add_terms({}, filter(None, (
+        _bracket_term(gx, nx, gy, ny, a, b)
+        for gx, nx in xs.items() for gy, ny in ys.items()))), den)
 
 
 def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
@@ -173,13 +177,13 @@ def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
 
     Each of the six brackets is one call of the module-level
     :func:`bracket` (``perfbench/test_fidelity.py`` counts them there), and
-    the three outer results are summed in one ``add_terms`` pass.
+    the three outer results are summed in one pass over the lcm of their
+    denominators.
     """
     first = bracket(x, bracket(y, z, ctx), ctx)
     second = bracket(y, bracket(z, x, ctx), ctx)
     third = bracket(z, bracket(x, y, ctx), ctx)
-    return AlgebraElement._of(add_terms(dict(first._terms),
-                                        chain(second._terms.items(), third._terms.items())))
+    return AlgebraElement._combination(((1, first), (1, second), (1, third)))
 
 
 # --- element syntax ----------------------------------------------------------

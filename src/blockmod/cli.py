@@ -26,7 +26,7 @@ MAX_REPLAY_RADIUS, because two replays cover the whole (2R+1)^2 box
 MAX_REPLAY_PAIRS, because the commutator replay checks every sampled
 pair (10,000 pairs at radius 16 take about 5.5 s).  The sweep count is
 capped at MAX_SWEEPS, because each sweep is one more module-axiom scan
-of every generator pair (100 sweeps take about 35 s at radius 2).
+of every generator pair (100 sweeps take about 16 s at radius 2).
 Every generator index built from user input (an element's L(m1,m2), a
 Witt line index m and i*m over the Witt range) is capped at
 MAX_GENERATOR_INDEX in |m1| and |m2|, because lambda^m and the shift by m
@@ -39,6 +39,9 @@ witt over [-1000,1000] at m=1,1 with lambda 12345/6789,3/1001 would
 need 23,000 bits and is a usage error.
 Option values and positionals may start with "-" (--q -1/3,
 witt --m -1,4, act "L(1,0)" -d1); "--" ends the options.
+Every rational literal, in a flag, a config file or an expression, is
+capped at exactnum.MAX_LITERAL_BITS bits in its numerator and its
+denominator.
 Polynomial expressions are capped at degree poly.MAX_EXPRESSION_DEGREE and their
 powers at coefficients of poly.MAX_POWER_BITS bits, and a grid that
 would check nothing (a negative box radius, an empty Witt index range,

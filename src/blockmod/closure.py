@@ -81,13 +81,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 from .omega import ParamSet, action_on_one, in_proper_submodule
-from .poly import (IndexPair, Monomial2, Poly2, grlex_key, index_box, integer_terms,
-                   shift_terms)
+from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box, shift_terms
 
 
 class ClosureTag(Enum):
@@ -250,9 +248,9 @@ class _ActTable:
     monomial shifted by m (:func:`poly.shift_terms`, the same expansion
     as ``Poly2.shifted``) times g_m, the image of 1 under L(m)
     (:func:`omega.action_on_one`).  The scalar lambda^m is divided out
-    of g_m and the rest is scaled by the lcm of its denominators: a
-    fixed positive rational rescaling per index keeps every image
-    integral without changing its span.
+    of g_m and the integer numerators of the rest are used: a fixed
+    positive rational rescaling per index keeps every image integral
+    without changing its span.
     """
 
     def __init__(self, D: int, p: ParamSet):
@@ -267,7 +265,7 @@ class _ActTable:
         terms = self._g_terms.get(m)
         if terms is None:
             g = (1 / self.p.lam_pow(m)) * action_on_one(m, self.p)
-            terms = list(integer_terms(g.terms())[0].items())
+            terms = list(g._nums.items())
             self._g_terms[m] = terms
         return terms
 
@@ -277,7 +275,7 @@ class _ActTable:
         column = self._columns.get(key)
         if column is None:
             accum: dict[int, int] = {}
-            for (i, j), c in shift_terms({mono: 1}, m.m1, m.m2).items():
+            for (i, j), c in shift_terms({mono: 1}, m.m1, m.m2)[0].items():
                 for (g1, g2), gc in self._generator_terms(m):
                     r = _rank((i + g1, j + g2))
                     accum[r] = accum.get(r, 0) + c * gc
@@ -295,16 +293,16 @@ class _ActTable:
 
 
 def _poly_to_int_row(f: Poly2, dim: int) -> list[int]:
-    """f scaled by the lcm of its denominators, as a row over the workspace ranks."""
+    """The integer numerators of f, as a row over the workspace ranks."""
     row = [0] * dim
-    for mono, c in integer_terms(f.terms())[0].items():
-        row[_rank(mono)] = c
+    for mono, n in f._nums.items():
+        row[_rank(mono)] = n
     return row
 
 
 def _monic_poly(pivot: int, row: list[int], workspace: list[Monomial2]) -> Poly2:
-    lead = row[pivot]
-    return Poly2({workspace[r]: Fraction(c, lead) for r, c in enumerate(row) if c})
+    """row / row[pivot]: a primitive row over its positive pivot entry, in lowest terms."""
+    return Poly2._of({workspace[r]: c for r, c in enumerate(row) if c}, row[pivot])
 
 
 def closure(seeds: list[Poly2], D: int, B: int,

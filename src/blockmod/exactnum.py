@@ -12,7 +12,11 @@ It also holds the tokenizer and the parser base class of the expression
 grammars (polynomials in :mod:`blockmod.poly`, algebra elements in
 :mod:`blockmod.blockalg`), including the one rational-literal rule
 ``int ['/' int]``; :func:`parse_rational` is that rule on its own, with
-an optional sign.
+an optional sign.  Each integer of a literal is held to
+``MAX_LITERAL_BITS``: Python refuses to convert an int of more than
+4,300 digits (about 14,284 bits) to or from a string, so a wider literal
+would fail with Python's own message instead of one that names a
+ceiling.
 
 Only rational instances are supported; irrational or complex parameter
 values are out of scope for this toolkit.
@@ -24,6 +28,10 @@ import re
 from fractions import Fraction
 
 Rational = Fraction
+
+# cost guard: the widest integer (numerator or denominator) a literal may
+# have, about 2,400 digits
+MAX_LITERAL_BITS = 8_000
 
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/,])")
 
@@ -89,15 +97,31 @@ class _Parser:
         kind, text, at = self.take()
         if kind != "int":
             raise ParseError("expected an integer or a/b rational literal", self.text, at)
+        numerator = self.literal_int(text, at)
         if self.peek()[1] != "/":
-            return Fraction(int(text))
+            return Fraction(numerator)
         self.take()
         dkind, dtext, dat = self.take()
         if dkind != "int":
             raise ParseError("denominator must be an integer", self.text, dat)
-        if int(dtext) == 0:
+        denominator = self.literal_int(dtext, dat)
+        if denominator == 0:
             raise ParseError("zero denominator", self.text, dat)
-        return Fraction(int(text), int(dtext))
+        return Fraction(numerator, denominator)
+
+    def literal_int(self, text: str, at: int) -> int:
+        """The digits ``text`` as an int of at most MAX_LITERAL_BITS bits.
+
+        k significant digits make a value of at least 10^(k-1), which
+        exceeds 2^MAX_LITERAL_BITS once k - 1 > MAX_LITERAL_BITS/3, so a
+        longer text is refused before Python converts it.
+        """
+        digits = text.lstrip("0") or "0"
+        if len(digits) - 1 > MAX_LITERAL_BITS // 3 or \
+                (value := int(digits)).bit_length() > MAX_LITERAL_BITS:
+            raise ParseError(f"a {len(digits)}-digit literal exceeds the literal ceiling of "
+                             f"{MAX_LITERAL_BITS} bits", self.text, at)
+        return value
 
 
 def rat(value: int | str | Fraction) -> Fraction:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import blockalg, poly
 from .omega import ParamSet, action_on_one
-from .poly import IndexPair, Poly1, Poly2, shift_terms
+from .poly import IndexPair, Poly1, Poly2
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def difference_check(F: Poly2, a, b, c) -> bool:
         raise ValueError("c must be nonzero")
     X = Poly2({(1, 0): 1})
     Y = Poly2({(0, 1): 1})
-    difference = F - Poly2(shift_terms(F.terms(), 0, c))     # F(X, Y - c)
+    difference = F - F._shift(0, c)     # F(X, Y - c)
     if difference != a * X + b * Y:
         return False
     y_degree = max((e2 for (_, e2) in F.terms()), default=0)

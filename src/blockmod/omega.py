@@ -119,7 +119,9 @@ def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one,
     """
     images = {} if memo is None else memo
     out = Poly2()
-    for gen, c in x.terms().items():
+    den = x._den
+    for gen, n in x._nums.items():
+        c = n if den == 1 else Fraction(n, den)
         if gen is blockalg.D2:
             out = out + c * (poly.D2 * f)
         else:

@@ -2,38 +2,56 @@
 
 Two-variable polynomials over the rationals carry the rank-1 modules
 (variables printed ``d1``, ``d2``); one-variable polynomials (variable
-``t``) carry the Witt-algebra side.  Both are one representation, a dict
-mapping (e1, e2) exponent pairs to nonzero Fractions, and one body of
-arithmetic on it (:class:`_TermMap`); a ``Poly1`` of degree k stores its
-terms under (k, 0) and speaks of plain degrees in its own interface.
-The same term-map body, keyed by generators instead of exponent pairs,
-carries the algebra elements of :mod:`blockmod.blockalg`.
+``t``) carry the Witt-algebra side.  Both are one representation and one
+body of arithmetic on it (:class:`_TermMap`); a ``Poly1`` of degree k
+stores its terms under (k, 0) and speaks of plain degrees in its own
+interface.  The same body, keyed by generators instead of exponent
+pairs, carries the algebra elements of :mod:`blockmod.blockalg`.
 
-Zero coefficients are never stored (:func:`add_terms`), so equality of
-the term maps is polynomial equality.  Monomials are ordered
-graded-lexicographically with d1 > d2 (total degree first, then the d1
-exponent); printing, leading terms and pivot selection all use this
-single order, which makes printed forms and echelon bases canonical.
+The representation is one integer carrier: a dict of nonzero integer
+numerators N_k and one positive integer denominator D, for the value
+sum_k (N_k/D) * key_k, always in lowest terms: gcd(all N_k, D) = 1, and
+zero is ({}, 1).  Lowest terms make the pair unique, so equality is
+equality of the pairs.  Proof: let N/D = N'/D', both in lowest terms,
+so N*D' = N'*D term by term.  The contents (gcds of the entries) agree
+too: c*D' = c'*D with c = content(N), c' = content(N').  As gcd(c, D)
+= 1, D divides D'; symmetrically D' divides D, so D = D' and N = N'.
+``terms()`` and ``coefficient`` build the Fraction N_k/D on demand.
 
-Values are immutable: every operation returns a fresh value (scaling by
-1 returns the value itself).  A difference f - g is one ``add_terms``
-pass of g's negated terms into a copy of f.  The substitution d -> d - m
-behind every generator action is one binomial expansion on term maps,
-:func:`shift_terms`.
+Every operation below runs on integers and ends in at most one gcd
+pass, which puts the result in lowest terms: dividing a numerator dict
+and its denominator by g = gcd(D, all N_k) leaves entries whose gcd is
+1.  The pass folds ``math.gcd`` over the numerators and stops as soon
+as it reaches 1.
 
-The shift and the product add up integers, not Fractions, and are exact.
-A term map with coefficients n_k/e_k equals N_k/L, where L is the lcm of
-the e_k and N_k = n_k*(L/e_k) is an integer (:func:`integer_terms`).  A
-product of two maps is then the sums of the N_a*N_b over one fixed
-denominator L_a*L_b.  For a shift by m = u/v, the expansion
-v^a*(x - m)^a = sum_i comb(a, i)*(-u)^(a-i)*v^i*x^i has integer
-coefficients; scaling the numerator of a term with exponent a by
-v^(A-a), where A is the largest exponent of that variable, puts every
-contribution over the one denominator L*v1^A1*v2^A2.  Integer sums are
-exact, so dividing each total once by the common denominator
-(``Fraction`` reduces it) gives the rational sum term by term; a total
-of zero is a term that cancels and is dropped.  The stored term maps
-still hold Fractions.
+* Sum and difference: with L = lcm(D, D'), N/D +- N'/D' is exactly
+  (N*(L/D) +- N'*(L/D'))/L, summed key by key in one pass (a key
+  whose total is zero is dropped), then the gcd pass.
+* Product: the numerator dicts multiply as integer polynomials over
+  D*D', then the gcd pass.
+* Scaling by u/v: (u*N)/(v*D), then the gcd pass.
+* Construction from rational coefficients n_k/e_k (each reduced): D is
+  the lcm of the e_k and N_k = n_k*(D/e_k).  This is already in lowest
+  terms: for a prime p dividing D, the term whose e_k holds the highest
+  power of p has p dividing neither D/e_k nor n_k.
+* Shift by an integer index, f(d) -> f(d - m) (:func:`shift_terms`,
+  one binomial expansion): keeps D and needs no gcd pass.  The
+  substitution is a Z-linear bijection of Z[d1, d2], its inverse being
+  the shift by -m.  So every coefficient of N(d - m) is an integer
+  combination of the coefficients of N, and content(N) divides
+  content(N(d - m)); the inverse shift gives the converse.  The content
+  is kept, and gcd(content, D) = 1 still holds.
+* Shift by a rational m = u/v: v^a*(x - m)^a = sum_i comb(a, i) *
+  (-u)^(a-i) * v^i * x^i has integer coefficients; scaling the
+  numerator of a term with exponent a by v^(A-a), where A is the
+  largest exponent of that variable, puts every contribution over the
+  one denominator D*v1^A1*v2^A2, and the gcd pass follows.
+
+Monomials are ordered graded-lexicographically with d1 > d2 (total
+degree first, then the d1 exponent); printing, leading terms and pivot
+selection all use this single order, which makes printed forms and
+echelon bases canonical.  Values are immutable: every operation returns
+a fresh value (scaling by 1 and adding zero return the value itself).
 
 The polynomial expression grammar used by the command line lives here as
 well: rational literals (the one literal rule of :mod:`blockmod.exactnum`),
@@ -50,7 +68,7 @@ coefficient size by its exponent.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .exactnum import ParseError, _Parser
@@ -117,38 +135,25 @@ def index_box(radius: int) -> list[IndexPair]:
             for b in range(-radius, radius + 1)]
 
 
-def integer_terms(terms: dict) -> tuple[dict, int]:
-    """``(numerators, den)``: the term map as integers over den, the lcm of
-    its coefficients' denominators (1 for an empty map), folded one
-    denominator at a time."""
-    den = 1
-    for c in terms.values():
-        if den % c.denominator:
-            den = lcm(den, c.denominator)
-    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
+def shift_terms(nums: dict, m1, m2) -> tuple[dict, int]:
+    """Integer numerators of f(d1 - m1, d2 - m2) from those of f, and the
+    factor the denominator of f is multiplied by.
 
-
-def shift_terms(terms: dict, m1, m2) -> dict:
-    """Term map of f(d1 - m1, d2 - m2) from the term map of f.
-
-    Keys are (e1, e2) exponent pairs.  Coefficients may be ints or
-    Fractions, and so may m1 and m2; an all-int input gives int
-    coefficients back (the closure's action table sums them as ints),
-    anything else Fractions.  The sums run over integers (see the module
-    docstring), and each output coefficient is one division at the end.
-    Zero coefficients are dropped.
+    Keys are (e1, e2) exponent pairs and ``nums`` holds integers; m1 and
+    m2 may be ints or Fractions.  For integer m1 and m2 the factor is 1:
+    the numerators keep f's denominator and their content (see the
+    module docstring).  For m = u/v the factor is v1^A1 * v2^A2, with A1
+    and A2 the largest exponents of the two variables.  Zero totals are
+    dropped.
     """
-    rows1 = {a: _binomial_row(a, m1) for a in {a for a, _ in terms}}
-    rows2 = {b: _binomial_row(b, m2) for b in {b for _, b in terms}}
-    whole = type(m1) is int and type(m2) is int and all(type(c) is int for c in terms.values())
-    if whole:
-        nums = terms
-    else:
-        nums, den = integer_terms(terms)
-        v1, v2 = m1.denominator, m2.denominator
+    rows1 = {a: _binomial_row(a, m1) for a in {a for a, _ in nums}}
+    rows2 = {b: _binomial_row(b, m2) for b in {b for _, b in nums}}
+    v1, v2 = m1.denominator, m2.denominator
+    scale = 1
+    if v1 != 1 or v2 != 1:
         top1, top2 = max(rows1, default=0), max(rows2, default=0)
         nums = {(a, b): n * v1 ** (top1 - a) * v2 ** (top2 - b) for (a, b), n in nums.items()}
-        den *= v1 ** top1 * v2 ** top2
+        scale = v1 ** top1 * v2 ** top2
     data: dict = {}
     for (a, b), n in nums.items():
         row2 = rows2[b]
@@ -157,9 +162,7 @@ def shift_terms(terms: dict, m1, m2) -> dict:
             for j, f2 in row2:
                 key = (i, j)
                 data[key] = data.get(key, 0) + c * f2
-    if whole:
-        return {key: c for key, c in data.items() if c}
-    return {key: Fraction(c, den) for key, c in data.items() if c}
+    return {key: c for key, c in data.items() if c}, scale
 
 
 def _binomial_row(e: int, m) -> list:
@@ -173,7 +176,7 @@ def add_terms(data: dict, items) -> dict:
     """Add (key, coefficient) pairs into the term map ``data`` and return it.
 
     A key whose coefficients sum to zero is removed, so a term map never
-    stores a zero coefficient and equal maps mean equal values.
+    stores a zero coefficient.
     """
     for key, c in items:
         acc = data.get(key)
@@ -207,26 +210,30 @@ def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
 
 
 class _TermMap:
-    """Arithmetic on a map from keys to nonzero Fractions.
+    """Arithmetic on integer numerators over one denominator, in lowest terms.
 
-    :class:`Poly2` keys the map by (e1, e2) exponent pairs; :class:`Poly1`
-    is its one-variable view, whose terms all have e2 = 0; and
-    :class:`blockmod.blockalg.AlgebraElement` keys it by generators.  The
-    constructor passes every key through the hook ``_key`` (exponent
-    validation for polynomials, none for generators).  Values of
-    different classes never mix: only the same class and the rationals
-    that ``const`` accepts are coerced.  Addition, multiplication and the
-    shift are reached through ``__add__``, ``__mul__`` and ``shifted``
-    defined in each class's own body, so that each class binds its own
-    function object under those names.
+    ``_nums`` maps keys to nonzero ints and ``_den`` is a positive int
+    with gcd(all numerators, den) = 1 (see the module docstring).
+    :class:`Poly2` keys the numerators by (e1, e2) exponent pairs;
+    :class:`Poly1` is its one-variable view, whose terms all have e2 = 0;
+    and :class:`blockmod.blockalg.AlgebraElement` keys them by
+    generators.  The constructor passes every key through the hook
+    ``_key`` (exponent validation for polynomials, none for generators).
+    Values of different classes never mix: only the same class and the
+    rationals that ``const`` accepts are coerced.  Addition,
+    multiplication and the shift are reached through ``__add__``,
+    ``__mul__`` and ``shifted`` defined in each class's own body, so that
+    each class binds its own function object under those names.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms
-        self._terms = add_terms({}, ((self._key(key), Fraction(coeff))
-                                     for key, coeff in items)) if terms else {}
+        coeffs = add_terms({}, ((self._key(key), Fraction(coeff))
+                                for key, coeff in items)) if terms else {}
+        self._den = den = lcm(*(c.denominator for c in coeffs.values()))
+        self._nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
 
     @classmethod
     def _key(cls, key) -> Monomial2:
@@ -238,16 +245,33 @@ class _TermMap:
         return (int(e1), int(e2))
 
     @classmethod
-    def _of(cls, data: dict):
-        """Wrap an already normalized term map without copying it."""
+    def _of(cls, nums: dict, den: int):
+        """Wrap numerators and a denominator already in lowest terms, without copying."""
         out = object.__new__(cls)
-        out._terms = data
+        out._nums = nums
+        out._den = den
         return out
+
+    @classmethod
+    def _reduced(cls, nums: dict, den: int):
+        """Wrap nonzero numerators over a positive den after one gcd pass.
+
+        The pass folds gcd pairwise and stops once it reaches 1; the
+        one-call ``gcd(den, *nums.values())`` would build an argument
+        tuple per call, which CPython keeps on a free list afterwards
+        (about 0.3 MB more peak memory on the module-axiom grid).
+        """
+        g = den
+        for n in nums.values():
+            g = gcd(g, n)
+            if g == 1:
+                return cls._of(nums, den)
+        return cls._of({key: n // g for key, n in nums.items()}, den // g)
 
     @classmethod
     def const(cls, value):
         c = Fraction(value)
-        return cls._of({(0, 0): c} if c else {})
+        return cls._of({(0, 0): c.numerator} if c else {}, c.denominator)
 
     def _coerce(self, value):
         if type(value) is type(self):
@@ -256,37 +280,59 @@ class _TermMap:
             return self.const(value)
         return NotImplemented
 
+    def _fraction_items(self):
+        """(key, Fraction coefficient) pairs, built on demand."""
+        den = self._den
+        return ((key, Fraction(n, den)) for key, n in self._nums.items())
+
     def terms(self) -> dict:
-        """Copy of the term map."""
-        return dict(self._terms)
+        """The term map with Fraction coefficients."""
+        return dict(self._fraction_items())
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self._fraction_items()))
 
     def __neg__(self):
-        return self._of({key: -c for key, c in self._terms.items()})
+        return self._of({key: -n for key, n in self._nums.items()}, self._den)
+
+    @classmethod
+    def _combination(cls, parts):
+        """The sum of sign * value over (sign, value) pairs, sign 1 or -1: one
+        pass over the lcm of the denominators, then one gcd pass."""
+        den = lcm(*(value._den for _, value in parts))
+        data: dict = {}
+        for sign, value in parts:
+            scale = sign * (den // value._den)
+            add_terms(data, value._nums.items() if scale == 1 else
+                      ((key, n * scale) for key, n in value._nums.items()))
+        return cls._reduced(data, den)
 
     def _sum(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._of(add_terms(dict(self._terms), other._terms.items()))
+        if not other:
+            return self
+        if not self:
+            return other
+        return self._combination(((1, self), (1, other)))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._of(add_terms(dict(self._terms),
-                                  ((key, -c) for key, c in other._terms.items())))
+        if not other:
+            return self
+        return self._combination(((1, self), (-1, other)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -300,21 +346,28 @@ class _TermMap:
             return NotImplemented
         if c == 1:
             return self
-        c = Fraction(c)
-        return self._of({key: coeff * c for key, coeff in self._terms.items()} if c else {})
+        if not c:
+            return self._of({}, 1)
+        u, v = c.numerator, c.denominator
+        return self._reduced({key: n * u for key, n in self._nums.items()}, self._den * v)
 
     def _product(self, other):
         if type(other) is not type(self):
             return self._scale(other)
-        left, left_den = integer_terms(self._terms)
-        right, right_den = integer_terms(other._terms)
         data: dict = {}
-        for (a1, a2), ca in left.items():
-            for (b1, b2), cb in right.items():
+        right = other._nums.items()
+        for (a1, a2), ca in self._nums.items():
+            for (b1, b2), cb in right:
                 key = (a1 + b1, a2 + b2)
                 data[key] = data.get(key, 0) + ca * cb
-        den = left_den * right_den
-        return self._of({key: Fraction(c, den) for key, c in data.items() if c})
+        return self._reduced({key: c for key, c in data.items() if c}, self._den * other._den)
+
+    def _shift(self, m1, m2):
+        """f(d1 - m1, d2 - m2) for rational m1, m2 (see :func:`shift_terms`)."""
+        nums, scale = shift_terms(self._nums, m1, m2)
+        if scale == 1:
+            return self._of(nums, self._den)
+        return self._reduced(nums, self._den * scale)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -331,15 +384,15 @@ class _TermMap:
         return result
 
     def _sorted_terms(self) -> list[tuple[Monomial2, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return sorted(self._fraction_items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def _eval(self, x1, x2) -> Fraction:
         x1 = Fraction(x1)
         x2 = Fraction(x2)
         total = _ZERO
-        for (a, b), c in self._terms.items():
-            total += c * x1**a * x2**b
-        return total
+        for (a, b), n in self._nums.items():
+            total += n * x1**a * x2**b
+        return total / self._den
 
     def _format(self, names: tuple[str, str]) -> str:
         parts = []
@@ -378,23 +431,23 @@ class Poly2(_TermMap):
 
     def shifted(self, m: IndexPair) -> "Poly2":
         """Substitute d1 -> d1 - m1 and d2 -> d2 - m2."""
-        return Poly2._of(shift_terms(self._terms, m.m1, m.m2))
+        return self._shift(m.m1, m.m2)
 
     def items_sorted(self) -> list[tuple[Monomial2, Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
         return self._sorted_terms()
 
     def coefficient(self, e1: int, e2: int) -> Fraction:
-        return self._terms.get((e1, e2), _ZERO)
+        return Fraction(self._nums.get((e1, e2), 0), self._den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((e1 + e2 for e1, e2 in self._terms), default=-1)
+        return max((e1 + e2 for e1, e2 in self._nums), default=-1)
 
     def leading_monomial(self) -> Monomial2 | None:
-        if not self._terms:
+        if not self._nums:
             return None
-        return max(self._terms, key=grlex_key)
+        return max(self._nums, key=grlex_key)
 
     def eval_at(self, x1, x2) -> Fraction:
         return self._eval(x1, x2)
@@ -428,16 +481,16 @@ class Poly1(_TermMap):
 
     def shifted(self, c) -> "Poly1":
         """Substitute t -> t - c; c may be any rational."""
-        return Poly1._of(shift_terms(self._terms, c, 0))
+        return self._shift(c, 0)
 
     def terms(self) -> dict[int, Fraction]:
-        return {k: c for (k, _), c in self._terms.items()}
+        return {k: c for (k, _), c in self._fraction_items()}
 
     def coefficient(self, degree: int) -> Fraction:
-        return self._terms.get((degree, 0), _ZERO)
+        return Fraction(self._nums.get((degree, 0), 0), self._den)
 
     def degree(self) -> int:
-        return max((k for k, _ in self._terms), default=-1)
+        return max((k for k, _ in self._nums), default=-1)
 
     def eval_at(self, x) -> Fraction:
         return self._eval(x, 0)
@@ -478,16 +531,16 @@ def to_single_variable(f: Poly2, keep: int) -> Poly1:
     """
     if keep not in (0, 1):
         raise ValueError("keep must be 0 or 1")
-    if any(mono[1 - keep] for mono in f._terms):
+    if any(mono[1 - keep] for mono in f._nums):
         raise ValueError(f"polynomial depends on slot {1 - keep}: {f}")
-    return Poly1._of({mono[::-1] if keep else mono: c for mono, c in f._terms.items()})
+    return Poly1._of({mono[::-1] if keep else mono: n for mono, n in f._nums.items()}, f._den)
 
 
 def from_single_variable(f: Poly1, slot: int) -> Poly2:
     """Embed a Poly1 into slot 0 or slot 1 of a Poly2."""
     if slot not in (0, 1):
         raise ValueError("slot must be 0 or 1")
-    return Poly2._of({mono[::-1] if slot else mono: c for mono, c in f._terms.items()})
+    return Poly2._of({mono[::-1] if slot else mono: n for mono, n in f._nums.items()}, f._den)
 
 
 def rewrite_in_xm(f: Poly2, m: IndexPair) -> Poly2:
@@ -569,7 +622,7 @@ class _PolyParser(_Parser):
                 raise ParseError(f"exponent {exponent} exceeds the expression degree "
                                  f"ceiling {MAX_EXPRESSION_DEGREE}", self.text, at)
             self.check_degree(base.total_degree() * exponent, at)
-            bits = max(map(coefficient_bits, base._terms.values()), default=0)
+            bits = max(map(coefficient_bits, base.terms().values()), default=0)
             if bits * exponent > MAX_POWER_BITS:
                 raise ParseError(f"power {exponent} of a {bits}-bit coefficient exceeds the "
                                  f"coefficient ceiling of {MAX_POWER_BITS} bits", self.text, at)

@@ -277,6 +277,38 @@ def test_nested_constant_power_is_fast():
     assert "exceeds the coefficient ceiling of 14000 bits" in result.stderr
 
 
+WIDE = "9" * 3001       # 9,966 bits, over the literal ceiling of 8,000 bits
+
+
+@pytest.mark.parametrize("argv", [
+    # without the ceiling these exit 2 with Python's 4,300-digit error
+    ["act", "L(1,0)", "d1", "--q", WIDE, "--lambda", WIDE + ",1"],
+    ["act", "L(1,0)", f"{WIDE}*d1^3", "--lambda", WIDE + ",1"],
+    ["act", "L(1,0)", f"1/{WIDE}*d1"],
+    ["bracket", f"{WIDE}*L(1,0)", "D2"],
+    ["bracket", "L(1,0)", "D2", "--alpha", f"1/{WIDE}"],
+])
+def test_literal_ceiling_exits_2(argv):
+    result = cli_subprocess(*argv)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "a 3001-digit literal exceeds the literal ceiling of 8000 bits" in result.stderr
+
+
+def test_literal_at_the_ceiling_parses():
+    # 2^8000 - 1 has 8000 bits and 2409 digits; 2^8000 has 8001 bits
+    top = str(2 ** 8000 - 1)
+    code, out, _ = run_cli(["bracket", f"{top}*L(1,0)", "L(0,1)"])
+    assert code == 0 and top in out
+    code, _, err = run_cli(["bracket", f"{2 ** 8000}*L(1,0)", "L(0,1)"])
+    assert code == 2 and "a 2409-digit literal exceeds the literal ceiling of 8000 bits" in err
+    # past Python's 4,300-digit conversion limit the digit count alone decides;
+    # leading zeros are not significant digits
+    code, _, err = run_cli(["bracket", f"{'9' * 5000}*L(1,0)", "L(0,1)"])
+    assert code == 2 and "a 5000-digit literal exceeds the literal ceiling of 8000 bits" in err
+    code, _, _ = run_cli(["bracket", f"{'0' * 5000}3*L(1,0)", "L(0,1)"])
+    assert code == 0
+
+
 def test_empty_sample_is_an_error_not_a_pass():
     # the one sampled pair holds a zero index and q=5/7 adds no exceptional
     # pairs, so the coefficient replay has nothing to check

@@ -73,6 +73,22 @@ def test_act_examples():
     assert act(2 * L(1, 0) - D2, f, p) == 2 * act(L(1, 0), f, p) - act(D2, f, p)
 
 
+def test_act_reads_the_stored_terms(monkeypatch):
+    # act iterates the element's stored numerators: no term-map copy, and a
+    # rational coefficient gives the same image as scaling afterwards
+    p = ParamSet(Fraction(5, 7), Fraction(2, 3), -5, Fraction(1, 2))
+    f = Poly2({(2, 1): Fraction(3, 4), (0, 0): -2})
+    x = Fraction(3, 2) * L(1, -2) - D2 + Fraction(1, 3) * L(0, 0)
+    want = (Fraction(3, 2) * act(L(1, -2), f, p) - act(D2, f, p)
+            + Fraction(1, 3) * act(L(0, 0), f, p))
+
+    def no_copy(self):
+        raise AssertionError("act copied the term map")
+
+    monkeypatch.setattr(AlgebraElement, "terms", no_copy)
+    assert act(x, f, p) == want and act(2 * L(1, 0), f, p) == 2 * act(L(1, 0), f, p)
+
+
 def test_module_axiom_defect_example():
     p = ParamSet(1, 1, 1, 0)
     one = Poly2.const(1)

@@ -1,6 +1,6 @@
 import operator
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -8,8 +8,8 @@ from blockmod import poly
 from blockmod.blockalg import AlgebraElement
 from blockmod.poly import (MAX_EXPRESSION_DEGREE, IndexPair, ParseError, Poly1,
                            Poly2, add_terms, compose2, from_single_variable,
-                           integer_terms, parse_poly1, parse_poly2, rewrite_in_xm,
-                           shift_terms, to_single_variable)
+                           parse_poly1, parse_poly2, rewrite_in_xm, shift_terms,
+                           to_single_variable)
 from blockmod.prng import SplitMix64
 
 
@@ -52,9 +52,9 @@ def test_shift_examples():
         poly.D1 * poly.D2 - 2 * poly.D1 - poly.D2 + 2
     f = Poly2({(3, 1): 2, (0, 2): Fraction(1, 3)})
     assert f.shifted(IndexPair(0, 0)) == f
-    # the one expansion serves integer term maps too: (d1+1)^2*(d2-2) - 1
-    assert shift_terms({(2, 1): 1, (0, 0): -1}, -1, 2) == {
-        (2, 1): 1, (2, 0): -2, (1, 1): 2, (1, 0): -4, (0, 1): 1, (0, 0): -3}
+    # the one expansion on integer numerators: (d1+1)^2*(d2-2) - 1, factor 1
+    assert shift_terms({(2, 1): 1, (0, 0): -1}, -1, 2) == ({
+        (2, 1): 1, (2, 0): -2, (1, 1): 2, (1, 0): -4, (0, 1): 1, (0, 0): -3}, 1)
 
 
 def test_shift_additivity_randomized():
@@ -71,8 +71,7 @@ def test_rational_shift_matches_composition():
     for _ in range(40):
         f = random_poly2(rng, max_degree=5)
         c1, c2 = rng.fraction(), rng.fraction()
-        assert Poly2(shift_terms(f.terms(), c1, c2)) == \
-            compose2(f, poly.D1 - c1, poly.D2 - c2)
+        assert f._shift(c1, c2) == compose2(f, poly.D1 - c1, poly.D2 - c2)
 
 
 # --- the integer kernels against the per-contribution Fraction loops ---------
@@ -135,9 +134,8 @@ def test_shift_kernel_matches_fraction_loop_randomized():
     for _ in range(150):
         f = kernel_poly(rng)
         m1, m2 = kernel_shift(rng), kernel_shift(rng)
-        assert_same_terms(shift_terms(f.terms(), m1, m2),
-                          reference_shift_terms(f.terms(), m1, m2))
-    assert shift_terms({}, 3, Fraction(1, 2)) == {}
+        assert_same_terms(f._shift(m1, m2).terms(), reference_shift_terms(f.terms(), m1, m2))
+    assert shift_terms({}, 3, Fraction(1, 2)) == ({}, 1)
     assert Poly2().shifted(IndexPair(2, -1)) == Poly2()
     assert Poly1().shifted(Fraction(5, 3)) == Poly1()
 
@@ -147,13 +145,13 @@ def test_shift_kernel_cancellation():
     for _ in range(40):
         g = kernel_poly(rng)
         m1, m2 = kernel_shift(rng), kernel_shift(rng)
-        f = shift_terms(g.terms(), -m1, -m2)
+        f = g._shift(-m1, -m2)
         # every term of f beyond g's own must cancel on the way back
-        assert_same_terms(shift_terms(f, m1, m2), reference_shift_terms(f, m1, m2))
-        assert shift_terms(f, m1, m2) == g.terms()
+        assert_same_terms(f._shift(m1, m2).terms(), reference_shift_terms(f.terms(), m1, m2))
+        assert f._shift(m1, m2) == g
     # (d1 + 1/3)^3 shifted by 1/3 is d1^3: three lower terms cancel to zero
     cube = Poly2({(3, 0): 1, (2, 0): 1, (1, 0): Fraction(1, 3), (0, 0): Fraction(1, 27)})
-    assert shift_terms(cube.terms(), Fraction(1, 3), 0) == {(3, 0): 1}
+    assert cube._shift(Fraction(1, 3), 0) == Poly2({(3, 0): 1})
 
 
 def test_shift_kernel_keeps_int_coefficients():
@@ -163,11 +161,13 @@ def test_shift_kernel_keeps_int_coefficients():
         terms = {(rng.int_between(0, 6), rng.int_between(0, 6)): rng.int_between(-9, 9) or 1
                  for _ in range(rng.int_between(1, 4))}
         m1, m2 = rng.int_between(-5, 5), rng.int_between(-5, 5)
-        out = shift_terms(terms, m1, m2)
-        assert out == reference_shift_terms(terms, m1, m2)
+        out, scale = shift_terms(terms, m1, m2)
+        assert out == reference_shift_terms(terms, m1, m2) and scale == 1
         assert all(type(c) is int for c in out.values()), out
-    # a rational shift, even an integral one, gives Fractions
-    assert type(shift_terms({(2, 0): 1}, Fraction(2), 0)[(0, 0)]) is Fraction
+    # an integral Fraction shifts like an int; a shift by u/v scales the
+    # numerators to v^A: 4*(d1 - 1/2)^2 = 4*d1^2 - 4*d1 + 1
+    assert shift_terms({(2, 0): 1}, Fraction(2), 0) == ({(2, 0): 1, (1, 0): -4, (0, 0): 4}, 1)
+    assert shift_terms({(2, 0): 1}, Fraction(1, 2), 0) == ({(2, 0): 4, (1, 0): -4, (0, 0): 1}, 4)
 
 
 def test_product_kernel_matches_fraction_loop_randomized():
@@ -191,13 +191,157 @@ def test_poly1_rational_shift_matches_fraction_loop():
         assert_same_terms(f.shifted(c).terms(), {k: v for (k, _), v in expected.items()})
 
 
-def test_integer_terms():
-    assert integer_terms({}) == ({}, 1)
-    assert integer_terms({(1, 0): 3, (0, 0): -7}) == ({(1, 0): 3, (0, 0): -7}, 1)
-    assert integer_terms({(1, 0): Fraction(1, 6), (0, 0): Fraction(-3, 4), (0, 1): 2}) == \
+def carrier(f):
+    return f._nums, f._den
+
+
+def test_constructor_stores_numerators_over_the_lcm():
+    # the lcm of the reduced denominators is already lowest terms
+    assert carrier(Poly2()) == ({}, 1)
+    assert carrier(Poly2({(1, 0): 3, (0, 0): -7})) == ({(1, 0): 3, (0, 0): -7}, 1)
+    assert carrier(Poly2({(1, 0): Fraction(1, 6), (0, 0): Fraction(-3, 4), (0, 1): 2})) == \
         ({(1, 0): 2, (0, 0): -9, (0, 1): 24}, 12)
     big = {(1, 0): Fraction(1, 2**61 - 1), (0, 0): Fraction(5, 10007)}
-    assert integer_terms(big) == ({(1, 0): 10007, (0, 0): 5 * (2**61 - 1)}, (2**61 - 1) * 10007)
+    assert carrier(Poly2(big)) == ({(1, 0): 10007, (0, 0): 5 * (2**61 - 1)}, (2**61 - 1) * 10007)
+    # repeated keys are summed first, and a sum of zero is dropped
+    assert carrier(Poly2([((1, 0), Fraction(1, 2)), ((1, 0), Fraction(1, 2)),
+                          ((0, 1), Fraction(1, 3)), ((0, 1), Fraction(-1, 3))])) == \
+        ({(1, 0): 1}, 1)
+
+
+# --- the integer carrier against plain Fraction term maps ---------------------
+
+def reference_combination(left, right, sign=1):
+    return add_terms(dict(left), ((key, sign * c) for key, c in right.items()))
+
+
+def reference_scale(terms, c):
+    return {key: v * c for key, v in terms.items() if c}
+
+
+def reference_power(terms, k, one):
+    out = {one: Fraction(1)}
+    for _ in range(k):
+        out = reference_product(out, terms)
+    return out
+
+
+def reference_eval(terms, x1, x2):
+    return sum((c * Fraction(x1) ** a * Fraction(x2) ** b for (a, b), c in terms.items()),
+               Fraction(0))
+
+
+def assert_lowest_terms(f):
+    nums, den = carrier(f)
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values()), nums
+    assert gcd(den, *nums.values()) == 1, (nums, den)
+
+
+SCALARS = (0, 1, -1, 6, Fraction(-7, 4), Fraction(5, 9), Fraction(10**12 + 39, 2**61 - 1))
+
+
+def check_against_reference(cases):
+    for value, want in cases:
+        assert_lowest_terms(value)
+        assert_same_terms(value.terms(), want)
+
+
+def test_carrier_matches_fraction_reference_randomized():
+    rng = SplitMix64(31)
+    for _ in range(60):
+        f, g = kernel_poly(rng, 4, 5), kernel_poly(rng, 4, 5)
+        F, G = f.terms(), g.terms()
+        m = random_index(rng, 3)
+        c1, c2 = kernel_shift(rng), kernel_shift(rng)
+        check_against_reference(
+            [(f + g, reference_combination(F, G)), (f - g, reference_combination(F, G, -1)),
+             (g - f, reference_combination(G, F, -1)), (f - f, {}), (-f, reference_scale(F, -1)),
+             (f * g, reference_product(F, G)), (f ** 3, reference_power(F, 3, (0, 0))),
+             (f ** 0, {(0, 0): Fraction(1)}),
+             (f.shifted(m), reference_shift_terms(F, m.m1, m.m2)),
+             (f._shift(c1, c2), reference_shift_terms(F, c1, c2))]
+            + [(s * f, reference_scale(F, s)) for s in SCALARS]
+            + [(f * s, reference_scale(F, s)) for s in SCALARS])
+        for mono, c in F.items():
+            assert f.coefficient(*mono) == c
+        assert f.coefficient(40, 40) == 0 and type(f.coefficient(40, 40)) is Fraction
+        x1, x2 = rng.fraction(), rng.fraction()
+        assert f.eval_at(x1, x2) == reference_eval(F, x1, x2)
+        assert type(f.eval_at(x1, x2)) is Fraction
+
+
+def test_poly1_carrier_matches_fraction_reference_randomized():
+    rng = SplitMix64(32)
+
+    def random_poly1():
+        return Poly1([(rng.int_between(0, 6), kernel_coefficient(rng))
+                      for _ in range(rng.int_between(0, 4))])
+
+    def two_variable(terms):
+        return {(k, 0): c for k, c in terms.items()}
+
+    def one_variable(terms):
+        return {k: c for (k, _), c in terms.items()}
+
+    for _ in range(60):
+        f, g = random_poly1(), random_poly1()
+        F, G = two_variable(f.terms()), two_variable(g.terms())
+        i, c = rng.int_between(-5, 5), kernel_shift(rng)
+        cases = [(f + g, reference_combination(F, G)), (f - g, reference_combination(F, G, -1)),
+                 (-f, reference_scale(F, -1)), (f * g, reference_product(F, G)),
+                 (f ** 2, reference_power(F, 2, (0, 0))),
+                 (f.shifted(i), reference_shift_terms(F, i, 0)),
+                 (f.shifted(c), reference_shift_terms(F, c, 0))]
+        cases += [(s * f, reference_scale(F, s)) for s in SCALARS]
+        check_against_reference((value, one_variable(want)) for value, want in cases)
+        for (k, _), coeff in F.items():
+            assert f.coefficient(k) == coeff
+        x = rng.fraction()
+        assert f.eval_at(x) == reference_eval(F, x, 0)
+
+
+def test_equal_values_hash_equal_along_every_path():
+    rng = SplitMix64(33)
+    for _ in range(40):
+        f, g = random_poly2(rng), random_poly2(rng)
+        m, c = random_index(rng), rng.fraction(nonzero=True)
+        paths = [Poly2(f.terms()), (f + g) - g, g + f - g, -(-f), 1 * f, f * Fraction(1),
+                 (c * f) * (1 / c), f.shifted(m).shifted(-m), f._shift(c, 0)._shift(-c, 0),
+                 f * Poly2.const(1), f + 0, 0 + f, f - Poly2(), (f * g - g * f) + f]
+        for h in paths:
+            assert h == f and hash(h) == hash(f) and carrier(h) == carrier(f)
+        # the hash is that of the Fraction term map
+        assert hash(f) == hash(frozenset(f.terms().items()))
+    assert Poly2.const(3) == 3 and 3 == Poly2.const(3) and Poly1.const(3) == 3
+    assert Poly2.const(Fraction(6, 4)) == Fraction(3, 2) and Poly2.const(3) != 4
+    assert Poly2() == 0 and 0 == Poly2() and Poly2() == Fraction(0)
+    assert hash(Poly2.const(3)) == hash(Poly2({(0, 0): Fraction(6, 2)}))
+
+
+def test_integer_shift_keeps_the_denominator(monkeypatch):
+    # an integer shift keeps the content of the numerators (module
+    # docstring), so it keeps the denominator and makes no gcd pass
+    rng = SplitMix64(34)
+    cases = []
+    for _ in range(60):
+        f = kernel_poly(rng)
+        f1 = Poly1([(rng.int_between(0, 6), kernel_coefficient(rng)) for _ in range(3)])
+        cases.append((f, f.terms(), random_index(rng, 5), f1, rng.int_between(-5, 5)))
+
+    def no_gcd_pass(cls, nums, den):
+        raise AssertionError("an integer shift made a gcd pass")
+
+    monkeypatch.setattr(poly._TermMap, "_reduced", classmethod(no_gcd_pass))
+    for f, terms, m, f1, i in cases:
+        h = f.shifted(m)
+        assert h._den == f._den and h.terms() == reference_shift_terms(terms, m.m1, m.m2)
+        assert gcd(h._den, *h._nums.values()) == 1
+        assert f1.shifted(i)._den == f1._den and f1.shifted(Fraction(i))._den == f1._den
+    monkeypatch.undo()
+    # a rational shift can change it: (t - 1/2)^2 = (4*t^2 - 4*t + 1)/4
+    assert carrier((poly.T ** 2).shifted(Fraction(1, 2))) == \
+        ({(2, 0): 4, (1, 0): -4, (0, 0): 1}, 4)
 
 
 def test_eval():
