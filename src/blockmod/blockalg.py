@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .exactnum import ParseError, _Parser
+from .exactnum import ParseError, _Parser, excerpt
 from .poly import IndexPair, _format_terms, _TermMap, add_terms, origin_first_key
 
 
@@ -225,14 +225,14 @@ class _ElementParser(_Parser):
             m2 = self.integer()
             self.expect(")")
             return AlgebraElement.basis(IndexPair(m1, m2))
-        raise ParseError(f"unknown generator {text!r}", self.text, at)
+        raise ParseError(f"unknown generator {excerpt(text)}", self.text, at)
 
     def integer(self) -> int:
         sign = self.sign()
         kind, text, at = self.take()
         if kind != "int":
             raise ParseError("expected an integer", self.text, at)
-        return sign * int(text)
+        return sign * self.literal_int(text, at)
 
 
 def parse_element(text: str, ctx: AlgebraContext) -> AlgebraElement:

@@ -43,10 +43,12 @@ Every rational literal, in a flag, a config file or an expression, is
 capped at exactnum.MAX_LITERAL_BITS bits in its numerator and its
 denominator.
 Polynomial expressions are capped at degree poly.MAX_EXPRESSION_DEGREE and their
-powers at coefficients of poly.MAX_POWER_BITS bits, and a grid that
-would check nothing (a negative box radius, an empty Witt index range,
-a zero pair cap) raises ValueError in the library; both are usage
-errors too.
+powers at coefficients of poly.MAX_POWER_BITS bits; every printed
+coefficient is held to that ceiling too (poly.printable), since a
+product of literals under the literal ceiling can outgrow Python's
+4,300-digit printer.  A grid that would check nothing (a negative box
+radius, an empty Witt index range, a zero pair cap) raises ValueError
+in the library.  All of these are usage errors too.
 """
 
 from __future__ import annotations

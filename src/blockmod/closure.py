@@ -84,8 +84,8 @@ from enum import Enum
 from math import gcd, lcm
 from operator import mul
 
-from .omega import ParamSet, action_on_one, in_proper_submodule
-from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box, shift_terms
+from .omega import ParamSet, generator_image, in_proper_submodule
+from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box, printable, shift_terms
 
 
 class ClosureTag(Enum):
@@ -246,10 +246,12 @@ class _ActTable:
 
     For each box index m the image of a monomial under L(m) is the
     monomial shifted by m (:func:`poly.shift_terms`, the same expansion
-    as ``Poly2.shifted``) times g_m, the image of 1 under L(m)
-    (:func:`omega.action_on_one`).  The scalar lambda^m is divided out
-    of g_m and the integer numerators of the rest are used: a fixed
-    positive rational rescaling per index keeps every image integral
+    as ``Poly2.shifted``) times g_m, the image of 1 under L(m).  The
+    scalar lambda^m is left out: the table multiplies by the integer
+    numerators N of lambda^-m * g_m = N / den, in lowest terms
+    (:func:`omega.generator_image` without ``scaled``), that is by
+    lambda^-m * g_m rescaled by the positive integer den.  A fixed
+    nonzero rational rescaling per index keeps every image integral
     without changing its span.
     """
 
@@ -264,8 +266,7 @@ class _ActTable:
     def _generator_terms(self, m: IndexPair) -> list[tuple[Monomial2, int]]:
         terms = self._g_terms.get(m)
         if terms is None:
-            g = (1 / self.p.lam_pow(m)) * action_on_one(m, self.p)
-            terms = list(g._nums.items())
+            terms = list(generator_image(m, self.p, scaled=False)._nums.items())
             self._g_terms[m] = terms
         return terms
 
@@ -381,7 +382,7 @@ def classify_span(basis: SubspaceBasis, D: int, p: ParamSet) -> ClosureResult:
     if n == full:
         return ClosureResult(ClosureTag.FULL, n,
                              f"spans the whole degree-{D} level (dim {full})")
-    x2 = p.vanishing_point()[1]
+    x2 = printable(p.vanishing_point()[1])
     vanishing = all(in_proper_submodule(v, p) for v in basis.vectors)
     if n == full - 1 and vanishing:
         return ClosureResult(

@@ -36,11 +36,28 @@ MAX_LITERAL_BITS = 8_000
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/,])")
 
 
+# the most characters of the input a ParseError echoes around its position
+PARSE_ECHO_WIDTH = 40
+
+
+def excerpt(text: str, position: int = 0) -> str:
+    """repr of at most PARSE_ECHO_WIDTH characters of text around position,
+    with ``...`` on each side where text goes on; a short text is shown whole."""
+    start = max(0, min(position - PARSE_ECHO_WIDTH // 2, len(text) - PARSE_ECHO_WIDTH))
+    end = start + PARSE_ECHO_WIDTH
+    return ("..." if start else "") + repr(text[start:end]) + ("..." if end < len(text) else "")
+
+
 class ParseError(ValueError):
-    """Syntax error in an expression, with a character position."""
+    """Syntax error in an expression, with a character position.
+
+    The message echoes the input around the position, clipped by
+    :func:`excerpt`, so that a long rejected input (a literal over the
+    literal ceiling, say) does not come back whole.
+    """
 
     def __init__(self, message: str, text: str, position: int):
-        super().__init__(f"{message} (at position {position} in {text!r})")
+        super().__init__(f"{message} (at position {position} in {excerpt(text, position)})")
         self.position = position
 
 
@@ -84,7 +101,7 @@ class _Parser:
     def finish(self):
         kind, text, at = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected {text!r}", self.text, at)
+            raise ParseError(f"unexpected {excerpt(text)}", self.text, at)
 
     def sign(self) -> int:
         """An optional leading ``+`` or ``-``, as +1 or -1."""

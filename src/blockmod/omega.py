@@ -19,6 +19,13 @@ is kept as :func:`action_on_one_alt`.  It fails the module axioms for
 generic parameters (any alpha != 1 admits a witness pair) and is used as
 a negative control by the verification suites.
 
+Both placements have the one shape lambda^m * (A*d1 - m1*d2 + C), with
+A = m2 + q and C = -m1*q*alpha for the adopted image and A = q*alpha + m2
+and C = -m1*alpha for the variant.  :func:`generator_image` writes that
+shape once, on integers; :func:`action_on_one` and
+:func:`action_on_one_alt` call it, and the closure engine reads its
+lambda-free numerators.
+
 Restricting to the line Z*m with m1 != 0 gives a copy of the Witt
 algebra; modulo the cross form X_m = m2*d1 - m1*d2, the action collapses
 to the one-variable Witt module with parameters (lambda1^m1*lambda2^m2,
@@ -55,9 +62,21 @@ class ParamSet:
     def context(self) -> AlgebraContext:
         return AlgebraContext(self.q)
 
+    def lam_ratio(self, m: IndexPair) -> tuple[int, int]:
+        """lambda1^m1 * lambda2^m2 as integers (u, v) with v > 0, not
+        necessarily in lowest terms; negative exponents included."""
+        u = v = 1
+        for lam, e in ((self.lambda1, m.m1), (self.lambda2, m.m2)):
+            n, d = lam.numerator, lam.denominator
+            if e < 0:
+                n, d, e = d, n, -e
+            u *= n ** e
+            v *= d ** e
+        return (-u, -v) if v < 0 else (u, v)
+
     def lam_pow(self, m: IndexPair) -> Fraction:
         """lambda1^m1 * lambda2^m2, negative exponents included."""
-        return self.lambda1 ** m.m1 * self.lambda2 ** m.m2
+        return Fraction(*self.lam_ratio(m))
 
     def vanishing_point(self) -> tuple[Fraction, Fraction]:
         """The point (0, -q*alpha) cutting out the proper submodule."""
@@ -87,24 +106,38 @@ def cross_form(m: IndexPair) -> Poly2:
     return Poly2({(1, 0): m.m2, (0, 1): -m.m1})
 
 
+def generator_image(m: IndexPair, p: ParamSet, variant: bool = False,
+                    scaled: bool = True) -> Poly2:
+    """lambda^m * (A*d1 - m1*d2 + C), the image of 1 under L(m), on integers.
+
+    A = m2 + q and C = -m1*q*alpha for the adopted placement; with
+    ``variant``, A = q*alpha + m2 and C = -m1*alpha.  With q = qn/qd and
+    alpha = an/ad, A, -m1 and C are integers over the one denominator
+    qd*ad; ``scaled`` multiplies them by lambda^m = u/v (from
+    :meth:`ParamSet.lam_ratio`), and one gcd pass (``Poly2._reduced``)
+    puts the result in lowest terms.  Without ``scaled`` the value is
+    g_m / lambda^m.
+    """
+    qn, qd = p.q.numerator, p.q.denominator
+    an, ad = p.alpha.numerator, p.alpha.denominator
+    den = qd * ad
+    if variant:
+        a, c = qn * an + m.m2 * den, -m.m1 * an * qd
+    else:
+        a, c = (m.m2 * qd + qn) * ad, -m.m1 * qn * an
+    u, v = p.lam_ratio(m) if scaled else (1, 1)
+    nums = {key: n * u for key, n in (((1, 0), a), ((0, 1), -m.m1 * den), ((0, 0), c)) if n}
+    return Poly2._reduced(nums, den * v)
+
+
 def action_on_one(m: IndexPair, p: ParamSet) -> Poly2:
     """Image of the constant 1 under the generator L(m)."""
-    scale = p.lam_pow(m)
-    return Poly2({
-        (1, 0): scale * (m.m2 + p.q),
-        (0, 1): scale * -m.m1,
-        (0, 0): scale * -m.m1 * p.q * p.alpha,
-    })
+    return generator_image(m, p)
 
 
 def action_on_one_alt(m: IndexPair, p: ParamSet) -> Poly2:
     """Rejected variant placement of q and alpha; negative control only."""
-    scale = p.lam_pow(m)
-    return Poly2({
-        (1, 0): scale * (p.q * p.alpha + m.m2),
-        (0, 1): scale * -m.m1,
-        (0, 0): scale * -m.m1 * p.alpha,
-    })
+    return generator_image(m, p, variant=True)
 
 
 def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one,

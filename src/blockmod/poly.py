@@ -71,7 +71,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
-from .exactnum import ParseError, _Parser
+from .exactnum import ParseError, _Parser, excerpt
 
 Monomial2 = tuple[int, int]
 
@@ -188,14 +188,39 @@ def add_terms(data: dict, items) -> dict:
     return data
 
 
+# cost guard: the largest bit length (numerator or denominator) of a
+# printed coefficient, and of exponent times coefficient bit length in a
+# power; both stay under the 4,300-digit (about 14,284-bit) limit Python
+# puts on printing an int
+MAX_POWER_BITS = 14_000
+
+
+def coefficient_bits(c: Fraction) -> int:
+    """The larger bit length of c's numerator and denominator."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def printable(c: Fraction) -> Fraction:
+    """c itself, once checked to print within MAX_POWER_BITS bits.
+
+    A wider value would fail with Python's 4,300-digit message; this
+    raises a ValueError that names the ceiling instead.
+    """
+    bits = coefficient_bits(c)
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"printing a {bits}-bit coefficient exceeds the coefficient "
+                         f"ceiling of {MAX_POWER_BITS} bits")
+    return c
+
+
 def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
     """Join (coefficient, monomial-text) pairs into a canonical string."""
     if not parts:
         return "0"
     pieces: list[str] = []
     for position, (coeff, mono) in enumerate(parts):
+        magnitude = abs(printable(coeff))
         sign = "-" if coeff < 0 else "+"
-        magnitude = -coeff if coeff < 0 else coeff
         if mono == "":
             body = str(magnitude)
         elif magnitude == 1:
@@ -563,17 +588,6 @@ def rewrite_in_xm(f: Poly2, m: IndexPair) -> Poly2:
 # cost guard: the largest total degree and exponent the grammar accepts
 MAX_EXPRESSION_DEGREE = 32
 
-# cost guard: the largest exponent times coefficient bit length (numerator
-# or denominator) a power may reach; a power of a constant then stays under
-# the 4,300-digit (about 14,284-bit) limit Python puts on printing an int
-MAX_POWER_BITS = 14_000
-
-
-def coefficient_bits(c: Fraction) -> int:
-    """The larger bit length of c's numerator and denominator."""
-    return max(c.numerator.bit_length(), c.denominator.bit_length())
-
-
 class _PolyParser(_Parser):
     """Polynomial grammar over a fixed variable -> slot map."""
 
@@ -617,7 +631,7 @@ class _PolyParser(_Parser):
             kind, text, at = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", self.text, at)
-            exponent = int(text)
+            exponent = self.literal_int(text, at)
             if exponent > MAX_EXPRESSION_DEGREE:
                 raise ParseError(f"exponent {exponent} exceeds the expression degree "
                                  f"ceiling {MAX_EXPRESSION_DEGREE}", self.text, at)
@@ -641,13 +655,14 @@ class _PolyParser(_Parser):
         self.take()
         if kind == "name":
             if text not in self.variables:
-                raise ParseError(f"unknown variable {text!r}", self.text, at)
+                raise ParseError(f"unknown variable {excerpt(text)}", self.text, at)
             return Poly2({self.variables[text]: 1})
         if text == "(":
             value = self.expr()
             self.expect(")")
             return value
-        raise ParseError(f"unexpected {text!r}" if kind != "end" else "unexpected end of input", self.text, at)
+        raise ParseError(f"unexpected {excerpt(text)}" if kind != "end" else "unexpected end of input",
+                         self.text, at)
 
 
 def parse_poly2(text: str) -> Poly2:

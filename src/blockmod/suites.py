@@ -142,18 +142,33 @@ def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
 def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
     """Scan all ordered generator pairs and polys with :func:`first_defect`.
 
-    Returns ``(cases scanned, ((x, y, f), defect) or None)``.  Each
-    polynomial keeps one memo of its generator images L(m) . f for the
-    whole scan (see :func:`omega.act`).  The actions on act(y, f) and
-    act(x, f) get no memo: that would keep a memo per generator, for a
-    peak memory about 13% higher on the radius-2 grid.
+    Returns ``(cases scanned, ((x, y, f), defect) or None)``.  The scan
+    builds each generator image g_m = image(m, p) once and keeps it in
+    one table, which every polynomial and every action of the scan
+    reads, the nested act(x, act(y, f)) and act(y, act(x, f)) included.
+    A case reaches the indices m, n and m + n of a radius-R box, so the
+    table holds at most (4R+1)^2 small degree-1 polynomials (81 at
+    radius 2).  Each polynomial also keeps one memo of its images
+    L(m) . f for the whole scan (see :func:`omega.act`).  The actions
+    on act(y, f) and act(x, f) get no such memo: that would keep a memo
+    per generator, for a peak memory about 13% higher on the radius-2
+    grid.
     """
     generators = [AlgebraElement.basis(m) for m in index_box(radius)]
     generators.append(AlgebraElement.derivation())
+    table: dict[IndexPair, Poly2] = {}
+
+    def tabled(m: IndexPair, _p: ParamSet) -> Poly2:
+        # every act of this scan passes the scan's own p
+        g = table.get(m)
+        if g is None:
+            g = table[m] = image(m, p)
+        return g
+
     memos = {id(f): {} for f in polys}
     cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
     return first_defect(cases, lambda xyf: omega.module_axiom_defect(
-        *xyf, p, image, memos[id(xyf[2])]))
+        *xyf, p, tabled, memos[id(xyf[2])]))
 
 
 def _axiom_failure_text(failure) -> str:

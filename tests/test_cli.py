@@ -294,6 +294,24 @@ def test_literal_ceiling_exits_2(argv):
     assert "a 3001-digit literal exceeds the literal ceiling of 8000 bits" in result.stderr
 
 
+LONG = "7" * 2400       # 7,973 bits, under the literal ceiling
+
+
+@pytest.mark.parametrize("argv, bits", [
+    # the product of two literals under the ceiling outgrows Python's
+    # 4,300-digit printer; without the print ceiling these exit 2 with
+    # Python's message
+    (["act", "L(1,0)", "d1", "--q", LONG, "--lambda", LONG + ",1"], 15945),
+    (["bracket", f"{LONG}*L(1,0)", f"{LONG}*L(0,1)"], 15946),
+    (["closure", "--seed", "d1", "--D", "2", "--q", LONG, "--alpha", LONG], 15945),
+    (["replay", "--radius", "1", "--pairs", "5", "--q", LONG, "--alpha", LONG], 31890),
+])
+def test_print_ceiling_exits_2(argv, bits):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert f"printing a {bits}-bit coefficient exceeds the coefficient ceiling of 14000 bits" in err
+
+
 def test_literal_at_the_ceiling_parses():
     # 2^8000 - 1 has 8000 bits and 2409 digits; 2^8000 has 8001 bits
     top = str(2 ** 8000 - 1)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from blockmod.blockalg import AlgebraContext, AlgebraElement, parse_element
-from blockmod.exactnum import ParseError, parse_rational, rat
-from blockmod.poly import IndexPair, Poly2, parse_poly2
+from blockmod.exactnum import PARSE_ECHO_WIDTH, ParseError, parse_rational, rat
+from blockmod.poly import IndexPair, Poly2, parse_poly2, parse_poly1
 from blockmod.prng import SplitMix64
 
 
@@ -36,6 +36,41 @@ def test_parse_errors():
         with pytest.raises(ParseError):
             parse_rational(bad)
     with pytest.raises(ParseError, match="zero denominator"):
+        parse_rational("1/0")
+
+
+WIDE = "9" * 3001
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_rational, WIDE),                       # over the literal ceiling
+    (parse_rational, "1 " + WIDE),                # a long unexpected token
+    (parse_rational, "1/" + WIDE),
+    (parse_poly2, "d1^" + WIDE),                  # exponents obey the literal ceiling
+    (parse_poly2, "d1 + " + "x" * 3001),          # a long unknown variable
+    (parse_poly1, "t + " * 1000 + "$"),           # an error at the far end
+    (lambda text: parse_element(text, AlgebraContext(Fraction(1))), f"L({WIDE},0)"),
+    (lambda text: parse_element(text, AlgebraContext(Fraction(1))), "M" * 3001),
+])
+def test_parse_errors_echo_a_bounded_excerpt(parse, text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    message = str(info.value)
+    # the message template, the input and any echoed token are clipped to
+    # PARSE_ECHO_WIDTH characters each; the whole text is 3,001+ characters
+    assert len(message) <= 80 + 2 * (PARSE_ECHO_WIDTH + 8)
+    assert f"at position {info.value.position} in " in message
+
+
+def test_parse_error_excerpt_surrounds_the_position():
+    text = "d1 + " * 20 + "$" + " + d2" * 20
+    with pytest.raises(ParseError) as info:
+        parse_poly2(text)
+    assert info.value.position == 100
+    shown = text[100 - PARSE_ECHO_WIDTH // 2:100 + PARSE_ECHO_WIDTH // 2]
+    assert str(info.value) == f"unexpected character '$' (at position 100 in ...{shown!r}...)"
+    # a text within the width is echoed whole, as before
+    with pytest.raises(ParseError, match=r"zero denominator \(at position 2 in '1/0'\)$"):
         parse_rational("1/0")
 
 

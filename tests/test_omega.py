@@ -4,11 +4,12 @@ import pytest
 
 from blockmod import poly
 from blockmod.blockalg import AlgebraElement
+from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
                             action_on_one_alt, cross_form, in_proper_submodule,
                             iso_check, module_axiom_defect, witt_act,
                             witt_restrict)
-from blockmod.poly import IndexPair, Poly1, Poly2
+from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
 
 
@@ -58,6 +59,59 @@ def test_action_on_one_examples():
     p = ParamSet(1, 2, 3, 1)
     assert action_on_one(IndexPair(-1, 1), p) == \
         Fraction(3, 2) * (2 * poly.D1 + poly.D2 + 1)
+
+
+def fraction_image(m, p, variant=False):
+    """The generator image g_m written with Fraction arithmetic: the oracle
+    for the integer build of :func:`omega.generator_image`."""
+    scale = p.lambda1 ** m.m1 * p.lambda2 ** m.m2
+    if variant:
+        return Poly2({(1, 0): scale * (p.q * p.alpha + m.m2),
+                      (0, 1): scale * -m.m1,
+                      (0, 0): scale * -m.m1 * p.alpha})
+    return Poly2({(1, 0): scale * (m.m2 + p.q),
+                  (0, 1): scale * -m.m1,
+                  (0, 0): scale * -m.m1 * p.q * p.alpha})
+
+
+# integral, half-integral and generic q; negative and fractional lambda;
+# alpha = 0, alpha = 1 and generic alpha
+ORACLE_PARAMS = [
+    ParamSet(2, -3, Fraction(2, 5), 0),
+    ParamSet(Fraction(-3, 2), Fraction(-1, 4), 7, 1),
+    ParamSet(Fraction(5, 7), Fraction(2, 3), Fraction(-5, 3), Fraction(-2, 5)),
+    ParamSet(-1, 1, -1, Fraction(3, 4)),
+    ParamSet(Fraction(11, 3), Fraction(-6, 5), Fraction(9, 4), 1),
+]
+
+
+@pytest.mark.parametrize("p", ORACLE_PARAMS)
+def test_integer_image_matches_fraction_formula(p):
+    zero = 0
+    for m in index_box(4):
+        assert action_on_one(m, p) == fraction_image(m, p), m
+        assert action_on_one_alt(m, p) == fraction_image(m, p, variant=True), m
+        zero += not action_on_one(m, p)
+    # an integral q in the box kills the image at (0,-q), and only there
+    assert zero == (p.q.denominator == 1)
+
+
+@pytest.mark.parametrize("p", ORACLE_PARAMS)
+def test_act_table_reads_lambda_free_image(p):
+    # the closure's integer terms are lambda^-m * g_m times a positive integer
+    table = _ActTable(2, p)
+    for m in index_box(4):
+        terms = table._generator_terms(m)
+        free = (1 / (p.lambda1 ** m.m1 * p.lambda2 ** m.m2)) * fraction_image(m, p)
+        if not free:
+            assert terms == []
+            continue
+        assert all(type(c) is int for _, c in terms)
+        got = Poly2(dict(terms))
+        mono = free.leading_monomial()
+        rescale = got.coefficient(*mono) / free.coefficient(*mono)
+        assert rescale.denominator == 1 and rescale > 0
+        assert got == rescale * free, m
 
 
 def test_act_examples():

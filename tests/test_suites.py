@@ -153,12 +153,21 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
         acts.append(args)
         return act(*args, **kwargs)
 
+    built = []
+
+    def counted_image(m, params):
+        built.append(m)
+        return image(m, params)
+
     monkeypatch.setattr(omega, "module_axiom_defect", recorded_defect)
     monkeypatch.setattr(omega, "act", recorded_act)
-    count, failure = suites.axiom_grid_scan(p, polys, radius, image)
+    count, failure = suites.axiom_grid_scan(p, polys, radius, counted_image)
     # the same first failing case and the same defect, or the same clean count
     assert (count, failure) == expected
     assert len(calls) == count and len(acts) == 5 * count
+    # one table for the scan: every generator image is built at most once
+    assert built and len(built) == len(set(built))
+    assert set(built) <= set(index_box(2 * radius))
 
     # one memo per polynomial, holding L(m).f for that polynomial only
     memos = {}
