@@ -4,7 +4,7 @@ import pytest
 
 from blockmod.blockalg import AlgebraContext, AlgebraElement, parse_element
 from blockmod.exactnum import PARSE_ECHO_WIDTH, ParseError, parse_rational, rat
-from blockmod.poly import IndexPair, Poly2, parse_poly2, parse_poly1
+from blockmod.poly import IndexPair, Poly2, parse_poly1, parse_poly2
 from blockmod.prng import SplitMix64
 
 
