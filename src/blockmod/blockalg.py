@@ -22,7 +22,7 @@ polynomials, and the only rational they equal or absorb is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -33,14 +33,21 @@ from .poly import IndexPair, _format_terms, _TermMap, add_terms, origin_first_ke
 
 @dataclass(frozen=True)
 class AlgebraContext:
-    """Fixes the structure parameter q; q = 0 is rejected."""
+    """Fixes the structure parameter q; q = 0 is rejected.
+
+    ``ratio`` is q's integer pair (a, b), b > 0, read once here for every
+    bracket; it takes no part in equality, hashing or the repr.
+    """
 
     q: Fraction
+    ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q == 0:
+        q = Fraction(self.q)
+        if q == 0:
             raise ValueError("q must be nonzero")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "ratio", q.as_integer_ratio())
 
 
 class BasisL(NamedTuple):
@@ -123,6 +130,10 @@ def structure_constant(m: IndexPair, n: IndexPair, a: int, b: int) -> int:
     return b * (n.m1 * m.m2 - m.m1 * n.m2) + a * (n.m1 - m.m1)
 
 
+_tuple_new = tuple.__new__
+_new = object.__new__
+
+
 def _bracket_term(gx, nx: int, gy, ny: int, a: int, b: int):
     """[nx*gx, ny*gy] times b for generators gx, gy and q = a/b, as one
     (generator, integer) pair, or None when it is zero.
@@ -130,7 +141,9 @@ def _bracket_term(gx, nx: int, gy, ny: int, a: int, b: int):
     For L(m), L(n) the integer is nx*ny*b*c(m, n), with b*c(m, n) from
     :func:`structure_constant`; [D2, L(m)] = m2 * L(m) = -[L(m), D2] and
     [D2, D2] = 0.  The numerators nx, ny are nonzero, so a pair never
-    carries 0.
+    carries 0.  The key L(m + n) is built with ``tuple.__new__``, which
+    is what the NamedTuple constructors of :class:`BasisL` and
+    :class:`IndexPair` call after a Python-level frame each.
     """
     if type(gx) is BasisL:
         m = gx.m
@@ -138,7 +151,8 @@ def _bracket_term(gx, nx: int, gy, ny: int, a: int, b: int):
             n = gy.m
             c = structure_constant(m, n, a, b)
             if c:
-                return BasisL(IndexPair(m.m1 + n.m1, m.m2 + n.m2)), nx * ny * c
+                return (_tuple_new(BasisL, (_tuple_new(IndexPair, (m.m1 + n.m1, m.m2 + n.m2)),)),
+                        nx * ny * c)
         elif m.m2:
             return gx, -nx * ny * m.m2 * b
     elif type(gy) is BasisL and gy.m.m2:
@@ -149,26 +163,37 @@ def _bracket_term(gx, nx: int, gy, ny: int, a: int, b: int):
 def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> AlgebraElement:
     """Bilinear bracket on the extended algebra.
 
-    With x = X/dx and y = Y/dy in integer numerators, [x, y] is the sum
-    of the pairs of :func:`_bracket_term` over the denominator dx*dy*b.
-    When both operands have one term, that pair is the whole result and
-    one gcd puts it in lowest terms; otherwise the pairs are summed by
-    ``add_terms`` and reduced by one gcd pass.
+    With x = X/dx and y = Y/dy in integer numerators and q = a/b
+    (``ctx.ratio``), [x, y] is the sum of the pairs of
+    :func:`_bracket_term` over the denominator dx*dy*b.  An empty
+    operand gives the zero element at once.  When both operands have one
+    term, that one pair (or none) is the whole result, and one gcd puts
+    it in lowest terms; the element is built here, with no constructor.
+    Otherwise the pairs are summed by ``add_terms`` and reduced by one
+    gcd pass.
     """
-    a, b = ctx.q.as_integer_ratio()
     xs, ys = x._nums, y._nums
-    den = x._den * y._den * b
-    if len(xs) == 1 == len(ys):
+    if xs and ys:
+        a, b = ctx.ratio
+        den = x._den * y._den * b
+        if len(xs) != 1 or len(ys) != 1:
+            return AlgebraElement._reduced(add_terms({}, filter(None, (
+                _bracket_term(gx, nx, gy, ny, a, b)
+                for gx, nx in xs.items() for gy, ny in ys.items()))), den)
         (gx, nx), = xs.items()
         (gy, ny), = ys.items()
         term = _bracket_term(gx, nx, gy, ny, a, b)
-        if term is None:
-            return AlgebraElement._of({}, 1)
-        g = gcd(term[1], den)
-        return AlgebraElement._of({term[0]: term[1] // g}, den // g)
-    return AlgebraElement._reduced(add_terms({}, filter(None, (
-        _bracket_term(gx, nx, gy, ny, a, b)
-        for gx, nx in xs.items() for gy, ny in ys.items()))), den)
+        if term is not None:
+            gen, n = term
+            g = gcd(n, den)
+            out = _new(AlgebraElement)
+            out._nums = {gen: n // g}
+            out._den = den // g
+            return out
+    out = _new(AlgebraElement)
+    out._nums = {}
+    out._den = 1
+    return out
 
 
 def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
@@ -176,9 +201,10 @@ def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; must vanish for a Lie algebra.
 
     Each of the six brackets is one call of the module-level
-    :func:`bracket` (``perfbench/test_fidelity.py`` counts them there), and
-    the three outer results are summed in one pass over the lcm of their
-    denominators.
+    :func:`bracket` (``perfbench/test_fidelity.py`` counts them there,
+    six per triple, zero brackets included), and the three outer results
+    are summed by one ``_combination``, which skips the zero ones and
+    returns zero at once when all three are.
     """
     first = bracket(x, bracket(y, z, ctx), ctx)
     second = bracket(y, bracket(z, x, ctx), ctx)
@@ -226,13 +252,6 @@ class _ElementParser(_Parser):
             self.expect(")")
             return AlgebraElement.basis(IndexPair(m1, m2))
         raise ParseError(f"unknown generator {excerpt(text)}", self.text, at)
-
-    def integer(self) -> int:
-        sign = self.sign()
-        kind, text, at = self.take()
-        if kind != "int":
-            raise ParseError("expected an integer", self.text, at)
-        return sign * self.literal_int(text, at)
 
 
 def parse_element(text: str, ctx: AlgebraContext) -> AlgebraElement:

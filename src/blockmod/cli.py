@@ -61,7 +61,7 @@ from fractions import Fraction
 
 from . import blockalg, omega, suites
 from .closure import ClosureTag, closure
-from .exactnum import parse_rational
+from .exactnum import excerpt, parse_integer, parse_rational
 from .omega import ParamSet
 from .poly import MAX_POWER_BITS, IndexPair, ParseError, coefficient_bits, parse_poly2
 from .suites import Check
@@ -76,10 +76,15 @@ MAX_SWEEPS = 100
 MAX_GENERATOR_INDEX = 1000
 
 
+def _clipped(value) -> str:
+    """str(value), clipped by :func:`exactnum.excerpt` when an error message echoes it."""
+    return excerpt(str(value), show=str)
+
+
 def _check_ceiling(what: str, value: int, ceiling: int) -> None:
     """Reject a scale above its cost ceiling; ``what`` names it, with ``{}`` for the value."""
     if value > ceiling:
-        raise ValueError(f"{what.format(value)} exceeds the cost ceiling {ceiling}")
+        raise ValueError(f"{what.format(_clipped(value))} exceeds the cost ceiling {ceiling}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,7 @@ def _parse_param_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 def _check_index(m: IndexPair, what: str) -> None:
     if max(abs(m.m1), abs(m.m2)) > MAX_GENERATOR_INDEX:
-        raise ValueError(f"{what} {m} exceeds the cost ceiling {MAX_GENERATOR_INDEX} "
+        raise ValueError(f"{what} {_clipped(m)} exceeds the cost ceiling {MAX_GENERATOR_INDEX} "
                          f"on |m1| and |m2|")
 
 
@@ -218,9 +223,9 @@ def _parse_index_pair(text: str) -> IndexPair:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("expected two comma-separated integers, e.g. 2,3")
-    m = IndexPair(int(parts[0]), int(parts[1]))
+    m = IndexPair(parse_integer(parts[0]), parse_integer(parts[1]))
     if m.m1 == 0:
-        raise ValueError(f"Witt line index needs m1 != 0, got {text}")
+        raise ValueError(f"Witt line index needs m1 != 0, got {_clipped(text)}")
     _check_index(m, "Witt line index")
     return m
 
@@ -428,8 +433,9 @@ def _cmd_witt(args, config: RunConfig) -> list[Check]:
     ms = args.m or [IndexPair(1, 0), IndexPair(2, 3), IndexPair(-1, 4)]
     i_far = max(args.i_min, args.i_max, key=abs)
     for m in ms:
-        _check_index(m * i_far, f"Witt index {i_far}*{m} =")
-        _check_lambda_power(m * i_far, config.params, f"Witt index {i_far}*{m} =")
+        what = f"Witt index {_clipped(i_far)}*{m} ="
+        _check_index(m * i_far, what)
+        _check_lambda_power(m * i_far, config.params, what)
     return suites.witt_restriction_suite(ms, args.i_min, args.i_max, [config.params])
 
 

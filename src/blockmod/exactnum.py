@@ -40,12 +40,14 @@ _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)
 PARSE_ECHO_WIDTH = 40
 
 
-def excerpt(text: str, position: int = 0) -> str:
-    """repr of at most PARSE_ECHO_WIDTH characters of text around position,
-    with ``...`` on each side where text goes on; a short text is shown whole."""
+def excerpt(text: str, position: int = 0, show=repr) -> str:
+    """``show`` (repr by default) of at most PARSE_ECHO_WIDTH characters of
+    text around position, with ``...`` on each side where text goes on; a
+    short text is shown whole.  ``show=str`` clips a number that a message
+    echoes, such as an index over a cost ceiling, without quotes."""
     start = max(0, min(position - PARSE_ECHO_WIDTH // 2, len(text) - PARSE_ECHO_WIDTH))
     end = start + PARSE_ECHO_WIDTH
-    return ("..." if start else "") + repr(text[start:end]) + ("..." if end < len(text) else "")
+    return ("..." if start else "") + show(text[start:end]) + ("..." if end < len(text) else "")
 
 
 class ParseError(ValueError):
@@ -126,6 +128,14 @@ class _Parser:
             raise ParseError("zero denominator", self.text, dat)
         return Fraction(numerator, denominator)
 
+    def integer(self) -> int:
+        """An optionally signed integer literal, read through :meth:`literal_int`."""
+        sign = self.sign()
+        kind, text, at = self.take()
+        if kind != "int":
+            raise ParseError("expected an integer", self.text, at)
+        return sign * self.literal_int(text, at)
+
     def literal_int(self, text: str, at: int) -> int:
         """The digits ``text`` as an int of at most MAX_LITERAL_BITS bits.
 
@@ -150,6 +160,14 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer with an optional sign, held to the literal ceiling."""
+    parser = _Parser(text)
+    value = parser.integer()
+    parser.finish()
+    return value
 
 
 def parse_rational(text: str) -> Fraction:

@@ -151,7 +151,7 @@ def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one,
     the generator images it holds and adds the ones it computes.
     """
     images = {} if memo is None else memo
-    out = Poly2()
+    out = Poly2._of({}, 1)
     den = x._den
     for gen, n in x._nums.items():
         c = n if den == 1 else Fraction(n, den)

@@ -332,14 +332,30 @@ class _TermMap:
     @classmethod
     def _combination(cls, parts):
         """The sum of sign * value over (sign, value) pairs, sign 1 or -1: one
-        pass over the lcm of the denominators, then one gcd pass."""
-        den = lcm(*(value._den for _, value in parts))
+        pass over the lcm of the denominators, then one gcd pass.
+
+        Zero values are skipped (their denominator is 1, so the lcm does
+        not see them either), a key whose total reaches zero is dropped as
+        the pass goes, and the zero value comes back without a gcd pass
+        when nothing is left.  The pass sums into a fresh dict, so no
+        operand's numerators are touched.
+        """
+        den = 1
+        for _, value in parts:
+            den = lcm(den, value._den)
         data: dict = {}
+        get = data.get
         for sign, value in parts:
-            scale = sign * (den // value._den)
-            add_terms(data, value._nums.items() if scale == 1 else
-                      ((key, n * scale) for key, n in value._nums.items()))
-        return cls._reduced(data, den)
+            nums = value._nums
+            if nums:
+                scale = sign * (den // value._den)
+                for key, n in nums.items():
+                    acc = get(key, 0) + n * scale
+                    if acc:
+                        data[key] = acc
+                    else:
+                        del data[key]
+        return cls._reduced(data, den) if data else cls._of(data, 1)
 
     def _sum(self, other):
         other = self._coerce(other)
@@ -633,8 +649,9 @@ class _PolyParser(_Parser):
                 raise ParseError("exponent must be a nonnegative integer", self.text, at)
             exponent = self.literal_int(text, at)
             if exponent > MAX_EXPRESSION_DEGREE:
-                raise ParseError(f"exponent {exponent} exceeds the expression degree "
-                                 f"ceiling {MAX_EXPRESSION_DEGREE}", self.text, at)
+                raise ParseError(f"exponent {excerpt(str(exponent), show=str)} exceeds the "
+                                 f"expression degree ceiling {MAX_EXPRESSION_DEGREE}",
+                                 self.text, at)
             self.check_degree(base.total_degree() * exponent, at)
             bits = max(map(coefficient_bits, base.terms().values()), default=0)
             if bits * exponent > MAX_POWER_BITS:

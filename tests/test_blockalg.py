@@ -208,6 +208,62 @@ def test_jacobi_defect_matches_three_bracket_sum_on_multi_term_elements(monkeypa
             assert bool(defect) == skewed
 
 
+@pytest.mark.parametrize("skewed", [False, True])
+def test_zero_brackets_match_reference(monkeypatch, skewed):
+    # an empty operand and a single pair that vanishes give the zero
+    # element at once; [L(m), L(m)] vanishes only under the true constant
+    if skewed:
+        skewed_constant(monkeypatch)
+    rng = SplitMix64(26)
+    zero, d2 = AlgebraElement(), AlgebraElement.derivation()
+    for q in ORACLE_Q_VALUES:
+        ctx = AlgebraContext(q)
+        operands = [zero, d2, Fraction(-5, 3) * d2] + [
+            rng.fraction(nonzero=True) * AlgebraElement.basis(m) for m in index_box(2)]
+        operands += [sample_element(rng) for _ in range(3)]
+        pairs = [(zero, x) for x in operands] + [(x, zero) for x in operands]
+        pairs += [(d2, d2), (Fraction(3, 4) * d2, -d2)]
+        pairs += [(x, c * x) for x in operands[3:28] for c in (1, Fraction(-2, 9))]
+        vanished = 0
+        for x, y in pairs:
+            result = bracket(x, y, ctx)
+            assert result.terms() == reference_bracket(x, y, ctx, skew if skewed else None).terms()
+            if not result:
+                assert (result._nums, result._den) == ({}, 1)
+                vanished += 1
+        assert vanished >= 2 * len(operands) + 2
+        assert (vanished == len(pairs)) == (not skewed)
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_jacobi_defect_matches_reference_when_inner_brackets_vanish(monkeypatch, skewed):
+    # every triple of the radius-1 box, D2 and the zero element in which an
+    # inner bracket vanishes; the [::5] stride of the box test skips most
+    if skewed:
+        skewed_constant(monkeypatch)
+    gens = [AlgebraElement.basis(m) for m in index_box(1)]
+    gens += [AlgebraElement.derivation(), AlgebraElement()]
+    for q in ORACLE_Q_VALUES:
+        ctx = AlgebraContext(q)
+
+        def br(u, v):
+            return reference_bracket(u, v, ctx, skew if skewed else None)
+
+        all_vanish = some_vanish = 0
+        for x, y, z in itertools.product(gens, repeat=3):
+            inner = [br(y, z), br(z, x), br(x, y)]
+            if all(inner):
+                continue
+            defect = jacobi_defect(x, y, z, ctx)
+            assert defect.terms() == reference_jacobi_defect(
+                x, y, z, ctx, skew if skewed else None).terms()
+            if not defect:
+                assert (defect._nums, defect._den) == ({}, 1)
+            some_vanish += 1
+            all_vanish += not any(inner)
+        assert all_vanish > 50 and some_vanish > all_vanish
+
+
 def test_structure_constant_jacobi_symbolic():
     # c(n,k)c(m,n+k) + c(k,m)c(n,k+m) + c(m,n)c(k,m+n) = 0 for all indices
     # and all q = a/b; the scaled constants carry the common factor b^2

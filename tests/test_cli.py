@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from blockmod.cli import main
+from blockmod.exactnum import PARSE_ECHO_WIDTH
 
 
 def run_cli(argv):
@@ -325,6 +326,40 @@ def test_literal_at_the_ceiling_parses():
     assert code == 2 and "a 5000-digit literal exceeds the literal ceiling of 8000 bits" in err
     code, _, _ = run_cli(["bracket", f"{'0' * 5000}3*L(1,0)", "L(0,1)"])
     assert code == 0
+
+
+NINES = "9" * 2000      # 6,644 bits: under the literal ceiling, over every cost ceiling
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each of these once echoed all 2,000 digits to stderr
+    (["act", f"L({NINES},0)", "d1"], "generator index (999"),
+    (["act", "L(1,0)", f"d1^{NINES}"], "exponent 999"),
+    (["witt", "--m", f"1,{NINES}"], "Witt line index (1,999"),
+    (["witt", "--m", f"0,{NINES}"], "Witt line index needs m1 != 0, got 0,999"),
+    (["witt", "--i-max", NINES], "Witt index 999"),
+    (["witt", "--D", NINES], "degree bound D=999"),
+])
+def test_ceiling_messages_clip_long_numbers(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert message in err
+    assert "9" * (PARSE_ECHO_WIDTH + 1) not in err
+    assert len(err) < 600
+
+
+def test_witt_line_index_is_read_through_the_literal_ceiling():
+    # int() would refuse these digits with Python's 4,300-digit message
+    code, out, err = run_cli(["witt", "--m", "1," + "9" * 5000])
+    assert code == 2 and out == ""
+    assert "a 5000-digit literal exceeds the literal ceiling of 8000 bits" in err
+    assert "4300" not in err and "9" * (PARSE_ECHO_WIDTH + 1) not in err
+    code, out, err = run_cli(["witt", "--m", "1.5,2"])
+    assert code == 2 and out == "" and "unexpected character '.'" in err
+    # signs and surrounding blanks read as before
+    for text in ("-1,4", " -1, +4 "):
+        code, out, _ = run_cli(["witt", "--m", text, "--i-min", "-1", "--i-max", "1"])
+        assert code == 0 and "m in {(-1,4)}" in out
 
 
 def test_empty_sample_is_an_error_not_a_pass():

@@ -5,9 +5,9 @@ from math import comb, gcd
 import pytest
 
 from blockmod import poly
-from blockmod.blockalg import AlgebraElement
+from blockmod.blockalg import D2, AlgebraContext, AlgebraElement, BasisL, bracket, jacobi_defect
 from blockmod.poly import (MAX_EXPRESSION_DEGREE, IndexPair, ParseError, Poly1,
-                           Poly2, add_terms, compose2, from_single_variable,
+                           Poly2, add_terms, compose2, from_single_variable, index_box,
                            parse_poly1, parse_poly2, rewrite_in_xm, shift_terms,
                            to_single_variable)
 from blockmod.prng import SplitMix64
@@ -299,6 +299,76 @@ def test_poly1_carrier_matches_fraction_reference_randomized():
             assert f.coefficient(k) == coeff
         x = rng.fraction()
         assert f.eval_at(x) == reference_eval(F, x, 0)
+
+
+def reference_sum(parts):
+    """The sum of sign * value over (sign, value) pairs, on Fraction term maps."""
+    out: dict = {}
+    for sign, value in parts:
+        add_terms(out, ((key, sign * c) for key, c in value.terms().items()))
+    return out
+
+
+def kernel_element(rng, max_terms=4):
+    # generators of a small box, so that sums share keys and cancel
+    gens = [BasisL(m) for m in index_box(1)] + [D2]
+    return AlgebraElement([(rng.choice(gens), kernel_coefficient(rng))
+                           for _ in range(rng.int_between(0, max_terms))])
+
+
+@pytest.mark.parametrize("cls, sample", [
+    (Poly2, lambda rng: kernel_poly(rng, 3, 4)),
+    (AlgebraElement, kernel_element),
+])
+def test_combination_matches_fraction_reference(cls, sample):
+    # the one-pass sum skips zero parts, returns zero when none is left and
+    # drops a key whose total reaches zero
+    rng = SplitMix64(35)
+    zero = cls()
+    for _ in range(60):
+        f, g, h = sample(rng), sample(rng), sample(rng)
+        for parts in ([(1, f), (1, zero), (-1, g)], [(1, zero), (-1, h), (1, zero)],
+                      [(1, zero), (1, zero), (-1, zero)], [],
+                      [(1, f), (-1, f)], [(1, f), (1, g), (-1, f + g)],
+                      [(1, f), (1, g), (-1, f), (1, zero), (-1, g)],
+                      [(1, f), (1, g), (1, h)], [(-1, h)]):
+            got = cls._combination(parts)
+            assert type(got) is cls
+            assert_lowest_terms(got)
+            assert_same_terms(got.terms(), reference_sum(parts))
+        assert carrier(cls._combination([(1, f), (-1, f)])) == ({}, 1)
+
+
+def test_no_operation_changes_an_operand_or_a_returned_zero():
+    # values are immutable: every result, the zeros included, is fed back
+    # as an operand, and no stored numerator dict may change afterwards
+    rng = SplitMix64(36)
+    ctx = AlgebraContext(Fraction(5, 7))
+    m = IndexPair(1, -1)
+    poly_ops = [operator.add, operator.sub, operator.mul, lambda f, g: -f,
+                lambda f, g: f.shifted(m), lambda f, g: f._shift(Fraction(1, 3), 0),
+                lambda f, g: Fraction(-3, 4) * f, lambda f, g: 0 * g, lambda f, g: f ** 2,
+                lambda f, g: f - f, lambda f, g: g + 0,
+                lambda f, g: Poly2._combination([(1, f), (-1, g), (1, g)])]
+    element_ops = [operator.add, operator.sub, lambda x, y: -x, lambda x, y: Fraction(2, 3) * x,
+                   lambda x, y: 0 * y, lambda x, y: x - x, lambda x, y: 0 + y,
+                   lambda x, y: bracket(x, y, ctx), lambda x, y: bracket(x, x, ctx),
+                   lambda x, y: jacobi_defect(x, y, x, ctx),
+                   lambda x, y: AlgebraElement._combination([(1, x), (-1, y), (1, y)])]
+    for ops, pool in ((poly_ops, [kernel_poly(rng, 2, 3) for _ in range(4)] + [Poly2()]),
+                      (element_ops, [kernel_element(rng) for _ in range(4)]
+                       + [AlgebraElement(), AlgebraElement.basis(m)])):
+        seen = [(value, dict(value._nums), value._den) for value in pool]
+        for _ in range(3):
+            results = []
+            for op in ops:
+                for _ in range(4):
+                    results.append(op(rng.choice(pool), rng.choice(pool)))
+            assert any(not value for value in results)
+            seen += [(value, dict(value._nums), value._den) for value in results]
+            pool = pool + results
+        for value, nums, den in seen:
+            assert value._nums == nums and value._den == den
 
 
 def test_equal_values_hash_equal_along_every_path():
