@@ -21,6 +21,13 @@ def test_context_rejects_zero_q():
     with pytest.raises(ValueError, match="nonzero"):
         AlgebraContext(Fraction(0))
     assert AlgebraContext(Fraction(5, 7)).q == Fraction(5, 7)
+    # q's integer pair is read once per context; it takes no part in
+    # equality, hashing or the repr
+    ctx = AlgebraContext(Fraction(-10, 14))
+    assert ctx.ratio == (-5, 7) and AlgebraContext(3).ratio == (3, 1)
+    assert ctx == AlgebraContext(Fraction(-5, 7)) and ctx != AlgebraContext(Fraction(5, 7))
+    assert hash(ctx) == hash(AlgebraContext(Fraction(-5, 7)))
+    assert repr(ctx) == "AlgebraContext(q=Fraction(-5, 7))"
 
 
 def test_bracket_basis_examples():
@@ -218,12 +225,12 @@ def test_zero_brackets_match_reference(monkeypatch, skewed):
     zero, d2 = AlgebraElement(), AlgebraElement.derivation()
     for q in ORACLE_Q_VALUES:
         ctx = AlgebraContext(q)
-        operands = [zero, d2, Fraction(-5, 3) * d2] + [
-            rng.fraction(nonzero=True) * AlgebraElement.basis(m) for m in index_box(2)]
+        singles = [rng.fraction(nonzero=True) * AlgebraElement.basis(m) for m in index_box(2)]
+        operands = [zero, d2, Fraction(-5, 3) * d2, *singles]
         operands += [sample_element(rng) for _ in range(3)]
         pairs = [(zero, x) for x in operands] + [(x, zero) for x in operands]
         pairs += [(d2, d2), (Fraction(3, 4) * d2, -d2)]
-        pairs += [(x, c * x) for x in operands[3:28] for c in (1, Fraction(-2, 9))]
+        pairs += [(x, c * x) for x in singles for c in (1, Fraction(-2, 9))]
         vanished = 0
         for x, y in pairs:
             result = bracket(x, y, ctx)
