@@ -14,7 +14,7 @@ flags override the file.
 
 Cost guard: the degree bound D is capped at MAX_DEGREE_BOUND, because
 closure cost climbs steeply with D (the seed d1+d2^2 closes in about
-5.5 s at D=10 and about 20 s at D=12 on one Xeon core under Python
+1 s at D=10 and about 2 s at D=12 on one Xeon core under Python
 3.11); a larger D, from a flag or a config file, is a usage error.  The
 box radius B needs no cap: closure sweeps radius min(B, (D+2)//2), which
 gives the same result as the full box.  The axioms sweep radius is
@@ -41,7 +41,9 @@ Option values and positionals may start with "-" (--q -1/3,
 witt --m -1,4, act "L(1,0)" -d1); "--" ends the options.
 Every rational literal, in a flag, a config file or an expression, is
 capped at exactnum.MAX_LITERAL_BITS bits in its numerator and its
-denominator.
+denominator, and so is every integer option (D, B, the rng seed, the
+sweep count, the radii, the pair cap and the Witt range), from a flag
+or a config file.
 Polynomial expressions are capped at degree poly.MAX_EXPRESSION_DEGREE and their
 powers at coefficients of poly.MAX_POWER_BITS bits; every printed
 coefficient is held to that ceiling too (poly.printable), since a
@@ -180,6 +182,7 @@ def _argument_type(parse):
 
 
 _rational_argument = _argument_type(parse_rational)
+_integer_argument = _argument_type(parse_integer)
 
 
 @_argument_type
@@ -263,10 +266,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
     return RunConfig(
         params=params,
-        degree_bound=pick("degree_bound", "D", int, 3),
-        box_radius=pick("box_radius", "B", int, 5),
-        rng_seed=pick("rng_seed", "rng_seed", int, 1),
-        sweep_count=pick("sweeps", "sweeps", int, 10),
+        degree_bound=pick("degree_bound", "D", parse_integer, 3),
+        box_radius=pick("box_radius", "B", parse_integer, 5),
+        rng_seed=pick("rng_seed", "rng_seed", parse_integer, 1),
+        sweep_count=pick("sweeps", "sweeps", parse_integer, 10),
     )
 
 
@@ -300,14 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="module parameters lambda1,lambda2")
     common.add_argument("--alpha", type=_rational_argument, default=argparse.SUPPRESS,
                         help="module parameter alpha")
-    common.add_argument("--D", dest="degree_bound", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--D", dest="degree_bound", type=_integer_argument,
+                        default=argparse.SUPPRESS,
                         help=f"degree bound (at most {MAX_DEGREE_BOUND})")
-    common.add_argument("--B", dest="box_radius", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--B", dest="box_radius", type=_integer_argument, default=argparse.SUPPRESS,
                         help="index box radius (closure sweeps radius "
                              "min(B, (D+2)//2), which gives the same result)")
-    common.add_argument("--rng-seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--rng-seed", type=_integer_argument, default=argparse.SUPPRESS,
                         help="seed for the splitmix sampler")
-    common.add_argument("--sweeps", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--sweeps", type=_integer_argument, default=argparse.SUPPRESS,
                         help=f"sample count for randomized sweeps (at most {MAX_SWEEPS})")
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value defaults file; flags override")
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("axioms", parents=[common],
                               help="Jacobi and module-axiom sweeps")
-    sub.add_argument("--radius", type=int, default=2,
+    sub.add_argument("--radius", type=_integer_argument, default=2,
                      help=f"generator box radius (at most {MAX_AXIOM_RADIUS})")
     sub.add_argument("--use-variant-action", action="store_true",
                      help="diagnostic: run the module-axiom sweep with the rejected "
@@ -350,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", action="append", type=_parse_index_pair,
                      help="line index m1,m2 with m1 != 0; repeatable "
                           "(default: 1,0 2,3 -1,4)")
-    sub.add_argument("--i-min", type=int, default=-4)
-    sub.add_argument("--i-max", type=int, default=4)
+    sub.add_argument("--i-min", type=_integer_argument, default=-4)
+    sub.add_argument("--i-max", type=_integer_argument, default=4)
 
     sub = commands.add_parser("iso", parents=[common],
                               help="decide module isomorphism")
@@ -365,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--eq", default="all",
                      choices=["commutator", "pair-difference", "separated-form",
                               "coefficients", "control", "all"])
-    sub.add_argument("--radius", type=int, default=3,
+    sub.add_argument("--radius", type=_integer_argument, default=3,
                      help=f"index box radius (at most {MAX_REPLAY_RADIUS})")
-    sub.add_argument("--pairs", type=int, default=200,
+    sub.add_argument("--pairs", type=_integer_argument, default=200,
                      help=f"pair subsample cap (at most {MAX_REPLAY_PAIRS})")
 
     sub = commands.add_parser("report", parents=[common],

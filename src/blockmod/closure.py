@@ -27,10 +27,30 @@ grid points, and every image at any m is a combination of the C_ab.
 Hence the images of v over any such grid span exactly span{C_ab}.  The
 grid [-r, r]^2 has 2r+1 >= D+2 points per axis when r = (D+2)//2, and
 it is the whole box when B < (D+2)//2.  So each row contributes the
-same span at radius r as at radius B; since every pass inserts the
-images of a snapshot whose span depends only on the span at pass start,
-the span after each pass, the pass count, the additions per pass and
-the final reduced basis are all independent of B >= r.
+same span at radius r as at radius B.  After a pass the span is the
+span at its start plus the images of every row of degree <= D added
+before the pass (see the worklist paragraph below), and those rows span
+the degree-<=D part of the span at the pass start; so the span after each pass, the
+pass count, the additions per pass and the final reduced basis are all
+independent of B >= r.
+
+The passes form a worklist (semi-naive evaluation): the first pass acts
+with the seeds' rows of degree <= D, each later pass only with the rows
+of degree <= D that the pass before it added.  Acting again with an
+older row would change nothing.  Its images depend only on the row and
+m, the pass that first acted with it inserted them all, and the span
+only grows, so each lies in the span at every later insert; an insert
+of a vector of the span returns None and leaves the echelon as it was.
+Dropping those inserts leaves every stored row, every addition, the
+pass count, the additions per pass and the returned basis as they are
+in a loop that acts with every row in every pass.  The rows acted on
+span the degree-<=D part of the span: an elimination subtracts from a
+stored row a multiple of a row with a lower pivot, so each stored row
+of degree <= D is a combination of rows of degree <= D that were
+returned.  The certificate follows by induction over the passes: every
+row acted on had all its images over the box inserted once, and they
+lie in the final span.  The terminating pass, which added nothing,
+acted with the last rows added, so no row is left out.
 
 The intersection step is free: under a degree-graded monomial order an
 echelonized spanning set splits by leading-monomial degree, so the
@@ -311,12 +331,15 @@ def closure(seeds: list[Poly2], D: int, B: int,
     """Smallest action-stable subspace of the degree-D level containing the seeds.
 
     Deterministic: seeds in the given order, box in row-major order,
-    batch passes with the spanning set snapshotted at each pass start.
-    The box swept is [-r, r]^2 with r = min(B, (D+2)//2), which spans
-    the same images as [-B, B]^2 (see the module docstring).  The
-    terminating pass doubles as an invariance certificate: it verifies
-    that every single-step image of the final basis reduces to zero
-    inside the workspace.
+    batch passes, each acting only with the rows the pass before it
+    added (the first with the seeds' rows): acting again with an older
+    row would add nothing (see the module docstring).  The box swept is
+    [-r, r]^2 with r = min(B, (D+2)//2), which spans the same images as
+    [-B, B]^2.  The fixpoint certificate holds by induction: every row
+    of degree <= D was acted on once, by the pass after the one that
+    added it, and its images lie in the final span; the terminating pass
+    added nothing, so every single-step image of the final basis lies in
+    the final span inside the workspace.
     """
     if D < 1:
         raise ValueError("degree bound D must be at least 1")
@@ -343,11 +366,12 @@ def closure(seeds: list[Poly2], D: int, B: int,
 
     passes = 0
     growth: list[int] = []
+    done = 0        # active[:done] have been acted on; see the module docstring
     while True:
         passes += 1
-        snapshot = list(active)
+        fresh, done = active[done:], len(active)
         added = 0
-        for row in snapshot:
+        for row in fresh:
             nonzero = [(r, c) for r, c in enumerate(row) if c]
             for m in box:
                 stored = echelon.insert(table.image(nonzero, m))

@@ -362,6 +362,53 @@ def test_witt_line_index_is_read_through_the_literal_ceiling():
         assert code == 0 and "m in {(-1,4)}" in out
 
 
+FIVE_THOUSAND = "9" * 5000      # past Python's 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("argv, option", [
+    # argparse's int type echoed every digit: witt --i-max wrote 5,326 bytes
+    (["closure", "--seed", "d1", "--D", FIVE_THOUSAND], "--D"),
+    (["closure", "--seed", "d1", "--B", FIVE_THOUSAND], "--B"),
+    (["report", "--level", "quick", "--rng-seed", FIVE_THOUSAND], "--rng-seed"),
+    (["axioms", "--sweeps", FIVE_THOUSAND], "--sweeps"),
+    (["axioms", "--radius", FIVE_THOUSAND], "--radius"),
+    (["replay", "--radius", FIVE_THOUSAND], "--radius"),
+    (["replay", "--pairs", FIVE_THOUSAND], "--pairs"),
+    (["witt", "--i-min", "-" + FIVE_THOUSAND], "--i-min"),
+    (["witt", "--i-max", FIVE_THOUSAND], "--i-max"),
+])
+def test_integer_options_are_read_through_the_literal_ceiling(argv, option):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert (f"argument {option}: a 5000-digit literal exceeds the literal ceiling "
+            f"of 8000 bits") in err
+    assert "9" * (PARSE_ECHO_WIDTH + 1) not in err and len(err) < 600
+
+
+@pytest.mark.parametrize("key", ["D", "B", "rng_seed", "sweeps"])
+def test_integer_config_values_are_read_through_the_literal_ceiling(tmp_path, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={'9' * 50_000}\n")
+    code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", str(config)])
+    assert code == 2 and out == ""
+    assert "a 50000-digit literal exceeds the literal ceiling of 8000 bits" in err
+    assert "4300" not in err and "9" * (PARSE_ECHO_WIDTH + 1) not in err and len(err) < 600
+
+
+def test_integer_options_keep_signs_and_reject_non_integers(tmp_path):
+    code, out, _ = run_cli(["witt", "--i-min", "-4", "--i-max", "+2", "--m", "1,0"])
+    assert code == 0 and "i in [-4,2]" in out
+    config = tmp_path / "run.cfg"
+    config.write_text("D= 2 \nB=-1\n")
+    code, _, err = run_cli(["closure", "--seed", "d1", "--config", str(config)])
+    assert code == 2 and "box radius must be at least 1" in err
+    code, out, _ = run_cli(["closure", "--seed", "d1", "--config", str(config), "--B", "3"])
+    assert code == 0 and json.loads(out)["config"]["degree_bound"] == 2
+    for text in ("1.5", "0x10", "2e3", ""):
+        code, out, err = run_cli(["axioms", "--radius", text])
+        assert code == 2 and out == "" and "argument --radius:" in err, text
+
+
 def test_empty_sample_is_an_error_not_a_pass():
     # the one sampled pair holds a zero index and q=5/7 adds no exceptional
     # pairs, so the coefficient replay has nothing to check

@@ -9,9 +9,10 @@ from blockmod import poly
 from blockmod.blockalg import AlgebraElement
 from blockmod.closure import (ClosureTag, SubspaceBasis, classify_span, closure,
                               filtration_dimension, span_insert)
-from blockmod.omega import ParamSet, act
+from blockmod.omega import ParamSet, act, generator_image
 from blockmod.poly import IndexPair, Poly2, grlex_key
 from blockmod.prng import SplitMix64
+from blockmod.suites import sample_poly2
 
 
 # --- an independent fixpoint oracle ------------------------------------------
@@ -460,3 +461,151 @@ def test_closure_independent_of_box_radius_beyond_interpolation_bound():
                 basis, result = closure([seed], D, B, p)
                 assert basis.vectors == reference.vectors, (D, B)
                 assert result.diagnostics.split("; fixpoint")[0] == prefix, (D, B)
+
+
+# --- the worklist against the full-snapshot loop -------------------------------
+# The engine acts in each pass only with the rows the pass before it
+# added.  The loop it replaced acted with every active row in every pass;
+# it lives on here as an oracle, built on the engine's own table and
+# echelon.  The module docstring proves that its extra inserts (the
+# images of rows acted on in an earlier pass) all return None, so the
+# rows added, the diagnostics and the basis are the same.
+
+_ENGINE_ECHELON = engine._IntEchelon     # the tests below patch the engine's name
+
+
+def full_snapshot_closure(seeds, D, B, p):
+    """The full-snapshot loop: (inserts, extra results, basis, passes, growth).
+
+    inserts lists (row, result) for every insert the worklist also makes,
+    in order; extra results lists the results of the re-inserts of the
+    images of rows acted on in an earlier pass.
+    """
+    table = engine._ActTable(D, p)
+    echelon = _ENGINE_ECHELON(table.dim)
+    cap = filtration_dimension(D)
+    inserts, extra = [], []
+    active = []
+    for seed in seeds:
+        if seed:
+            row = engine._poly_to_int_row(seed, table.dim)
+            stored = echelon.insert(list(row))
+            inserts.append((row, stored))
+            if stored is not None and stored[0] < cap:
+                active.append(stored[1])
+    box = poly.index_box(min(B, (D + 2) // 2))
+    acted = 0
+    passes, growth = 0, []
+    while True:
+        passes += 1
+        snapshot = list(active)
+        added = 0
+        for index, row in enumerate(snapshot):
+            nonzero = [(r, c) for r, c in enumerate(row) if c]
+            for m in box:
+                image = table.image(nonzero, m)
+                stored = echelon.insert(list(image))
+                if index < acted:
+                    extra.append(stored)
+                    continue
+                inserts.append((image, stored))
+                if stored is not None:
+                    added += 1
+                    if stored[0] < cap:
+                        active.append(stored[1])
+        acted = len(snapshot)
+        growth.append(added)
+        if added == 0:
+            break
+    basis = [engine._monic_poly(pivot, row, table.workspace)
+             for pivot, row in echelon.rows if pivot < cap]
+    return inserts, extra, basis, passes, growth
+
+
+class RecordingEchelon(engine._IntEchelon):
+    """The engine's echelon, recording each insert's row and result."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.inserts = []
+
+    def insert(self, row):
+        copy = list(row)
+        stored = super().insert(row)
+        self.inserts.append((copy, stored))
+        return stored
+
+
+def test_worklist_matches_full_snapshot_loop(monkeypatch):
+    echelons = []
+
+    def recording(dim):
+        echelons.append(RecordingEchelon(dim))
+        return echelons[-1]
+
+    monkeypatch.setattr(engine, "_IntEchelon", recording)
+    params = (ParamSet(1, 1, 1, 0),
+              ParamSet(Fraction(3, 2), Fraction(2, 3), 5, Fraction(1, 2)),
+              ParamSet(Fraction(5, 7), 3, Fraction(-1, 4), Fraction(3, 4)))
+    rng = SplitMix64(44)
+    runs = extras = 0
+    for p in params:
+        x1, x2 = p.vanishing_point()
+        for D in range(1, 7):
+            degree = min(D, 3)
+            raw = [sample_poly2(rng, degree) for _ in range(2)]
+            inside = [(f - f.eval_at(x1, x2)) or poly.D1 for f in raw]
+            seed_lists = [inside[:1], [inside[0] + 1], inside, [inside[1], raw[0] + 1]]
+            for seeds in seed_lists:
+                basis, result = closure(seeds, D, D + 2, p)
+                inserts, extra, oracle_basis, passes, growth = \
+                    full_snapshot_closure(seeds, D, D + 2, p)
+                echelon = echelons.pop()
+                assert echelon.inserts == inserts, (p, D, seeds)
+                assert all(stored is None for stored in extra), (p, D, seeds)
+                assert list(basis.vectors) == oracle_basis, (p, D, seeds)
+                classified = classify_span(basis, D, p).diagnostics
+                assert result.diagnostics.startswith(
+                    f"{classified}; passes={passes}, workspace additions per pass={growth}; "
+                    f"fixpoint certificate:"), (p, D, seeds)
+                if any(f.eval_at(x1, x2) for f in seeds):
+                    assert result.tag is ClosureTag.FULL, (p, D, seeds)
+                else:
+                    assert result.tag is ClosureTag.OMEGA_PRIME, (p, D, seeds)
+                runs += 1
+                extras += len(extra)
+    assert runs == len(params) * 6 * 4 and extras > 0
+
+
+# --- the action table ------------------------------------------------------------
+
+def test_act_table_image_matches_shifted_times_generator_image():
+    # the table's image of a row of degree <= D under L(m) is the row
+    # shifted by m times g_m / lambda^m, rescaled by that factor's
+    # denominator: rank by rank, image[r] * den(P) == den(g) * num(P)[r]
+    # for P = f.shifted(m) * generator_image(m, p, scaled=False)
+    rng = SplitMix64(45)
+    params = (ParamSet(1, 1, 1, 0),
+              ParamSet(Fraction(3, 2), Fraction(2, 3), 5, Fraction(1, 2)),
+              ParamSet(Fraction(-5, 7), 3, Fraction(-1, 4), Fraction(3, 4)))
+    checked = 0
+    for p in params:
+        for D in range(1, 7):
+            warm = engine._ActTable(D, p)
+            low = filtration_dimension(D)
+            for _ in range(3):
+                row = [rng.int_between(-9, 9) if rng.below(2) else 0 for _ in range(low)]
+                row[rng.below(low)] = rng.int_between(1, 9)
+                row += [0] * (warm.dim - low)
+                nonzero = [(r, c) for r, c in enumerate(row) if c]
+                f = Poly2({warm.workspace[r]: c for r, c in nonzero})
+                for m in poly.index_box((D + 2) // 2):
+                    g = generator_image(m, p, scaled=False)
+                    product = f.shifted(m) * g
+                    expected = [g._den * product._nums.get(mono, 0) for mono in warm.workspace]
+                    assert product._nums.keys() <= set(warm.workspace)
+                    cold = engine._ActTable(D, p).image(nonzero, m)
+                    for image in (cold, warm.image(nonzero, m), warm.image(nonzero, m)):
+                        assert [x * product._den for x in image] == expected, (p, D, row, m)
+                    checked += 1
+    assert checked == 3 * 3 * sum((2 * ((D + 2) // 2) + 1) ** 2 for D in range(1, 7))
