@@ -404,7 +404,7 @@ def test_integer_options_keep_signs_and_reject_non_integers(tmp_path):
     assert code == 2 and "box radius must be at least 1" in err
     code, out, _ = run_cli(["closure", "--seed", "d1", "--config", str(config), "--B", "3"])
     assert code == 0 and json.loads(out)["config"]["degree_bound"] == 2
-    for text in ("1.5", "0x10", "2e3", ""):
+    for text in ("1.5", "0x10", "2e3", "5_000", ""):
         code, out, err = run_cli(["axioms", "--radius", text])
         assert code == 2 and out == "" and "argument --radius:" in err, text
 

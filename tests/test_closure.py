@@ -473,6 +473,11 @@ def test_closure_independent_of_box_radius_beyond_interpolation_bound():
 
 _ENGINE_ECHELON = engine._IntEchelon     # the tests below patch the engine's name
 
+# integral, half-integral and generic q; rational lambda; alpha 0, 1/2 and 3/4
+GRID_PARAMS = (ParamSet(1, 1, 1, 0),
+               ParamSet(Fraction(3, 2), Fraction(2, 3), 5, Fraction(1, 2)),
+               ParamSet(Fraction(5, 7), 3, Fraction(-1, 4), Fraction(3, 4)))
+
 
 def full_snapshot_closure(seeds, D, B, p):
     """The full-snapshot loop: (inserts, extra results, basis, passes, growth).
@@ -489,7 +494,7 @@ def full_snapshot_closure(seeds, D, B, p):
     for seed in seeds:
         if seed:
             row = engine._poly_to_int_row(seed, table.dim)
-            stored = echelon.insert(list(row))
+            stored = echelon.insert(row)
             inserts.append((row, stored))
             if stored is not None and stored[0] < cap:
                 active.append(stored[1])
@@ -504,7 +509,7 @@ def full_snapshot_closure(seeds, D, B, p):
             nonzero = [(r, c) for r, c in enumerate(row) if c]
             for m in box:
                 image = table.image(nonzero, m)
-                stored = echelon.insert(list(image))
+                stored = echelon.insert(image)
                 if index < acted:
                     extra.append(stored)
                     continue
@@ -530,9 +535,8 @@ class RecordingEchelon(engine._IntEchelon):
         self.inserts = []
 
     def insert(self, row):
-        copy = list(row)
         stored = super().insert(row)
-        self.inserts.append((copy, stored))
+        self.inserts.append((row, stored))
         return stored
 
 
@@ -544,12 +548,9 @@ def test_worklist_matches_full_snapshot_loop(monkeypatch):
         return echelons[-1]
 
     monkeypatch.setattr(engine, "_IntEchelon", recording)
-    params = (ParamSet(1, 1, 1, 0),
-              ParamSet(Fraction(3, 2), Fraction(2, 3), 5, Fraction(1, 2)),
-              ParamSet(Fraction(5, 7), 3, Fraction(-1, 4), Fraction(3, 4)))
     rng = SplitMix64(44)
     runs = extras = 0
-    for p in params:
+    for p in GRID_PARAMS:
         x1, x2 = p.vanishing_point()
         for D in range(1, 7):
             degree = min(D, 3)
@@ -574,7 +575,7 @@ def test_worklist_matches_full_snapshot_loop(monkeypatch):
                     assert result.tag is ClosureTag.OMEGA_PRIME, (p, D, seeds)
                 runs += 1
                 extras += len(extra)
-    assert runs == len(params) * 6 * 4 and extras > 0
+    assert runs == len(GRID_PARAMS) * 6 * 4 and extras > 0
 
 
 # --- the action table ------------------------------------------------------------
@@ -585,11 +586,8 @@ def test_act_table_image_matches_shifted_times_generator_image():
     # denominator: rank by rank, image[r] * den(P) == den(g) * num(P)[r]
     # for P = f.shifted(m) * generator_image(m, p, scaled=False)
     rng = SplitMix64(45)
-    params = (ParamSet(1, 1, 1, 0),
-              ParamSet(Fraction(3, 2), Fraction(2, 3), 5, Fraction(1, 2)),
-              ParamSet(Fraction(-5, 7), 3, Fraction(-1, 4), Fraction(3, 4)))
     checked = 0
-    for p in params:
+    for p in GRID_PARAMS:
         for D in range(1, 7):
             warm = engine._ActTable(D, p)
             low = filtration_dimension(D)
