@@ -2,7 +2,6 @@
 
 from .blockalg import AlgebraContext, AlgebraElement, BasisL, D2
 from .closure import ClosureResult, ClosureTag, SubspaceBasis
-from .exactnum import Rational, rat
 from .omega import ParamSet, WittParams
 from .poly import IndexPair, Poly1, Poly2
 
@@ -11,7 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraContext", "AlgebraElement", "BasisL", "D2",
     "ClosureResult", "ClosureTag", "SubspaceBasis",
-    "Rational", "rat",
     "ParamSet", "WittParams",
     "IndexPair", "Poly1", "Poly2",
     "__version__",

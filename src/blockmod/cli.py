@@ -10,28 +10,30 @@ the arguments and the configuration, including the rng seed.
 Rational parameters are written as ``a`` or ``a/b`` (for example
 ``--q 5/7``).  A config file of ``key=value`` lines may supply defaults
 for q, lambda1, lambda2, alpha, D, B, rng_seed and sweeps; command-line
-flags override the file.
+flags override the file.  Each of these options is declared once, in
+``_OPTIONS``: its flag (lambda1 and lambda2 have none; ``--lambda`` sets
+both), its parser, its default and its help.  The file is read whole,
+each value at its own line by its key's parser, before any flag is
+applied, so a malformed value is a usage error even where a flag
+overrides it.  Config errors name the place: ``path:line: key: message``
+for a value its parser rejects, ``path:line: message`` for a line that
+is not ``key=value``, an unknown key or a key given twice.
 
 Cost guard: the degree bound D is capped at MAX_DEGREE_BOUND, because
-closure cost climbs steeply with D (the seed d1+d2^2 closes in about
-1 s at D=10 and about 2 s at D=12 on one Xeon core under Python
-3.11); a larger D, from a flag or a config file, is a usage error.  The
-box radius B needs no cap: closure sweeps radius min(B, (D+2)//2), which
-gives the same result as the full box.  The axioms sweep radius is
-capped at MAX_AXIOM_RADIUS, the acceptance Jacobi radius, because the
-Jacobi sweep does (2R+1)^6 work (radius 3 with one sweep takes about
-9 s on the same core).  The replay radius is capped at
-MAX_REPLAY_RADIUS, because two replays cover the whole (2R+1)^2 box
-(radius 16 takes about 1.1 s), and the replay pair cap at
-MAX_REPLAY_PAIRS, because the commutator replay checks every sampled
-pair (10,000 pairs at radius 16 take about 5.5 s).  The sweep count is
+closure cost climbs steeply with D; a larger D, from a flag or a config
+file, is a usage error.  The box radius B needs no cap: closure sweeps
+radius min(B, (D+2)//2), which gives the same result as the full box.
+The axioms sweep radius is capped at MAX_AXIOM_RADIUS, the acceptance
+Jacobi radius, because the Jacobi sweep does (2R+1)^6 work.  The replay
+radius is capped at MAX_REPLAY_RADIUS, because two replays cover the
+whole (2R+1)^2 box, and the replay pair cap at MAX_REPLAY_PAIRS, because
+the commutator replay checks every sampled pair.  The sweep count is
 capped at MAX_SWEEPS, because each sweep is one more module-axiom scan
-of every generator pair (100 sweeps take about 16 s at radius 2).
+of every generator pair.  The README gives what each ceiling costs.
 Every generator index built from user input (an element's L(m1,m2), a
 Witt line index m and i*m over the Witt range) is capped at
 MAX_GENERATOR_INDEX in |m1| and |m2|, because lambda^m and the shift by m
-grow with the index; i*m also bounds the length of the Witt range,
-and witt over [-1000,1000] takes about 0.5 s at m=1,0 with lambda 2,3.
+grow with the index; i*m also bounds the length of the Witt range.
 Where act and witt raise lambda to such an index, the power
 lambda1^m1*lambda2^m2 is held to the coefficient ceiling of
 poly.MAX_POWER_BITS bits as well, so that its digits stay printable:
@@ -58,7 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import blockalg, omega, suites
@@ -68,14 +70,27 @@ from .omega import ParamSet
 from .poly import MAX_POWER_BITS, IndexPair, ParseError, coefficient_bits, parse_poly2
 from .suites import Check
 
-_CONFIG_KEYS = ("q", "lambda1", "lambda2", "alpha", "D", "B", "rng_seed", "sweeps")
-
 MAX_DEGREE_BOUND = 12
 MAX_AXIOM_RADIUS = 3
 MAX_REPLAY_RADIUS = 16
 MAX_REPLAY_PAIRS = 10_000
 MAX_SWEEPS = 100
 MAX_GENERATOR_INDEX = 1000
+
+# the options every subcommand shares, keyed by config file key:
+# (flag, parser, default, help); a flag's dest is its key
+_OPTIONS = {
+    "q": ("--q", parse_rational, Fraction(1), "algebra parameter (nonzero rational)"),
+    "lambda1": (None, parse_rational, Fraction(1), None),
+    "lambda2": (None, parse_rational, Fraction(1), None),
+    "alpha": ("--alpha", parse_rational, Fraction(0), "module parameter alpha"),
+    "D": ("--D", parse_integer, 3, f"degree bound (at most {MAX_DEGREE_BOUND})"),
+    "B": ("--B", parse_integer, 5, "index box radius (closure sweeps radius "
+                                   "min(B, (D+2)//2), which gives the same result)"),
+    "rng_seed": ("--rng-seed", parse_integer, 1, "seed for the splitmix sampler"),
+    "sweeps": ("--sweeps", parse_integer, 10,
+               f"sample count for randomized sweeps (at most {MAX_SWEEPS})"),
+}
 
 
 def _clipped(value) -> str:
@@ -91,13 +106,14 @@ def _check_ceiling(what: str, value: int, ceiling: int) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters, scales and seed shared by the subcommands."""
+    """Parameters, scales and seed shared by the subcommands; :func:`build_config`
+    fills them from ``_OPTIONS``."""
 
     params: ParamSet
-    degree_bound: int = 3
-    box_radius: int = 5
-    rng_seed: int = 1
-    sweep_count: int = 10
+    degree_bound: int
+    box_radius: int
+    rng_seed: int
+    sweep_count: int
 
     def __post_init__(self):
         if self.degree_bound < 1:
@@ -122,48 +138,36 @@ class Report:
 
 
 def report_to_json(report: Report) -> str:
-    payload = {
-        "command": report.command,
-        "config": {
-            "q": str(report.config.params.q),
-            "lambda1": str(report.config.params.lambda1),
-            "lambda2": str(report.config.params.lambda2),
-            "alpha": str(report.config.params.alpha),
-            "degree_bound": report.config.degree_bound,
-            "box_radius": report.config.box_radius,
-            "rng_seed": report.config.rng_seed,
-            "sweep_count": report.config.sweep_count,
-        },
-        "checks": [
-            {
-                "name": check.name,
-                "anchor": check.anchor,
-                "status": check.status,
-                "witness": check.witness,
-            }
-            for check in report.checks
-        ],
-        "overall": report.overall,
-    }
+    payload = asdict(report)
+    params = payload["config"].pop("params")
+    payload["config"] = {**{key: str(value) for key, value in params.items()}, **payload["config"]}
+    payload["overall"] = report.overall
     return json.dumps(payload, indent=2, ensure_ascii=True)
 
 
 # --- argument plumbing ---------------------------------------------------------
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(path: str) -> dict[str, object]:
+    """The values of a key=value file, each read by its key's parser."""
+    values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{line_number}"
             if "=" not in line:
-                raise ValueError(f"{path}:{line_number}: expected key=value")
-            key, _, value = line.partition("=")
+                raise ValueError(f"{where}: expected key=value")
+            key, _, text = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{line_number}: unknown key {key!r}")
-            values[key] = value.strip()
+            if key not in _OPTIONS:
+                raise ValueError(f"{where}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{where}: duplicate key {key!r}")
+            try:
+                values[key] = _OPTIONS[key][1](text.strip())
+            except ValueError as error:
+                raise ValueError(f"{where}: {key}: {error}") from None
     return values
 
 
@@ -181,24 +185,22 @@ def _argument_type(parse):
     return convert
 
 
-_rational_argument = _argument_type(parse_rational)
+def _comma_separated(parse, count: int, expected: str):
+    """A parser of ``count`` comma-separated values, each read by ``parse``, as a tuple."""
+    def convert(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != count:
+            raise ValueError(f"expected {expected}")
+        return tuple(parse(part) for part in parts)
+    return convert
+
+
 _integer_argument = _argument_type(parse_integer)
-
-
-@_argument_type
-def _parse_lambda_pair(text: str) -> tuple[Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated rationals, e.g. 1,1")
-    return parse_rational(parts[0]), parse_rational(parts[1])
-
-
-@_argument_type
-def _parse_param_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("expected lambda1,lambda2,alpha, e.g. 1,2,0")
-    return tuple(parse_rational(part) for part in parts)
+_lambda_pair = _argument_type(_comma_separated(
+    parse_rational, 2, "two comma-separated rationals, e.g. 1,1"))
+_param_triple = _argument_type(_comma_separated(
+    parse_rational, 3, "lambda1,lambda2,alpha, e.g. 1,2,0"))
+_integer_pair = _comma_separated(parse_integer, 2, "two comma-separated integers, e.g. 2,3")
 
 
 def _check_index(m: IndexPair, what: str) -> None:
@@ -223,10 +225,7 @@ def _check_lambda_power(m: IndexPair, params: ParamSet, what: str) -> None:
 @_argument_type
 def _parse_index_pair(text: str) -> IndexPair:
     """A Witt line index m1,m2; m1 = 0 is invalid input."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated integers, e.g. 2,3")
-    m = IndexPair(parse_integer(parts[0]), parse_integer(parts[1]))
+    m = IndexPair(*_integer_pair(text))
     if m.m1 == 0:
         raise ValueError(f"Witt line index needs m1 != 0, got {_clipped(text)}")
     _check_index(m, "Witt line index")
@@ -242,35 +241,15 @@ def _parse_element(text: str, ctx: blockalg.AlgebraContext) -> blockalg.AlgebraE
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict[str, str] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_values = _read_config_file(config_path)
-
-    def pick(flag_name, key, parser, default):
-        value = getattr(args, flag_name, None)
-        if value is not None:
-            return value
-        if key in file_values:
-            return parser(file_values[key])
-        return default
-
-    lam = getattr(args, "lam", None)
-    lambda1 = lam[0] if lam else pick("_none", "lambda1", parse_rational, Fraction(1))
-    lambda2 = lam[1] if lam else pick("_none", "lambda2", parse_rational, Fraction(1))
-    params = ParamSet(
-        q=pick("q", "q", parse_rational, Fraction(1)),
-        lambda1=lambda1,
-        lambda2=lambda2,
-        alpha=pick("alpha", "alpha", parse_rational, Fraction(0)),
-    )
-    return RunConfig(
-        params=params,
-        degree_bound=pick("degree_bound", "D", parse_integer, 3),
-        box_radius=pick("box_radius", "B", parse_integer, 5),
-        rng_seed=pick("rng_seed", "rng_seed", parse_integer, 1),
-        sweep_count=pick("sweeps", "sweeps", parse_integer, 10),
-    )
+    """Each shared option's default, then the config file, then the flags."""
+    values = {key: default for key, (_, _, default, _) in _OPTIONS.items()}
+    if getattr(args, "config", None):
+        values.update(_read_config_file(args.config))
+    values.update((key, getattr(args, key)) for key in _OPTIONS if key in args)
+    if "lam" in args:
+        values["lambda1"], values["lambda2"] = args.lam
+    params = ParamSet(values["q"], values["lambda1"], values["lambda2"], values["alpha"])
+    return RunConfig(params, values["D"], values["B"], values["rng_seed"], values["sweeps"])
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -296,23 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     # written before or after the subcommand; values default to SUPPRESS and
     # build_config fills in the real defaults
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=_rational_argument, default=argparse.SUPPRESS,
-                        help="algebra parameter (nonzero rational)")
-    common.add_argument("--lambda", dest="lam", type=_parse_lambda_pair,
+    for key, (flag, parse, _, help_text) in _OPTIONS.items():
+        if flag:
+            common.add_argument(flag, dest=key, type=_argument_type(parse),
+                                default=argparse.SUPPRESS, help=help_text)
+    common.add_argument("--lambda", dest="lam", type=_lambda_pair,
                         default=argparse.SUPPRESS, metavar="L1,L2",
                         help="module parameters lambda1,lambda2")
-    common.add_argument("--alpha", type=_rational_argument, default=argparse.SUPPRESS,
-                        help="module parameter alpha")
-    common.add_argument("--D", dest="degree_bound", type=_integer_argument,
-                        default=argparse.SUPPRESS,
-                        help=f"degree bound (at most {MAX_DEGREE_BOUND})")
-    common.add_argument("--B", dest="box_radius", type=_integer_argument, default=argparse.SUPPRESS,
-                        help="index box radius (closure sweeps radius "
-                             "min(B, (D+2)//2), which gives the same result)")
-    common.add_argument("--rng-seed", type=_integer_argument, default=argparse.SUPPRESS,
-                        help="seed for the splitmix sampler")
-    common.add_argument("--sweeps", type=_integer_argument, default=argparse.SUPPRESS,
-                        help=f"sample count for randomized sweeps (at most {MAX_SWEEPS})")
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value defaults file; flags override")
 
@@ -359,16 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("iso", parents=[common],
                               help="decide module isomorphism")
-    sub.add_argument("--left", type=_parse_param_triple, required=True,
+    sub.add_argument("--left", type=_param_triple, required=True,
                      metavar="L1,L2,A")
-    sub.add_argument("--right", type=_parse_param_triple, required=True,
+    sub.add_argument("--right", type=_param_triple, required=True,
                      metavar="L1,L2,A")
 
     sub = commands.add_parser("replay", parents=[common],
                               help="identity replay suite")
-    sub.add_argument("--eq", default="all",
-                     choices=["commutator", "pair-difference", "separated-form",
-                              "coefficients", "control", "all"])
+    sub.add_argument("--eq", default="all", choices=_REPLAY_ANCHORS)
     sub.add_argument("--radius", type=_integer_argument, default=3,
                      help=f"index box radius (at most {MAX_REPLAY_RADIUS})")
     sub.add_argument("--pairs", type=_integer_argument, default=200,
@@ -455,22 +422,26 @@ def _cmd_iso(args, config: RunConfig) -> list[Check]:
                   status="pass", witness=text)]
 
 
+# the replay checks each replay --eq choice selects; "control" selects the
+# commutator variant control alone, and "all" adds it where alpha != 1
+_REPLAY_ANCHORS = {
+    "commutator": {"commutator-replay"},
+    "pair-difference": {"pair-difference-replay"},
+    "separated-form": {"separated-form-replay"},
+    "coefficients": {"coefficient-replay"},
+    "control": set(),
+    "all": {"commutator-replay", "pair-difference-replay", "separated-form-replay",
+            "coefficient-replay"},
+}
+
+
 def _cmd_replay(args, config: RunConfig) -> list[Check]:
     _check_ceiling("replay radius {}", args.radius, MAX_REPLAY_RADIUS)
     _check_ceiling("pair cap {}", args.pairs, MAX_REPLAY_PAIRS)
     selected: list[Check] = []
-    if args.eq in ("commutator", "pair-difference", "separated-form", "coefficients",
-                   "all"):
+    if wanted := _REPLAY_ANCHORS[args.eq]:
         checks = suites.replay_suite([config.params], config.rng_seed,
                                      radius=args.radius, pair_cap=args.pairs)
-        wanted = {
-            "commutator": {"commutator-replay"},
-            "pair-difference": {"pair-difference-replay"},
-            "separated-form": {"separated-form-replay"},
-            "coefficients": {"coefficient-replay"},
-            "all": {"commutator-replay", "pair-difference-replay",
-                    "separated-form-replay", "coefficient-replay"},
-        }[args.eq]
         selected += [c for c in checks if c.anchor in wanted]
     if args.eq == "control" or (args.eq == "all" and config.params.alpha != 1):
         # at alpha=1 the variant is a d2-translate of the adopted action and

@@ -3,10 +3,9 @@
 Every coefficient in this package is a ``fractions.Fraction``: arbitrary
 precision, reduced on construction, positive denominator, zero stored as
 0/1.  Canonical form is enforced by the type itself, so equality of
-values is structural equality.  This module pins that choice under the
-name ``Rational``; ``str`` prints a Fraction as ``a`` or ``a/b``, the
-inverse of :func:`parse_rational`, and ``**`` gives its exact integer
-powers.
+values is structural equality.  ``str`` prints a Fraction as ``a`` or
+``a/b``, the inverse of :func:`parse_rational`, and ``**`` gives its
+exact integer powers.
 
 It also holds the tokenizer and the parser base class of the expression
 grammars (polynomials in :mod:`blockmod.poly`, algebra elements in
@@ -26,8 +25,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-Rational = Fraction
 
 # cost guard: the widest integer (numerator or denominator) a literal may
 # have, about 2,400 digits
@@ -149,17 +146,6 @@ class _Parser:
             raise ParseError(f"a {len(digits)}-digit literal exceeds the literal ceiling of "
                              f"{MAX_LITERAL_BITS} bits", self.text, at)
         return value
-
-
-def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or ``a/b`` string to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def parse_integer(text: str) -> int:

@@ -1,14 +1,17 @@
 import hashlib
 import io
 import json
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from blockmod.cli import main
+from blockmod.cli import _OPTIONS, main
 from blockmod.exactnum import PARSE_ECHO_WIDTH
+from child_process import run_python
+
+
+def cli_subprocess(*argv):
+    return run_python("-m", "blockmod.cli", *argv)
 
 
 def run_cli(argv):
@@ -80,10 +83,7 @@ def test_usage_errors_exit_2():
 
 def test_closure_huge_box_radius_is_fast():
     # closure sweeps radius min(B, (D+2)//2), so B costs nothing beyond that
-    result = subprocess.run(
-        [sys.executable, "-m", "blockmod.cli", "closure", "--seed", "1",
-         "--D", "2", "--B", "1000000000"],
-        capture_output=True, text=True, timeout=10)
+    result = cli_subprocess("closure", "--seed", "1", "--D", "2", "--B", "1000000000")
     assert result.returncode == 0
     assert "tag=FULL, dim=6" in result.stdout
 
@@ -101,9 +101,7 @@ def test_degree_bound_ceiling_exits_2(tmp_path):
 
 def test_axioms_radius_ceiling_exits_2():
     # radius 8 would sweep about 24 million Jacobi triples; the guard refuses it at once
-    result = subprocess.run(
-        [sys.executable, "-m", "blockmod.cli", "axioms", "--radius", "8", "--sweeps", "1"],
-        capture_output=True, text=True, timeout=10)
+    result = cli_subprocess("axioms", "--radius", "8", "--sweeps", "1")
     assert result.returncode == 2 and result.stdout == ""
     assert "axioms radius 8 exceeds the cost ceiling 3" in result.stderr
 
@@ -111,9 +109,7 @@ def test_axioms_radius_ceiling_exits_2():
 def test_replay_radius_ceiling_exits_2():
     # the single-index replays cover the whole (2R+1)^2 box: radius 1000 would
     # run for about 40 minutes; the guard refuses it at once
-    result = subprocess.run(
-        [sys.executable, "-m", "blockmod.cli", "replay", "--radius", "1000", "--pairs", "1"],
-        capture_output=True, text=True, timeout=10)
+    result = cli_subprocess("replay", "--radius", "1000", "--pairs", "1")
     assert result.returncode == 2 and result.stdout == ""
     assert "replay radius 1000 exceeds the cost ceiling 16" in result.stderr
 
@@ -121,9 +117,7 @@ def test_replay_radius_ceiling_exits_2():
 def test_replay_pairs_ceiling_exits_2():
     # the commutator replay checks every sampled pair: a cap of a million
     # pairs would run for minutes; the guard refuses it at once
-    result = subprocess.run(
-        [sys.executable, "-m", "blockmod.cli", "replay", "--radius", "16", "--pairs", "1000000"],
-        capture_output=True, text=True, timeout=10)
+    result = cli_subprocess("replay", "--radius", "16", "--pairs", "1000000")
     assert result.returncode == 2 and result.stdout == ""
     assert "pair cap 1000000 exceeds the cost ceiling 10000" in result.stderr
 
@@ -134,9 +128,7 @@ def test_sweeps_ceiling_exits_2(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("sweeps=101\n")
     for extra in (["--sweeps", "101"], ["--config", str(config)]):
-        result = subprocess.run(
-            [sys.executable, "-m", "blockmod.cli", "axioms", "--radius", "1", *extra],
-            capture_output=True, text=True, timeout=10)
+        result = cli_subprocess("axioms", "--radius", "1", *extra)
         assert result.returncode == 2 and result.stdout == "", extra
         assert "sweep count 101 exceeds the cost ceiling 100" in result.stderr, extra
 
@@ -154,8 +146,7 @@ def test_sweeps_ceiling_exits_2(tmp_path):
      "Witt index -334*(2,3) = (-668,-1002)"),
 ])
 def test_generator_index_ceiling_exits_2(argv, message):
-    result = subprocess.run([sys.executable, "-m", "blockmod.cli", *argv],
-                            capture_output=True, text=True, timeout=10)
+    result = cli_subprocess(*argv)
     assert result.returncode == 2 and result.stdout == ""
     assert f"{message} exceeds the cost ceiling 1000 on |m1| and |m2|" in result.stderr
 
@@ -166,11 +157,6 @@ def test_generator_index_at_the_ceiling_runs():
     code, out, _ = run_cli(["witt", "--m", "1,0", "--i-min", "-1000", "--i-max", "1000",
                             "--lambda", "2,3"])
     assert code == 0 and "i in [-1000,1000]" in out
-
-
-def cli_subprocess(*argv):
-    return subprocess.run([sys.executable, "-m", "blockmod.cli", *argv],
-                          capture_output=True, text=True, timeout=10)
 
 
 @pytest.mark.parametrize("argv, same_as", [
@@ -262,18 +248,14 @@ def test_empty_grids_are_usage_errors(argv, message):
 
 def test_expression_degree_ceiling_is_fast():
     for text in ("d1^1000000000", "(d1+d2)^400"):
-        result = subprocess.run(
-            [sys.executable, "-m", "blockmod.cli", "act", "L(1,0)", text],
-            capture_output=True, text=True, timeout=10)
+        result = cli_subprocess("act", "L(1,0)", text)
         assert result.returncode == 2 and result.stdout == ""
         assert "exceeds the expression degree ceiling 32" in result.stderr
 
 
 def test_nested_constant_power_is_fast():
     # five levels would build a 33.5-million-bit integer before the guard
-    result = subprocess.run(
-        [sys.executable, "-m", "blockmod.cli", "act", "L(1,0)", "(((((2^32)^32)^32)^32)^32)"],
-        capture_output=True, text=True, timeout=10)
+    result = cli_subprocess("act", "L(1,0)", "(((((2^32)^32)^32)^32)^32)")
     assert result.returncode == 2 and result.stdout == ""
     assert "exceeds the coefficient ceiling of 14000 bits" in result.stderr
 
@@ -491,6 +473,56 @@ def test_config_file_and_override(tmp_path):
     assert run_cli(["bracket", "L(1,0)", "D2", "--config", str(config)])[0] == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("q=5/7\nD=abc\n", ":2: D: expected an integer"),
+    ("q=1/0\n", ":1: q: zero denominator"),
+    ("# defaults\nrng_seed=" + "9" * 50_000 + "\n",
+     ":2: rng_seed: a 50000-digit literal exceeds the literal ceiling"),
+    ("q=1\nq=2\n", ":2: duplicate key 'q'"),
+])
+def test_config_errors_name_path_line_and_key(tmp_path, text, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    # the file is read whole before the flags, so a flag does not hide a bad value
+    for flags in ([], ["--q", "2", "--D", "3", "--rng-seed", "4"]):
+        code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", str(config), *flags])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {config}{message}"), err
+
+
+# each config key with a value off its default, and the flags that set it
+FLAG_OF_KEY = {
+    "q": ("5/7", ["--q", "5/7"]),
+    "lambda1": ("2", ["--lambda", "2,1"]),
+    "lambda2": ("-3", ["--lambda", "1,-3"]),
+    "alpha": ("1/2", ["--alpha", "1/2"]),
+    "D": ("4", ["--D", "4"]),
+    "B": ("6", ["--B", "6"]),
+    "rng_seed": ("9", ["--rng-seed", "9"]),
+    "sweeps": ("7", ["--sweeps", "7"]),
+}
+
+
+def test_every_config_key_has_a_parity_case():
+    assert list(FLAG_OF_KEY) == list(_OPTIONS)
+
+
+@pytest.mark.parametrize("key", FLAG_OF_KEY)
+def test_flag_and_config_key_give_the_same_config(tmp_path, key):
+    value, flags = FLAG_OF_KEY[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={value}\n")
+
+    def config_of(argv):
+        code, out, err = run_cli(["bracket", "L(1,0)", "D2", *argv])
+        assert code == 0, err
+        return json.loads(out)["config"]
+
+    from_file = config_of(["--config", str(config)])
+    assert from_file == config_of(flags)
+    assert from_file != config_of([])
+
+
 def test_global_flags_before_subcommand():
     code, out, _ = run_cli(["--q", "2", "bracket", "L(1,0)", "L(0,1)"])
     assert code == 0
@@ -551,9 +583,6 @@ def test_closure_report_bytes():
 
 
 def test_console_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "blockmod.cli", "bracket", "L(1,0)", "L(0,1)",
-         "--q", "2"],
-        capture_output=True, text=True)
+    result = cli_subprocess("bracket", "L(1,0)", "L(0,1)", "--q", "2")
     assert result.returncode == 0
     assert "-3*L(1,1)" in result.stdout

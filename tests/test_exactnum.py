@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from blockmod.blockalg import AlgebraContext, AlgebraElement, parse_element
-from blockmod.exactnum import PARSE_ECHO_WIDTH, ParseError, parse_rational, rat
+from blockmod.exactnum import PARSE_ECHO_WIDTH, ParseError, parse_rational
 from blockmod.poly import IndexPair, Poly2, parse_poly1, parse_poly2
 from blockmod.prng import SplitMix64
 
@@ -27,8 +27,6 @@ def test_parse_format_round_trip():
     for text in ["0", "5", "-3", "5/6", "-22/7", "+4/6"]:
         value = parse_rational(text)
         assert parse_rational(str(value)) == value
-    assert rat("5/7") == Fraction(5, 7)
-    assert rat(4) == 4
 
 
 def test_parse_errors():

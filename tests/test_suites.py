@@ -1,6 +1,4 @@
 import itertools
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +12,7 @@ from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import (all_passed, control_param_set, exceptional_indices,
                              iso_parameter_grid, sample_param_set, sample_poly2)
+from child_process import run_python
 
 
 def test_splitmix64_reference_sequence():
@@ -259,8 +258,7 @@ def test_pair_sample_at_large_radius_is_fast():
     # radius 40 has 43 million box pairs; the sample must not build them
     code = ("from blockmod.prng import SplitMix64; from blockmod.suites import _sample_pairs; "
             "print(len(_sample_pairs(SplitMix64(1), 40, 5)))")
-    result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True, timeout=10)
+    result = run_python("-c", code)
     assert result.stdout.strip() == "5"
 
 
