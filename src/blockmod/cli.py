@@ -139,6 +139,7 @@ class Report:
 
 def report_to_json(report: Report) -> str:
     payload = asdict(report)
+    # the JSON config is flat: the parameters as rational strings, then the scales
     params = payload["config"].pop("params")
     payload["config"] = {**{key: str(value) for key, value in params.items()}, **payload["config"]}
     payload["overall"] = report.overall
