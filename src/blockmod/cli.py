@@ -244,7 +244,7 @@ def _parse_element(text: str, ctx: blockalg.AlgebraContext) -> blockalg.AlgebraE
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Each shared option's default, then the config file, then the flags."""
     values = {key: default for key, (_, _, default, _) in _OPTIONS.items()}
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         values.update(_read_config_file(args.config))
     values.update((key, getattr(args, key)) for key in _OPTIONS if key in args)
     if "lam" in args:

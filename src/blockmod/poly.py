@@ -544,7 +544,6 @@ _ZERO = Fraction(0)
 
 D1 = Poly2({(1, 0): 1})
 D2 = Poly2({(0, 1): 1})
-T = Poly1({1: 1})
 
 
 def compose2(f: Poly2, first: Poly2, second: Poly2) -> Poly2:
@@ -562,19 +561,6 @@ def compose2(f: Poly2, first: Poly2, second: Poly2) -> Poly2:
     for (a, b), c in f.items_sorted():
         out = out + c * (power(pow1, first, a) * power(pow2, second, b))
     return out
-
-
-def to_single_variable(f: Poly2, keep: int) -> Poly1:
-    """Collapse a Poly2 that only uses one slot into a Poly1.
-
-    ``keep`` is 0 or 1, the slot whose exponents survive.  Raises if the
-    other slot actually occurs.
-    """
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    if any(mono[1 - keep] for mono in f._nums):
-        raise ValueError(f"polynomial depends on slot {1 - keep}: {f}")
-    return Poly1._of({mono[::-1] if keep else mono: n for mono, n in f._nums.items()}, f._den)
 
 
 def from_single_variable(f: Poly1, slot: int) -> Poly2:
@@ -686,8 +672,3 @@ def parse_poly2(text: str) -> Poly2:
     """Parse an expression in the variables d1, d2."""
     return _PolyParser(text, {"d1": (1, 0), "d2": (0, 1)}).parse()
 
-
-def parse_poly1(text: str) -> Poly1:
-    """Parse an expression in the single variable t."""
-    parsed = _PolyParser(text, {"t": (1, 0)}).parse()
-    return to_single_variable(parsed, keep=0)

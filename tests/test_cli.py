@@ -473,6 +473,14 @@ def test_config_file_and_override(tmp_path):
     assert run_cli(["bracket", "L(1,0)", "D2", "--config", str(config)])[0] == 2
 
 
+def test_empty_config_path_fails_like_a_missing_file(tmp_path):
+    # an empty path names no file; it must not read as "no --config"
+    for path in ("", str(tmp_path / "missing.cfg")):
+        code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", path])
+        assert (code, out) == (2, ""), path
+        assert err.startswith("error: ") and "No such file or directory" in err, err
+
+
 @pytest.mark.parametrize("text, message", [
     ("q=5/7\nD=abc\n", ":2: D: expected an integer"),
     ("q=1/0\n", ":1: q: zero denominator"),

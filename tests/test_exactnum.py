@@ -4,8 +4,9 @@ import pytest
 
 from blockmod.blockalg import AlgebraContext, AlgebraElement, parse_element
 from blockmod.exactnum import PARSE_ECHO_WIDTH, ParseError, parse_rational
-from blockmod.poly import IndexPair, Poly2, parse_poly1, parse_poly2
+from blockmod.poly import IndexPair, Poly2, parse_poly2
 from blockmod.prng import SplitMix64
+from oracles import parse_poly1
 
 
 def test_textbook_arithmetic():

@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from blockmod import poly
-from blockmod.blockalg import AlgebraElement
+from blockmod.blockalg import AlgebraElement, bracket
 from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
-                            action_on_one_alt, cross_form, in_proper_submodule,
-                            iso_check, module_axiom_defect, witt_act,
-                            witt_restrict)
+                            action_on_one_alt, in_proper_submodule, iso_check,
+                            module_axiom_defect, witt_restrict)
 from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
+from blockmod.suites import control_param_set, sample_axiom_polys
+from oracles import T, cross_form, witt_act
 
 
 def L(m1, m2):
@@ -165,6 +166,37 @@ def test_module_axiom_defect_randomized():
             assert module_axiom_defect(x, y, f, p) == 0
 
 
+@pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
+def test_factored_nested_action_matches_the_composed_one(image):
+    # on every pair of the radius-2 box and the acceptance polynomials, the
+    # defect's factored nested action f(d-m-n) * commutator_factor(m, n)
+    # equals the composition of two acts
+    p = control_param_set(4)
+    polys = sample_axiom_polys(3, count=10, max_degree=4)
+    ctx = p.context()
+    nonzero = 0
+    for m in index_box(2):
+        for n in index_box(2):
+            x, y = L(*m), L(*n)
+            for f in polys:
+                composed = (act(x, act(y, f, p, image), p, image)
+                            - act(y, act(x, f, p, image), p, image))
+                bracket_term = act(bracket(x, y, ctx), f, p, image)
+                defect = module_axiom_defect(x, y, f, p, image)
+                assert defect == bracket_term - composed, (m, n, f)
+                nonzero += bool(defect)
+    # the adopted image has no defect; the variant has some
+    assert (nonzero == 0) == (image is action_on_one)
+    # a single term with a coefficient scales the factored form
+    f = polys[0]
+    for a, b in ((Fraction(3, 2), -2), (-1, Fraction(1, 5))):
+        x, y = a * L(1, -2), b * L(-1, 1)
+        composed = (act(x, act(y, f, p, image), p, image)
+                    - act(y, act(x, f, p, image), p, image))
+        assert module_axiom_defect(x, y, f, p, image) == \
+            act(bracket(x, y, ctx), f, p, image) - composed
+
+
 def test_weight_shift_compatibility():
     rng = SplitMix64(32)
     p = random_params(rng)
@@ -220,9 +252,9 @@ def test_cross_form():
 
 def test_witt_act_examples():
     f = Poly1({1: 2, 0: 1})
-    assert witt_act(0, f, WittParams(7, 3)) == poly.T * f
-    assert witt_act(1, Poly1.const(1), WittParams(2, 3)) == 2 * poly.T - 6
-    assert witt_act(-1, Poly1.const(1), WittParams(2, 0)) == Fraction(1, 2) * poly.T
+    assert witt_act(0, f, WittParams(7, 3)) == T * f
+    assert witt_act(1, Poly1.const(1), WittParams(2, 3)) == 2 * T - 6
+    assert witt_act(-1, Poly1.const(1), WittParams(2, 0)) == Fraction(1, 2) * T
 
 
 def test_witt_act_is_a_module_action():

@@ -141,8 +141,8 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
     expected = _unmemoized_axiom_scan(p, polys, radius, image)
     assert (expected[1] is None) == (image is omega.action_on_one)
 
-    defect, act = omega.module_axiom_defect, omega.act
-    calls, acts = [], []
+    defect, act, pair_factor = omega.module_axiom_defect, omega.act, omega.commutator_factor
+    calls, acts, pairs = [], [], []
 
     def recorded_defect(*args, **kwargs):
         calls.append(args)
@@ -152,6 +152,10 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
         acts.append(args)
         return act(*args, **kwargs)
 
+    def recorded_factor(m, n, *args):
+        pairs.append((m, n))
+        return pair_factor(m, n, *args)
+
     built = []
 
     def counted_image(m, params):
@@ -160,24 +164,34 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
 
     monkeypatch.setattr(omega, "module_axiom_defect", recorded_defect)
     monkeypatch.setattr(omega, "act", recorded_act)
+    monkeypatch.setattr(omega, "commutator_factor", recorded_factor)
     count, failure = suites.axiom_grid_scan(p, polys, radius, counted_image)
     # the same first failing case and the same defect, or the same clean count
     assert (count, failure) == expected
-    assert len(calls) == count and len(acts) == 5 * count
+    # a case of two basis generators makes one act, for the bracket term; a
+    # case with D2 makes five, the bracket term and the two nested actions
+    with_d2 = sum(blockalg.D2 in x._nums or blockalg.D2 in y._nums
+                  for x, y, *_ in calls)
+    assert len(calls) == count and len(acts) == count + 4 * with_d2
     # one table for the scan: every generator image is built at most once
     assert built and len(built) == len(set(built))
     assert set(built) <= set(index_box(2 * radius))
+    # the commutator factor of each ordered basis pair is built once
+    basis_pairs = [(next(iter(x._nums)).m, next(iter(y._nums)).m)
+                   for x, y, *_ in calls
+                   if blockalg.D2 not in x._nums and blockalg.D2 not in y._nums]
+    assert pairs == list(dict.fromkeys(basis_pairs))
 
-    # one memo per polynomial, holding L(m).f for that polynomial only
+    # one memo per polynomial, holding the shifts f(d - s) of that polynomial only
     memos = {}
-    for x, y, f, _, _, memo in calls:
+    for x, y, f, _, _, memo, _ in calls:
         assert memos.setdefault(id(memo), (f, memo))[0] is f
     assert len(memos) == min(count, len(polys))
     box = set(index_box(2 * radius))
     for f, memo in memos.values():
         assert set(memo) <= box
         for m, moved in memo.items():
-            assert moved == f.shifted(m) * image(m, p)
+            assert moved == f.shifted(m)
 
 
 def test_replay_failure_witnesses(monkeypatch):
