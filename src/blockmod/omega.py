@@ -185,18 +185,20 @@ def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
     When x = a*L(m) and y = b*L(n) are single generator terms, the two
     nested actions are computed in factored form.  Write S_s for the
     shift h(d) -> h(d - s).  It is a substitution, so it is a ring
-    homomorphism, S_s(g*h) = S_s(g)*S_s(h), and two shifts compose to
+    homomorphism, S_s(u*v) = S_s(u)*S_s(v), and two shifts compose to
     the shift by the sum, S_m(S_n(h)) = S_(m+n)(h).  Hence
 
         act(L(m), act(L(n), f)) = S_m(S_n(f) * g_n) * g_m
                                 = S_(m+n)(f) * S_m(g_n) * g_m,
 
-    and with m and n swapped (m + n = n + m),
+    and with m and n swapped (m + n = n + m), act being linear in the
+    element,
 
         act(x, act(y, f)) - act(y, act(x, f))
             = a*b * f(d-m-n) * [g_n(d-m)*g_m(d) - g_m(d-n)*g_n(d)].
 
-    The proof uses nothing of g, so it holds for any ``image``.  The
+    The proof uses nothing of the images g_m, so it holds for any
+    ``image``.  The
     bracketed factor is :func:`commutator_factor`; ``factor``, when
     given, is a callable (m, n) -> that factor, so that a caller can
     build it once per pair.  Cases with the derivation D2, and elements
