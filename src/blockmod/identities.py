@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blockalg, poly
-from .omega import ParamSet, action_on_one
+from .omega import ParamSet, action_on_one, commutator_factor
 from .poly import IndexPair, Poly1, Poly2
 
 
@@ -101,10 +101,7 @@ def replay_commutator(m: IndexPair, n: IndexPair, p: ParamSet,
 
     with c(m, n) the bracket structure constant.  Contract: zero.
     """
-    g_m = image(m, p)
-    g_n = image(n, p)
-    g_mn = image(m + n, p)
-    return g_n.shifted(m) * g_m - g_m.shifted(n) * g_n - _struct_const(m, n, p.q) * g_mn
+    return commutator_factor(m, n, p, image) - _struct_const(m, n, p.q) * image(m + n, p)
 
 
 def paired_product(m: IndexPair, p: ParamSet) -> Poly2:

@@ -172,42 +172,51 @@ def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one,
 def commutator_factor(m: IndexPair, n: IndexPair, p: ParamSet,
                       image=action_on_one) -> Poly2:
     """g_n(d - m) * g_m(d) - g_m(d - n) * g_n(d), the factor that
-    :func:`module_axiom_defect` multiplies f(d - m - n) by."""
+    :func:`module_axiom_defect` multiplies f(d - m - n) by, in closed form.
+
+    The images must have degree at most 1, as both placements of
+    :func:`generator_image` do.  For g = a1*d1 + a2*d2 + c write
+    <g, s> = a1*s1 + a2*s2; then g(d - s) = g(d) - <g, s>, so the
+    products g_n*g_m cancel and the factor is
+
+        (g_n - <g_n, m>)*g_m - (g_m - <g_m, n>)*g_n = <g_m, n>*g_n - <g_n, m>*g_m.
+
+    With each image as integer numerators N over D, that is
+    (k_m*N_n - k_n*N_m)/(D_m*D_n) for the integers k_m = D_m*<g_m, n>
+    and k_n = D_n*<g_n, m>, then one gcd pass; zero is ({}, 1).
+    """
     gm, gn = image(m, p), image(n, p)
-    return gn.shifted(m) * gm - gm.shifted(n) * gn
+    km = gm._nums.get((1, 0), 0) * n.m1 + gm._nums.get((0, 1), 0) * n.m2
+    kn = gn._nums.get((1, 0), 0) * m.m1 + gn._nums.get((0, 1), 0) * m.m2
+    nums = {key: c for key in ((1, 0), (0, 1), (0, 0))
+            if (c := km * gn._nums.get(key, 0) - kn * gm._nums.get(key, 0))}
+    return Poly2._reduced(nums, gm._den * gn._den) if nums else Poly2._of(nums, 1)
 
 
 def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
                         p: ParamSet, image=action_on_one,
-                        memo: dict | None = None, factor=None) -> Poly2:
+                        memo: dict | None = None) -> Poly2:
     """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)); contract: zero.
 
     When x = a*L(m) and y = b*L(n) are single generator terms, the two
-    nested actions are computed in factored form.  Write S_s for the
-    shift h(d) -> h(d - s).  It is a substitution, so it is a ring
-    homomorphism, S_s(u*v) = S_s(u)*S_s(v), and two shifts compose to
-    the shift by the sum, S_m(S_n(h)) = S_(m+n)(h).  Hence
-
-        act(L(m), act(L(n), f)) = S_m(S_n(f) * g_n) * g_m
-                                = S_(m+n)(f) * S_m(g_n) * g_m,
-
-    and with m and n swapped (m + n = n + m), act being linear in the
-    element,
+    nested actions are computed in factored form.  The shift
+    S_s: h(d) -> h(d - s) is a substitution, so it is a ring
+    homomorphism, and S_m(S_n(h)) = S_(m+n)(h).  Hence
+    act(L(m), act(L(n), f)) = S_m(S_n(f)*g_n)*g_m = S_(m+n)(f)*S_m(g_n)*g_m,
+    and with m and n swapped, act being linear in the element,
 
         act(x, act(y, f)) - act(y, act(x, f))
             = a*b * f(d-m-n) * [g_n(d-m)*g_m(d) - g_m(d-n)*g_n(d)].
 
-    The proof uses nothing of the images g_m, so it holds for any
-    ``image``.  The
-    bracketed factor is :func:`commutator_factor`; ``factor``, when
-    given, is a callable (m, n) -> that factor, so that a caller can
-    build it once per pair.  Cases with the derivation D2, and elements
-    of more than one term, take the composed path.
+    This factoring holds for any ``image``.  The bracketed factor is
+    :func:`commutator_factor`, whose closed form needs images of degree
+    at most 1.  Cases with the derivation D2, and elements of more than
+    one term, take the composed path.
 
-    ``memo`` is :func:`act`'s memo of shifts of f.  The bracket term
-    act([x,y], f) = c(m,n)*L(m+n) . f and the factored path read the
-    same f(d - m - n) from it.  In the composed path it serves the three
-    actions on f itself, never the actions on act(y, f) and act(x, f).
+    ``memo`` is :func:`act`'s memo of shifts of f; the bracket term
+    c(m,n)*L(m+n) . f and the factored path read the same f(d - m - n)
+    from it.  In the composed path it serves the three actions on f
+    itself, never the actions on act(y, f) and act(x, f).
     """
     shifts = {} if memo is None else memo
     bracket_term = act(blockalg.bracket(x, y, p.context()), f, p, image, shifts)
@@ -216,7 +225,7 @@ def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
         (gy, b), = y._nums.items()
         if gx is not blockalg.D2 and gy is not blockalg.D2:
             m, n = gx.m, gy.m
-            pair = commutator_factor(m, n, p, image) if factor is None else factor(m, n)
+            pair = commutator_factor(m, n, p, image)
             den = x._den * y._den
             scale = a * b if den == 1 else Fraction(a * b, den)
             return bracket_term - scale * (_shift(f, m + n, shifts) * pair)

@@ -324,6 +324,8 @@ class _TermMap:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
+        if self._nums.keys() <= {(0, 0)}:  # zero or a constant equals a rational
+            return hash(Fraction(self._nums.get((0, 0), 0), self._den))
         return hash(frozenset(self._fraction_items()))
 
     def __neg__(self):

@@ -16,7 +16,6 @@ pass only when they do find a defect, so they build their Check directly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,12 +149,8 @@ def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
     (4R+1)^2 small degree-1 polynomials (81 at radius 2).
 
     On a pair of basis generators, :func:`omega.module_axiom_defect`
-    computes the two nested actions as f(d - m - n) times the factor
-    :func:`omega.commutator_factor` of the pair, two products of
-    degree-1 images.  The cases put f innermost, so a cache of the
-    current pair alone builds that factor once per ordered pair.  A
-    table of all (2R+1)^4 pairs (625 at radius 2) saves no work, and it
-    held 1.3% more peak memory on the benchmark's radius-2 grid.  Each
+    multiplies f(d - m - n) by the closed-form factor
+    :func:`omega.commutator_factor` of two table images.  Each
     polynomial keeps one memo of its shifts f(d - s) for the whole scan
     (see :func:`omega.act`), which the bracket term and the factored
     path both read; on a radius-2 box it holds at most 81 shifts.
@@ -171,14 +166,10 @@ def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
             g = table[m] = image(m, p)
         return g
 
-    @functools.lru_cache(maxsize=1)
-    def factor(m: IndexPair, n: IndexPair) -> Poly2:
-        return omega.commutator_factor(m, n, p, tabled)
-
     memos = {id(f): {} for f in polys}
     cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
     return first_defect(cases, lambda xyf: omega.module_axiom_defect(
-        *xyf, p, tabled, memos[id(xyf[2])], factor))
+        *xyf, p, tabled, memos[id(xyf[2])]))
 
 
 def _axiom_failure_text(failure) -> str:

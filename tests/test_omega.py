@@ -6,8 +6,8 @@ from blockmod import poly
 from blockmod.blockalg import AlgebraElement, bracket
 from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
-                            action_on_one_alt, in_proper_submodule, iso_check,
-                            module_axiom_defect, witt_restrict)
+                            action_on_one_alt, commutator_factor, in_proper_submodule,
+                            iso_check, module_axiom_defect, witt_restrict)
 from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import control_param_set, sample_axiom_polys
@@ -195,6 +195,39 @@ def test_factored_nested_action_matches_the_composed_one(image):
                     - act(y, act(x, f, p, image), p, image))
         assert module_axiom_defect(x, y, f, p, image) == \
             act(bracket(x, y, ctx), f, p, image) - composed
+
+
+@pytest.mark.parametrize("q", [1, Fraction(5, 7), -2, Fraction(3, 2), Fraction(-1, 3)])
+@pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
+def test_commutator_factor_closed_form_matches_the_shifted_products(monkeypatch, q, image):
+    # the closed form equals g_n(d-m)*g_m - g_m(d-n)*g_n, the oracle, carrier
+    # for carrier, on every pair of the radius-3 box; it shifts and
+    # multiplies no polynomial
+    p = ParamSet(q, Fraction(2, 3), -3, Fraction(1, 2))
+    box = index_box(3)
+    table = {m: image(m, p) for m in box}
+
+    def tabled(m, _p):
+        return table[m]
+
+    def forbidden(*args):
+        raise AssertionError("the closed form shifted or multiplied a polynomial")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Poly2, "shifted", forbidden)
+        patched.setattr(Poly2, "__mul__", forbidden)
+        factors = {(m, n): commutator_factor(m, n, p, tabled) for m in box for n in box}
+    zero = 0
+    for (m, n), got in factors.items():
+        g_m, g_n = table[m], table[n]
+        want = g_n.shifted(m) * g_m - g_m.shifted(n) * g_n
+        assert (got._nums, got._den) == (want._nums, want._den), (m, n)
+        zero += not got
+    # the factor of m = n is zero, and an integral q puts the adopted
+    # image's zero, at (0, -q), in the box
+    assert zero >= len(box)
+    if image is action_on_one:
+        assert sum(not g for g in table.values()) == (p.q.denominator == 1)
 
 
 def test_weight_shift_compatibility():

@@ -381,12 +381,22 @@ def test_equal_values_hash_equal_along_every_path():
                  f * Poly2.const(1), f + 0, 0 + f, f - Poly2(), (f * g - g * f) + f]
         for h in paths:
             assert h == f and hash(h) == hash(f) and carrier(h) == carrier(f)
-        # the hash is that of the Fraction term map
-        assert hash(f) == hash(frozenset(f.terms().items()))
+        # a non-constant value hashes as its Fraction term map, a constant
+        # as the rational it equals
+        if f.terms().keys() <= {(0, 0)}:
+            assert hash(f) == hash(f.coefficient(0, 0))
+        else:
+            assert hash(f) == hash(frozenset(f.terms().items()))
     assert Poly2.const(3) == 3 and 3 == Poly2.const(3) and Poly1.const(3) == 3
     assert Poly2.const(Fraction(6, 4)) == Fraction(3, 2) and Poly2.const(3) != 4
     assert Poly2() == 0 and 0 == Poly2() and Poly2() == Fraction(0)
     assert hash(Poly2.const(3)) == hash(Poly2({(0, 0): Fraction(6, 2)}))
+    # values that equal a rational stand for it in sets and dicts
+    assert len({3, Poly2.const(3)}) == 1 and {3: 1}.get(Poly2.const(3)) == 1
+    assert {Fraction(3, 2): 1}.get(Poly1.const(Fraction(3, 2))) == 1
+    assert Poly1.const(-2) in {-2} and Poly2.const(Fraction(-7, 8)) in {Fraction(-7, 8)}
+    assert len({0, Poly2(), Poly1(), AlgebraElement.const(0)}) == 1
+    assert {0: 1}.get(AlgebraElement.const(0)) == 1 and {Poly2(): 1}.get(0) == 1
 
 
 def test_integer_shift_keeps_the_denominator(monkeypatch):

@@ -176,15 +176,15 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
     # one table for the scan: every generator image is built at most once
     assert built and len(built) == len(set(built))
     assert set(built) <= set(index_box(2 * radius))
-    # the commutator factor of each ordered basis pair is built once
+    # the commutator factor is built once per basis case, in scan order
     basis_pairs = [(next(iter(x._nums)).m, next(iter(y._nums)).m)
                    for x, y, *_ in calls
                    if blockalg.D2 not in x._nums and blockalg.D2 not in y._nums]
-    assert pairs == list(dict.fromkeys(basis_pairs))
+    assert pairs == basis_pairs
 
     # one memo per polynomial, holding the shifts f(d - s) of that polynomial only
     memos = {}
-    for x, y, f, _, _, memo, _ in calls:
+    for x, y, f, _, _, memo in calls:
         assert memos.setdefault(id(memo), (f, memo))[0] is f
     assert len(memos) == min(count, len(polys))
     box = set(index_box(2 * radius))
