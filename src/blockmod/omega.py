@@ -56,13 +56,13 @@ class ParamSet:
     def __post_init__(self):
         for name in ("q", "lambda1", "lambda2", "alpha"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
+        # rejects q = 0; not a field, so ==, hash, repr and asdict skip it
+        object.__setattr__(self, "_context", AlgebraContext(self.q))
         if self.lambda1 == 0 or self.lambda2 == 0:
             raise ValueError("lambda1 and lambda2 must be nonzero")
 
     def context(self) -> AlgebraContext:
-        return AlgebraContext(self.q)
+        return self._context
 
     def lam_ratio(self, m: IndexPair) -> tuple[int, int]:
         """lambda1^m1 * lambda2^m2 as integers (u, v) with v > 0, not

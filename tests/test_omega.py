@@ -1,9 +1,10 @@
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
 from blockmod import poly
-from blockmod.blockalg import AlgebraElement, bracket
+from blockmod.blockalg import AlgebraContext, AlgebraElement, bracket
 from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
                             action_on_one_alt, commutator_factor, in_proper_submodule,
@@ -38,7 +39,7 @@ def random_params(rng):
 
 
 def test_param_set_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be nonzero"):
         ParamSet(0, 1, 1, 0)
     with pytest.raises(ValueError):
         ParamSet(1, 0, 1, 0)
@@ -46,6 +47,10 @@ def test_param_set_validation():
         ParamSet(1, 1, 0, 0)
     p = ParamSet(2, 1, 1, 1)
     assert p.vanishing_point() == (0, -2)
+    # one algebra context per parameter set, outside equality, the repr and asdict
+    assert p.context() is p.context() and p.context() == AlgebraContext(2)
+    assert p == ParamSet(2, 1, 1, 1) and hash(p) == hash(ParamSet(2, 1, 1, 1))
+    assert "_context" not in repr(p) and list(asdict(p)) == ["q", "lambda1", "lambda2", "alpha"]
     with pytest.raises(ValueError):
         WittParams(0, 1)
 
