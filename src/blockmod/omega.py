@@ -56,7 +56,7 @@ class ParamSet:
     def __post_init__(self):
         for name in ("q", "lambda1", "lambda2", "alpha"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        # rejects q = 0; not a field, so ==, hash, repr and asdict skip it
+        # the context rejects q = 0; it is no field, so ==, hash, repr and asdict skip it
         object.__setattr__(self, "_context", AlgebraContext(self.q))
         if self.lambda1 == 0 or self.lambda2 == 0:
             raise ValueError("lambda1 and lambda2 must be nonzero")
@@ -203,7 +203,7 @@ def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
     S_s: h(d) -> h(d - s) is a substitution, so it is a ring
     homomorphism, and S_m(S_n(h)) = S_(m+n)(h).  Hence
     act(L(m), act(L(n), f)) = S_m(S_n(f)*g_n)*g_m = S_(m+n)(f)*S_m(g_n)*g_m,
-    and with m and n swapped, act being linear in the element,
+    and with m and n swapped (m + n = n + m), act being linear in the element,
 
         act(x, act(y, f)) - act(y, act(x, f))
             = a*b * f(d-m-n) * [g_n(d-m)*g_m(d) - g_m(d-n)*g_n(d)].
