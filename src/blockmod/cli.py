@@ -21,8 +21,10 @@ is not ``key=value``, an unknown key or a key given twice.
 
 Cost guard: the degree bound D is capped at MAX_DEGREE_BOUND, because
 closure cost climbs steeply with D; a larger D, from a flag or a config
-file, is a usage error.  The box radius B needs no cap: closure sweeps
-radius min(B, (D+2)//2), which gives the same result as the full box.
+file, is a usage error.  The box radius B needs no cap: closure inserts
+each row's Taylor coefficients in m, folded onto the box of radius
+min(B, (D+2)//2), so a row gives at most (D+2)(D+3)/2 vectors whatever
+B is, and every B >= (D+2)//2 gives the same result.
 The axioms sweep radius is capped at MAX_AXIOM_RADIUS, the acceptance
 Jacobi radius, because the Jacobi sweep does (2R+1)^6 work.  The replay
 radius is capped at MAX_REPLAY_RADIUS, because two replays cover the
@@ -70,7 +72,7 @@ from .omega import ParamSet
 from .poly import MAX_POWER_BITS, IndexPair, ParseError, coefficient_bits, parse_poly2
 from .suites import Check
 
-MAX_DEGREE_BOUND = 12
+MAX_DEGREE_BOUND = 16
 MAX_AXIOM_RADIUS = 3
 MAX_REPLAY_RADIUS = 16
 MAX_REPLAY_PAIRS = 10_000
@@ -85,8 +87,8 @@ _OPTIONS = {
     "lambda2": (None, parse_rational, Fraction(1), None),
     "alpha": ("--alpha", parse_rational, Fraction(0), "module parameter alpha"),
     "D": ("--D", parse_integer, 3, f"degree bound (at most {MAX_DEGREE_BOUND})"),
-    "B": ("--B", parse_integer, 5, "index box radius (closure sweeps radius "
-                                   "min(B, (D+2)//2), which gives the same result)"),
+    "B": ("--B", parse_integer, 5, "index box radius (closure gives the same "
+                                   "result for every B >= (D+2)//2)"),
     "rng_seed": ("--rng-seed", parse_integer, 1, "seed for the splitmix sampler"),
     "sweeps": ("--sweeps", parse_integer, 10,
                f"sample count for randomized sweeps (at most {MAX_SWEEPS})"),

@@ -14,33 +14,56 @@ degree lowering happens only through cancellation across varying m, and
 keeping the degree-(D+1) shell inside the workspace is what preserves
 those cancellations.
 
-The box actually swept has radius r = min(B, (D+2)//2), and the result
-is the same as sweeping [-B, B]^2.  Proof: drop the scalar lambda^m
-(it does not change a span).  For a row v of degree <= D the image
-L(m).v = v(d - m) * g_m(d), with g_m = (m2+q)*d1 - m1*(d2+q*alpha), is a
-workspace-vector-valued polynomial in (m1, m2) of degree <= D+1 in each
-variable: v(d - m) has degree <= D in m and g_m degree 1.  Write it as
-sum over a, b <= D+1 of m1^a * m2^b * C_ab.  A tensor grid with at
-least D+2 points per axis is unisolvent for such polynomials, so the
-coefficient vectors C_ab are rational combinations of the images at the
-grid points, and every image at any m is a combination of the C_ab.
-Hence the images of v over any such grid span exactly span{C_ab}.  The
-grid [-r, r]^2 has 2r+1 >= D+2 points per axis when r = (D+2)//2, and
-it is the whole box when B < (D+2)//2.  So each row contributes the
-same span at radius r as at radius B.  After a pass the span is the
-span at its start plus the images of every row of degree <= D added
-before the pass (see the worklist paragraph below), and those rows span
-the degree-<=D part of the span at the pass start; so the span after each pass, the
-pass count, the additions per pass and the final reduced basis are all
-independent of B >= r.
+Each row's images enter the echelon through their Taylor coefficients
+in m.  Drop the scalar lambda^m (it does not change a span).  For a row
+v of degree <= D the image is L(m).v = v(d - m) * g_m(d), and
+g_m = (m2+q)*d1 - m1*(d2+q*alpha) is affine in m: with q = qn/qd,
+alpha = an/ad and s = qd*ad, s*g_m = P0 + m1*P1 + m2*P2 with the
+integral P0 = s*q*d1, P1 = -s*(d2 + q*alpha) and P2 = s*d1.  By
+Taylor's formula v(d - m) = sum over beta of m^beta * w_beta, with
+w_beta = (-1)^|beta| * (partial^beta v) / beta!; its entries are entries
+of v times binomial coefficients, so w_beta is integral.  Hence
+
+    s * L(m).v  =  sum over |gamma| <= D+1 of  m^gamma * C_gamma,
+    C_gamma     =  P0*w_gamma + P1*w_(gamma-e1) + P2*w_(gamma-e2),
+
+a term whose index is negative being absent; every C_gamma is integral
+and lies in the degree-(D+1) workspace.
+
+The engine inserts, for each row, vectors that span exactly its images
+over the box G = [-r, r]^2 with r = min(B, (D+2)//2).  On the integers
+of [-r, r], x^k equals its remainder modulo z(x) = prod over t in
+[-r, r] of (x - t), and z is monic and integral, so on G every m^gamma
+is an integer combination of the m^delta with delta1, delta2 <= 2r, and
+s * L(m).v = sum over delta of m^delta * C'_delta with integral C'_delta.
+These m^delta are linearly independent as functions on G (a tensor
+Vandermonde matrix on 2r+1 distinct points per axis is invertible), so
+each C'_delta is a rational combination of the images over G, and each
+image over G is a combination of the C'_delta: the images of v over G
+span exactly span{C'_delta}, and the engine inserts the nonzero
+C'_delta.  When r = (D+2)//2, 2r >= D+1, no exponent is reduced, the
+C'_delta are the C_gamma themselves, and the image at any m in Z^2 is a
+combination of them: the images over G, over [-B, B]^2 for any B >= r
+and over all of Z^2 span the same space.  When B < (D+2)//2, G is the
+whole box [-B, B]^2.  So each row contributes the same span at radius r
+as at radius B.  After a pass the span is the span at its start plus
+the images of every row of degree <= D added before the pass (see the
+worklist paragraph below), and those rows span the degree-<=D part of
+the span at the pass start; so the span after each pass, the pass
+count, the additions per pass and the final reduced basis are all
+independent of B >= r, and equal to those of a loop that inserts every
+image over G one index at a time.  The vectors inserted differ from
+those images, so the inserts made and the rows stored on the way do
+not.
 
 The passes form a worklist (semi-naive evaluation): the first pass acts
 with the seeds' rows of degree <= D, each later pass only with the rows
 of degree <= D that the pass before it added.  Acting again with an
-older row would change nothing.  Its images depend only on the row and
-m, the pass that first acted with it inserted them all, and the span
-only grows, so each lies in the span at every later insert; an insert
-of a vector of the span returns None and leaves the echelon as it was.
+older row would change nothing.  The vectors inserted for it depend
+only on the row and G, the pass that first acted with it inserted them
+all, and the span only grows, so each lies in the span at every later
+insert; an insert of a vector of the span returns None and leaves the
+echelon as it was.
 Dropping those inserts leaves every stored row, every addition, the
 pass count, the additions per pass and the returned basis as they are
 in a loop that acts with every row in every pass.  The rows acted on
@@ -48,9 +71,9 @@ span the degree-<=D part of the span: an elimination subtracts from a
 stored row a multiple of a row with a lower pivot, so each stored row
 of degree <= D is a combination of rows of degree <= D that were
 returned.  The certificate follows by induction over the passes: every
-row acted on had all its images over the box inserted once, and they
-lie in the final span.  The terminating pass, which added nothing,
-acted with the last rows added, so no row is left out.
+row acted on had vectors spanning all its images over the box inserted
+once, and they lie in the final span.  The terminating pass, which
+added nothing, acted with the last rows added, so no row is left out.
 
 The intersection step is free: under a degree-graded monomial order an
 echelonized spanning set splits by leading-monomial degree, so the
@@ -80,7 +103,7 @@ a nonzero integer and subtracts rows, so its residual is a nonzero
 multiple of that vector, and so is the residual above.  Both therefore
 have the same pivot and the same primitive row positive at that pivot.
 By induction over the inserts, the (pivot, row) pairs returned, the
-rows the closure goes on acting with, the images it inserts, the
+rows the closure goes on acting with, the vectors it inserts, the
 additions per pass, the pass count and the diagnostics are those of
 the fraction-free engine.  A returned row is never modified: a later
 elimination replaces a stored row with a new list.
@@ -105,7 +128,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .omega import ParamSet, generator_image, in_proper_submodule
-from .poly import IndexPair, Monomial2, Poly2, grlex_key, index_box, printable, shift_terms
+from .poly import IndexPair, Monomial2, Poly2, _binomial_row, grlex_key, printable
 
 
 class ClosureTag(Enum):
@@ -262,55 +285,97 @@ class _IntEchelon:
 
 
 class _ActTable:
-    """Per-index generator action on workspace monomials, integer scaled.
+    """Taylor coefficients in m of the generator action on one row, integer scaled.
 
-    For each box index m the image of a monomial under L(m) is the
-    monomial shifted by m (:func:`poly.shift_terms`, the same expansion
-    as ``Poly2.shifted``) times g_m, the image of 1 under L(m).  The
-    scalar lambda^m is left out: the table multiplies by the integer
-    numerators N of lambda^-m * g_m = N / den, in lowest terms
-    (:func:`omega.generator_image` without ``scaled``), that is by
-    lambda^-m * g_m rescaled by the positive integer den.  A fixed
-    nonzero rational rescaling per index keeps every image integral
-    without changing its span.
+    With q = qn/qd and alpha = an/ad, s = qd*ad clears the denominators
+    of g_m / lambda^m = (m2 + q)*d1 - m1*(d2 + q*alpha), which is affine
+    in m: s * g_m / lambda^m = P0 + m1*P1 + m2*P2, with ``parts`` holding
+    P0, P1 and P2 as (monomial, integer) terms, read off
+    :func:`omega.generator_image` without ``scaled`` at m = (0,0), (1,0)
+    and (0,1).  The scalar lambda^m is left out (see the module
+    docstring).  The class keeps the name of the per-index action table
+    it replaced, which ``perfbench/layers.py`` binds as the
+    ``closure.act_image`` layer.
     """
 
     def __init__(self, D: int, p: ParamSet):
-        self.D = D
-        self.p = p
         self.workspace = _monomials_upto(D + 1)
         self.dim = len(self.workspace)
-        self._g_terms: dict[IndexPair, list[tuple[Monomial2, int]]] = {}
-        self._columns: dict[tuple[IndexPair, Monomial2], list[tuple[int, int]]] = {}
+        s = p.q.denominator * p.alpha.denominator
+        g0, g1, g2 = (generator_image(IndexPair(*m), p, scaled=False)
+                      for m in ((0, 0), (1, 0), (0, 1)))
+        self.parts = tuple([(mono, n * s // g._den) for mono, n in g._nums.items()]
+                           for g in (g0, g1 - g0, g2 - g0))
+        self._binomial = [_binomial_row(e, 1) for e in range(D + 1)]
 
-    def _generator_terms(self, m: IndexPair) -> list[tuple[Monomial2, int]]:
-        terms = self._g_terms.get(m)
-        if terms is None:
-            terms = list(generator_image(m, self.p, scaled=False)._nums.items())
-            self._g_terms[m] = terms
-        return terms
+    def image(self, nonzero: list[tuple[int, int]]) -> list[tuple[Monomial2, list[int]]]:
+        """The nonzero C_gamma of a row of degree <= D given as (rank, coefficient)
+        pairs, as (gamma, row) pairs: s * L(m).v / lambda^m = sum m^gamma * C_gamma.
 
-    def column(self, m: IndexPair, mono: Monomial2) -> list[tuple[int, int]]:
-        """Image of a single monomial as (rank, coefficient) pairs."""
-        key = (m, mono)
-        column = self._columns.get(key)
-        if column is None:
-            accum: dict[int, int] = {}
-            for (i, j), c in shift_terms({mono: 1}, m.m1, m.m2)[0].items():
-                for (g1, g2), gc in self._generator_terms(m):
-                    r = _rank((i + g1, j + g2))
-                    accum[r] = accum.get(r, 0) + c * gc
-            column = [(r, c) for r, c in sorted(accum.items()) if c]
-            self._columns[key] = column
-        return column
+        v(d - m) = sum m^beta * w_beta, where w_beta holds the entry of v at
+        (i + beta1, j + beta2) times comb(i + beta1, i) * comb(j + beta2, j)
+        * (-1)^|beta| at (i, j), the terms of :func:`poly._binomial_row` at
+        m = 1; so C_gamma = P0*w_gamma + P1*w_(gamma-e1) + P2*w_(gamma-e2).
+        """
+        w: dict[Monomial2, list[tuple[int, int, int]]] = {}
+        binomial = self._binomial
+        for rank, c in nonzero:
+            a, b = self.workspace[rank]
+            for i, f1 in binomial[a]:
+                for j, f2 in binomial[b]:
+                    w.setdefault((a - i, b - j), []).append((i, j, c * f1 * f2))
+        p0, p1, p2 = self.parts
+        coefficients: dict[Monomial2, list[int]] = {}
+        for (b1, b2), terms in w.items():
+            for gamma, part in (((b1, b2), p0), ((b1 + 1, b2), p1), ((b1, b2 + 1), p2)):
+                row = coefficients.get(gamma)
+                if row is None:
+                    row = coefficients[gamma] = [0] * self.dim
+                for i, j, c in terms:
+                    for (g1, g2), gc in part:
+                        row[_rank((i + g1, j + g2))] += c * gc
+        return [(gamma, row) for gamma, row in coefficients.items() if any(row)]
 
-    def image(self, nonzero: list[tuple[int, int]], m: IndexPair) -> list[int]:
-        """Image of a row given as (rank, coefficient) pairs."""
-        out = [0] * self.dim
-        for rank, coeff in nonzero:
-            for r, c in self.column(m, self.workspace[rank]):
-                out[r] += coeff * c
-        return out
+
+def _grid_reduction(radius: int, top: int) -> list[list[tuple[int, int]]]:
+    """For k = 0..top, the nonzero terms (j, c) of x^k mod z(x), where
+    z(x) = prod over t in [-radius, radius] of (x - t).
+
+    z is monic with integer coefficients, so every remainder is integral,
+    and x^k agrees with its remainder at every integer of [-radius, radius].
+    For k <= 2*radius the remainder is x^k itself.
+    """
+    z = [1]                                 # coefficients of z, lowest degree first
+    for t in range(-radius, radius + 1):    # z <- x*z - t*z
+        z = [a - t * b for a, b in zip([0] + z, z + [0])]
+    power = [1] + [0] * (2 * radius)        # x^0, as a remainder of degree <= 2*radius
+    out = []
+    for _ in range(top + 1):
+        out.append([(j, c) for j, c in enumerate(power) if c])
+        lead, power = power[-1], [0] + power[:-1]
+        if lead:
+            power = [c - lead * zc for c, zc in zip(power, z)]
+    return out
+
+
+def _on_grid(coefficients: list[tuple[Monomial2, list[int]]],
+             reduction: list[list[tuple[int, int]]]) -> list[tuple[Monomial2, list[int]]]:
+    """The nonzero C'_delta, as (delta, row) pairs, with sum m^gamma * C_gamma =
+    sum m^delta * C'_delta at every m of the box: each m^gamma replaced by
+    (m1^gamma1 mod z) * (m2^gamma2 mod z) (:func:`_grid_reduction`).  With
+    no exponent above 2*radius these are the C_gamma themselves, in order.
+    """
+    folded: dict[Monomial2, list[int]] = {}
+    for (g1, g2), row in coefficients:
+        for d1, c1 in reduction[g1]:
+            for d2, c2 in reduction[g2]:
+                c = c1 * c2
+                acc = folded.get((d1, d2))
+                if acc is None:
+                    folded[(d1, d2)] = row if c == 1 else [c * y for y in row]
+                else:
+                    folded[(d1, d2)] = [x + c * y for x, y in zip(acc, row)]
+    return [(delta, row) for delta, row in folded.items() if any(row)]
 
 
 def _poly_to_int_row(f: Poly2, dim: int) -> list[int]:
@@ -330,16 +395,21 @@ def closure(seeds: list[Poly2], D: int, B: int,
             p: ParamSet) -> tuple[SubspaceBasis, ClosureResult]:
     """Smallest action-stable subspace of the degree-D level containing the seeds.
 
-    Deterministic: seeds in the given order, box in row-major order,
-    batch passes, each acting only with the rows the pass before it
-    added (the first with the seeds' rows): acting again with an older
-    row would add nothing (see the module docstring).  The box swept is
-    [-r, r]^2 with r = min(B, (D+2)//2), which spans the same images as
-    [-B, B]^2.  The fixpoint certificate holds by induction: every row
-    of degree <= D was acted on once, by the pass after the one that
-    added it, and its images lie in the final span; the terminating pass
-    added nothing, so every single-step image of the final basis lies in
-    the final span inside the workspace.
+    Deterministic: seeds in the given order, batch passes, each acting
+    only with the rows the pass before it added (the first with the
+    seeds' rows): acting again with an older row would add nothing (see
+    the module docstring).  Each row acted on contributes its Taylor
+    coefficients C_gamma in m (:meth:`_ActTable.image`), folded onto the
+    box [-r, r]^2 with r = min(B, (D+2)//2) (:func:`_on_grid`); they span
+    exactly its images over that box, which span the same space as its
+    images over [-B, B]^2.  At r = (D+2)//2 nothing is folded and the
+    C_gamma themselves are inserted.  The fixpoint certificate holds by
+    induction: every row of degree <= D was acted on once, by the pass
+    after the one that added it, and the vectors it gave, of which each
+    of its images over the box is a combination, lie in the final span;
+    the terminating pass added nothing, so every single-step image of
+    the final basis over the box lies in the final span inside the
+    workspace.
     """
     if D < 1:
         raise ValueError("degree bound D must be at least 1")
@@ -362,7 +432,7 @@ def closure(seeds: list[Poly2], D: int, B: int,
             active.append(stored[1])
 
     radius = min(B, (D + 2) // 2)     # interpolation bound; see the module docstring
-    box = index_box(radius)
+    reduction = _grid_reduction(radius, D + 1)
 
     passes = 0
     growth: list[int] = []
@@ -372,9 +442,9 @@ def closure(seeds: list[Poly2], D: int, B: int,
         fresh, done = active[done:], len(active)
         added = 0
         for row in fresh:
-            nonzero = [(r, c) for r, c in enumerate(row) if c]
-            for m in box:
-                stored = echelon.insert(table.image(nonzero, m))
+            coefficients = table.image([(r, c) for r, c in enumerate(row) if c])
+            for _, vector in _on_grid(coefficients, reduction):
+                stored = echelon.insert(vector)
                 if stored is not None:
                     added += 1
                     if stored[0] < degree_rank_cap:

@@ -24,7 +24,7 @@ A = m2 + q and C = -m1*q*alpha for the adopted image and A = q*alpha + m2
 and C = -m1*alpha for the variant.  :func:`generator_image` writes that
 shape once, on integers; :func:`action_on_one` and
 :func:`action_on_one_alt` call it, and the closure engine reads its
-lambda-free numerators.
+lambda-free form, which is affine in m, at m = (0,0), (1,0) and (0,1).
 
 Restricting to the line Z*m with m1 != 0 gives a copy of the Witt
 algebra; modulo the cross form X_m = m2*d1 - m1*d2, the action collapses

@@ -5,12 +5,15 @@
 * The cross form X_m of a Witt line.
 * The one-variable polynomial grammar over t, and the re-keying of a
   two-variable polynomial that uses one slot only, which it needs.
+* The per-index generator action on closure workspace rows, which the
+  closure's Taylor-coefficient rows are checked against.
 """
 
 from __future__ import annotations
 
-from blockmod.omega import WittParams
-from blockmod.poly import IndexPair, Poly1, Poly2, _PolyParser
+from blockmod.closure import _monomials_upto, _rank
+from blockmod.omega import ParamSet, WittParams, generator_image
+from blockmod.poly import IndexPair, Monomial2, Poly1, Poly2, _PolyParser, shift_terms
 
 T = Poly1({1: 1})
 
@@ -41,3 +44,43 @@ def to_single_variable(f: Poly2, keep: int) -> Poly1:
 def parse_poly1(text: str) -> Poly1:
     """Parse an expression in the single variable t."""
     return to_single_variable(_PolyParser(text, {"t": (1, 0)}).parse(), keep=0)
+
+
+class BoxActTable:
+    """Per-index generator action on closure workspace monomials, integer scaled.
+
+    For each index m the image of a monomial under L(m) is the monomial
+    shifted by m (:func:`poly.shift_terms`) times the integer numerators
+    of lambda^-m * g_m (:func:`omega.generator_image` without ``scaled``),
+    that is lambda^-m * g_m rescaled by its positive denominator.  The
+    columns of every (m, monomial) pair are cached.
+    """
+
+    def __init__(self, D: int, p: ParamSet):
+        self.p = p
+        self.workspace = _monomials_upto(D + 1)
+        self.dim = len(self.workspace)
+        self._columns: dict[tuple[IndexPair, Monomial2], list[tuple[int, int]]] = {}
+
+    def column(self, m: IndexPair, mono: Monomial2) -> list[tuple[int, int]]:
+        """Image of a single monomial as (rank, coefficient) pairs."""
+        key = (m, mono)
+        column = self._columns.get(key)
+        if column is None:
+            accum: dict[int, int] = {}
+            g = generator_image(m, self.p, scaled=False)._nums.items()
+            for (i, j), c in shift_terms({mono: 1}, m.m1, m.m2)[0].items():
+                for (g1, g2), gc in g:
+                    r = _rank((i + g1, j + g2))
+                    accum[r] = accum.get(r, 0) + c * gc
+            column = [(r, c) for r, c in sorted(accum.items()) if c]
+            self._columns[key] = column
+        return column
+
+    def image(self, nonzero: list[tuple[int, int]], m: IndexPair) -> list[int]:
+        """Image of a row given as (rank, coefficient) pairs."""
+        out = [0] * self.dim
+        for rank, coeff in nonzero:
+            for r, c in self.column(m, self.workspace[rank]):
+                out[r] += coeff * c
+        return out

@@ -89,12 +89,12 @@ def test_closure_huge_box_radius_is_fast():
 
 
 def test_degree_bound_ceiling_exits_2(tmp_path):
-    assert run_cli(["bracket", "L(1,0)", "D2", "--D", "12"])[0] == 0
-    code, out, err = run_cli(["closure", "--seed", "1", "--D", "13"])
+    assert run_cli(["bracket", "L(1,0)", "D2", "--D", "16"])[0] == 0
+    code, out, err = run_cli(["closure", "--seed", "1", "--D", "17"])
     assert code == 2 and out == ""
-    assert "D=13 exceeds the cost ceiling 12" in err
+    assert "D=17 exceeds the cost ceiling 16" in err
     config = tmp_path / "run.cfg"
-    config.write_text("D=13\n")
+    config.write_text("D=17\n")
     code, _, err = run_cli(["closure", "--seed", "1", "--config", str(config)])
     assert code == 2 and "ceiling" in err
 

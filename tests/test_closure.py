@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,8 @@ from blockmod.omega import ParamSet, act, generator_image
 from blockmod.poly import IndexPair, Poly2, grlex_key
 from blockmod.prng import SplitMix64
 from blockmod.suites import sample_poly2
+
+from oracles import BoxActTable
 
 
 # --- an independent fixpoint oracle ------------------------------------------
@@ -465,13 +468,16 @@ def test_closure_independent_of_box_radius_beyond_interpolation_bound():
 
 # --- the worklist against the full-snapshot loop -------------------------------
 # The engine acts in each pass only with the rows the pass before it
-# added.  The loop it replaced acted with every active row in every pass;
-# it lives on here as an oracle, built on the engine's own table and
-# echelon.  The module docstring proves that its extra inserts (the
-# images of rows acted on in an earlier pass) all return None, so the
-# rows added, the diagnostics and the basis are the same.
-
-_ENGINE_ECHELON = engine._IntEchelon     # the tests below patch the engine's name
+# added, and inserts each row's Taylor coefficients C_gamma once the box
+# reaches the interpolation bound.  The loop it replaced acted with every
+# active row in every pass and inserted its image at every box index; it
+# lives on here as an oracle, built on the per-index action table of
+# tests/oracles.py and the engine's echelon.  The module docstring proves
+# that the oracle's extra inserts (the images of rows acted on in an
+# earlier pass) all return None, and that the span after each pass is the
+# same either way, so the additions per pass, the diagnostics and the
+# basis are the same.  The inserted vectors differ, so the insert streams
+# do not.
 
 # integral, half-integral and generic q; rational lambda; alpha 0, 1/2 and 3/4
 GRID_PARAMS = (ParamSet(1, 1, 1, 0),
@@ -480,22 +486,19 @@ GRID_PARAMS = (ParamSet(1, 1, 1, 0),
 
 
 def full_snapshot_closure(seeds, D, B, p):
-    """The full-snapshot loop: (inserts, extra results, basis, passes, growth).
+    """The full-snapshot loop over the box: (extra results, basis, passes, growth).
 
-    inserts lists (row, result) for every insert the worklist also makes,
-    in order; extra results lists the results of the re-inserts of the
-    images of rows acted on in an earlier pass.
+    extra results lists the results of the re-inserts of the images of
+    rows acted on in an earlier pass.
     """
-    table = engine._ActTable(D, p)
-    echelon = _ENGINE_ECHELON(table.dim)
+    table = BoxActTable(D, p)
+    echelon = engine._IntEchelon(table.dim)
     cap = filtration_dimension(D)
-    inserts, extra = [], []
+    extra = []
     active = []
     for seed in seeds:
         if seed:
-            row = engine._poly_to_int_row(seed, table.dim)
-            stored = echelon.insert(row)
-            inserts.append((row, stored))
+            stored = echelon.insert(engine._poly_to_int_row(seed, table.dim))
             if stored is not None and stored[0] < cap:
                 active.append(stored[1])
     box = poly.index_box(min(B, (D + 2) // 2))
@@ -508,12 +511,10 @@ def full_snapshot_closure(seeds, D, B, p):
         for index, row in enumerate(snapshot):
             nonzero = [(r, c) for r, c in enumerate(row) if c]
             for m in box:
-                image = table.image(nonzero, m)
-                stored = echelon.insert(image)
+                stored = echelon.insert(table.image(nonzero, m))
                 if index < acted:
                     extra.append(stored)
                     continue
-                inserts.append((image, stored))
                 if stored is not None:
                     added += 1
                     if stored[0] < cap:
@@ -524,30 +525,10 @@ def full_snapshot_closure(seeds, D, B, p):
             break
     basis = [engine._monic_poly(pivot, row, table.workspace)
              for pivot, row in echelon.rows if pivot < cap]
-    return inserts, extra, basis, passes, growth
+    return extra, basis, passes, growth
 
 
-class RecordingEchelon(engine._IntEchelon):
-    """The engine's echelon, recording each insert's row and result."""
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self.inserts = []
-
-    def insert(self, row):
-        stored = super().insert(row)
-        self.inserts.append((row, stored))
-        return stored
-
-
-def test_worklist_matches_full_snapshot_loop(monkeypatch):
-    echelons = []
-
-    def recording(dim):
-        echelons.append(RecordingEchelon(dim))
-        return echelons[-1]
-
-    monkeypatch.setattr(engine, "_IntEchelon", recording)
+def test_worklist_matches_full_snapshot_loop():
     rng = SplitMix64(44)
     runs = extras = 0
     for p in GRID_PARAMS:
@@ -557,31 +538,42 @@ def test_worklist_matches_full_snapshot_loop(monkeypatch):
             raw = [sample_poly2(rng, degree) for _ in range(2)]
             inside = [(f - f.eval_at(x1, x2)) or poly.D1 for f in raw]
             seed_lists = [inside[:1], [inside[0] + 1], inside, [inside[1], raw[0] + 1]]
-            for seeds in seed_lists:
-                basis, result = closure(seeds, D, D + 2, p)
-                inserts, extra, oracle_basis, passes, growth = \
-                    full_snapshot_closure(seeds, D, D + 2, p)
-                echelon = echelons.pop()
-                assert echelon.inserts == inserts, (p, D, seeds)
-                assert all(stored is None for stored in extra), (p, D, seeds)
-                assert list(basis.vectors) == oracle_basis, (p, D, seeds)
-                classified = classify_span(basis, D, p).diagnostics
-                assert result.diagnostics.startswith(
-                    f"{classified}; passes={passes}, workspace additions per pass={growth}; "
-                    f"fixpoint certificate:"), (p, D, seeds)
-                if any(f.eval_at(x1, x2) for f in seeds):
-                    assert result.tag is ClosureTag.FULL, (p, D, seeds)
-                else:
-                    assert result.tag is ClosureTag.OMEGA_PRIME, (p, D, seeds)
+            for seeds, B in itertools.product(seed_lists, (1, D + 2)):
+                basis, result = closure(seeds, D, B, p)
+                extra, oracle_basis, passes, growth = full_snapshot_closure(seeds, D, B, p)
+                assert all(stored is None for stored in extra), (p, D, B, seeds)
+                assert list(basis.vectors) == oracle_basis, (p, D, B, seeds)
+                classified = classify_span(basis, D, p)
+                radius = min(B, (D + 2) // 2)
+                assert result.diagnostics == (
+                    f"{classified.diagnostics}; passes={passes}, workspace additions per "
+                    f"pass={growth}; fixpoint certificate: all single-step images of the "
+                    f"final basis over the box [-{radius},{radius}]^2 reduce to zero in the "
+                    f"degree-{D + 1} workspace, and by the degree-{D + 1} interpolation "
+                    f"bound they span the same space as the images over [-{B},{B}]^2"
+                ), (p, D, B, seeds)
+                assert (result.tag, result.dimension) == (classified.tag, classified.dimension)
+                if B >= (D + 2) // 2:      # a smaller box may stop short of the submodule
+                    outside = any(f.eval_at(x1, x2) for f in seeds)
+                    expected = ClosureTag.FULL if outside else ClosureTag.OMEGA_PRIME
+                    assert result.tag is expected, (p, D, seeds)
                 runs += 1
                 extras += len(extra)
-    assert runs == len(GRID_PARAMS) * 6 * 4 and extras > 0
+    assert runs == len(GRID_PARAMS) * 6 * 4 * 2 and extras > 0
 
 
-# --- the action table ------------------------------------------------------------
+# --- the action on one row -------------------------------------------------------
+
+def _random_low_row(rng, D, dim):
+    """A random integer row of degree <= D, nonzero, over a workspace of size dim."""
+    low = filtration_dimension(D)
+    row = [rng.int_between(-9, 9) if rng.below(2) else 0 for _ in range(low)]
+    row[rng.below(low)] = rng.int_between(1, 9)
+    return row + [0] * (dim - low)
+
 
 def test_act_table_image_matches_shifted_times_generator_image():
-    # the table's image of a row of degree <= D under L(m) is the row
+    # the oracle table's image of a row of degree <= D under L(m) is the row
     # shifted by m times g_m / lambda^m, rescaled by that factor's
     # denominator: rank by rank, image[r] * den(P) == den(g) * num(P)[r]
     # for P = f.shifted(m) * generator_image(m, p, scaled=False)
@@ -589,12 +581,9 @@ def test_act_table_image_matches_shifted_times_generator_image():
     checked = 0
     for p in GRID_PARAMS:
         for D in range(1, 7):
-            warm = engine._ActTable(D, p)
-            low = filtration_dimension(D)
+            warm = BoxActTable(D, p)
             for _ in range(3):
-                row = [rng.int_between(-9, 9) if rng.below(2) else 0 for _ in range(low)]
-                row[rng.below(low)] = rng.int_between(1, 9)
-                row += [0] * (warm.dim - low)
+                row = _random_low_row(rng, D, warm.dim)
                 nonzero = [(r, c) for r, c in enumerate(row) if c]
                 f = Poly2({warm.workspace[r]: c for r, c in nonzero})
                 for m in poly.index_box((D + 2) // 2):
@@ -602,8 +591,75 @@ def test_act_table_image_matches_shifted_times_generator_image():
                     product = f.shifted(m) * g
                     expected = [g._den * product._nums.get(mono, 0) for mono in warm.workspace]
                     assert product._nums.keys() <= set(warm.workspace)
-                    cold = engine._ActTable(D, p).image(nonzero, m)
+                    cold = BoxActTable(D, p).image(nonzero, m)
                     for image in (cold, warm.image(nonzero, m), warm.image(nonzero, m)):
                         assert [x * product._den for x in image] == expected, (p, D, row, m)
                     checked += 1
     assert checked == 3 * 3 * sum((2 * ((D + 2) // 2) + 1) ** 2 for D in range(1, 7))
+
+
+def test_taylor_coefficients_sum_to_the_image_at_every_index():
+    # sum over gamma of m^gamma * C_gamma is s * f(d - m) * g_m / lambda^m,
+    # s = qd * ad, term by term, on the interpolation box and off it
+    rng = SplitMix64(46)
+    checked = 0
+    for p in GRID_PARAMS:
+        s = p.q.denominator * p.alpha.denominator
+        for D in range(1, 7):
+            table = engine._ActTable(D, p)
+            for _ in range(3):
+                row = _random_low_row(rng, D, table.dim)
+                nonzero = [(r, c) for r, c in enumerate(row) if c]
+                coefficients = table.image(nonzero)
+                assert all(any(c) and len(c) == table.dim for _, c in coefficients)
+                assert all(sum(gamma) <= D + 1 for gamma, _ in coefficients)
+                f = Poly2({table.workspace[r]: c for r, c in nonzero})
+                for m in poly.index_box((D + 2) // 2) + [IndexPair(9, -7)]:
+                    product = s * (f.shifted(m) * generator_image(m, p, scaled=False))
+                    assert product._den == 1 and product._nums.keys() <= set(table.workspace)
+                    expected = [product._nums.get(mono, 0) for mono in table.workspace]
+                    image = [0] * table.dim
+                    for (g1, g2), c in coefficients:
+                        image = [x + m.m1 ** g1 * m.m2 ** g2 * y for x, y in zip(image, c)]
+                    assert image == expected, (p, D, row, m)
+                    checked += 1
+    assert checked == 3 * 3 * sum((2 * ((D + 2) // 2) + 1) ** 2 + 1 for D in range(1, 7))
+
+
+def test_grid_reduction_agrees_with_the_power_on_the_grid():
+    for radius in range(4):
+        reduction = engine._grid_reduction(radius, 12)
+        for k, terms in enumerate(reduction):
+            assert all(c and j <= 2 * radius for j, c in terms)
+            if k <= 2 * radius:
+                assert terms == [(k, 1)]
+            for x in range(-radius, radius + 1):
+                assert sum(c * x ** j for j, c in terms) == x ** k, (radius, k, x)
+    assert engine._grid_reduction(1, 4)[3:] == [[(1, 1)], [(2, 1)]]     # x^3 = x, x^4 = x^2
+
+
+def test_coefficients_folded_onto_a_small_box_give_its_images():
+    # below the interpolation bound the closure inserts the C'_delta of the
+    # box; sum m^delta * C'_delta is the image at every m of the box
+    rng = SplitMix64(47)
+    for p in GRID_PARAMS:
+        s = p.q.denominator * p.alpha.denominator
+        for D in range(1, 7):
+            table = engine._ActTable(D, p)
+            row = _random_low_row(rng, D, table.dim)
+            nonzero = [(r, c) for r, c in enumerate(row) if c]
+            coefficients = table.image(nonzero)
+            f = Poly2({table.workspace[r]: c for r, c in nonzero})
+            for radius in range(1, (D + 2) // 2 + 1):
+                folded = engine._on_grid(coefficients, engine._grid_reduction(radius, D + 1))
+                if radius == (D + 2) // 2:
+                    assert folded == coefficients
+                assert len(folded) <= (2 * radius + 1) ** 2
+                assert all(max(delta) <= 2 * radius and any(c) for delta, c in folded)
+                for m in poly.index_box(radius):
+                    product = s * (f.shifted(m) * generator_image(m, p, scaled=False))
+                    expected = [product._nums.get(mono, 0) for mono in table.workspace]
+                    image = [0] * table.dim
+                    for (d1, d2), c in folded:
+                        image = [x + m.m1 ** d1 * m.m2 ** d2 * y for x, y in zip(image, c)]
+                    assert image == expected, (p, D, row, radius, m)

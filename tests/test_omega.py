@@ -7,8 +7,9 @@ from blockmod import poly
 from blockmod.blockalg import AlgebraContext, AlgebraElement, bracket
 from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
-                            action_on_one_alt, commutator_factor, in_proper_submodule,
-                            iso_check, module_axiom_defect, witt_restrict)
+                            action_on_one_alt, commutator_factor, generator_image,
+                            in_proper_submodule, iso_check, module_axiom_defect,
+                            witt_restrict)
 from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import control_param_set, sample_axiom_polys
@@ -104,20 +105,16 @@ def test_integer_image_matches_fraction_formula(p):
 
 @pytest.mark.parametrize("p", ORACLE_PARAMS)
 def test_act_table_reads_lambda_free_image(p):
-    # the closure's integer terms are lambda^-m * g_m times a positive integer
-    table = _ActTable(2, p)
+    # the closure's integer parts give s * lambda^-m * g_m = P0 + m1*P1 + m2*P2
+    # with s = qd * ad, at every index of the radius-4 box
+    s = p.q.denominator * p.alpha.denominator
+    parts = _ActTable(2, p).parts
+    assert all(type(c) is int and c for part in parts for _, c in part)
+    p0, p1, p2 = (Poly2(dict(part)) for part in parts)
     for m in index_box(4):
-        terms = table._generator_terms(m)
-        free = (1 / (p.lambda1 ** m.m1 * p.lambda2 ** m.m2)) * fraction_image(m, p)
-        if not free:
-            assert terms == []
-            continue
-        assert all(type(c) is int for _, c in terms)
-        got = Poly2(dict(terms))
-        mono = free.leading_monomial()
-        rescale = got.coefficient(*mono) / free.coefficient(*mono)
-        assert rescale.denominator == 1 and rescale > 0
-        assert got == rescale * free, m
+        got = p0 + m.m1 * p1 + m.m2 * p2
+        assert got == s * generator_image(m, p, scaled=False), m
+        assert got == (s / (p.lambda1 ** m.m1 * p.lambda2 ** m.m2)) * fraction_image(m, p), m
 
 
 def test_act_examples():
