@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blockalg, poly
-from .omega import ParamSet, action_on_one, commutator_factor
+from .omega import ParamSet, action_on_one, commutator_defect
 from .poly import IndexPair, Poly1, Poly2
 
 
@@ -99,9 +99,10 @@ def replay_commutator(m: IndexPair, n: IndexPair, p: ParamSet,
 
         g_n(d - m) g_m(d) - g_m(d - n) g_n(d) = c(m, n) g_{m+n}(d)
 
-    with c(m, n) the bracket structure constant.  Contract: zero.
+    with c(m, n) the bracket structure constant.  Contract: zero.  The
+    formula is :func:`omega.commutator_defect`'s.
     """
-    return commutator_factor(m, n, p, image) - _struct_const(m, n, p.q) * image(m + n, p)
+    return commutator_defect(m, n, p, image)
 
 
 def paired_product(m: IndexPair, p: ParamSet) -> Poly2:

@@ -169,10 +169,21 @@ def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one,
     return out
 
 
+_AFFINE_KEYS = ((1, 0), (0, 1), (0, 0))
+
+
+def _factor_nums(m: IndexPair, n: IndexPair, gm: Poly2, gn: Poly2) -> dict:
+    """k_m*N_n - k_n*N_m on d1, d2 and 1, zeros kept: the numerators of
+    :func:`commutator_factor` over D_m*D_n (see there)."""
+    km = gm._nums.get((1, 0), 0) * n.m1 + gm._nums.get((0, 1), 0) * n.m2
+    kn = gn._nums.get((1, 0), 0) * m.m1 + gn._nums.get((0, 1), 0) * m.m2
+    return {key: km * gn._nums.get(key, 0) - kn * gm._nums.get(key, 0)
+            for key in _AFFINE_KEYS}
+
+
 def commutator_factor(m: IndexPair, n: IndexPair, p: ParamSet,
                       image=action_on_one) -> Poly2:
-    """g_n(d - m) * g_m(d) - g_m(d - n) * g_n(d), the factor that
-    :func:`module_axiom_defect` multiplies f(d - m - n) by, in closed form.
+    """g_n(d - m) * g_m(d) - g_m(d - n) * g_n(d), in closed form.
 
     The images must have degree at most 1, as both placements of
     :func:`generator_image` do.  For g = a1*d1 + a2*d2 + c write
@@ -186,11 +197,34 @@ def commutator_factor(m: IndexPair, n: IndexPair, p: ParamSet,
     and k_n = D_n*<g_n, m>, then one gcd pass; zero is ({}, 1).
     """
     gm, gn = image(m, p), image(n, p)
-    km = gm._nums.get((1, 0), 0) * n.m1 + gm._nums.get((0, 1), 0) * n.m2
-    kn = gn._nums.get((1, 0), 0) * m.m1 + gn._nums.get((0, 1), 0) * m.m2
-    nums = {key: c for key in ((1, 0), (0, 1), (0, 0))
-            if (c := km * gn._nums.get(key, 0) - kn * gm._nums.get(key, 0))}
+    nums = {key: c for key, c in _factor_nums(m, n, gm, gn).items() if c}
     return Poly2._reduced(nums, gm._den * gn._den) if nums else Poly2._of(nums, 1)
+
+
+def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
+                      image=action_on_one) -> Poly2:
+    """Delta(m, n) = :func:`commutator_factor` - c(m, n) * g_(m+n)(d),
+    the defect of the commutator identity
+
+        g_n(d - m) * g_m(d) - g_m(d - n) * g_n(d) = c(m, n) * g_(m+n)(d).
+
+    Contract for the adopted image: zero.  With q = a/b and
+    C = b*c(m, n) from ``blockalg.structure_constant`` (read at call
+    time), the factor F/(D_m*D_n) of :func:`commutator_factor` and the
+    image N/D of g_(m+n) give
+
+        Delta = (F*b*D - C*D_m*D_n*N) / (D_m*D_n*b*D),
+
+    on integer numerators with one gcd pass; zero is ({}, 1).  Delta has
+    degree at most 1 and does not depend on any carrier polynomial.
+    """
+    gm, gn, g = image(m, p), image(n, p), image(m + n, p)
+    a, b = p.context().ratio
+    den = gm._den * gn._den
+    keep, drop = b * g._den, blockalg.structure_constant(m, n, a, b) * den
+    nums = {key: c for key, k in _factor_nums(m, n, gm, gn).items()
+            if (c := k * keep - drop * g._nums.get(key, 0))}
+    return Poly2._reduced(nums, den * keep) if nums else Poly2._of(nums, 1)
 
 
 def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
@@ -198,38 +232,42 @@ def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
                         memo: dict | None = None) -> Poly2:
     """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)); contract: zero.
 
-    When x = a*L(m) and y = b*L(n) are single generator terms, the two
-    nested actions are computed in factored form.  The shift
-    S_s: h(d) -> h(d - s) is a substitution, so it is a ring
-    homomorphism, and S_m(S_n(h)) = S_(m+n)(h).  Hence
+    When x = a*L(m) and y = b*L(n) are single generator terms, the
+    defect is -a*b * f(d - m - n) * Delta(m, n), with Delta from
+    :func:`commutator_defect`.  The shift S_s: h(d) -> h(d - s) is a
+    substitution, so it is a ring homomorphism, and
+    S_m(S_n(h)) = S_(m+n)(h).  Hence
     act(L(m), act(L(n), f)) = S_m(S_n(f)*g_n)*g_m = S_(m+n)(f)*S_m(g_n)*g_m,
     and with m and n swapped (m + n = n + m), act being linear in the element,
 
         act(x, act(y, f)) - act(y, act(x, f))
             = a*b * f(d-m-n) * [g_n(d-m)*g_m(d) - g_m(d-n)*g_n(d)].
 
-    This factoring holds for any ``image``.  The bracketed factor is
-    :func:`commutator_factor`, whose closed form needs images of degree
-    at most 1.  Cases with the derivation D2, and elements of more than
-    one term, take the composed path.
+    The bracket is [x, y] = a*b*c(m, n)*L(m + n), so
+    act([x, y], f) = a*b*c(m, n) * f(d-m-n) * g_(m+n)(d), and the
+    difference of the two is -a*b * f(d-m-n) * Delta(m, n).  This holds
+    for any ``image``; the closed form of Delta needs images of degree
+    at most 1.  When Delta is zero the defect is zero for every f, and
+    no polynomial is shifted or multiplied.  Cases with the derivation
+    D2, and elements of more than one term, take the composed path.
 
-    ``memo`` is :func:`act`'s memo of shifts of f; the bracket term
-    c(m,n)*L(m+n) . f and the factored path read the same f(d - m - n)
-    from it.  In the composed path it serves the three actions on f
-    itself, never the actions on act(y, f) and act(x, f).
+    ``memo`` is :func:`act`'s memo of shifts of f; a nonzero Delta reads
+    f(d - m - n) from it.  In the composed path it serves the three
+    actions on f itself, never the actions on act(y, f) and act(x, f).
     """
     shifts = {} if memo is None else memo
-    bracket_term = act(blockalg.bracket(x, y, p.context()), f, p, image, shifts)
     if len(x._nums) == 1 == len(y._nums):
         (gx, a), = x._nums.items()
         (gy, b), = y._nums.items()
         if gx is not blockalg.D2 and gy is not blockalg.D2:
             m, n = gx.m, gy.m
-            pair = commutator_factor(m, n, p, image)
+            delta = commutator_defect(m, n, p, image)
+            if not delta:
+                return delta
             den = x._den * y._den
             scale = a * b if den == 1 else Fraction(a * b, den)
-            return bracket_term - scale * (_shift(f, m + n, shifts) * pair)
-    return (bracket_term
+            return -scale * (_shift(f, m + n, shifts) * delta)
+    return (act(blockalg.bracket(x, y, p.context()), f, p, image, shifts)
             - act(x, act(y, f, p, image, shifts), p, image)
             + act(y, act(x, f, p, image, shifts), p, image))
 

@@ -149,11 +149,13 @@ def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
     (4R+1)^2 small degree-1 polynomials (81 at radius 2).
 
     On a pair of basis generators, :func:`omega.module_axiom_defect`
-    multiplies f(d - m - n) by the closed-form factor
-    :func:`omega.commutator_factor` of two table images.  Each
+    builds the f-free commutator defect Delta(m, n) of three table
+    images (:func:`omega.commutator_defect`); when it is zero, as it is
+    for the adopted image, the case shifts and multiplies nothing.  Each
     polynomial keeps one memo of its shifts f(d - s) for the whole scan
-    (see :func:`omega.act`), which the bracket term and the factored
-    path both read; on a radius-2 box it holds at most 81 shifts.
+    (see :func:`omega.act`).  Only the D2 cases, which shift f by the
+    box indices, and basis cases with a nonzero Delta add to it, so for
+    the adopted image it holds (2R+1)^2 shifts, 25 on a radius-2 box.
     """
     generators = [AlgebraElement.basis(m) for m in index_box(radius)]
     generators.append(AlgebraElement.derivation())

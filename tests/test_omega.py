@@ -7,9 +7,9 @@ from blockmod import poly
 from blockmod.blockalg import AlgebraContext, AlgebraElement, bracket
 from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
-                            action_on_one_alt, commutator_factor, generator_image,
-                            in_proper_submodule, iso_check, module_axiom_defect,
-                            witt_restrict)
+                            action_on_one_alt, commutator_defect, commutator_factor,
+                            generator_image, in_proper_submodule, iso_check,
+                            module_axiom_defect, witt_restrict)
 from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import control_param_set, sample_axiom_polys
@@ -171,8 +171,8 @@ def test_module_axiom_defect_randomized():
 @pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
 def test_factored_nested_action_matches_the_composed_one(image):
     # on every pair of the radius-2 box and the acceptance polynomials, the
-    # defect's factored nested action f(d-m-n) * commutator_factor(m, n)
-    # equals the composition of two acts
+    # defect's f-free form -f(d-m-n) * commutator_defect(m, n) equals the
+    # bracket term minus the composition of two acts
     p = control_param_set(4)
     polys = sample_axiom_polys(3, count=10, max_degree=4)
     ctx = p.context()
@@ -199,6 +199,62 @@ def test_factored_nested_action_matches_the_composed_one(image):
             act(bracket(x, y, ctx), f, p, image) - composed
 
 
+def _forbidden(*args):
+    raise AssertionError("a polynomial was shifted or multiplied")
+
+
+@pytest.mark.parametrize("q", [1, Fraction(5, 7), -2, Fraction(3, 2), Fraction(-1, 3)])
+def test_basis_pair_defect_comes_from_the_f_free_commutator_defect(monkeypatch, q):
+    # on every basis pair of the radius-2 box, the adopted image's defect is
+    # zero with no shift or product of any polynomial; the variant's defect
+    # is -a*b * f(d-m-n) * Delta(m, n), and it equals the composed actions
+    p = ParamSet(q, Fraction(2, 3), -3, Fraction(1, 2))
+    ctx = p.context()
+    f = sample_axiom_polys(5, count=1, max_degree=4)[0]
+    box = index_box(2)
+    coefficients = ((1, 1), (Fraction(3, 2), -2))
+    with monkeypatch.context() as patched:
+        patched.setattr(Poly2, "shifted", _forbidden)
+        patched.setattr(Poly2, "__mul__", _forbidden)
+        for a, b in coefficients:
+            for m in box:
+                for n in box:
+                    assert not module_axiom_defect(a * L(*m), b * L(*n), f, p), (a, b, m, n)
+    nonzero = 0
+    for a, b in coefficients:
+        for m in box:
+            for n in box:
+                x, y = a * L(*m), b * L(*n)
+                defect = module_axiom_defect(x, y, f, p, action_on_one_alt)
+                if not defect:
+                    continue
+                nonzero += 1
+                delta = commutator_defect(m, n, p, action_on_one_alt)
+                assert defect == -a * b * (f.shifted(m + n) * delta), (a, b, m, n)
+                composed = (act(x, act(y, f, p, action_on_one_alt), p, action_on_one_alt)
+                            - act(y, act(x, f, p, action_on_one_alt), p, action_on_one_alt))
+                assert defect == act(bracket(x, y, ctx), f, p, action_on_one_alt) - composed
+    assert nonzero
+
+
+@pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
+def test_commutator_defect_subtracts_the_bracket_image(image):
+    # Delta(m, n) = commutator_factor(m, n) - c(m, n) * g_(m+n), with c(m, n)
+    # = n1*(m2 + q) - m1*(n2 + q) written out here on Fractions
+    for q in (1, Fraction(5, 7), -2, Fraction(-1, 3)):
+        p = ParamSet(q, Fraction(2, 3), -3, Fraction(1, 2))
+        box = index_box(2)
+        zero = 0
+        for m in box:
+            for n in box:
+                c = n.m1 * (m.m2 + p.q) - m.m1 * (n.m2 + p.q)
+                want = commutator_factor(m, n, p, image) - c * image(m + n, p)
+                got = commutator_defect(m, n, p, image)
+                assert (got._nums, got._den) == (want._nums, want._den), (q, m, n)
+                zero += not got
+        assert (zero == len(box) ** 2) == (image is action_on_one)
+
+
 @pytest.mark.parametrize("q", [1, Fraction(5, 7), -2, Fraction(3, 2), Fraction(-1, 3)])
 @pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
 def test_commutator_factor_closed_form_matches_the_shifted_products(monkeypatch, q, image):
@@ -212,12 +268,9 @@ def test_commutator_factor_closed_form_matches_the_shifted_products(monkeypatch,
     def tabled(m, _p):
         return table[m]
 
-    def forbidden(*args):
-        raise AssertionError("the closed form shifted or multiplied a polynomial")
-
     with monkeypatch.context() as patched:
-        patched.setattr(Poly2, "shifted", forbidden)
-        patched.setattr(Poly2, "__mul__", forbidden)
+        patched.setattr(Poly2, "shifted", _forbidden)
+        patched.setattr(Poly2, "__mul__", _forbidden)
         factors = {(m, n): commutator_factor(m, n, p, tabled) for m in box for n in box}
     zero = 0
     for (m, n), got in factors.items():

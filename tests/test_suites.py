@@ -141,7 +141,7 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
     expected = _unmemoized_axiom_scan(p, polys, radius, image)
     assert (expected[1] is None) == (image is omega.action_on_one)
 
-    defect, act, pair_factor = omega.module_axiom_defect, omega.act, omega.commutator_factor
+    defect, act, pair_defect = omega.module_axiom_defect, omega.act, omega.commutator_defect
     calls, acts, pairs = [], [], []
 
     def recorded_defect(*args, **kwargs):
@@ -152,9 +152,9 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
         acts.append(args)
         return act(*args, **kwargs)
 
-    def recorded_factor(m, n, *args):
+    def recorded_delta(m, n, *args):
         pairs.append((m, n))
-        return pair_factor(m, n, *args)
+        return pair_defect(m, n, *args)
 
     built = []
 
@@ -164,19 +164,20 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
 
     monkeypatch.setattr(omega, "module_axiom_defect", recorded_defect)
     monkeypatch.setattr(omega, "act", recorded_act)
-    monkeypatch.setattr(omega, "commutator_factor", recorded_factor)
+    monkeypatch.setattr(omega, "commutator_defect", recorded_delta)
     count, failure = suites.axiom_grid_scan(p, polys, radius, counted_image)
     # the same first failing case and the same defect, or the same clean count
     assert (count, failure) == expected
-    # a case of two basis generators makes one act, for the bracket term; a
-    # case with D2 makes five, the bracket term and the two nested actions
+    # a case of two basis generators makes no act, only the commutator
+    # defect; a case with D2 makes five, the bracket term and the two nested
+    # actions
     with_d2 = sum(blockalg.D2 in x._nums or blockalg.D2 in y._nums
                   for x, y, *_ in calls)
-    assert len(calls) == count and len(acts) == count + 4 * with_d2
+    assert len(calls) == count and len(acts) == 5 * with_d2
     # one table for the scan: every generator image is built at most once
     assert built and len(built) == len(set(built))
     assert set(built) <= set(index_box(2 * radius))
-    # the commutator factor is built once per basis case, in scan order
+    # the commutator defect is built once per basis case, in scan order
     basis_pairs = [(next(iter(x._nums)).m, next(iter(y._nums)).m)
                    for x, y, *_ in calls
                    if blockalg.D2 not in x._nums and blockalg.D2 not in y._nums]
