@@ -26,6 +26,12 @@ shape once, on integers; :func:`action_on_one` and
 :func:`action_on_one_alt` call it, and the closure engine reads its
 lambda-free form, which is affine in m, at m = (0,0), (1,0) and (0,1).
 
+The module axioms reduce to the images: on L(m), L(n) the axiom
+defect is -f(d - m - n) times the f-free commutator defect Delta(m, n)
+of :func:`commutator_defect`, and every pair with D2 cancels
+identically, so :func:`module_axiom_defect` sums that one closed form
+over the term pairs of its two elements and never composes actions.
+
 Restricting to the line Z*m with m1 != 0 gives a copy of the Witt
 algebra; modulo the cross form X_m = m2*d1 - m1*d2, the action collapses
 to the one-variable Witt module with parameters (lambda1^m1*lambda2^m2,
@@ -137,27 +143,13 @@ def action_on_one_alt(m: IndexPair, p: ParamSet) -> Poly2:
     return generator_image(m, p, variant=True)
 
 
-def _shift(f: Poly2, s: IndexPair, memo: dict) -> Poly2:
-    """f(d - s), read from ``memo`` or computed and added to it."""
-    moved = memo.get(s)
-    if moved is None:
-        moved = memo[s] = f.shifted(s)
-    return moved
-
-
-def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one,
-        memo: dict | None = None) -> Poly2:
+def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one) -> Poly2:
     """Module action of an algebra element on a carrier polynomial.
 
     L(m) sends f to f(d - m) * g_m(d); the degree derivation acts by
     multiplication with d2.  ``image`` swaps in an alternative generator
-    image (used only by the negative-control suites).  ``memo``, when
-    given, maps indices s to the shift f(d - s) of this f: act reads the
-    shifts it holds and adds the ones it computes.  A shift does not
-    depend on p or on the image, so :func:`module_axiom_defect` reads
-    the same memo.
+    image (used only by the negative-control suites).
     """
-    shifts = {} if memo is None else memo
     out = Poly2._of({}, 1)
     den = x._den
     for gen, n in x._nums.items():
@@ -165,53 +157,32 @@ def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one,
         if gen is blockalg.D2:
             out = out + c * (poly.D2 * f)
         else:
-            out = out + c * (_shift(f, gen.m, shifts) * image(gen.m, p))
+            out = out + c * (f.shifted(gen.m) * image(gen.m, p))
     return out
 
 
 _AFFINE_KEYS = ((1, 0), (0, 1), (0, 0))
 
 
-def _factor_nums(m: IndexPair, n: IndexPair, gm: Poly2, gn: Poly2) -> dict:
-    """k_m*N_n - k_n*N_m on d1, d2 and 1, zeros kept: the numerators of
-    :func:`commutator_factor` over D_m*D_n (see there)."""
-    km = gm._nums.get((1, 0), 0) * n.m1 + gm._nums.get((0, 1), 0) * n.m2
-    kn = gn._nums.get((1, 0), 0) * m.m1 + gn._nums.get((0, 1), 0) * m.m2
-    return {key: km * gn._nums.get(key, 0) - kn * gm._nums.get(key, 0)
-            for key in _AFFINE_KEYS}
-
-
-def commutator_factor(m: IndexPair, n: IndexPair, p: ParamSet,
+def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
                       image=action_on_one) -> Poly2:
-    """g_n(d - m) * g_m(d) - g_m(d - n) * g_n(d), in closed form.
+    """Delta(m, n), the defect of the commutator identity
 
-    The images must have degree at most 1, as both placements of
-    :func:`generator_image` do.  For g = a1*d1 + a2*d2 + c write
-    <g, s> = a1*s1 + a2*s2; then g(d - s) = g(d) - <g, s>, so the
-    products g_n*g_m cancel and the factor is
+        g_n(d - m) * g_m(d) - g_m(d - n) * g_n(d) = c(m, n) * g_(m+n)(d).
+
+    Contract for the adopted image: zero.  The images must have degree
+    at most 1, as both placements of :func:`generator_image` do.  For
+    g = a1*d1 + a2*d2 + c write <g, s> = a1*s1 + a2*s2; then
+    g(d - s) = g(d) - <g, s>, so the products g_n*g_m cancel and the
+    commutator factor on the left is
 
         (g_n - <g_n, m>)*g_m - (g_m - <g_m, n>)*g_n = <g_m, n>*g_n - <g_n, m>*g_m.
 
     With each image as integer numerators N over D, that is
-    (k_m*N_n - k_n*N_m)/(D_m*D_n) for the integers k_m = D_m*<g_m, n>
-    and k_n = D_n*<g_n, m>, then one gcd pass; zero is ({}, 1).
-    """
-    gm, gn = image(m, p), image(n, p)
-    nums = {key: c for key, c in _factor_nums(m, n, gm, gn).items() if c}
-    return Poly2._reduced(nums, gm._den * gn._den) if nums else Poly2._of(nums, 1)
-
-
-def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
-                      image=action_on_one) -> Poly2:
-    """Delta(m, n) = :func:`commutator_factor` - c(m, n) * g_(m+n)(d),
-    the defect of the commutator identity
-
-        g_n(d - m) * g_m(d) - g_m(d - n) * g_n(d) = c(m, n) * g_(m+n)(d).
-
-    Contract for the adopted image: zero.  With q = a/b and
+    F/(D_m*D_n) with F = k_m*N_n - k_n*N_m for the integers
+    k_m = D_m*<g_m, n> and k_n = D_n*<g_n, m>.  With q = a/b,
     C = b*c(m, n) from ``blockalg.structure_constant`` (read at call
-    time), the factor F/(D_m*D_n) of :func:`commutator_factor` and the
-    image N/D of g_(m+n) give
+    time) and g_(m+n) = N/D,
 
         Delta = (F*b*D - C*D_m*D_n*N) / (D_m*D_n*b*D),
 
@@ -220,23 +191,27 @@ def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
     """
     gm, gn, g = image(m, p), image(n, p), image(m + n, p)
     a, b = p.context().ratio
+    km = gm._nums.get((1, 0), 0) * n.m1 + gm._nums.get((0, 1), 0) * n.m2
+    kn = gn._nums.get((1, 0), 0) * m.m1 + gn._nums.get((0, 1), 0) * m.m2
     den = gm._den * gn._den
     keep, drop = b * g._den, blockalg.structure_constant(m, n, a, b) * den
-    nums = {key: c for key, k in _factor_nums(m, n, gm, gn).items()
-            if (c := k * keep - drop * g._nums.get(key, 0))}
+    nums = {key: c for key in _AFFINE_KEYS
+            if (c := (km * gn._nums.get(key, 0) - kn * gm._nums.get(key, 0)) * keep
+                - drop * g._nums.get(key, 0))}
     return Poly2._reduced(nums, den * keep) if nums else Poly2._of(nums, 1)
 
 
 def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
-                        p: ParamSet, image=action_on_one,
-                        memo: dict | None = None) -> Poly2:
+                        p: ParamSet, image=action_on_one) -> Poly2:
     """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)); contract: zero.
 
-    When x = a*L(m) and y = b*L(n) are single generator terms, the
-    defect is -a*b * f(d - m - n) * Delta(m, n), with Delta from
-    :func:`commutator_defect`.  The shift S_s: h(d) -> h(d - s) is a
-    substitution, so it is a ring homomorphism, and
-    S_m(S_n(h)) = S_(m+n)(h).  Hence
+    The defect is bilinear in x and y, so it is the sum of the defects
+    of the term pairs (a*L(m) or a*D2 from x, b*L(n) or b*D2 from y).
+
+    On x = a*L(m), y = b*L(n) the defect is -a*b * f(d - m - n) *
+    Delta(m, n), with Delta from :func:`commutator_defect`.  The shift
+    S_s: h(d) -> h(d - s) is a substitution, so it is a ring
+    homomorphism, and S_m(S_n(h)) = S_(m+n)(h).  Hence
     act(L(m), act(L(n), f)) = S_m(S_n(f)*g_n)*g_m = S_(m+n)(f)*S_m(g_n)*g_m,
     and with m and n swapped (m + n = n + m), act being linear in the element,
 
@@ -247,29 +222,31 @@ def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
     act([x, y], f) = a*b*c(m, n) * f(d-m-n) * g_(m+n)(d), and the
     difference of the two is -a*b * f(d-m-n) * Delta(m, n).  This holds
     for any ``image``; the closed form of Delta needs images of degree
-    at most 1.  When Delta is zero the defect is zero for every f, and
-    no polynomial is shifted or multiplied.  Cases with the derivation
-    D2, and elements of more than one term, take the composed path.
+    at most 1.
 
-    ``memo`` is :func:`act`'s memo of shifts of f; a nonzero Delta reads
-    f(d - m - n) from it.  In the composed path it serves the three
-    actions on f itself, never the actions on act(y, f) and act(x, f).
+    A pair with D2 has defect zero for every image and every f.  With
+    x = a*D2, y = b*L(n): [D2, L(n)] = n2*L(n), and
+    S_n(d2*h) = (d2 - n2)*S_n(h), so the three actions are
+    a*b*f(d-n)*g_n times n2, -d2 and d2 - n2, which sum to zero.  The
+    defect is antisymmetric in x and y, so (L(m), D2) cancels too; and
+    [D2, D2] = 0 while both nested actions are a*b*d2^2*f.
+
+    So the defect is the sum of -a*b * f(d-m-n) * Delta(m, n) over the
+    pairs of L terms.  f is shifted and multiplied only for a nonzero
+    Delta; for the adopted image no polynomial is touched at all.
     """
-    shifts = {} if memo is None else memo
-    if len(x._nums) == 1 == len(y._nums):
-        (gx, a), = x._nums.items()
-        (gy, b), = y._nums.items()
-        if gx is not blockalg.D2 and gy is not blockalg.D2:
-            m, n = gx.m, gy.m
-            delta = commutator_defect(m, n, p, image)
-            if not delta:
-                return delta
-            den = x._den * y._den
-            scale = a * b if den == 1 else Fraction(a * b, den)
-            return -scale * (_shift(f, m + n, shifts) * delta)
-    return (act(blockalg.bracket(x, y, p.context()), f, p, image, shifts)
-            - act(x, act(y, f, p, image, shifts), p, image)
-            + act(y, act(x, f, p, image, shifts), p, image))
+    den = x._den * y._den
+    parts = []
+    for gx, a in x._nums.items():
+        if gx is blockalg.D2:
+            continue
+        for gy, b in y._nums.items():
+            if gy is blockalg.D2:
+                continue
+            delta = commutator_defect(gx.m, gy.m, p, image)
+            if delta:
+                parts.append((-1, Fraction(a * b, den) * (f.shifted(gx.m + gy.m) * delta)))
+    return Poly2._combination(parts)
 
 
 def in_proper_submodule(f: Poly2, p: ParamSet) -> bool:

@@ -144,34 +144,29 @@ def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
 
     Returns ``(cases scanned, ((x, y, f), defect) or None)``.  The scan
     builds each generator image g_m = image(m, p) once and keeps it in
-    one table, which every action of the scan reads.  A case reaches the
+    one table, which every case of the scan reads.  A case reaches the
     indices m, n and m + n of a radius-R box, so the table holds at most
     (4R+1)^2 small degree-1 polynomials (81 at radius 2).
 
-    On a pair of basis generators, :func:`omega.module_axiom_defect`
-    builds the f-free commutator defect Delta(m, n) of three table
-    images (:func:`omega.commutator_defect`); when it is zero, as it is
-    for the adopted image, the case shifts and multiplies nothing.  Each
-    polynomial keeps one memo of its shifts f(d - s) for the whole scan
-    (see :func:`omega.act`).  Only the D2 cases, which shift f by the
-    box indices, and basis cases with a nonzero Delta add to it, so for
-    the adopted image it holds (2R+1)^2 shifts, 25 on a radius-2 box.
+    :func:`omega.module_axiom_defect` builds, for a case of two basis
+    generators, the f-free commutator defect Delta(m, n) of three table
+    images (:func:`omega.commutator_defect`), and a case with D2 builds
+    nothing.  It shifts and multiplies f only where Delta is nonzero, so
+    for the adopted image the scan touches no polynomial at all.
     """
     generators = [AlgebraElement.basis(m) for m in index_box(radius)]
     generators.append(AlgebraElement.derivation())
     table: dict[IndexPair, Poly2] = {}
 
     def tabled(m: IndexPair, _p: ParamSet) -> Poly2:
-        # every act of this scan passes the scan's own p
+        # every case of this scan passes the scan's own p
         g = table.get(m)
         if g is None:
             g = table[m] = image(m, p)
         return g
 
-    memos = {id(f): {} for f in polys}
     cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
-    return first_defect(cases, lambda xyf: omega.module_axiom_defect(
-        *xyf, p, tabled, memos[id(xyf[2])]))
+    return first_defect(cases, lambda xyf: omega.module_axiom_defect(*xyf, p, tabled))
 
 
 def _axiom_failure_text(failure) -> str:

@@ -7,12 +7,12 @@ from blockmod import poly
 from blockmod.blockalg import AlgebraContext, AlgebraElement, bracket
 from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
-                            action_on_one_alt, commutator_defect, commutator_factor,
+                            action_on_one_alt, commutator_defect,
                             generator_image, in_proper_submodule, iso_check,
                             module_axiom_defect, witt_restrict)
 from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
-from blockmod.suites import control_param_set, sample_axiom_polys
+from blockmod.suites import axiom_grid_scan, control_param_set, sample_axiom_polys
 from oracles import T, cross_form, witt_act
 
 
@@ -237,18 +237,62 @@ def test_basis_pair_defect_comes_from_the_f_free_commutator_defect(monkeypatch, 
     assert nonzero
 
 
+def _commutator_oracle(m, n, p, g):
+    """g_n(d-m)*g_m - g_m(d-n)*g_n - c(m, n)*g_(m+n) from the shifted
+    products, with c(m, n) = n1*(m2 + q) - m1*(n2 + q) on Fractions; g
+    maps an index to its image."""
+    c = n.m1 * (m.m2 + p.q) - m.m1 * (n.m2 + p.q)
+    return g(n).shifted(m) * g(m) - g(m).shifted(n) * g(n) - c * g(m + n)
+
+
+def _composed_defect(x, y, f, p, image):
+    """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)), the oracle."""
+    return (act(bracket(x, y, p.context()), f, p, image)
+            - act(x, act(y, f, p, image), p, image)
+            + act(y, act(x, f, p, image), p, image))
+
+
+@pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
+def test_d2_and_multi_term_defects_match_the_composed_actions(monkeypatch, image):
+    # pairs with D2, and elements of several terms, against the composed
+    # actions: the closed form sums -a*b * f(d-m-n) * Delta(m, n) over the
+    # pairs of L terms and drops the D2 terms, whose pairs cancel
+    p = ParamSet(Fraction(5, 7), Fraction(2, 3), -3, Fraction(1, 2))
+    polys = sample_axiom_polys(5, count=2, max_degree=4)
+    singles = [L(*m) for m in index_box(2)]
+    several = [Fraction(3, 2) * L(1, -2) - D2 + L(0, 1),
+               Fraction(-2, 3) * D2,
+               L(-1, 2) + Fraction(1, 5) * L(2, 0) - 3 * L(0, -1),
+               Fraction(1, 2) * L(1, 1) + Fraction(4, 3) * L(-2, 1) + 7 * D2]
+    elements = [D2] + singles + several
+    pairs = [(x, y) for x in elements for y in elements if x not in singles or y not in singles]
+    nonzero = 0
+    for x, y in pairs:
+        for f in polys:
+            defect = module_axiom_defect(x, y, f, p, image)
+            assert defect == _composed_defect(x, y, f, p, image), (x, y, f)
+            nonzero += bool(defect)
+    # the adopted image has no defect; the variant's multi-term elements do
+    assert (nonzero == 0) == (image is action_on_one)
+    if image is action_on_one:
+        # the whole radius-2 grid, D2 included, shifts and multiplies nothing
+        with monkeypatch.context() as patched:
+            patched.setattr(Poly2, "shifted", _forbidden)
+            patched.setattr(Poly2, "__mul__", _forbidden)
+            assert axiom_grid_scan(p, polys, 2, image) == (26 ** 2 * len(polys), None)
+
+
 @pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
 def test_commutator_defect_subtracts_the_bracket_image(image):
-    # Delta(m, n) = commutator_factor(m, n) - c(m, n) * g_(m+n), with c(m, n)
-    # = n1*(m2 + q) - m1*(n2 + q) written out here on Fractions
+    # Delta(m, n) is the commutator factor minus c(m, n) * g_(m+n), on
+    # every pair of the radius-2 box, with the images built per call
     for q in (1, Fraction(5, 7), -2, Fraction(-1, 3)):
         p = ParamSet(q, Fraction(2, 3), -3, Fraction(1, 2))
         box = index_box(2)
         zero = 0
         for m in box:
             for n in box:
-                c = n.m1 * (m.m2 + p.q) - m.m1 * (n.m2 + p.q)
-                want = commutator_factor(m, n, p, image) - c * image(m + n, p)
+                want = _commutator_oracle(m, n, p, lambda k: image(k, p))
                 got = commutator_defect(m, n, p, image)
                 assert (got._nums, got._den) == (want._nums, want._den), (q, m, n)
                 zero += not got
@@ -258,12 +302,12 @@ def test_commutator_defect_subtracts_the_bracket_image(image):
 @pytest.mark.parametrize("q", [1, Fraction(5, 7), -2, Fraction(3, 2), Fraction(-1, 3)])
 @pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
 def test_commutator_factor_closed_form_matches_the_shifted_products(monkeypatch, q, image):
-    # the closed form equals g_n(d-m)*g_m - g_m(d-n)*g_n, the oracle, carrier
-    # for carrier, on every pair of the radius-3 box; it shifts and
+    # the closed form of Delta equals the oracle from the shifted products,
+    # carrier for carrier, on every pair of the radius-3 box; it shifts and
     # multiplies no polynomial
     p = ParamSet(q, Fraction(2, 3), -3, Fraction(1, 2))
     box = index_box(3)
-    table = {m: image(m, p) for m in box}
+    table = {m: image(m, p) for m in index_box(6)}
 
     def tabled(m, _p):
         return table[m]
@@ -271,16 +315,17 @@ def test_commutator_factor_closed_form_matches_the_shifted_products(monkeypatch,
     with monkeypatch.context() as patched:
         patched.setattr(Poly2, "shifted", _forbidden)
         patched.setattr(Poly2, "__mul__", _forbidden)
-        factors = {(m, n): commutator_factor(m, n, p, tabled) for m in box for n in box}
+        defects = {(m, n): commutator_defect(m, n, p, tabled) for m in box for n in box}
     zero = 0
-    for (m, n), got in factors.items():
-        g_m, g_n = table[m], table[n]
-        want = g_n.shifted(m) * g_m - g_m.shifted(n) * g_n
+    for (m, n), got in defects.items():
+        want = _commutator_oracle(m, n, p, table.__getitem__)
         assert (got._nums, got._den) == (want._nums, want._den), (m, n)
         zero += not got
-    # the factor of m = n is zero, and an integral q puts the adopted
-    # image's zero, at (0, -q), in the box
+    # c(m, m) = 0 and the factor of m = n is zero, so Delta(m, m) is; the
+    # adopted image has no defect at all
     assert zero >= len(box)
+    assert (zero == len(box) ** 2) == (image is action_on_one)
+    # an integral q puts the adopted image's zero, at (0, -q), in the table
     if image is action_on_one:
         assert sum(not g for g in table.values()) == (p.q.denominator == 1)
 

@@ -125,8 +125,8 @@ def test_module_axiom_failure_witness(monkeypatch):
                      "q=5/7, lambda=(2,1), alpha=1/3")]
 
 
-def _unmemoized_axiom_scan(p, polys, radius, image):
-    """The axiom grid scan as a plain per-case loop, with no memo."""
+def _per_case_axiom_scan(p, polys, radius, image):
+    """The axiom grid scan as a plain per-case loop, with no image table."""
     generators = [AlgebraElement.basis(m) for m in index_box(radius)]
     generators.append(AlgebraElement.derivation())
     cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
@@ -134,23 +134,23 @@ def _unmemoized_axiom_scan(p, polys, radius, image):
 
 
 @pytest.mark.parametrize("image", [omega.action_on_one, omega.action_on_one_alt])
-def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
+def test_axiom_scan_matches_the_per_case_loop(monkeypatch, image):
     p = ParamSet(Fraction(5, 7), Fraction(2, 3), -3, Fraction(1, 2))
     polys = [Poly2({(1, 0): 1, (0, 2): -3}), Poly2({(2, 1): Fraction(3, 4), (0, 0): 2})]
     radius = 1
-    expected = _unmemoized_axiom_scan(p, polys, radius, image)
+    expected = _per_case_axiom_scan(p, polys, radius, image)
     assert (expected[1] is None) == (image is omega.action_on_one)
 
-    defect, act, pair_defect = omega.module_axiom_defect, omega.act, omega.commutator_defect
-    calls, acts, pairs = [], [], []
+    defect, pair_defect = omega.module_axiom_defect, omega.commutator_defect
+    calls, composed, pairs = [], [], []
 
     def recorded_defect(*args, **kwargs):
         calls.append(args)
         return defect(*args, **kwargs)
 
-    def recorded_act(*args, **kwargs):
-        acts.append(args)
-        return act(*args, **kwargs)
+    def recorded_composition(*args, **kwargs):
+        composed.append(args)
+        raise AssertionError("the axiom scan composed an action or a bracket")
 
     def recorded_delta(m, n, *args):
         pairs.append((m, n))
@@ -163,17 +163,16 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
         return image(m, params)
 
     monkeypatch.setattr(omega, "module_axiom_defect", recorded_defect)
-    monkeypatch.setattr(omega, "act", recorded_act)
+    monkeypatch.setattr(omega, "act", recorded_composition)
+    monkeypatch.setattr(blockalg, "bracket", recorded_composition)
     monkeypatch.setattr(omega, "commutator_defect", recorded_delta)
     count, failure = suites.axiom_grid_scan(p, polys, radius, counted_image)
     # the same first failing case and the same defect, or the same clean count
     assert (count, failure) == expected
-    # a case of two basis generators makes no act, only the commutator
-    # defect; a case with D2 makes five, the bracket term and the two nested
-    # actions
-    with_d2 = sum(blockalg.D2 in x._nums or blockalg.D2 in y._nums
-                  for x, y, *_ in calls)
-    assert len(calls) == count and len(acts) == 5 * with_d2
+    # no case makes an act or a bracket; the clean scan reaches the cases with D2
+    assert len(calls) == count and not composed
+    assert failure or any(blockalg.D2 in x._nums or blockalg.D2 in y._nums
+                          for x, y, *_ in calls)
     # one table for the scan: every generator image is built at most once
     assert built and len(built) == len(set(built))
     assert set(built) <= set(index_box(2 * radius))
@@ -182,17 +181,6 @@ def test_axiom_scan_memo_changes_nothing(monkeypatch, image):
                    for x, y, *_ in calls
                    if blockalg.D2 not in x._nums and blockalg.D2 not in y._nums]
     assert pairs == basis_pairs
-
-    # one memo per polynomial, holding the shifts f(d - s) of that polynomial only
-    memos = {}
-    for x, y, f, _, _, memo in calls:
-        assert memos.setdefault(id(memo), (f, memo))[0] is f
-    assert len(memos) == min(count, len(polys))
-    box = set(index_box(2 * radius))
-    for f, memo in memos.values():
-        assert set(memo) <= box
-        for m, moved in memo.items():
-            assert moved == f.shifted(m)
 
 
 def test_replay_failure_witnesses(monkeypatch):
