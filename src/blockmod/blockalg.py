@@ -18,13 +18,16 @@ denominator, in lowest terms, on the one term-map body of
 sum, difference, negation, equality and hashing are shared.  Elements
 add among themselves and scale by rationals; they never mix with
 polynomials, and the only rational they equal or absorb is 0.
+
+The Jacobi defect of three elements is one closed form in the structure
+constants, summed over their term triples (:func:`jacobi_defect`); it
+builds no bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .exactnum import ParseError, _Parser, excerpt
@@ -130,10 +133,6 @@ def structure_constant(m: IndexPair, n: IndexPair, a: int, b: int) -> int:
     return b * (n.m1 * m.m2 - m.m1 * n.m2) + a * (n.m1 - m.m1)
 
 
-_tuple_new = tuple.__new__
-_new = object.__new__
-
-
 def _bracket_term(gx, nx: int, gy, ny: int, a: int, b: int):
     """[nx*gx, ny*gy] times b for generators gx, gy and q = a/b, as one
     (generator, integer) pair, or None when it is zero.
@@ -141,9 +140,7 @@ def _bracket_term(gx, nx: int, gy, ny: int, a: int, b: int):
     For L(m), L(n) the integer is nx*ny*b*c(m, n), with b*c(m, n) from
     :func:`structure_constant`; [D2, L(m)] = m2 * L(m) = -[L(m), D2] and
     [D2, D2] = 0.  The numerators nx, ny are nonzero, so a pair never
-    carries 0.  The key L(m + n) is built with ``tuple.__new__``, which
-    is what the NamedTuple constructors of :class:`BasisL` and
-    :class:`IndexPair` call after a Python-level frame each.
+    carries 0.
     """
     if type(gx) is BasisL:
         m = gx.m
@@ -151,8 +148,7 @@ def _bracket_term(gx, nx: int, gy, ny: int, a: int, b: int):
             n = gy.m
             c = structure_constant(m, n, a, b)
             if c:
-                return (_tuple_new(BasisL, (_tuple_new(IndexPair, (m.m1 + n.m1, m.m2 + n.m2)),)),
-                        nx * ny * c)
+                return BasisL(m + n), nx * ny * c
         elif m.m2:
             return gx, -nx * ny * m.m2 * b
     elif type(gy) is BasisL and gy.m.m2:
@@ -165,51 +161,94 @@ def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> Algebr
 
     With x = X/dx and y = Y/dy in integer numerators and q = a/b
     (``ctx.ratio``), [x, y] is the sum of the pairs of
-    :func:`_bracket_term` over the denominator dx*dy*b.  An empty
-    operand gives the zero element at once.  When both operands have one
-    term, that one pair (or none) is the whole result, and one gcd puts
-    it in lowest terms; the element is built here, with no constructor.
-    Otherwise the pairs are summed by ``add_terms`` and reduced by one
-    gcd pass.
+    :func:`_bracket_term` over the denominator dx*dy*b, summed by
+    ``add_terms`` and reduced by one gcd pass.
     """
-    xs, ys = x._nums, y._nums
-    if xs and ys:
-        a, b = ctx.ratio
-        den = x._den * y._den * b
-        if len(xs) != 1 or len(ys) != 1:
-            return AlgebraElement._reduced(add_terms({}, filter(None, (
-                _bracket_term(gx, nx, gy, ny, a, b)
-                for gx, nx in xs.items() for gy, ny in ys.items()))), den)
-        (gx, nx), = xs.items()
-        (gy, ny), = ys.items()
-        term = _bracket_term(gx, nx, gy, ny, a, b)
-        if term is not None:
-            gen, n = term
-            g = gcd(n, den)
-            out = _new(AlgebraElement)
-            out._nums = {gen: n // g}
-            out._den = den // g
-            return out
-    out = _new(AlgebraElement)
-    out._nums = {}
-    out._den = 1
-    return out
+    a, b = ctx.ratio
+    return AlgebraElement._reduced(add_terms({}, filter(None, (
+        _bracket_term(gx, nx, gy, ny, a, b)
+        for gx, nx in x._nums.items() for gy, ny in y._nums.items()))), x._den * y._den * b)
+
+
+_tuple_new = tuple.__new__
+
+
+def _jacobi_term(gx, gy, gz, coeff: int, a: int, b: int):
+    """b^2 times the Jacobi defect of coeff*(gx, gy, gz) for generators gx,
+    gy, gz and q = a/b, as one (generator, integer) pair, or None when it
+    is zero.
+
+    Write c for :func:`structure_constant`, read through this module's
+    global at each call, which is b times the true constant.  The three
+    terms [x,[y,z]], [y,[z,x]] and [z,[x,y]] are, times b^2:
+
+    * for L(m), L(n), L(k): c(n,k)*c(m,n+k), c(k,m)*c(n,k+m) and
+      c(m,n)*c(k,m+n), all on L(m+n+k);
+    * for D2, L(n), L(k): [D2,[L(n),L(k)]] = b*c(n,k)*(n2+k2),
+      [L(n),[L(k),D2]] = -b*k2*c(n,k) and [L(k),[D2,L(n)]] = b*n2*c(k,n),
+      all on L(n+k), which sum to b*n2*(c(n,k) + c(k,n)).  The defect is
+      cyclic in x, y, z, so D2 in the second or third place is this case
+      for the rotation that puts it first;
+    * for two or three D2 terms, terms that read no constant and cancel:
+      for example [D2,[D2,L(k)]] = k2^2*L(k) = -[D2,[L(k),D2]] and
+      [L(k),[D2,D2]] = 0, so these triples are skipped.
+
+    The one-D2 sum is computed, not taken as zero by the antisymmetry of
+    c, and a case calls c six or two times even when a factor vanishes,
+    so a constant patched into the module global enters every defect it
+    should.  The index sums n+k, k+m, m+n are built with
+    ``tuple.__new__``, which is what the NamedTuple constructor of
+    :class:`IndexPair` calls after a Python-level frame.  The numerator
+    coeff is nonzero.
+    """
+    c = structure_constant
+    if type(gx) is BasisL:
+        m = gx.m
+        if type(gy) is BasisL:
+            n = gy.m
+            if type(gz) is BasisL:
+                k = gz.m
+                (m1, m2), (n1, n2), (k1, k2) = m, n, k
+                j = (c(n, k, a, b) * c(m, _tuple_new(IndexPair, (n1 + k1, n2 + k2)), a, b)
+                     + c(k, m, a, b) * c(n, _tuple_new(IndexPair, (k1 + m1, k2 + m2)), a, b)
+                     + c(m, n, a, b) * c(k, _tuple_new(IndexPair, (m1 + n1, m2 + n2)), a, b))
+                return (BasisL(m + n + k), coeff * j) if j else None
+            n, k = m, n             # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
+        elif type(gz) is BasisL:
+            n, k = gz.m, m          # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
+        else:
+            return None
+    elif type(gy) is BasisL and type(gz) is BasisL:
+        n, k = gy.m, gz.m
+    else:
+        return None
+    j = b * n.m2 * (c(n, k, a, b) + c(k, n, a, b))
+    return (BasisL(n + k), coeff * j) if j else None
 
 
 def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
                   ctx: AlgebraContext) -> AlgebraElement:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; must vanish for a Lie algebra.
 
-    Each of the six brackets is one call of the module-level
-    :func:`bracket` (``perfbench/test_fidelity.py`` counts them there,
-    six per triple, zero brackets included), and the three outer results
-    are summed by one ``_combination``, which skips the zero ones and
-    returns zero at once when all three are.
+    The defect is trilinear, so with x = X/dx, y = Y/dy, z = Z/dz in
+    integer numerators and q = a/b (``ctx.ratio``) it is the sum of the
+    pairs of :func:`_jacobi_term` over the term triples of X, Y and Z,
+    summed by ``add_terms`` over the denominator dx*dy*dz*b^2 and reduced
+    by one gcd pass; an empty sum is the zero element at once.  No
+    bracket is built.
     """
-    first = bracket(x, bracket(y, z, ctx), ctx)
-    second = bracket(y, bracket(z, x, ctx), ctx)
-    third = bracket(z, bracket(x, y, ctx), ctx)
-    return AlgebraElement._combination(((1, first), (1, second), (1, third)))
+    a, b = ctx.ratio
+    zs = z._nums.items()
+    data = {}
+    for gx, nx in x._nums.items():
+        for gy, ny in y._nums.items():
+            for gz, nz in zs:
+                term = _jacobi_term(gx, gy, gz, nx * ny * nz, a, b)
+                if term:
+                    add_terms(data, (term,))
+    if data:
+        return AlgebraElement._reduced(data, x._den * y._den * z._den * b * b)
+    return AlgebraElement._of(data, 1)
 
 
 # --- element syntax ----------------------------------------------------------

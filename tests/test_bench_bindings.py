@@ -8,14 +8,15 @@ function shows up here instead of as a broken ``--trace 1`` run.
 
 import importlib
 import importlib.util
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from blockmod import blockalg, suites
-from blockmod.blockalg import AlgebraContext, AlgebraElement
-from blockmod.poly import IndexPair
+from blockmod.blockalg import D2, AlgebraContext, AlgebraElement
+from blockmod.poly import IndexPair, index_box
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,26 +75,43 @@ def test_benchmark_methods_have_their_own_body(module, qualname):
     assert holders == {owner}, f"blockmod.{module}.{qualname} is bound in {holders}"
 
 
-def test_jacobi_defect_makes_six_bracket_calls(monkeypatch):
-    # perfbench/test_fidelity.py pins blockalg.bracket.calls == 6 * triples;
-    # the tracer counts calls through the module global, as patched here
+def test_jacobi_defect_reads_structure_constants_and_makes_no_bracket_call(monkeypatch):
+    # jacobi_defect is one closed form in the structure constants: it calls no
+    # bracket, and it reads blockalg.structure_constant through the module
+    # global (where the skewed-constant tests of test_blockalg.py patch it)
+    # 6 times per term triple of L terms, 2 per term triple with exactly one
+    # D2 and never for two or three D2; the counts are taken from the inputs
     calls = []
-    bracket = blockalg.bracket
+    constant = blockalg.structure_constant
 
-    def counting(x, y, ctx):
+    def counting(m, n, a, b):
         calls.append(1)
-        return bracket(x, y, ctx)
+        return constant(m, n, a, b)
 
-    monkeypatch.setattr(blockalg, "bracket", counting)
+    def no_bracket(x, y, ctx):
+        raise AssertionError("jacobi_defect called bracket")
+
+    def expected_calls(*elements):
+        return sum({0: 6, 1: 2}.get(sum(gen is D2 for gen in gens), 0)
+                   for gens in itertools.product(*(e.terms() for e in elements)))
+
+    monkeypatch.setattr(blockalg, "structure_constant", counting)
+    monkeypatch.setattr(blockalg, "bracket", no_bracket)
     ctx = AlgebraContext(Fraction(5, 7))
     d2 = AlgebraElement.derivation()
     x = AlgebraElement.basis(IndexPair(1, -1))
     y = Fraction(2, 3) * AlgebraElement.basis(IndexPair(0, 2)) - d2
-    for triple in [(x, x, x), (x, y, d2), (y, y, y), (d2, d2, x), (AlgebraElement(), x, y)]:
+    w = x - Fraction(3, 4) * AlgebraElement.basis(IndexPair(2, 1)) + 5 * d2
+    triples = [(x, x, x), (x, y, d2), (y, y, y), (d2, d2, x), (d2, d2, d2), (x, d2, x),
+               (x, x, d2), (w, y, w), (AlgebraElement(), x, y)]
+    for triple in triples:
         calls.clear()
         blockalg.jacobi_defect(*triple, ctx)
-        assert len(calls) == 6
+        assert len(calls) == expected_calls(*triple)
+    assert [expected_calls(*triple) for triple in triples[:3]] == [6, 2, 12]
     calls.clear()
     [check] = suites.jacobi_suite([Fraction(5, 7)], radius=1)
     assert check.status == "pass" and check.witness == "1000 triples, all defects zero"
-    assert len(calls) == 6 * 1000
+    generators = [AlgebraElement.basis(m) for m in index_box(1)] + [d2]
+    assert len(calls) == sum(expected_calls(*triple)
+                             for triple in itertools.product(generators, repeat=3))
