@@ -170,20 +170,15 @@ def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> Algebr
         for gx, nx in x._nums.items() for gy, ny in y._nums.items()))), x._den * y._den * b)
 
 
-_tuple_new = tuple.__new__
-
-
 def _jacobi_term(gx, gy, gz, coeff: int, a: int, b: int):
     """b^2 times the Jacobi defect of coeff*(gx, gy, gz) for generators gx,
-    gy, gz and q = a/b, as one (generator, integer) pair, or None when it
-    is zero.
+    gy, gz, not all L terms, and q = a/b, as one (generator, integer) pair,
+    or None when it is zero.
 
     Write c for :func:`structure_constant`, read through this module's
     global at each call, which is b times the true constant.  The three
     terms [x,[y,z]], [y,[z,x]] and [z,[x,y]] are, times b^2:
 
-    * for L(m), L(n), L(k): c(n,k)*c(m,n+k), c(k,m)*c(n,k+m) and
-      c(m,n)*c(k,m+n), all on L(m+n+k);
     * for D2, L(n), L(k): [D2,[L(n),L(k)]] = b*c(n,k)*(n2+k2),
       [L(n),[L(k),D2]] = -b*k2*c(n,k) and [L(k),[D2,L(n)]] = b*n2*c(k,n),
       all on L(n+k), which sum to b*n2*(c(n,k) + c(k,n)).  The defect is
@@ -194,28 +189,16 @@ def _jacobi_term(gx, gy, gz, coeff: int, a: int, b: int):
       [L(k),[D2,D2]] = 0, so these triples are skipped.
 
     The one-D2 sum is computed, not taken as zero by the antisymmetry of
-    c, and a case calls c six or two times even when a factor vanishes,
-    so a constant patched into the module global enters every defect it
-    should.  The index sums n+k, k+m, m+n are built with
-    ``tuple.__new__``, which is what the NamedTuple constructor of
-    :class:`IndexPair` calls after a Python-level frame.  The numerator
-    coeff is nonzero.
+    c, and it calls c twice even when a factor vanishes, so a constant
+    patched into the module global enters every defect it should.  The
+    numerator coeff is nonzero.
     """
     c = structure_constant
     if type(gx) is BasisL:
-        m = gx.m
         if type(gy) is BasisL:
-            n = gy.m
-            if type(gz) is BasisL:
-                k = gz.m
-                (m1, m2), (n1, n2), (k1, k2) = m, n, k
-                j = (c(n, k, a, b) * c(m, _tuple_new(IndexPair, (n1 + k1, n2 + k2)), a, b)
-                     + c(k, m, a, b) * c(n, _tuple_new(IndexPair, (k1 + m1, k2 + m2)), a, b)
-                     + c(m, n, a, b) * c(k, _tuple_new(IndexPair, (m1 + n1, m2 + n2)), a, b))
-                return (BasisL(m + n + k), coeff * j) if j else None
-            n, k = m, n             # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
+            n, k = gx.m, gy.m       # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
         elif type(gz) is BasisL:
-            n, k = gz.m, m          # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
+            n, k = gz.m, gx.m       # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
         else:
             return None
     elif type(gy) is BasisL and type(gz) is BasisL:
@@ -226,29 +209,57 @@ def _jacobi_term(gx, gy, gz, coeff: int, a: int, b: int):
     return (BasisL(n + k), coeff * j) if j else None
 
 
+_tuple_new = tuple.__new__
+_ZERO = AlgebraElement._of({}, 1)
+
+
 def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
                   ctx: AlgebraContext) -> AlgebraElement:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; must vanish for a Lie algebra.
 
     The defect is trilinear, so with x = X/dx, y = Y/dy, z = Z/dz in
-    integer numerators and q = a/b (``ctx.ratio``) it is the sum of the
-    pairs of :func:`_jacobi_term` over the term triples of X, Y and Z,
-    summed by ``add_terms`` over the denominator dx*dy*dz*b^2 and reduced
-    by one gcd pass; an empty sum is the zero element at once.  No
-    bracket is built.
+    integer numerators and q = a/b (``ctx.ratio``) it is a sum over the
+    term triples of X, Y and Z, summed by ``add_terms`` over the
+    denominator dx*dy*dz*b^2 and reduced by one gcd pass.  No bracket is
+    built.  The numerators of a term triple are looked up only when its
+    defect is nonzero or it has a D2 term.
+
+    Write c for :func:`structure_constant`, read through this module's
+    global once per call, which is b times the true constant.  For
+    L(m), L(n), L(k) the three terms [x,[y,z]], [y,[z,x]] and [z,[x,y]]
+    are, times b^2, c(n,k)*c(m,n+k), c(k,m)*c(n,k+m) and c(m,n)*c(k,m+n),
+    all on L(m+n+k); this case is summed here, with all six constants
+    read even when a factor vanishes, so a constant patched into the
+    module global enters every defect it should.  The index sums n+k,
+    k+m, m+n are built with ``tuple.__new__``, which is what the
+    NamedTuple constructor of :class:`IndexPair` calls after a
+    Python-level frame.  A triple with a D2 term is :func:`_jacobi_term`.
+
+    An empty sum is the one shared zero element, which no operation
+    mutates.
     """
     a, b = ctx.ratio
-    zs = z._nums.items()
+    c = structure_constant
+    xs, ys, zs = x._nums, y._nums, z._nums
     data = {}
-    for gx, nx in x._nums.items():
-        for gy, ny in y._nums.items():
-            for gz, nz in zs:
-                term = _jacobi_term(gx, gy, gz, nx * ny * nz, a, b)
-                if term:
-                    add_terms(data, (term,))
+    for gx in xs:
+        for gy in ys:
+            for gz in zs:
+                if type(gx) is BasisL and type(gy) is BasisL and type(gz) is BasisL:
+                    m, n, k = gx.m, gy.m, gz.m
+                    (m1, m2), (n1, n2), (k1, k2) = m, n, k
+                    j = (c(n, k, a, b) * c(m, _tuple_new(IndexPair, (n1 + k1, n2 + k2)), a, b)
+                         + c(k, m, a, b) * c(n, _tuple_new(IndexPair, (k1 + m1, k2 + m2)), a, b)
+                         + c(m, n, a, b) * c(k, _tuple_new(IndexPair, (m1 + n1, m2 + n2)), a, b))
+                    if j:
+                        add_terms(data, ((BasisL(m + n + k), xs[gx] * ys[gy] * zs[gz] * j),))
+                else:
+                    term = _jacobi_term(gx, gy, gz, xs[gx] * ys[gy] * zs[gz], a, b)
+                    if term:
+                        add_terms(data, (term,))
     if data:
         return AlgebraElement._reduced(data, x._den * y._den * z._den * b * b)
-    return AlgebraElement._of(data, 1)
+    return _ZERO
 
 
 # --- element syntax ----------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockmod import blockalg
+from blockmod import blockalg, suites
 from blockmod.blockalg import (D2, AlgebraContext, AlgebraElement, BasisL, bracket,
                                jacobi_defect, parse_element, structure_constant)
 from blockmod.poly import IndexPair, ParseError, index_box
@@ -166,7 +166,8 @@ def test_bracket_matches_reference_on_multi_term_elements():
 
 @pytest.mark.parametrize("skewed", [False, True])
 def test_bracket_of_single_terms_matches_reference(monkeypatch, skewed):
-    # non-unit coefficients on one generator each: the one-pair path
+    # non-unit coefficients on one generator each: one term pair, at most
+    # one term out
     if skewed:
         skewed_constant(monkeypatch)
     rng = SplitMix64(24)
@@ -269,6 +270,69 @@ def test_jacobi_defect_matches_reference_when_inner_brackets_vanish(monkeypatch,
             some_vanish += 1
             all_vanish += not any(inner)
         assert all_vanish > 50 and some_vanish > all_vanish
+
+
+def term_triple_defects(x, y, z, ctx, skew):
+    """The reference defect of each term triple of x, y and z, as a list of
+    coefficients by generator (each triple's defect lies on one generator)."""
+    by_gen: dict = {}
+    for triple in itertools.product(*(e.terms().items() for e in (x, y, z))):
+        single = [AlgebraElement({gen: c}) for gen, c in triple]
+        for gen, c in reference_jacobi_defect(*single, ctx, skew).terms().items():
+            by_gen.setdefault(gen, []).append(c)
+    return by_gen
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_jacobi_defect_adds_term_triples_on_one_generator(monkeypatch, skewed):
+    # under the true constant every term triple gives J = 0, so only the
+    # skewed one makes jacobi_defect add two nonzero contributions on one
+    # generator: two L-L-L triples (n + k' = n' + k), an L-L-L and a
+    # one-D2 triple (k' = m + k), and two L-L-L triples scaled to cancel
+    if skewed:
+        skewed_constant(monkeypatch)
+    d2 = AlgebraElement.derivation()
+    m, n, n_, k = IndexPair(1, -1), IndexPair(0, 2), IndexPair(2, 1), IndexPair(-1, 1)
+    k_ = n_ + k - n
+    for q in ORACLE_Q_VALUES:
+        ctx = AlgebraContext(q)
+        # the two contributions of the cancelling case, at unit coefficients
+        # and under the skewed constant
+        one = term_triple_defects(L(*m), L(*n) + L(*n_), L(*k) + L(*k_), ctx, skew)
+        [j1, j2] = one[BasisL(m + n + k_)]
+        cases = [(L(*m), L(*n) + L(*n_), Fraction(3, 2) * L(*k) - L(*k_), m + n + k_, False),
+                 (L(*m) + Fraction(3, 4) * d2, 5 * L(*n), L(*k) + L(*(m + k)), m + n + k, False),
+                 (L(*m), L(*n) + (j1 / j2) * L(*n_), L(*k) - L(*k_), m + n + k_, True)]
+        for x, y, z, key, cancels in cases:
+            defect = jacobi_defect(x, y, z, ctx)
+            assert defect.terms() == reference_jacobi_defect(
+                x, y, z, ctx, skew if skewed else None).terms()
+            parts = term_triple_defects(x, y, z, ctx, skew if skewed else None)
+            if skewed:
+                assert len(parts[BasisL(key)]) == 2 and all(parts[BasisL(key)])
+                assert (BasisL(key) in defect.terms()) == (not cancels)
+            else:
+                assert not defect and not parts
+
+
+def test_jacobi_defect_zero_is_shared_and_stays_empty():
+    # a vanishing defect is one shared zero element, not a fresh one; no
+    # sum, negation or scaling may write into it
+    ctx = AlgebraContext(Fraction(5, 7))
+    d2 = AlgebraElement.derivation()
+    zero = jacobi_defect(L(1, 0), L(0, 1), L(1, 1), ctx)
+    assert zero == AlgebraElement() and (zero._nums, zero._den) == ({}, 1)
+    assert jacobi_defect(d2, d2, L(2, 1), ctx) is zero
+    assert jacobi_defect(AlgebraElement(), L(1, 0), d2, ctx) is zero
+    [check] = suites.jacobi_suite([Fraction(5, 7)], radius=1)
+    assert check.status == "pass"
+    x = Fraction(3, 2) * L(2, -1) - d2
+    assert zero + x == x and x + zero == x and zero - x == -x and x - zero == x
+    assert zero + zero == 0 and -zero == 0 and zero * Fraction(-4, 9) == 0
+    assert 3 * zero == 0 and zero * 1 == 0 and zero * 0 == 0
+    assert zero + x + zero - x == 0 and (zero + x) * 2 == 2 * x
+    assert (zero._nums, zero._den) == ({}, 1)
+    assert jacobi_defect(L(1, 0), L(0, 1), L(1, 1), ctx) is zero
 
 
 def test_structure_constant_jacobi_symbolic():
