@@ -26,7 +26,6 @@ builds no bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,19 +33,58 @@ from .exactnum import ParseError, _Parser, excerpt
 from .poly import IndexPair, _format_terms, _TermMap, add_terms, origin_first_key
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
+class _FrozenSlots:
+    """An immutable record on ``__slots__``, whose fields are ``_fields``.
+
+    ``==``, ``hash``, the repr ``Name(field=value, ...)`` and pickling
+    read ``_fields`` alone, so another slot (a value derived from the
+    fields) takes no part in them; only an instance of the same class is
+    ever equal.  ``__init__`` fills the slots with ``object.__setattr__``;
+    any later assignment or deletion raises AttributeError, so a derived
+    slot cannot go stale.  A field read is a plain slot read.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class AlgebraContext(_FrozenSlots):
     """Fixes the structure parameter q; q = 0 is rejected.
 
     ``ratio`` is q's integer pair (a, b), b > 0, read once here for every
-    bracket; it takes no part in equality, hashing or the repr.
+    bracket; it is a slot but no field, so it takes no part in equality,
+    hashing or the repr.
     """
 
-    q: Fraction
-    ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
+    _fields = ("q",)
+    __slots__ = ("q", "ratio")
 
-    def __post_init__(self):
-        q = Fraction(self.q)
+    def __init__(self, q):
+        q = Fraction(q)
         if q == 0:
             raise ValueError("q must be nonzero")
         object.__setattr__(self, "q", q)

@@ -17,7 +17,8 @@ each value at its own line by its key's parser, before any flag is
 applied, so a malformed value is a usage error even where a flag
 overrides it.  Config errors name the place: ``path:line: key: message``
 for a value its parser rejects, ``path:line: message`` for a line that
-is not ``key=value``, an unknown key or a key given twice.
+is not ``key=value``, an unknown key or a key given twice, and
+``path: not UTF-8 text`` for a file that is not UTF-8.
 
 Cost guard: the degree bound D is capped at MAX_DEGREE_BOUND, because
 closure cost climbs steeply with D; a larger D, from a flag or a config
@@ -62,8 +63,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import blockalg, omega, suites
 from .closure import ClosureTag, closure
@@ -106,18 +108,14 @@ def _check_ceiling(what: str, value: int, ceiling: int) -> None:
         raise ValueError(f"{what.format(_clipped(value))} exceeds the cost ceiling {ceiling}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "params degree_bound box_radius rng_seed sweep_count")):
     """Parameters, scales and seed shared by the subcommands; :func:`build_config`
     fills them from ``_OPTIONS``."""
 
-    params: ParamSet
-    degree_bound: int
-    box_radius: int
-    rng_seed: int
-    sweep_count: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.degree_bound < 1:
             raise ValueError("degree bound must be at least 1")
         _check_ceiling("degree bound D={}", self.degree_bound, MAX_DEGREE_BOUND)
@@ -126,10 +124,10 @@ class RunConfig:
         if self.sweep_count < 1:
             raise ValueError("sweep count must be at least 1")
         _check_ceiling("sweep count {}", self.sweep_count, MAX_SWEEPS)
+        return self
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     config: RunConfig
     checks: tuple[Check, ...]
@@ -140,11 +138,15 @@ class Report:
 
 
 def report_to_json(report: Report) -> str:
-    payload = asdict(report)
-    # the JSON config is flat: the parameters as rational strings, then the scales
-    params = payload["config"].pop("params")
-    payload["config"] = {**{key: str(value) for key, value in params.items()}, **payload["config"]}
-    payload["overall"] = report.overall
+    config = report.config._asdict()
+    params = config.pop("params")
+    payload = {
+        "command": report.command,
+        # the JSON config is flat: the parameters as rational strings, then the scales
+        "config": {**{name: str(getattr(params, name)) for name in params._fields}, **config},
+        "checks": [check._asdict() for check in report.checks],
+        "overall": report.overall,
+    }
     return json.dumps(payload, indent=2, ensure_ascii=True)
 
 
@@ -154,7 +156,11 @@ def _read_config_file(path: str) -> dict[str, object]:
     """The values of a key=value file, each read by its key's parser."""
     values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
+        for line_number, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -122,10 +122,10 @@ retried silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .omega import ParamSet, generator_image, in_proper_submodule
 from .poly import IndexPair, Monomial2, Poly2, _binomial_row, grlex_key, printable
@@ -138,8 +138,7 @@ class ClosureTag(Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     tag: ClosureTag
     dimension: int
     diagnostics: str

@@ -13,27 +13,25 @@ constructive solver and an exact checker that round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import blockalg, poly
 from .omega import ParamSet, action_on_one, commutator_defect
 from .poly import IndexPair, Poly1, Poly2
 
 
-@dataclass(frozen=True)
-class ClassificationWitness:
+class ClassificationWitness(namedtuple("ClassificationWitness", "m lambda_m alpha_m a_m b_m")):
     """Per-index data (lambda_m, alpha_m, a_m, b_m) entering the scalar identities."""
 
-    m: IndexPair
-    lambda_m: Fraction
-    alpha_m: Fraction
-    a_m: Fraction
-    b_m: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lambda_m == 0:
             raise ValueError("lambda_m must be nonzero")
+        return self
 
 
 def canonical_witness(m: IndexPair, p: ParamSet) -> ClassificationWitness:
@@ -116,8 +114,7 @@ def replay_pair_difference(m: IndexPair, p: ParamSet) -> Poly2:
     return G - G.shifted(m) - (2 * m.m1 * p.q * p.q) * poly.D1
 
 
-@dataclass(frozen=True)
-class SeparatedForm:
+class SeparatedForm(NamedTuple):
     """Split of the paired product in (X, d1) coordinates.
 
     ``x_part`` is what remains of G_m after removing q^2*d1*(d1 + m1),

@@ -42,27 +42,25 @@ action itself as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import blockalg, poly
-from .blockalg import AlgebraContext, AlgebraElement
+from .blockalg import AlgebraContext, AlgebraElement, _FrozenSlots
 from .poly import IndexPair, Poly2, index_box, origin_first_key
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(_FrozenSlots):
     """Exact parameters selecting one rank-1 module; q, lambda1, lambda2 nonzero."""
 
-    q: Fraction
-    lambda1: Fraction
-    lambda2: Fraction
-    alpha: Fraction
+    _fields = ("q", "lambda1", "lambda2", "alpha")
+    __slots__ = _fields + ("_context",)
 
-    def __post_init__(self):
-        for name in ("q", "lambda1", "lambda2", "alpha"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        # the context rejects q = 0; it is no field, so ==, hash, repr and asdict skip it
+    def __init__(self, q, lambda1, lambda2, alpha):
+        for name, value in zip(self._fields, (q, lambda1, lambda2, alpha)):
+            object.__setattr__(self, name, Fraction(value))
+        # the context rejects q = 0; it is a slot but no field, so ==, hash,
+        # the repr and pickling skip it
         object.__setattr__(self, "_context", AlgebraContext(self.q))
         if self.lambda1 == 0 or self.lambda2 == 0:
             raise ValueError("lambda1 and lambda2 must be nonzero")
@@ -95,18 +93,16 @@ class ParamSet:
                 f"alpha={self.alpha}")
 
 
-@dataclass(frozen=True)
-class WittParams:
+class WittParams(namedtuple("WittParams", "lam alpha")):
     """Parameters (lambda, alpha) of a rank-1 Witt module; lambda nonzero."""
 
-    lam: Fraction
-    alpha: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+    def __new__(cls, lam, alpha):
+        self = super().__new__(cls, Fraction(lam), Fraction(alpha))
         if self.lam == 0:
             raise ValueError("lambda must be nonzero")
+        return self
 
 
 def generator_image(m: IndexPair, p: ParamSet, variant: bool = False,

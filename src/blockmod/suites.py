@@ -17,8 +17,8 @@ pass only when they do find a defect, so they build their Check directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import blockalg, identities, omega
 from .blockalg import AlgebraContext, AlgebraElement
@@ -28,8 +28,7 @@ from .poly import IndexPair, Poly1, Poly2, index_box
 from .prng import SplitMix64
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     anchor: str
     status: str                 # "pass" | "fail" | "error"

@@ -481,6 +481,23 @@ def test_empty_config_path_fails_like_a_missing_file(tmp_path):
         assert err.startswith("error: ") and "No such file or directory" in err, err
 
 
+def test_config_that_is_not_utf8_names_the_file(tmp_path):
+    # a decode error names the file, as every other config error does
+    config = tmp_path / "run.cfg"
+    for data in (b"q=5/7\nD=\xd0\xff\n", b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))):
+        config.write_bytes(data)
+        code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", str(config)])
+        assert (code, out, err) == (2, "", f"error: {config}: not UTF-8 text\n")
+
+
+def test_import_loads_no_introspection_modules():
+    # the records are slot classes and named tuples; dataclasses would pull
+    # inspect, ast and dis into every process's start-up
+    result = run_python("-c", "import sys, blockmod.cli; print(sorted(set(sys.modules) & "
+                              "{'dataclasses', 'inspect', 'ast', 'dis'}))")
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
 @pytest.mark.parametrize("text, message", [
     ("q=5/7\nD=abc\n", ":2: D: expected an integer"),
     ("q=1/0\n", ":1: q: zero denominator"),

@@ -1,4 +1,3 @@
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -48,10 +47,17 @@ def test_param_set_validation():
         ParamSet(1, 1, 0, 0)
     p = ParamSet(2, 1, 1, 1)
     assert p.vanishing_point() == (0, -2)
-    # one algebra context per parameter set, outside equality, the repr and asdict
+    # one algebra context per parameter set; the four fields, in this order,
+    # are all that equality, hashing and the repr read, and the context is none of them
     assert p.context() is p.context() and p.context() == AlgebraContext(2)
     assert p == ParamSet(2, 1, 1, 1) and hash(p) == hash(ParamSet(2, 1, 1, 1))
-    assert "_context" not in repr(p) and list(asdict(p)) == ["q", "lambda1", "lambda2", "alpha"]
+    assert ParamSet._fields == ("q", "lambda1", "lambda2", "alpha")
+    assert hash(p) == hash((p.q, p.lambda1, p.lambda2, p.alpha))
+    assert repr(p) == ("ParamSet(q=Fraction(2, 1), lambda1=Fraction(1, 1), "
+                       "lambda2=Fraction(1, 1), alpha=Fraction(1, 1))")
+    other = ParamSet(2, 1, 1, 1)
+    object.__setattr__(other, "_context", AlgebraContext(3))
+    assert other == p and hash(other) == hash(p) and repr(other) == repr(p)
     with pytest.raises(ValueError):
         WittParams(0, 1)
 
