@@ -18,7 +18,9 @@ applied, so a malformed value is a usage error even where a flag
 overrides it.  Config errors name the place: ``path:line: key: message``
 for a value its parser rejects, ``path:line: message`` for a line that
 is not ``key=value``, an unknown key or a key given twice, and
-``path: not UTF-8 text`` for a file that is not UTF-8.
+``path: not UTF-8 text`` for a file that is not UTF-8.  A config file
+is read to at most MAX_CONFIG_BYTES bytes (1 MiB); a larger one, or an
+endless one such as /dev/zero, is a usage error that names the ceiling.
 
 Cost guard: the degree bound D is capped at MAX_DEGREE_BOUND, because
 closure cost climbs steeply with D; a larger D, from a flag or a config
@@ -61,6 +63,7 @@ in the library.  All of these are usage errors too.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from collections import namedtuple
@@ -80,6 +83,7 @@ MAX_REPLAY_RADIUS = 16
 MAX_REPLAY_PAIRS = 10_000
 MAX_SWEEPS = 100
 MAX_GENERATOR_INDEX = 1000
+MAX_CONFIG_BYTES = 1 << 20
 
 # the options every subcommand shares, keyed by config file key:
 # (flag, parser, default, help); a flag's dest is its key
@@ -153,30 +157,39 @@ def report_to_json(report: Report) -> str:
 # --- argument plumbing ---------------------------------------------------------
 
 def _read_config_file(path: str) -> dict[str, object]:
-    """The values of a key=value file, each read by its key's parser."""
+    """The values of a key=value file, each read by its key's parser.
+
+    At most MAX_CONFIG_BYTES + 1 bytes are read, so an endless file such as
+    /dev/zero fails at once.  The bytes are decoded strictly as UTF-8 and
+    split into lines as a text-mode file splits them (universal newlines).
+    """
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ValueError(f"{path}: file exceeds the config size ceiling of "
+                         f"{MAX_CONFIG_BYTES} bytes")
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{line_number}"
+        if "=" not in line:
+            raise ValueError(f"{where}: expected key=value")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in _OPTIONS:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{where}: duplicate key {key!r}")
         try:
-            lines = handle.readlines()
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: not UTF-8 text") from None
-        for line_number, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{line_number}"
-            if "=" not in line:
-                raise ValueError(f"{where}: expected key=value")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in _OPTIONS:
-                raise ValueError(f"{where}: unknown key {key!r}")
-            if key in values:
-                raise ValueError(f"{where}: duplicate key {key!r}")
-            try:
-                values[key] = _OPTIONS[key][1](text.strip())
-            except ValueError as error:
-                raise ValueError(f"{where}: {key}: {error}") from None
+            values[key] = _OPTIONS[key][1](text.strip())
+        except ValueError as error:
+            raise ValueError(f"{where}: {key}: {error}") from None
     return values
 
 

@@ -108,10 +108,13 @@ additions per pass, the pass count and the diagnostics are those of
 the fraction-free engine.  A returned row is never modified: a later
 elimination replaces a stored row with a new list.
 
-The returned basis is read off the echelon.  The rows whose pivot has
-degree <= D span the degree-<=D part of the span (see above) and are
-zero at each other's pivots, so dividing each by its pivot entry gives
-the reduced monic echelon basis of that part, which is unique.
+The returned basis is read off the echelon (:func:`_reduced_basis`).
+The rows whose pivot has degree <= D span the degree-<=D part of the
+span (see above) and are zero at each other's pivots, so dividing each
+by its pivot entry gives the reduced monic echelon basis of that part,
+which is unique.  :func:`span_insert` fills an echelon of its own over
+the monomials of degree <= its cap and reads its result off the same
+way.
 
 Classification of the fixpoint is by dimension plus one exact
 evaluation: the full filtration level has dimension (D+1)(D+2)/2, and
@@ -122,13 +125,14 @@ retried silently.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
 from .omega import ParamSet, generator_image, in_proper_submodule
-from .poly import IndexPair, Monomial2, Poly2, _binomial_row, grlex_key, printable
+from .poly import IndexPair, Monomial2, Poly2, _binomial_row, printable
 
 
 class ClosureTag(Enum):
@@ -149,59 +153,44 @@ def filtration_dimension(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
-class SubspaceBasis:
-    """Reduced echelon basis of a polynomial subspace.
+class SubspaceBasis(namedtuple("SubspaceBasis", "vectors degree_cap")):
+    """Reduced echelon basis of a polynomial subspace of degree <= degree_cap.
 
     Vectors are monic, ordered by strictly decreasing graded-lex pivot,
     and each pivot monomial occurs in no other vector.  :func:`closure`
-    returns one, read off its integer echelon; :func:`span_insert` builds
-    one a vector at a time.
+    and :func:`span_insert` read theirs off an integer echelon
+    (:func:`_reduced_basis`).
     """
 
-    __slots__ = ("vectors", "degree_cap")
+    __slots__ = ()
 
-    def __init__(self, vectors: tuple[Poly2, ...] = (), degree_cap: int = 0):
-        self.vectors = tuple(vectors)
-        self.degree_cap = degree_cap
+    def __new__(cls, vectors: tuple[Poly2, ...] = (), degree_cap: int = 0):
+        return super().__new__(cls, tuple(vectors), degree_cap)
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def reduce(self, f: Poly2) -> Poly2:
-        """Remainder of f after elimination against every pivot."""
-        for vector in self.vectors:
-            pivot = vector.leading_monomial()
-            c = f.coefficient(*pivot)
-            if c:
-                f = f - c * vector
-        return f
-
-    def contains(self, f: Poly2) -> bool:
-        return not self.reduce(f)
-
 
 def span_insert(basis: SubspaceBasis, v: Poly2) -> SubspaceBasis:
-    """Reduced echelon basis of span(basis + {v}); unchanged if v is in the span.
+    """Reduced echelon basis of span(basis.vectors + [v]); ``basis`` itself if v is in that span.
 
-    The rational reference for the integer echelon of :func:`closure`,
-    which does not call it: tests build bases and compare spans with it.
+    The vectors of ``basis`` and then v are inserted into an integer
+    echelon over the monomials of degree <= basis.degree_cap.  The
+    reduced monic basis of a span is unique, so the result is the one
+    of rational elimination as well, whether or not ``basis`` is reduced.
     """
-    if v.total_degree() > basis.degree_cap:
-        raise ValueError(
-            f"vector of degree {v.total_degree()} exceeds the cap {basis.degree_cap}")
-    remainder = basis.reduce(v)
-    if not remainder:
+    for f in (*basis.vectors, v):
+        if f.total_degree() > basis.degree_cap:
+            raise ValueError(
+                f"vector of degree {f.total_degree()} exceeds the cap {basis.degree_cap}")
+    workspace = _monomials_upto(basis.degree_cap)
+    echelon = _IntEchelon(len(workspace))
+    for f in basis.vectors:
+        echelon.insert(_poly_to_int_row(f, echelon.dim))
+    if echelon.insert(_poly_to_int_row(v, echelon.dim)) is None:
         return basis
-    pivot = remainder.leading_monomial()
-    monic = (1 / remainder.coefficient(*pivot)) * remainder
-    updated = []
-    for vector in basis.vectors:
-        c = vector.coefficient(*pivot)
-        updated.append(vector - c * monic if c else vector)
-    updated.append(monic)
-    updated.sort(key=lambda w: grlex_key(w.leading_monomial()), reverse=True)
-    return SubspaceBasis(tuple(updated), basis.degree_cap)
+    return _reduced_basis(echelon, workspace, basis.degree_cap)
 
 
 # --- integer workspace engine -------------------------------------------------
@@ -290,19 +279,20 @@ class _ActTable:
     of g_m / lambda^m = (m2 + q)*d1 - m1*(d2 + q*alpha), which is affine
     in m: s * g_m / lambda^m = P0 + m1*P1 + m2*P2, with ``parts`` holding
     P0, P1 and P2 as (monomial, integer) terms, read off
-    :func:`omega.generator_image` without ``scaled`` at m = (0,0), (1,0)
-    and (0,1).  The scalar lambda^m is left out (see the module
-    docstring).  The class keeps the name of the per-index action table
-    it replaced, which ``perfbench/layers.py`` binds as the
-    ``closure.act_image`` layer.
+    :func:`omega.generator_image` at m = (0,0), (1,0) and (0,1) for the
+    parameters (q, 1, 1, alpha), whose images are the lambda-free ones.
+    The scalar lambda^m is left out (see the module docstring).  The
+    class keeps the name of the per-index action table it replaced,
+    which ``perfbench/layers.py`` binds as the ``closure.act_image``
+    layer.
     """
 
     def __init__(self, D: int, p: ParamSet):
         self.workspace = _monomials_upto(D + 1)
         self.dim = len(self.workspace)
         s = p.q.denominator * p.alpha.denominator
-        g0, g1, g2 = (generator_image(IndexPair(*m), p, scaled=False)
-                      for m in ((0, 0), (1, 0), (0, 1)))
+        unit = ParamSet(p.q, 1, 1, p.alpha)
+        g0, g1, g2 = (generator_image(IndexPair(*m), unit) for m in ((0, 0), (1, 0), (0, 1)))
         self.parts = tuple([(mono, n * s // g._den) for mono, n in g._nums.items()]
                            for g in (g0, g1 - g0, g2 - g0))
         self._binomial = [_binomial_row(e, 1) for e in range(D + 1)]
@@ -385,9 +375,14 @@ def _poly_to_int_row(f: Poly2, dim: int) -> list[int]:
     return row
 
 
-def _monic_poly(pivot: int, row: list[int], workspace: list[Monomial2]) -> Poly2:
-    """row / row[pivot]: a primitive row over its positive pivot entry, in lowest terms."""
-    return Poly2._of({workspace[r]: c for r, c in enumerate(row) if c}, row[pivot])
+def _reduced_basis(echelon: _IntEchelon, workspace: list[Monomial2], D: int) -> SubspaceBasis:
+    """The reduced monic basis of the degree-<=D part of the echelon's span: the
+    rows whose pivot has degree <= D, each over its positive pivot entry (see
+    the module docstring); a primitive row over that entry is in lowest terms."""
+    cap = filtration_dimension(D)
+    return SubspaceBasis(
+        tuple(Poly2._of({workspace[r]: c for r, c in enumerate(row) if c}, row[pivot])
+              for pivot, row in echelon.rows if pivot < cap), D)
 
 
 def closure(seeds: list[Poly2], D: int, B: int,
@@ -452,8 +447,7 @@ def closure(seeds: list[Poly2], D: int, B: int,
         if added == 0:
             break
 
-    basis = SubspaceBasis(tuple(_monic_poly(pivot, row, table.workspace)
-                                for pivot, row in echelon.rows if pivot < degree_rank_cap), D)
+    basis = _reduced_basis(echelon, table.workspace, D)
     result = classify_span(basis, D, p)
     diagnostics = (
         f"{result.diagnostics}; passes={passes}, workspace additions per pass="

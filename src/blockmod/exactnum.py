@@ -1,11 +1,15 @@
 """Exact rational scalars and the token grammar shared by every parser.
 
-Every coefficient in this package is a ``fractions.Fraction``: arbitrary
-precision, reduced on construction, positive denominator, zero stored as
-0/1.  Canonical form is enforced by the type itself, so equality of
-values is structural equality.  ``str`` prints a Fraction as ``a`` or
-``a/b``, the inverse of :func:`parse_rational`, and ``**`` gives its
-exact integer powers.
+Every scalar of this package, a parameter, a parsed literal or a
+coefficient handed out by ``terms()`` or ``coefficient``, is a
+``fractions.Fraction``: arbitrary precision, reduced on construction,
+positive denominator, zero stored as 0/1.  Canonical form is enforced by
+the type itself, so equality of values is structural equality.  ``str``
+prints a Fraction as ``a`` or ``a/b``, the inverse of
+:func:`parse_rational`, and ``**`` gives its exact integer powers.
+Polynomials and algebra elements store no Fraction: they hold integer
+numerators over one positive denominator, in lowest terms (the integer
+carrier of :mod:`blockmod.poly`).
 
 It also holds the tokenizer and the parser base class of the expression
 grammars (polynomials in :mod:`blockmod.poly`, algebra elements in

@@ -105,17 +105,16 @@ class WittParams(namedtuple("WittParams", "lam alpha")):
         return self
 
 
-def generator_image(m: IndexPair, p: ParamSet, variant: bool = False,
-                    scaled: bool = True) -> Poly2:
+def generator_image(m: IndexPair, p: ParamSet, variant: bool = False) -> Poly2:
     """lambda^m * (A*d1 - m1*d2 + C), the image of 1 under L(m), on integers.
 
     A = m2 + q and C = -m1*q*alpha for the adopted placement; with
     ``variant``, A = q*alpha + m2 and C = -m1*alpha.  With q = qn/qd and
     alpha = an/ad, A, -m1 and C are integers over the one denominator
-    qd*ad; ``scaled`` multiplies them by lambda^m = u/v (from
+    qd*ad; they are multiplied by lambda^m = u/v (from
     :meth:`ParamSet.lam_ratio`), and one gcd pass (``Poly2._reduced``)
-    puts the result in lowest terms.  Without ``scaled`` the value is
-    g_m / lambda^m.
+    puts the result in lowest terms.  At lambda1 = lambda2 = 1 the value
+    is g_m / lambda^m for every lambda with the same q and alpha.
     """
     qn, qd = p.q.numerator, p.q.denominator
     an, ad = p.alpha.numerator, p.alpha.denominator
@@ -124,7 +123,7 @@ def generator_image(m: IndexPair, p: ParamSet, variant: bool = False,
         a, c = qn * an + m.m2 * den, -m.m1 * an * qd
     else:
         a, c = (m.m2 * qd + qn) * ad, -m.m1 * qn * an
-    u, v = p.lam_ratio(m) if scaled else (1, 1)
+    u, v = p.lam_ratio(m)
     nums = {key: n * u for key, n in (((1, 0), a), ((0, 1), -m.m1 * den), ((0, 0), c)) if n}
     return Poly2._reduced(nums, den * v)
 

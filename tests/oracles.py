@@ -7,13 +7,16 @@
   two-variable polynomial that uses one slot only, which it needs.
 * The per-index generator action on closure workspace rows, which the
   closure's Taylor-coefficient rows are checked against.
+* Rational elimination against a reduced monic echelon basis, which the
+  closure's integer echelon and :func:`closure.span_insert` are checked
+  against.
 """
 
 from __future__ import annotations
 
-from blockmod.closure import _monomials_upto, _rank
+from blockmod.closure import SubspaceBasis, _monomials_upto, _rank
 from blockmod.omega import ParamSet, WittParams, generator_image
-from blockmod.poly import IndexPair, Monomial2, Poly1, Poly2, _PolyParser, shift_terms
+from blockmod.poly import IndexPair, Monomial2, Poly1, Poly2, _PolyParser, grlex_key, shift_terms
 
 T = Poly1({1: 1})
 
@@ -51,13 +54,13 @@ class BoxActTable:
 
     For each index m the image of a monomial under L(m) is the monomial
     shifted by m (:func:`poly.shift_terms`) times the integer numerators
-    of lambda^-m * g_m (:func:`omega.generator_image` without ``scaled``),
-    that is lambda^-m * g_m rescaled by its positive denominator.  The
-    columns of every (m, monomial) pair are cached.
+    of lambda^-m * g_m (:func:`omega.generator_image` at the parameters
+    (q, 1, 1, alpha)), that is lambda^-m * g_m rescaled by its positive
+    denominator.  The columns of every (m, monomial) pair are cached.
     """
 
     def __init__(self, D: int, p: ParamSet):
-        self.p = p
+        self.unit = ParamSet(p.q, 1, 1, p.alpha)
         self.workspace = _monomials_upto(D + 1)
         self.dim = len(self.workspace)
         self._columns: dict[tuple[IndexPair, Monomial2], list[tuple[int, int]]] = {}
@@ -68,7 +71,7 @@ class BoxActTable:
         column = self._columns.get(key)
         if column is None:
             accum: dict[int, int] = {}
-            g = generator_image(m, self.p, scaled=False)._nums.items()
+            g = generator_image(m, self.unit)._nums.items()
             for (i, j), c in shift_terms({mono: 1}, m.m1, m.m2)[0].items():
                 for (g1, g2), gc in g:
                     r = _rank((i + g1, j + g2))
@@ -84,3 +87,46 @@ class BoxActTable:
             for r, c in self.column(m, self.workspace[rank]):
                 out[r] += coeff * c
         return out
+
+
+def rational_reduce(basis: SubspaceBasis, f: Poly2) -> Poly2:
+    """Remainder of f after rational elimination against every pivot of a
+    reduced monic echelon basis."""
+    for vector in basis.vectors:
+        pivot = vector.leading_monomial()
+        c = f.coefficient(*pivot)
+        if c:
+            f = f - c * vector
+    return f
+
+
+def rational_contains(basis: SubspaceBasis, f: Poly2) -> bool:
+    return not rational_reduce(basis, f)
+
+
+def rational_span_insert(basis: SubspaceBasis, v: Poly2) -> SubspaceBasis:
+    """Reduced echelon basis of span(basis + {v}) by rational elimination;
+    ``basis`` itself if v is in the span.  ``basis`` must be reduced and monic."""
+    if v.total_degree() > basis.degree_cap:
+        raise ValueError(
+            f"vector of degree {v.total_degree()} exceeds the cap {basis.degree_cap}")
+    remainder = rational_reduce(basis, v)
+    if not remainder:
+        return basis
+    pivot = remainder.leading_monomial()
+    monic = (1 / remainder.coefficient(*pivot)) * remainder
+    updated = []
+    for vector in basis.vectors:
+        c = vector.coefficient(*pivot)
+        updated.append(vector - c * monic if c else vector)
+    updated.append(monic)
+    updated.sort(key=lambda w: grlex_key(w.leading_monomial()), reverse=True)
+    return SubspaceBasis(tuple(updated), basis.degree_cap)
+
+
+def rational_basis(vectors, degree_cap: int) -> SubspaceBasis:
+    """The reduced echelon basis of span(vectors), one rational insert at a time."""
+    basis = SubspaceBasis((), degree_cap)
+    for v in vectors:
+        basis = rational_span_insert(basis, v)
+    return basis

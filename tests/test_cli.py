@@ -1,11 +1,12 @@
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from blockmod.cli import _OPTIONS, main
+from blockmod.cli import _OPTIONS, MAX_CONFIG_BYTES, main
 from blockmod.exactnum import PARSE_ECHO_WIDTH
 from child_process import run_python
 
@@ -490,6 +491,46 @@ def test_config_that_is_not_utf8_names_the_file(tmp_path):
         assert (code, out, err) == (2, "", f"error: {config}: not UTF-8 text\n")
 
 
+def test_config_file_size_ceiling(tmp_path):
+    # a file of exactly MAX_CONFIG_BYTES parses; one byte more is a usage error
+    config = tmp_path / "run.cfg"
+    tail = b"q=5/7\n"
+    comment = b"#" * 1023 + b"\n"
+    body = comment * ((MAX_CONFIG_BYTES - len(tail)) // len(comment))
+    body += b"#" * (MAX_CONFIG_BYTES - len(tail) - len(body) - 1) + b"\n" + tail
+    assert len(body) == MAX_CONFIG_BYTES
+    config.write_bytes(body)
+    code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", str(config)])
+    assert code == 0 and json.loads(out)["config"]["q"] == "5/7", err
+    config.write_bytes(b"#" + body)
+    code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", str(config)])
+    assert (code, out, err) == (2, "", f"error: {config}: file exceeds the config size "
+                                       f"ceiling of {MAX_CONFIG_BYTES} bytes\n")
+
+
+def test_endless_config_file_fails_at_once():
+    # /dev/zero is valid UTF-8 with no newline; only the byte ceiling stops it
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", "/dev/zero"])
+    assert (code, out) == (2, "")
+    assert err == f"error: /dev/zero: file exceeds the config size ceiling of {MAX_CONFIG_BYTES} bytes\n"
+
+
+def test_config_lines_split_as_in_text_mode(tmp_path):
+    # \r and \r\n end lines; \x0c and \x85, which str.splitlines also splits
+    # at, do not, so the comment below is one line and the numbering holds
+    config = tmp_path / "run.cfg"
+    text = "q=5/7\rD=2\r\n# a\x85note\x0cmore\n"
+    config.write_bytes(text.encode())
+    code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", str(config)])
+    assert code == 0, err
+    assert (json.loads(out)["config"]["q"], json.loads(out)["config"]["degree_bound"]) == ("5/7", 2)
+    config.write_bytes((text + "volume=1\n").encode())
+    code, out, err = run_cli(["bracket", "L(1,0)", "D2", "--config", str(config)])
+    assert (code, out, err) == (2, "", f"error: {config}:4: unknown key 'volume'\n")
+
+
 def test_import_loads_no_introspection_modules():
     # the records are slot classes and named tuples; dataclasses would pull
     # inspect, ast and dis into every process's start-up
@@ -555,6 +596,7 @@ def test_global_flags_before_subcommand():
 
 
 QUICK_REPORT_SHA256 = "f4bb9a30dada0a2102c9f9f53ba1d6806066de241b05d12678bdb04b249f1ab3"
+FULL_REPORT_SHA256 = "fc4650754302c7146b6b368f6716cce75fc534ba95aeef12abdac2949fea0a8d"
 
 
 def test_quick_report():
@@ -571,6 +613,13 @@ def test_quick_report():
             "commutator-replay", "isomorphism-rigidity",
             "difference-equation"} <= anchors
     assert run_cli(["report", "--level", "quick"])[1] == out
+
+
+def test_full_report_bytes():
+    # the full report at the pinned acceptance scales; any byte change shows here
+    code, out, err = run_cli(["report", "--level", "full"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_REPORT_SHA256
 
 
 CLOSURE_REPORT = """{

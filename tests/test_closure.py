@@ -15,7 +15,7 @@ from blockmod.poly import IndexPair, Poly2, grlex_key
 from blockmod.prng import SplitMix64
 from blockmod.suites import sample_poly2
 
-from oracles import BoxActTable
+from oracles import BoxActTable, rational_basis, rational_contains, rational_span_insert
 
 
 # --- an independent fixpoint oracle ------------------------------------------
@@ -80,10 +80,8 @@ def oracle_closure(seeds, D, B, p, growth=None):
 def spans_agree(basis: SubspaceBasis, oracle_rows):
     if basis.dimension != len(oracle_rows):
         return False
-    oracle_basis = SubspaceBasis((), basis.degree_cap)
-    for row in oracle_rows:
-        oracle_basis = span_insert(oracle_basis, Poly2(row))
-    return all(oracle_basis.contains(v) for v in basis.vectors)
+    oracle_basis = rational_basis((Poly2(row) for row in oracle_rows), basis.degree_cap)
+    return all(rational_contains(oracle_basis, v) for v in basis.vectors)
 
 
 # --- span_insert ---------------------------------------------------------------
@@ -109,8 +107,8 @@ def test_span_insert_examples():
 def test_span_insert_order_independent_span():
     a = span_insert(span_insert(SubspaceBasis((), 3), poly.D1 + poly.D2), poly.D1)
     assert a.dimension == 2
-    assert a.contains(poly.D2) and a.contains(poly.D1 - 7 * poly.D2)
-    assert not a.contains(Poly2.const(1))
+    assert rational_contains(a, poly.D2) and rational_contains(a, poly.D1 - 7 * poly.D2)
+    assert not rational_contains(a, Poly2.const(1))
 
 
 def test_span_insert_degree_cap():
@@ -132,6 +130,67 @@ def test_span_insert_invariants_randomized():
         for j, other in enumerate(basis.vectors):
             if i != j:
                 assert other.coefficient(*pivots[i]) == 0
+
+
+def _random_poly(rng, degree, terms):
+    monomials = _monomials(degree)
+    return Poly2([(rng.choice(monomials), rng.fraction(nonzero=True)) for _ in range(terms)])
+
+
+def test_span_insert_matches_rational_oracle_randomized():
+    # the integer echelon of span_insert against rational elimination, on
+    # reduced bases: a vector of the span returns the basis itself, any
+    # other vector the oracle's basis, vector for vector
+    rng = SplitMix64(48)
+    inside = outside = 0
+    for _ in range(60):
+        cap = rng.int_between(0, 3)
+        basis = rational_basis([_random_poly(rng, cap, rng.int_between(1, 3))
+                                for _ in range(rng.int_between(0, 6))], cap)
+        combination = sum((rng.fraction() * v for v in basis.vectors), Poly2())
+        assert span_insert(basis, combination) is basis
+        inside += 1
+        v = _random_poly(rng, cap, rng.int_between(1, 4))
+        expected = rational_span_insert(basis, v)
+        got = span_insert(basis, v)
+        assert got == expected, (basis, v)
+        assert (got is basis) == (expected is basis)
+        outside += expected is not basis
+        too_high = v * poly.D1 ** (cap + 1 - max(v.total_degree(), 0))
+        for insert in (span_insert, rational_span_insert):
+            with pytest.raises(ValueError, match=f"degree {cap + 1} exceeds the cap {cap}"):
+                insert(basis, too_high)
+    assert inside == 60 and 20 < outside < 60
+
+
+def test_span_insert_accepts_a_basis_that_is_not_reduced():
+    # hand-built bases: not monic, not reduced, with dependent, repeated and
+    # zero vectors; span_insert returns the basis itself for a vector of its
+    # span and otherwise the reduced basis of the whole span
+    rng = SplitMix64(49)
+    examples = [((2 * poly.D1 + poly.D2, poly.D1 + poly.D2), poly.D2 - poly.D1),
+                ((2 * poly.D1 + poly.D2, poly.D1 + poly.D2), Poly2.const(1)),
+                ((poly.D1, Poly2(), 3 * poly.D1), poly.D1 * poly.D2),
+                ((), Poly2())]
+    for _ in range(40):
+        cap = rng.int_between(1, 3)
+        vectors = [_random_poly(rng, cap, rng.int_between(1, 3))
+                   for _ in range(rng.int_between(1, 5))]
+        vectors.append(rng.fraction(nonzero=True) * rng.choice(vectors) + rng.choice(vectors))
+        examples.append((tuple(vectors), _random_poly(rng, cap, 2)))
+    outside = 0
+    for vectors, v in examples:
+        cap = max(2, *(f.total_degree() for f in vectors + (v,)))
+        handmade = SubspaceBasis(vectors, cap)
+        got = span_insert(handmade, v)
+        if rational_contains(rational_basis(vectors, cap), v):
+            assert got is handmade, (vectors, v)
+        else:
+            assert got == rational_basis(vectors + (v,), cap), (vectors, v)
+            outside += 1
+    assert 10 < outside < len(examples)
+    with pytest.raises(ValueError, match="degree 3 exceeds the cap 2"):
+        span_insert(SubspaceBasis((poly.D1 ** 3,), 2), poly.D1)
 
 
 # --- the reduced echelon against the fraction-free oracle --------------------
@@ -229,14 +288,12 @@ class CheckedEchelon(engine._IntEchelon):
         return stored
 
 
-def span_insert_basis(oracle, D):
-    """The basis built the way the engine once did: span_insert over the low oracle rows."""
+def rational_low_basis(oracle, D):
+    """The rational oracle's reduced basis of the oracle rows of degree <= D."""
     workspace = engine._monomials_upto(D + 1)
-    basis = SubspaceBasis((), D)
-    for pivot, row in sorted(oracle.rows):
-        if pivot < filtration_dimension(D):
-            basis = span_insert(basis, Poly2({workspace[r]: c for r, c in enumerate(row) if c}))
-    return basis
+    return rational_basis((Poly2({workspace[r]: c for r, c in enumerate(row) if c})
+                           for pivot, row in sorted(oracle.rows)
+                           if pivot < filtration_dimension(D)), D)
 
 
 def test_reduced_echelon_matches_fraction_free_on_closure_streams(monkeypatch):
@@ -261,7 +318,7 @@ def test_reduced_echelon_matches_fraction_free_on_closure_streams(monkeypatch):
                     basis, result = closure([seed], D, B, p)
                     echelon = echelons[-1]
                     assert echelon.calls > echelon.added > 0
-                    assert basis.vectors == span_insert_basis(echelon.oracle, D).vectors
+                    assert basis.vectors == rational_low_basis(echelon.oracle, D).vectors
                     if B == (D + 2) // 2:
                         expected = ClosureTag.FULL if seed != inside else ClosureTag.OMEGA_PRIME
                         assert result.tag is expected, (p, D, seed)
@@ -342,11 +399,11 @@ def test_closure_monotone_and_fixpoint():
     p = ParamSet(1, 1, 1, 0)
     seed = poly.D1 + 2 * poly.D2
     basis, result = closure([seed], 3, 5, p)
-    assert basis.contains(seed)
+    assert rational_contains(basis, seed)
     rerun_basis, rerun_result = closure(list(basis.vectors), 3, 5, p)
     assert rerun_result.tag is result.tag
     assert rerun_result.dimension == result.dimension
-    assert all(rerun_basis.contains(v) for v in basis.vectors)
+    assert all(rational_contains(rerun_basis, v) for v in basis.vectors)
 
 
 def test_closure_multiple_seeds_and_validation():
@@ -523,9 +580,7 @@ def full_snapshot_closure(seeds, D, B, p):
         growth.append(added)
         if added == 0:
             break
-    basis = [engine._monic_poly(pivot, row, table.workspace)
-             for pivot, row in echelon.rows if pivot < cap]
-    return extra, basis, passes, growth
+    return extra, engine._reduced_basis(echelon, table.workspace, D).vectors, passes, growth
 
 
 def test_worklist_matches_full_snapshot_loop():
@@ -542,7 +597,7 @@ def test_worklist_matches_full_snapshot_loop():
                 basis, result = closure(seeds, D, B, p)
                 extra, oracle_basis, passes, growth = full_snapshot_closure(seeds, D, B, p)
                 assert all(stored is None for stored in extra), (p, D, B, seeds)
-                assert list(basis.vectors) == oracle_basis, (p, D, B, seeds)
+                assert basis.vectors == oracle_basis, (p, D, B, seeds)
                 classified = classify_span(basis, D, p)
                 radius = min(B, (D + 2) // 2)
                 assert result.diagnostics == (
@@ -576,10 +631,11 @@ def test_act_table_image_matches_shifted_times_generator_image():
     # the oracle table's image of a row of degree <= D under L(m) is the row
     # shifted by m times g_m / lambda^m, rescaled by that factor's
     # denominator: rank by rank, image[r] * den(P) == den(g) * num(P)[r]
-    # for P = f.shifted(m) * generator_image(m, p, scaled=False)
+    # for P = f.shifted(m) * generator_image(m, unit), unit = (q, 1, 1, alpha)
     rng = SplitMix64(45)
     checked = 0
     for p in GRID_PARAMS:
+        unit = ParamSet(p.q, 1, 1, p.alpha)
         for D in range(1, 7):
             warm = BoxActTable(D, p)
             for _ in range(3):
@@ -587,7 +643,7 @@ def test_act_table_image_matches_shifted_times_generator_image():
                 nonzero = [(r, c) for r, c in enumerate(row) if c]
                 f = Poly2({warm.workspace[r]: c for r, c in nonzero})
                 for m in poly.index_box((D + 2) // 2):
-                    g = generator_image(m, p, scaled=False)
+                    g = generator_image(m, unit)
                     product = f.shifted(m) * g
                     expected = [g._den * product._nums.get(mono, 0) for mono in warm.workspace]
                     assert product._nums.keys() <= set(warm.workspace)
@@ -605,6 +661,7 @@ def test_taylor_coefficients_sum_to_the_image_at_every_index():
     checked = 0
     for p in GRID_PARAMS:
         s = p.q.denominator * p.alpha.denominator
+        unit = ParamSet(p.q, 1, 1, p.alpha)
         for D in range(1, 7):
             table = engine._ActTable(D, p)
             for _ in range(3):
@@ -615,7 +672,7 @@ def test_taylor_coefficients_sum_to_the_image_at_every_index():
                 assert all(sum(gamma) <= D + 1 for gamma, _ in coefficients)
                 f = Poly2({table.workspace[r]: c for r, c in nonzero})
                 for m in poly.index_box((D + 2) // 2) + [IndexPair(9, -7)]:
-                    product = s * (f.shifted(m) * generator_image(m, p, scaled=False))
+                    product = s * (f.shifted(m) * generator_image(m, unit))
                     assert product._den == 1 and product._nums.keys() <= set(table.workspace)
                     expected = [product._nums.get(mono, 0) for mono in table.workspace]
                     image = [0] * table.dim
@@ -644,6 +701,7 @@ def test_coefficients_folded_onto_a_small_box_give_its_images():
     rng = SplitMix64(47)
     for p in GRID_PARAMS:
         s = p.q.denominator * p.alpha.denominator
+        unit = ParamSet(p.q, 1, 1, p.alpha)
         for D in range(1, 7):
             table = engine._ActTable(D, p)
             row = _random_low_row(rng, D, table.dim)
@@ -657,7 +715,7 @@ def test_coefficients_folded_onto_a_small_box_give_its_images():
                 assert len(folded) <= (2 * radius + 1) ** 2
                 assert all(max(delta) <= 2 * radius and any(c) for delta, c in folded)
                 for m in poly.index_box(radius):
-                    product = s * (f.shifted(m) * generator_image(m, p, scaled=False))
+                    product = s * (f.shifted(m) * generator_image(m, unit))
                     expected = [product._nums.get(mono, 0) for mono in table.workspace]
                     image = [0] * table.dim
                     for (d1, d2), c in folded:

@@ -119,7 +119,7 @@ def test_act_table_reads_lambda_free_image(p):
     p0, p1, p2 = (Poly2(dict(part)) for part in parts)
     for m in index_box(4):
         got = p0 + m.m1 * p1 + m.m2 * p2
-        assert got == s * generator_image(m, p, scaled=False), m
+        assert got == s * generator_image(m, ParamSet(p.q, 1, 1, p.alpha)), m
         assert got == (s / (p.lambda1 ** m.m1 * p.lambda2 ** m.m2)) * fraction_image(m, p), m
 
 

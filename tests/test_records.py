@@ -8,8 +8,9 @@ import pytest
 
 from blockmod.blockalg import AlgebraContext
 from blockmod.cli import RunConfig
-from blockmod.closure import ClosureResult, ClosureTag
+from blockmod.closure import ClosureResult, ClosureTag, SubspaceBasis
 from blockmod.omega import ParamSet, WittParams
+from blockmod.poly import D1, D2
 from blockmod.suites import Check
 
 
@@ -23,6 +24,7 @@ def records():
         (Check("name", "anchor", "pass"), "status"),
         (ClosureResult(ClosureTag.FULL, 10, "diagnostics"), "dimension"),
         (RunConfig(params, 3, 5, 1, 10), "degree_bound"),
+        (SubspaceBasis((), 3), "degree_cap"),
     ]
 
 
@@ -76,3 +78,13 @@ def test_copies_rebuild_derived_values():
     p = ParamSet(Fraction(-5, 7), 2, 3, Fraction(1, 2))
     for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         assert twin.context() == p.context() and twin.context().ratio == (-5, 7)
+
+
+def test_subspace_basis_is_the_tuple_of_its_fields():
+    # a named tuple: the vectors are coerced to a tuple, the defaults are an
+    # empty basis of cap 0, and a basis equals the plain tuple of its fields
+    basis = SubspaceBasis([D1, D2], 1)
+    assert basis.vectors == (D1, D2) and basis.dimension == 2
+    assert basis == ((D1, D2), 1) and hash(basis) == hash(((D1, D2), 1))
+    assert SubspaceBasis() == ((), 0) and SubspaceBasis().dimension == 0
+    assert repr(SubspaceBasis((), 3)) == "SubspaceBasis(vectors=(), degree_cap=3)"
