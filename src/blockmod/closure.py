@@ -87,13 +87,34 @@ of the pivot entries and W_i = (den / row_i[p_i]) * row_i, so that W_i
 holds den at its own pivot and zero at the others.  A vector of the
 span S is fixed by its pivot coordinates, so v lies in S iff
 den*v = sum_i v[p_i]*W_i; both sides agree at every pivot column, and
-membership is the integer check den*v[j] == sum_i v[p_i]*W_i[j] at the
-free (non-pivot) columns j alone.  Nearly every generator image passes
-it, with no elimination and no coefficient growth.  An image v that
-fails it leaves the nonzero residual den*v - sum_i v[p_i]*W_i, which
-vanishes at every pivot column; the residual is divided by the gcd of
-its entries, signed positive at its pivot and stored, and its pivot is
-then eliminated from the other rows, each made primitive again.
+membership is the vanishing of d_t = den*v[j_t] - sum_i v[p_i]*W_i[j_t]
+at the free (non-pivot) columns j_0 < j_1 < ... alone.
+
+The echelon tests all the d_t with one integer dot product (Kronecker
+substitution).  It keeps a slot width w and one weight per column:
+den * 2^(w*t) at j_t and -sum_t W_i[j_t] * 2^(w*t) at p_i, so that the
+dot product of the weights with v is P = sum_t d_t * 2^(w*t).  The
+width keeps every |d_t| below 2^(w-1).  Let c bound the entries of v,
+|v[j]| <= c, and M_i the entries of row i, |row_i[j]| <= M_i; then
+
+    |d_t|  <=  c * (den + sum_i (den / row_i[p_i]) * M_i)  =  c*K,
+
+and w = bitlen(c*K) + 1 gives |d_t| <= c*K < 2^(w-1).  The echelon
+keeps c as a capacity: an insert with a larger entry raises c to
+2^b - 1, b that entry's bit length, and recomputes the weights, as
+every addition does.  Digits in [-2^(w-1), 2^(w-1)) of base 2^w are
+unique: two expansions of one integer differ by digits e_t with
+sum_t e_t * 2^(w*t) = 0 and every |e_t| < 2^w, so 2^w divides e_0,
+e_0 = 0, and so on up.  Hence P = 0 exactly when every
+d_t is zero, that is when v lies in S; nearly every generator image
+does, with no elimination and no coefficient growth.  Otherwise the
+d_t are P's balanced digits, read lowest first: the low w bits, less
+2^w when they are 2^(w-1) or more, the borrowed 2^w going to the rest.
+They make the nonzero residual den*v - sum_i v[p_i]*W_i, which holds
+d_t at j_t and vanishes at every pivot column; the residual is divided
+by the gcd of its entries, signed positive at its pivot and stored, and
+its pivot is then eliminated from the other rows, each made primitive
+again.
 
 The rows added are exactly those of fraction-free elimination.  Within
 the coset v + S exactly one vector vanishes at every pivot column: two
@@ -127,8 +148,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from itertools import compress
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 from typing import NamedTuple
 
 from .omega import ParamSet, generator_image, in_proper_submodule
@@ -218,58 +240,91 @@ def _primitive(row: list[int], pivot: int) -> list[int]:
     return [x // g for x in row] if g != 1 else row
 
 
+def _magnitude(row: list[int]) -> int:
+    """The largest absolute value of an entry of a nonempty row."""
+    return max(max(row), -min(row))
+
+
 class _IntEchelon:
     """Reduced integer echelon over the workspace monomial basis.
 
     rows holds (pivot rank, row) pairs in descending pivot order; each
     row is primitive, positive at its pivot and zero at every other
-    pivot column.  Membership is checked at the free columns only (see
-    the module docstring).
+    pivot column.  Membership is one dot product of the row with packed
+    integer weights, one slot of w bits per free column, sized for rows
+    whose entries are at most the capacity in absolute value (see the
+    module docstring).
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._index([])
+        self.rows: list[tuple[int, list[int]]] = []
+        self._den = 1                           # the lcm of the pivot entries
+        self._free = list(range(dim))           # the free columns, ascending
+        self._free_mask = [True] * dim
+        self._capacity = 0
+        self._magnitudes: dict[int, int] = {}   # pivot -> largest |entry| of its row
+        self._weigh()
 
     def insert(self, row: list[int]) -> tuple[int, list[int]] | None:
         """Store and return the primitive residual of row, or None if row is in the span."""
-        coeffs = [row[p] for p in self._pivots]
-        den = self._den
-        for j, weights in self._free:
-            if den * row[j] != sum(map(mul, coeffs, weights)):
-                break
-        else:
+        top = max(max(row), -min(row)) if row else 0     # _magnitude, inline
+        if top > self._capacity:
+            self._capacity = (1 << top.bit_length()) - 1
+            self._weigh()
+        packed = sum(map(mul, self._weights, row))
+        if not packed:
             return None
+        width = self._width
+        mask, half, carry = (1 << width) - 1, 1 << (width - 1), 1 << width
         residual = [0] * self.dim
-        for j, weights in self._free:
-            residual[j] = den * row[j] - sum(map(mul, coeffs, weights))
-        pivot = max(j for j, _ in self._free if residual[j])
+        for pivot in self._free:        # balanced base-2^w digits, lowest first
+            digit = packed & mask
+            packed >>= width
+            if digit & half:
+                digit -= carry
+                packed += 1
+            residual[pivot] = digit
+            if not packed:              # the highest nonzero digit: the pivot
+                break
         residual = _primitive(residual, pivot)
         lead = residual[pivot]
+        magnitudes = self._magnitudes
         rows = []
         for p, existing in self.rows:
             c = existing[pivot]
             if c:
                 existing = _primitive([lead * x - c * y for x, y in zip(existing, residual)], p)
+                magnitudes[p] = _magnitude(existing)
             rows.append((p, existing))
+        magnitudes[pivot] = _magnitude(residual)
         entry = (pivot, residual)
         position = 0
         while position < len(rows) and rows[position][0] > pivot:
             position += 1
         rows.insert(position, entry)
-        self._index(rows)
+        self.rows = rows
+        self._den = lcm(*(row[p] for p, row in rows))
+        self._free.remove(pivot)
+        self._free_mask[pivot] = False
+        self._weigh()
         return entry
 
-    def _index(self, rows: list[tuple[int, list[int]]]) -> None:
-        """Store rows with their pivots, den (the lcm of the pivot entries)
-        and, for each free column j, the entries W_i[j] in row order."""
-        self.rows = rows
-        self._pivots = [p for p, _ in rows]
-        self._den = lcm(*(row[p] for p, row in rows))
-        scales = [self._den // row[p] for p, row in rows]
-        pivots = set(self._pivots)
-        self._free = [(j, [s * row[j] for s, (_, row) in zip(scales, rows)])
-                      for j in range(self.dim) if j not in pivots]
+    def _weigh(self) -> None:
+        """The slot width w, bitlen(capacity * K) + 1, and the weight of every
+        column: den << w*t at the t-th free column j_t, and
+        -(den // row_i[p_i]) * sum_t row_i[j_t] << w*t at the pivot p_i of row i."""
+        den = self._den
+        scaled = [(den // row[p], p, row) for p, row in self.rows]
+        bound = den + sum(s * self._magnitudes[p] for s, p, _ in scaled)
+        width = self._width = (self._capacity * bound).bit_length() + 1
+        shifts = range(0, width * len(self._free), width)
+        weights = [0] * self.dim
+        for j, shift in zip(self._free, shifts):
+            weights[j] = den << shift
+        for s, p, row in scaled:
+            weights[p] = -s * sum(map(lshift, compress(row, self._free_mask), shifts))
+        self._weights = weights
 
 
 class _ActTable:

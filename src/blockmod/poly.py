@@ -46,6 +46,10 @@ as it reaches 1.
   numerator of a term with exponent a by v^(A-a), where A is the
   largest exponent of that variable, puts every contribution over the
   one denominator D*v1^A1*v2^A2, and the gcd pass follows.
+* Evaluation at x1 = a1/b1 and x2 = a2/b2: with E1 and E2 the largest
+  exponents of the two variables, N*x1^e1*x2^e2/D is
+  N*a1^e1*b1^(E1-e1)*a2^e2*b2^(E2-e2) over D*b1^E1*b2^E2, so the value
+  is one integer sum over one denominator, made a Fraction once.
 
 Monomials are ordered graded-lexicographically with d1 > d2 (total
 degree first, then the d1 exponent); printing, leading terms and pivot
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exactnum import ParseError, _Parser, excerpt
@@ -170,6 +175,12 @@ def _binomial_row(e: int, m) -> list:
     u, v = m.numerator, m.denominator
     row = [(i, f) for i in range(e + 1) if (f := comb(e, i) * (-u) ** (e - i))]
     return row if v == 1 else [(i, f * v ** i) for i, f in row]
+
+
+def _ratio_powers(x, top: int) -> list[int]:
+    """a^e * b^(top-e) for e = 0..top, where x = a/b in lowest terms, b > 0."""
+    a, b = x.as_integer_ratio()
+    return [a ** e * b ** (top - e) for e in range(top + 1)]
 
 
 def add_terms(data: dict, items) -> dict:
@@ -430,12 +441,14 @@ class _TermMap:
         return sorted(self._fraction_items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def _eval(self, x1, x2) -> Fraction:
-        x1 = Fraction(x1)
-        x2 = Fraction(x2)
-        total = _ZERO
-        for (a, b), n in self._nums.items():
-            total += n * x1**a * x2**b
-        return total / self._den
+        """The value at rationals x1 and x2, summed in ints (see the module docstring)."""
+        nums = self._nums
+        if not nums:
+            return Fraction(0)
+        scale1 = _ratio_powers(x1, max(nums)[0])
+        scale2 = _ratio_powers(x2, max(map(itemgetter(1), nums)))
+        total = sum([n * scale1[e1] * scale2[e2] for (e1, e2), n in nums.items()])
+        return Fraction(total, self._den * scale1[0] * scale2[0])
 
     def _format(self, names: tuple[str, str]) -> str:
         parts = []
@@ -541,8 +554,6 @@ class Poly1(_TermMap):
     def format(self, name: str = "t") -> str:
         return self._format((name, name))
 
-
-_ZERO = Fraction(0)
 
 D1 = Poly2({(1, 0): 1})
 D2 = Poly2({(0, 1): 1})

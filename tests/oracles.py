@@ -10,11 +10,16 @@
 * Rational elimination against a reduced monic echelon basis, which the
   closure's integer echelon and :func:`closure.span_insert` are checked
   against.
+* Fraction-free elimination on integer rows, the closure's echelon as it
+  was before it was kept reduced, and :class:`CheckedEchelon`, which
+  compares the closure's echelon with it on every insert.
 """
 
 from __future__ import annotations
 
-from blockmod.closure import SubspaceBasis, _monomials_upto, _rank
+from math import gcd
+
+from blockmod.closure import SubspaceBasis, _IntEchelon, _monomials_upto, _rank
 from blockmod.omega import ParamSet, WittParams, generator_image
 from blockmod.poly import IndexPair, Monomial2, Poly1, Poly2, _PolyParser, grlex_key, shift_terms
 
@@ -130,3 +135,92 @@ def rational_basis(vectors, degree_cap: int) -> SubspaceBasis:
     for v in vectors:
         basis = rational_span_insert(basis, v)
     return basis
+
+
+def _row_gcd_normalize(row: list[int], pivot: int) -> None:
+    g = 0
+    for value in row:
+        if value:
+            g = gcd(g, abs(value))
+            if g == 1:
+                break
+    if g > 1:
+        for index in range(len(row)):
+            if row[index]:
+                row[index] //= g
+    if row[pivot] < 0:
+        for index in range(len(row)):
+            if row[index]:
+                row[index] = -row[index]
+
+
+class FractionFreeEchelon:
+    """Fraction-free echelon over the workspace monomial basis."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: list[tuple[int, list[int]]] = []   # (pivot rank, row), pivot descending
+
+    def insert(self, row: list[int]) -> tuple[int, list[int]] | None:
+        """Reduce row against the echelon; store and return it if independent."""
+        for pivot, existing in self.rows:
+            c = row[pivot]
+            if c:
+                p = existing[pivot]
+                row = [p * x - c * y for x, y in zip(row, existing)]
+        pivot = -1
+        for index in range(self.dim - 1, -1, -1):
+            if row[index]:
+                pivot = index
+                break
+        if pivot < 0:
+            return None
+        _row_gcd_normalize(row, pivot)
+        entry = (pivot, row)
+        position = 0
+        while position < len(self.rows) and self.rows[position][0] > pivot:
+            position += 1
+        self.rows.insert(position, entry)
+        return entry
+
+
+def assert_reduced(echelon):
+    pivots = [pivot for pivot, _ in echelon.rows]
+    assert pivots == sorted(set(pivots), reverse=True), pivots
+    for position, (pivot, row) in enumerate(echelon.rows):
+        at_pivots = [row[other] for other in pivots]
+        assert at_pivots[position] > 0 and at_pivots.count(0) == len(pivots) - 1, (pivot, row)
+        assert len(row) == echelon.dim and not any(row[pivot + 1:]), (pivot, row)
+        assert gcd(*row) == 1, (pivot, row)
+
+
+class CheckedEchelon(_IntEchelon):
+    """The engine's echelon, compared with the oracle on every insert.
+
+    The invariants are checked in full after every addition; an insert
+    that adds nothing must leave the rows equal to the last checked ones.
+    Every row returned so far must still hold the values it was returned
+    with, because the closure goes on acting with it.
+    """
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.oracle = FractionFreeEchelon(dim)
+        self.calls = self.added = 0
+        self.checked_rows = []
+        self.returned = []
+
+    def insert(self, row):
+        expected = self.oracle.insert(list(row))
+        stored = super().insert(row)
+        assert stored == expected, (self.calls, stored, expected)
+        self.calls += 1
+        if stored is None:
+            assert self.rows == self.checked_rows
+        else:
+            self.added += 1
+            self.returned.append((stored[1], list(stored[1])))
+            assert all(row == copy for row, copy in self.returned)
+            assert_reduced(self)
+            self.checked_rows = [(pivot, list(r)) for pivot, r in self.rows]
+        return stored

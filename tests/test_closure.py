@@ -1,7 +1,6 @@
 import itertools
 import re
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -15,7 +14,8 @@ from blockmod.poly import IndexPair, Poly2, grlex_key
 from blockmod.prng import SplitMix64
 from blockmod.suites import sample_poly2
 
-from oracles import BoxActTable, rational_basis, rational_contains, rational_span_insert
+from oracles import (BoxActTable, CheckedEchelon, rational_basis, rational_contains,
+                     rational_span_insert)
 
 
 # --- an independent fixpoint oracle ------------------------------------------
@@ -194,99 +194,10 @@ def test_span_insert_accepts_a_basis_that_is_not_reduced():
 
 
 # --- the reduced echelon against the fraction-free oracle --------------------
-# The engine's echelon as it was before it was kept reduced: every insert
-# runs a full fraction-free elimination.  The module docstring proves that
-# both return the same (pivot, row) on every insert; these tests check it
-# call by call.
-
-def _row_gcd_normalize(row: list[int], pivot: int) -> None:
-    g = 0
-    for value in row:
-        if value:
-            g = gcd(g, abs(value))
-            if g == 1:
-                break
-    if g > 1:
-        for index in range(len(row)):
-            if row[index]:
-                row[index] //= g
-    if row[pivot] < 0:
-        for index in range(len(row)):
-            if row[index]:
-                row[index] = -row[index]
-
-
-class FractionFreeEchelon:
-    """Fraction-free echelon over the workspace monomial basis."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[tuple[int, list[int]]] = []   # (pivot rank, row), pivot descending
-
-    def insert(self, row: list[int]) -> tuple[int, list[int]] | None:
-        """Reduce row against the echelon; store and return it if independent."""
-        for pivot, existing in self.rows:
-            c = row[pivot]
-            if c:
-                p = existing[pivot]
-                row = [p * x - c * y for x, y in zip(row, existing)]
-        pivot = -1
-        for index in range(self.dim - 1, -1, -1):
-            if row[index]:
-                pivot = index
-                break
-        if pivot < 0:
-            return None
-        _row_gcd_normalize(row, pivot)
-        entry = (pivot, row)
-        position = 0
-        while position < len(self.rows) and self.rows[position][0] > pivot:
-            position += 1
-        self.rows.insert(position, entry)
-        return entry
-
-
-def assert_reduced(echelon):
-    pivots = [pivot for pivot, _ in echelon.rows]
-    assert pivots == sorted(set(pivots), reverse=True), pivots
-    for position, (pivot, row) in enumerate(echelon.rows):
-        at_pivots = [row[other] for other in pivots]
-        assert at_pivots[position] > 0 and at_pivots.count(0) == len(pivots) - 1, (pivot, row)
-        assert len(row) == echelon.dim and not any(row[pivot + 1:]), (pivot, row)
-        assert gcd(*row) == 1, (pivot, row)
-
-
-class CheckedEchelon(engine._IntEchelon):
-    """The engine's echelon, compared with the oracle on every insert.
-
-    The invariants are checked in full after every addition; an insert
-    that adds nothing must leave the rows equal to the last checked ones.
-    Every row returned so far must still hold the values it was returned
-    with, because the closure goes on acting with it.
-    """
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self.oracle = FractionFreeEchelon(dim)
-        self.calls = self.added = 0
-        self.checked_rows = []
-        self.returned = []
-
-    def insert(self, row):
-        expected = self.oracle.insert(list(row))
-        stored = super().insert(row)
-        assert stored == expected, (self.calls, stored, expected)
-        self.calls += 1
-        if stored is None:
-            assert self.rows == self.checked_rows
-        else:
-            self.added += 1
-            self.returned.append((stored[1], list(stored[1])))
-            assert all(row == copy for row, copy in self.returned)
-            assert_reduced(self)
-            self.checked_rows = [(pivot, list(r)) for pivot, r in self.rows]
-        return stored
-
+# oracles.FractionFreeEchelon is the engine's echelon as it was before it was
+# kept reduced: every insert runs a full fraction-free elimination.  The
+# module docstring proves that both return the same (pivot, row) on every
+# insert; oracles.CheckedEchelon checks it call by call.
 
 def rational_low_basis(oracle, D):
     """The rational oracle's reduced basis of the oracle rows of degree <= D."""
@@ -304,25 +215,27 @@ def test_reduced_echelon_matches_fraction_free_on_closure_streams(monkeypatch):
         return echelons[-1]
 
     monkeypatch.setattr(engine, "_IntEchelon", checked)
-    params = (ParamSet(1, 1, 1, 0), ParamSet(1, 1, 1, Fraction(1, 2)),
-              ParamSet(Fraction(5, 7), Fraction(2, 3), 3, Fraction(1, 2)),
+    generic = ParamSet(Fraction(5, 7), Fraction(2, 3), 3, Fraction(1, 2))
+    params = (ParamSet(1, 1, 1, 0), ParamSet(1, 1, 1, Fraction(1, 2)), generic,
               ParamSet(-2, 1, 1, Fraction(1, 3)))
-    for p in params:
+    # D = 8 and 12 only at the generic parameters, where the packed weights pass 80 bits
+    cases = [(p, D) for p in params for D in range(1, 6)] + [(generic, 8), (generic, 12)]
+    for p, D in cases:
         x1, x2 = p.vanishing_point()
-        for D in range(1, 6):
-            raw = poly.D1 - 2 * poly.D2 if D == 1 else poly.D1 * poly.D2 - 2 * poly.D2 + poly.D1
-            inside = raw - raw.eval_at(x1, x2)
-            # B above (D+2)//2 sweeps the box of radius (D+2)//2, the same insert stream
-            for B in range(1, (D + 2) // 2 + 1):
-                for seed in (inside, inside + 1):
-                    basis, result = closure([seed], D, B, p)
-                    echelon = echelons[-1]
-                    assert echelon.calls > echelon.added > 0
-                    assert basis.vectors == rational_low_basis(echelon.oracle, D).vectors
-                    if B == (D + 2) // 2:
-                        expected = ClosureTag.FULL if seed != inside else ClosureTag.OMEGA_PRIME
-                        assert result.tag is expected, (p, D, seed)
-    assert len(echelons) == len(params) * 2 * sum((D + 2) // 2 for D in range(1, 6))
+        raw = poly.D1 - 2 * poly.D2 if D == 1 else poly.D1 * poly.D2 - 2 * poly.D2 + poly.D1
+        inside = raw - raw.eval_at(x1, x2)
+        # B above (D+2)//2 sweeps the box of radius (D+2)//2, the same insert stream
+        for B in range(1, (D + 2) // 2 + 1) if D <= 5 else [(D + 2) // 2]:
+            for seed in (inside, inside + 1):
+                basis, result = closure([seed], D, B, p)
+                echelon = echelons[-1]
+                assert echelon.calls > echelon.added > 0
+                assert basis.vectors == rational_low_basis(echelon.oracle, D).vectors
+                if B == (D + 2) // 2:
+                    expected = ClosureTag.FULL if seed != inside else ClosureTag.OMEGA_PRIME
+                    assert result.tag is expected, (p, D, seed)
+    assert len(echelons) == len(params) * 2 * sum((D + 2) // 2 for D in range(1, 6)) + 4
+    assert max(echelon._width for echelon in echelons) > 80
 
 
 def test_reduced_echelon_matches_fraction_free_on_random_rows():
@@ -344,6 +257,56 @@ def test_reduced_echelon_matches_fraction_free_on_random_rows():
                 stored.append(list(result[1]))
         assert echelon.calls == 60 and echelon.added == len(echelon.rows) <= dim
     assert echelon.added == dim     # the last run fills its whole space
+
+
+# --- the packed membership test at the edges of its slot width ---------------
+# _IntEchelon packs the residual at the t-th free column into a slot of w bits,
+# w = bitlen(capacity * K) + 1, and reads it back as a balanced digit.  An
+# empty echelon has K = 1, so an entry +-2^k sits exactly at half a slot of
+# the width without the +1; a capacity that is not raised, or a digit read
+# without its sign, misplaces the residual.
+
+def test_packed_slots_hold_powers_of_two_at_adjacent_free_columns():
+    for k in range(0, 72, 3):
+        for s1, s2 in itertools.product((1, -1), repeat=2):
+            for j in range(3):
+                row = [0] * 4
+                row[j], row[j + 1] = s1 << k, s2 << k
+                echelon = CheckedEchelon(4)         # compares every insert with the oracle
+                assert echelon.insert(row) == (j + 1, [0] * j + [s1 * s2, 1] + [0] * (2 - j))
+                assert echelon.insert([-3 * x for x in row]) is None
+
+
+def test_packed_slots_beyond_the_width_of_an_echelon_with_rows():
+    # pivots 2 and 5, free columns 0, 1, 3, 4: two pairs of adjacent free columns;
+    # the prefill sets the capacity to 7, and k runs across it and far beyond
+    prefill = ([3, -1, 2, 0, 0, 0], [1, 1, 0, 2, -5, 7])
+    for first in (0, 3):
+        for k in range(0, 200, 3):
+            for s1, s2 in itertools.product((1, -1), repeat=2):
+                echelon = CheckedEchelon(6)
+                for row in prefill:
+                    echelon.insert(list(row))
+                row = [0] * 6
+                row[first], row[first + 1] = s1 << k, s2 << k
+                row[2] = s2 * (k + 1)       # an entry at a pivot column too
+                assert echelon.insert(row) is not None
+                assert echelon.insert([(1 << k) * x for x in row]) is None
+                echelon.insert([s1 << k if x else 0 for x in row])  # +-2^k at the pivot too
+
+
+def test_capacity_rises_when_the_largest_entry_jumps():
+    rng = SplitMix64(47)
+    echelon = CheckedEchelon(12)
+    for step in range(40):
+        big = 1 if step < 4 else 1 << 300
+        row = [rng.int_between(-1, 1) if rng.below(2) else 0 for _ in range(12)]
+        row[rng.below(12)] = big * (1 - 2 * rng.below(2))
+        echelon.insert(row)
+        if step % 3 == 2:       # a combination of stored rows: in the span
+            (_, a), (_, b) = echelon.oracle.rows[0], echelon.oracle.rows[-1]
+            assert echelon.insert([x - (big + 1) * y for x, y in zip(a, b)]) is None
+    assert echelon.added == 12
 
 
 # --- closure -------------------------------------------------------------------

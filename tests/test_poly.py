@@ -431,6 +431,26 @@ def test_eval():
     assert (poly.D2 + 2).eval_at(0, -2) == 0
 
 
+def test_eval_in_integers_matches_the_fraction_reference():
+    # eval_at sums N * a1^e1 * b1^(E1-e1) * a2^e2 * b2^(E2-e2) in ints over one
+    # denominator; the reference sums Fraction powers term by term
+    rng = SplitMix64(34)
+    big = Fraction(10**30 + 7, 2**89 - 1)
+    points = [(0, 0), (0, Fraction(-5, 7)), (Fraction(3, 11), 0), (big, -big),
+              (Fraction(-1, 3**40), Fraction(2**70 + 1, 5**30)), (-3, Fraction(7, 2)), (1, -1)]
+    polys = [Poly2(), Poly2.const(Fraction(-9, 4)), Poly2.const(5), poly.D2 ** 7]
+    polys += [kernel_poly(rng, 6, 7) for _ in range(25)]
+    for f in polys:
+        for x1, x2 in points:
+            value = f.eval_at(x1, x2)
+            assert type(value) is Fraction and value == reference_eval(f.terms(), x1, x2)
+    for f in (Poly1(), Poly1.const(Fraction(2, 3)), T ** 5 - 3 * T + Fraction(1, 7)):
+        for x in (0, big, Fraction(-7, 2**61 - 1)):
+            terms = {(k, 0): c for k, c in f.terms().items()}
+            assert f.eval_at(x) == reference_eval(terms, x, 0)
+    assert Poly2().eval_at(big, big) == 0 and type(Poly2().eval_at(1, 2)) is Fraction
+
+
 def test_degree_and_leading():
     assert Poly2().total_degree() == -1
     assert Poly2.const(4).total_degree() == 0
