@@ -19,9 +19,9 @@ sum, difference, negation, equality and hashing are shared.  Elements
 add among themselves and scale by rationals; they never mix with
 polynomials, and the only rational they equal or absorb is 0.
 
-The Jacobi defect of three elements is one closed form in the structure
-constants, summed over their term triples (:func:`jacobi_defect`); it
-builds no bracket.
+The Jacobi defect is trilinear, so it is checked on generators: the
+defect of three generators is one closed form in the structure
+constants (:func:`jacobi_defect`), and it builds no bracket.
 """
 
 from __future__ import annotations
@@ -208,102 +208,67 @@ def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> Algebr
         for gx, nx in x._nums.items() for gy, ny in y._nums.items()))), x._den * y._den * b)
 
 
-def _jacobi_term(gx, gy, gz, coeff: int, a: int, b: int):
-    """b^2 times the Jacobi defect of coeff*(gx, gy, gz) for generators gx,
-    gy, gz, not all L terms, and q = a/b, as one (generator, integer) pair,
-    or None when it is zero.
-
-    Write c for :func:`structure_constant`, read through this module's
-    global at each call, which is b times the true constant.  The three
-    terms [x,[y,z]], [y,[z,x]] and [z,[x,y]] are, times b^2:
-
-    * for D2, L(n), L(k): [D2,[L(n),L(k)]] = b*c(n,k)*(n2+k2),
-      [L(n),[L(k),D2]] = -b*k2*c(n,k) and [L(k),[D2,L(n)]] = b*n2*c(k,n),
-      all on L(n+k), which sum to b*n2*(c(n,k) + c(k,n)).  The defect is
-      cyclic in x, y, z, so D2 in the second or third place is this case
-      for the rotation that puts it first;
-    * for two or three D2 terms, terms that read no constant and cancel:
-      for example [D2,[D2,L(k)]] = k2^2*L(k) = -[D2,[L(k),D2]] and
-      [L(k),[D2,D2]] = 0, so these triples are skipped.
-
-    The one-D2 sum is computed, not taken as zero by the antisymmetry of
-    c, and it calls c twice even when a factor vanishes, so a constant
-    patched into the module global enters every defect it should.  The
-    numerator coeff is nonzero.
-    """
-    c = structure_constant
-    if type(gx) is BasisL:
-        if type(gy) is BasisL:
-            n, k = gx.m, gy.m       # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
-        elif type(gz) is BasisL:
-            n, k = gz.m, gx.m       # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
-        else:
-            return None
-    elif type(gy) is BasisL and type(gz) is BasisL:
-        n, k = gy.m, gz.m
-    else:
-        return None
-    j = b * n.m2 * (c(n, k, a, b) + c(k, n, a, b))
-    return (BasisL(n + k), coeff * j) if j else None
-
-
 _tuple_new = tuple.__new__
 _ZERO = AlgebraElement._of({}, 1)
 
 
-def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
-                  ctx: AlgebraContext) -> AlgebraElement:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; must vanish for a Lie algebra.
+def jacobi_defect(gx, gy, gz, ctx: AlgebraContext) -> AlgebraElement:
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] for generators x = gx, y = gy,
+    z = gz, each a :class:`BasisL` or :data:`D2`; must vanish.
 
-    The defect is trilinear, so with x = X/dx, y = Y/dy, z = Z/dz in
-    integer numerators and q = a/b (``ctx.ratio``) it is a sum over the
-    term triples of X, Y and Z, summed by ``add_terms`` over the
-    denominator dx*dy*dz*b^2 and reduced by one gcd pass.  No bracket is
-    built.  The numerators of a term triple are looked up only when its
-    defect is nonzero or it has a D2 term.
+    The defect is trilinear, so on sums of generators it is the sum of
+    the generator defects weighted by the products of the coefficients:
+    the identity holds on all of B(q) and D2 once it holds on every
+    generator triple.  No bracket is built.
 
-    Write c for :func:`structure_constant`, read through this module's
-    global once per call, which is b times the true constant.  For
-    L(m), L(n), L(k) the three terms [x,[y,z]], [y,[z,x]] and [z,[x,y]]
-    are, times b^2, c(n,k)*c(m,n+k), c(k,m)*c(n,k+m) and c(m,n)*c(k,m+n),
-    all on L(m+n+k); this case is summed here, with all six constants
-    read even when a factor vanishes, so a constant patched into the
-    module global enters every defect it should.  The index sums n+k,
-    k+m, m+n are built with ``tuple.__new__``, which is what the
-    NamedTuple constructor of :class:`IndexPair` calls after a
-    Python-level frame.  A triple with a D2 term is :func:`_jacobi_term`.
+    Write c for :func:`structure_constant`, b times the true constant
+    for q = a/b (``ctx.ratio``).  The three terms are:
 
-    An empty sum is the one shared zero element, which no operation
-    mutates.
+    * for L(m), L(n), L(k), times b^2: c(n,k)*c(m,n+k), c(k,m)*c(n,k+m)
+      and c(m,n)*c(k,m+n), all on L(m+n+k);
+    * for D2, L(n), L(k), times b: [D2,[L(n),L(k)]] = c(n,k)*(n2+k2),
+      [L(n),[L(k),D2]] = -k2*c(n,k) and [L(k),[D2,L(n)]] = n2*c(k,n),
+      all on L(n+k), which sum to n2*(c(n,k) + c(k,n)).  The defect is
+      cyclic, so D2 in another place is the rotation that puts it first;
+    * for two or three D2, terms that read no constant and cancel, as
+      [D2,[D2,L(k)]] = k2^2*L(k) = -[D2,[L(k),D2]] and [L(k),[D2,D2]] = 0.
+
+    c is read through this module's global 6, 2 or 0 times per triple,
+    also where a factor vanishes, and no sum is taken as zero, so a
+    patched constant enters every defect it should.  The index sums are
+    built with ``tuple.__new__``, as the NamedTuple constructor of
+    :class:`IndexPair` does after a Python-level frame.  A zero defect is
+    the one shared zero element, which no operation mutates.
     """
     a, b = ctx.ratio
     c = structure_constant
-    xs, ys, zs = x._nums, y._nums, z._nums
-    data = {}
-    for gx in xs:
-        for gy in ys:
-            for gz in zs:
-                if type(gx) is BasisL and type(gy) is BasisL and type(gz) is BasisL:
-                    m, n, k = gx.m, gy.m, gz.m
-                    (m1, m2), (n1, n2), (k1, k2) = m, n, k
-                    j = (c(n, k, a, b) * c(m, _tuple_new(IndexPair, (n1 + k1, n2 + k2)), a, b)
-                         + c(k, m, a, b) * c(n, _tuple_new(IndexPair, (k1 + m1, k2 + m2)), a, b)
-                         + c(m, n, a, b) * c(k, _tuple_new(IndexPair, (m1 + n1, m2 + n2)), a, b))
-                    if j:
-                        add_terms(data, ((BasisL(m + n + k), xs[gx] * ys[gy] * zs[gz] * j),))
-                else:
-                    term = _jacobi_term(gx, gy, gz, xs[gx] * ys[gy] * zs[gz], a, b)
-                    if term:
-                        add_terms(data, (term,))
-    if data:
-        return AlgebraElement._reduced(data, x._den * y._den * z._den * b * b)
-    return _ZERO
+    if type(gx) is BasisL:
+        if type(gy) is BasisL:
+            if type(gz) is BasisL:
+                m, n, k = gx.m, gy.m, gz.m
+                (m1, m2), (n1, n2), (k1, k2) = m, n, k
+                j = (c(n, k, a, b) * c(m, _tuple_new(IndexPair, (n1 + k1, n2 + k2)), a, b)
+                     + c(k, m, a, b) * c(n, _tuple_new(IndexPair, (k1 + m1, k2 + m2)), a, b)
+                     + c(m, n, a, b) * c(k, _tuple_new(IndexPair, (m1 + n1, m2 + n2)), a, b))
+                return AlgebraElement._reduced({BasisL(m + n + k): j}, b * b) if j else _ZERO
+            n, k = gx.m, gy.m       # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
+        elif type(gz) is BasisL:
+            n, k = gz.m, gx.m       # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
+        else:
+            return _ZERO
+    elif type(gy) is BasisL and type(gz) is BasisL:
+        n, k = gy.m, gz.m
+    else:
+        return _ZERO
+    j = n.m2 * (c(n, k, a, b) + c(k, n, a, b))
+    return AlgebraElement._reduced({BasisL(n + k): j}, b) if j else _ZERO
 
 
 # --- element syntax ----------------------------------------------------------
 
 class _ElementParser(_Parser):
-    """Grammar: sum of rational multiples of L(m1,m2), D1 or D2."""
+    """Grammar: sum of rational multiples of L(m1,m2), D1 or D2, and of
+    bare 0 terms, each the zero element."""
 
     def __init__(self, text: str, ctx: AlgebraContext):
         super().__init__(text)
@@ -320,6 +285,8 @@ class _ElementParser(_Parser):
         coeff = Fraction(sign)
         if self.peek()[0] == "int":
             coeff *= self.rational()
+            if not coeff and self.peek()[1] != "*":
+                return _ZERO        # a bare 0, as the zero element prints
             self.expect("*")
         return coeff * self.generator()
 

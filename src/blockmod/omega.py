@@ -29,8 +29,9 @@ lambda-free form, which is affine in m, at m = (0,0), (1,0) and (0,1).
 The module axioms reduce to the images: on L(m), L(n) the axiom
 defect is -f(d - m - n) times the f-free commutator defect Delta(m, n)
 of :func:`commutator_defect`, and every pair with D2 cancels
-identically, so :func:`module_axiom_defect` sums that one closed form
-over the term pairs of its two elements and never composes actions.
+identically.  The defect is bilinear, so :func:`module_axiom_defect`
+takes two generators and returns that one closed form; it never
+composes actions.
 
 Restricting to the line Z*m with m1 != 0 gives a copy of the Witt
 algebra; modulo the cross form X_m = m2*d1 - m1*d2, the action collapses
@@ -196,52 +197,45 @@ def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
     return Poly2._reduced(nums, den * keep) if nums else Poly2._of(nums, 1)
 
 
-def module_axiom_defect(x: AlgebraElement, y: AlgebraElement, f: Poly2,
-                        p: ParamSet, image=action_on_one) -> Poly2:
-    """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)); contract: zero.
+def module_axiom_defect(gx, gy, f: Poly2, p: ParamSet, image=action_on_one) -> Poly2:
+    """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)) for generators
+    x = gx, y = gy, each a :class:`blockalg.BasisL` or :data:`blockalg.D2`;
+    contract: zero.
 
-    The defect is bilinear in x and y, so it is the sum of the defects
-    of the term pairs (a*L(m) or a*D2 from x, b*L(n) or b*D2 from y).
+    The defect is bilinear, as the bracket is and act is linear in the
+    element, so on sums of generators it is the sum of the generator
+    defects weighted by the products of the coefficients: the axioms hold
+    on all of B(q) and D2 once they hold on every generator pair.
 
-    On x = a*L(m), y = b*L(n) the defect is -a*b * f(d - m - n) *
-    Delta(m, n), with Delta from :func:`commutator_defect`.  The shift
+    On x = L(m), y = L(n) the defect is -f(d - m - n) * Delta(m, n),
+    with Delta from :func:`commutator_defect`.  The shift
     S_s: h(d) -> h(d - s) is a substitution, so it is a ring
     homomorphism, and S_m(S_n(h)) = S_(m+n)(h).  Hence
     act(L(m), act(L(n), f)) = S_m(S_n(f)*g_n)*g_m = S_(m+n)(f)*S_m(g_n)*g_m,
-    and with m and n swapped (m + n = n + m), act being linear in the element,
+    and with m and n swapped (m + n = n + m),
 
         act(x, act(y, f)) - act(y, act(x, f))
-            = a*b * f(d-m-n) * [g_n(d-m)*g_m(d) - g_m(d-n)*g_n(d)].
+            = f(d-m-n) * [g_n(d-m)*g_m(d) - g_m(d-n)*g_n(d)].
 
-    The bracket is [x, y] = a*b*c(m, n)*L(m + n), so
-    act([x, y], f) = a*b*c(m, n) * f(d-m-n) * g_(m+n)(d), and the
-    difference of the two is -a*b * f(d-m-n) * Delta(m, n).  This holds
-    for any ``image``; the closed form of Delta needs images of degree
-    at most 1.
+    The bracket is [x, y] = c(m, n)*L(m + n), so
+    act([x, y], f) = c(m, n) * f(d-m-n) * g_(m+n)(d), and the difference
+    of the two is -f(d-m-n) * Delta(m, n).  This holds for any
+    ``image``; the closed form of Delta needs images of degree at most 1.
 
     A pair with D2 has defect zero for every image and every f.  With
-    x = a*D2, y = b*L(n): [D2, L(n)] = n2*L(n), and
+    x = D2, y = L(n): [D2, L(n)] = n2*L(n), and
     S_n(d2*h) = (d2 - n2)*S_n(h), so the three actions are
-    a*b*f(d-n)*g_n times n2, -d2 and d2 - n2, which sum to zero.  The
-    defect is antisymmetric in x and y, so (L(m), D2) cancels too; and
-    [D2, D2] = 0 while both nested actions are a*b*d2^2*f.
+    f(d-n)*g_n times n2, -d2 and d2 - n2, which sum to zero.  The defect
+    is antisymmetric in x and y, so (L(m), D2) cancels too; and
+    [D2, D2] = 0 while both nested actions are d2^2*f.
 
-    So the defect is the sum of -a*b * f(d-m-n) * Delta(m, n) over the
-    pairs of L terms.  f is shifted and multiplied only for a nonzero
-    Delta; for the adopted image no polynomial is touched at all.
+    f is shifted and multiplied only for a nonzero Delta; for the
+    adopted image no polynomial is touched at all.
     """
-    den = x._den * y._den
-    parts = []
-    for gx, a in x._nums.items():
-        if gx is blockalg.D2:
-            continue
-        for gy, b in y._nums.items():
-            if gy is blockalg.D2:
-                continue
-            delta = commutator_defect(gx.m, gy.m, p, image)
-            if delta:
-                parts.append((-1, Fraction(a * b, den) * (f.shifted(gx.m + gy.m) * delta)))
-    return Poly2._combination(parts)
+    if gx is blockalg.D2 or gy is blockalg.D2:
+        return Poly2._of({}, 1)
+    delta = commutator_defect(gx.m, gy.m, p, image)
+    return -(f.shifted(gx.m + gy.m) * delta) if delta else delta
 
 
 def in_proper_submodule(f: Poly2, p: ParamSet) -> bool:

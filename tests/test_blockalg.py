@@ -8,13 +8,17 @@ from blockmod.blockalg import (D2, AlgebraContext, AlgebraElement, BasisL, brack
                                jacobi_defect, parse_element, structure_constant)
 from blockmod.poly import IndexPair, ParseError, index_box
 from blockmod.prng import SplitMix64
-from blockmod.suites import ACCEPTANCE_Q_VALUES
+from blockmod.suites import ACCEPTANCE_Q_VALUES, box_generators
 
 ORACLE_Q_VALUES = (*ACCEPTANCE_Q_VALUES, Fraction(-1, 3))
 
 
 def L(m1, m2):
     return AlgebraElement.basis(IndexPair(m1, m2))
+
+
+def G(m1, m2):
+    return BasisL(IndexPair(m1, m2))
 
 
 def test_context_rejects_zero_q():
@@ -183,37 +187,70 @@ def test_bracket_of_single_terms_matches_reference(monkeypatch, skewed):
                 assert len(result) <= 1 and all(result.values())
 
 
+def element(gen):
+    return AlgebraElement({gen: 1})
+
+
 def test_jacobi_defect_matches_three_bracket_sum_on_the_box(monkeypatch):
     # with the true constant every defect is 0 (criterion 01 checks that);
-    # the skewed one gives nonzero defects, so the one-pass sum is compared
-    # with the reference's two additions on real cancellations
+    # the skewed one gives nonzero defects, so every generator triple of the
+    # radius-1 box, with D2 in each place, is compared with the reference's
+    # three brackets on real values
     skewed_constant(monkeypatch)
-    gens = [AlgebraElement.basis(m) for m in index_box(2)]
-    gens.append(AlgebraElement.derivation())
-    triples = list(itertools.product(gens, repeat=3))[::5]
+    triples = list(itertools.product(box_generators(1), repeat=3))
     for q in ORACLE_Q_VALUES:
         ctx = AlgebraContext(q)
-        nonzero = 0
-        for x, y, z in triples:
-            defect = jacobi_defect(x, y, z, ctx)
-            assert defect.terms() == reference_jacobi_defect(x, y, z, ctx, skew).terms()
-            nonzero += bool(defect)
-        assert nonzero > len(triples) // 2
+        nonzero = set()
+        for triple in triples:
+            defect = jacobi_defect(*triple, ctx)
+            assert defect.terms() == reference_jacobi_defect(
+                *map(element, triple), ctx, skew).terms(), triple
+            if defect:
+                nonzero.add(tuple(gen is D2 for gen in triple))
+        # all-L triples and the three rotations of one D2 give nonzero defects
+        assert nonzero == {(False, False, False), (True, False, False),
+                           (False, True, False), (False, False, True)}
+
+
+def generator_sum(x, y, z, ctx):
+    """The sum of a*b*c * jacobi_defect(u, v, w) over the terms a*u of x,
+    b*v of y and c*w of z: the defect of x, y, z by trilinearity."""
+    total = AlgebraElement()
+    for (u, a), (v, b), (w, c) in itertools.product(x.terms().items(), y.terms().items(),
+                                                    z.terms().items()):
+        total = total + a * b * c * jacobi_defect(u, v, w, ctx)
+    return total
 
 
 @pytest.mark.parametrize("skewed", [False, True])
 def test_jacobi_defect_matches_three_bracket_sum_on_multi_term_elements(monkeypatch, skewed):
+    # the generator defects, weighted by the coefficients, add up to the
+    # reference's three brackets on multi-term elements: the trilinearity
+    # that lets the sweeps check generators only; the skewed constant makes
+    # the terms nonzero, so they meet and cancel on shared generators
     if skewed:
         skewed_constant(monkeypatch)
     rng = SplitMix64(25)
+    # two generator triples land on L(m+n+k') when n + k' = n' + k
+    m, n, n_, k = IndexPair(1, -1), IndexPair(0, 2), IndexPair(2, 1), IndexPair(-1, 1)
+    k_ = n_ + k - n
     for q in ORACLE_Q_VALUES:
         ctx = AlgebraContext(q)
-        for _ in range(15):
-            x, y, z = sample_element(rng), sample_element(rng), sample_element(rng)
-            defect = jacobi_defect(x, y, z, ctx)
-            assert defect.terms() == reference_jacobi_defect(
-                x, y, z, ctx, skew if skewed else None).terms()
+        cases = [(sample_element(rng), sample_element(rng), sample_element(rng))
+                 for _ in range(15)]
+        cases.append((L(*m) + Fraction(3, 4) * AlgebraElement.derivation(), 5 * L(*n),
+                      L(*k) + L(*(m + k))))
+        # scaled so that the two land with opposite coefficients and cancel
+        j1 = jacobi_defect(BasisL(m), BasisL(n), BasisL(k_), ctx).terms()
+        j2 = jacobi_defect(BasisL(m), BasisL(n_), BasisL(k), ctx).terms()
+        ratio = j1[BasisL(m + n + k_)] / j2[BasisL(m + n + k_)] if skewed else 1
+        cases.append((L(*m), L(*n) + ratio * L(*n_), L(*k) - L(*k_)))
+        for x, y, z in cases:
+            defect = generator_sum(x, y, z, ctx)
+            assert defect == reference_jacobi_defect(x, y, z, ctx, skew if skewed else None)
             assert bool(defect) == skewed
+        # the last case's two contributions on L(m+n+k') cancel
+        assert BasisL(m + n + k_) not in defect.terms()
 
 
 @pytest.mark.parametrize("skewed", [False, True])
@@ -245,12 +282,11 @@ def test_zero_brackets_match_reference(monkeypatch, skewed):
 
 @pytest.mark.parametrize("skewed", [False, True])
 def test_jacobi_defect_matches_reference_when_inner_brackets_vanish(monkeypatch, skewed):
-    # every triple of the radius-1 box, D2 and the zero element in which an
-    # inner bracket vanishes; the [::5] stride of the box test skips most
+    # every generator triple of the radius-1 box and D2 in which an inner
+    # bracket vanishes, under both constants: the defect matches the
+    # reference, and a zero defect is the empty shared zero element
     if skewed:
         skewed_constant(monkeypatch)
-    gens = [AlgebraElement.basis(m) for m in index_box(1)]
-    gens += [AlgebraElement.derivation(), AlgebraElement()]
     for q in ORACLE_Q_VALUES:
         ctx = AlgebraContext(q)
 
@@ -258,61 +294,19 @@ def test_jacobi_defect_matches_reference_when_inner_brackets_vanish(monkeypatch,
             return reference_bracket(u, v, ctx, skew if skewed else None)
 
         all_vanish = some_vanish = 0
-        for x, y, z in itertools.product(gens, repeat=3):
+        for triple in itertools.product(box_generators(1), repeat=3):
+            x, y, z = map(element, triple)
             inner = [br(y, z), br(z, x), br(x, y)]
             if all(inner):
                 continue
-            defect = jacobi_defect(x, y, z, ctx)
+            defect = jacobi_defect(*triple, ctx)
             assert defect.terms() == reference_jacobi_defect(
                 x, y, z, ctx, skew if skewed else None).terms()
             if not defect:
                 assert (defect._nums, defect._den) == ({}, 1)
             some_vanish += 1
             all_vanish += not any(inner)
-        assert all_vanish > 50 and some_vanish > all_vanish
-
-
-def term_triple_defects(x, y, z, ctx, skew):
-    """The reference defect of each term triple of x, y and z, as a list of
-    coefficients by generator (each triple's defect lies on one generator)."""
-    by_gen: dict = {}
-    for triple in itertools.product(*(e.terms().items() for e in (x, y, z))):
-        single = [AlgebraElement({gen: c}) for gen, c in triple]
-        for gen, c in reference_jacobi_defect(*single, ctx, skew).terms().items():
-            by_gen.setdefault(gen, []).append(c)
-    return by_gen
-
-
-@pytest.mark.parametrize("skewed", [False, True])
-def test_jacobi_defect_adds_term_triples_on_one_generator(monkeypatch, skewed):
-    # under the true constant every term triple gives J = 0, so only the
-    # skewed one makes jacobi_defect add two nonzero contributions on one
-    # generator: two L-L-L triples (n + k' = n' + k), an L-L-L and a
-    # one-D2 triple (k' = m + k), and two L-L-L triples scaled to cancel
-    if skewed:
-        skewed_constant(monkeypatch)
-    d2 = AlgebraElement.derivation()
-    m, n, n_, k = IndexPair(1, -1), IndexPair(0, 2), IndexPair(2, 1), IndexPair(-1, 1)
-    k_ = n_ + k - n
-    for q in ORACLE_Q_VALUES:
-        ctx = AlgebraContext(q)
-        # the two contributions of the cancelling case, at unit coefficients
-        # and under the skewed constant
-        one = term_triple_defects(L(*m), L(*n) + L(*n_), L(*k) + L(*k_), ctx, skew)
-        [j1, j2] = one[BasisL(m + n + k_)]
-        cases = [(L(*m), L(*n) + L(*n_), Fraction(3, 2) * L(*k) - L(*k_), m + n + k_, False),
-                 (L(*m) + Fraction(3, 4) * d2, 5 * L(*n), L(*k) + L(*(m + k)), m + n + k, False),
-                 (L(*m), L(*n) + (j1 / j2) * L(*n_), L(*k) - L(*k_), m + n + k_, True)]
-        for x, y, z, key, cancels in cases:
-            defect = jacobi_defect(x, y, z, ctx)
-            assert defect.terms() == reference_jacobi_defect(
-                x, y, z, ctx, skew if skewed else None).terms()
-            parts = term_triple_defects(x, y, z, ctx, skew if skewed else None)
-            if skewed:
-                assert len(parts[BasisL(key)]) == 2 and all(parts[BasisL(key)])
-                assert (BasisL(key) in defect.terms()) == (not cancels)
-            else:
-                assert not defect and not parts
+        assert all_vanish > 10 and some_vanish > all_vanish
 
 
 def test_jacobi_defect_zero_is_shared_and_stays_empty():
@@ -320,10 +314,11 @@ def test_jacobi_defect_zero_is_shared_and_stays_empty():
     # sum, negation or scaling may write into it
     ctx = AlgebraContext(Fraction(5, 7))
     d2 = AlgebraElement.derivation()
-    zero = jacobi_defect(L(1, 0), L(0, 1), L(1, 1), ctx)
+    zero = jacobi_defect(G(1, 0), G(0, 1), G(1, 1), ctx)
     assert zero == AlgebraElement() and (zero._nums, zero._den) == ({}, 1)
-    assert jacobi_defect(d2, d2, L(2, 1), ctx) is zero
-    assert jacobi_defect(AlgebraElement(), L(1, 0), d2, ctx) is zero
+    assert jacobi_defect(D2, D2, G(2, 1), ctx) is zero
+    assert jacobi_defect(G(1, 0), D2, G(0, 1), ctx) is zero
+    assert jacobi_defect(D2, D2, D2, ctx) is zero
     [check] = suites.jacobi_suite([Fraction(5, 7)], radius=1)
     assert check.status == "pass"
     x = Fraction(3, 2) * L(2, -1) - d2
@@ -332,7 +327,8 @@ def test_jacobi_defect_zero_is_shared_and_stays_empty():
     assert 3 * zero == 0 and zero * 1 == 0 and zero * 0 == 0
     assert zero + x + zero - x == 0 and (zero + x) * 2 == 2 * x
     assert (zero._nums, zero._den) == ({}, 1)
-    assert jacobi_defect(L(1, 0), L(0, 1), L(1, 1), ctx) is zero
+    assert jacobi_defect(G(1, 0), G(0, 1), G(1, 1), ctx) is zero
+    assert parse_element("0", ctx) is zero
 
 
 def test_structure_constant_jacobi_symbolic():
@@ -351,15 +347,12 @@ def test_structure_constant_jacobi_symbolic():
 
 def test_jacobi_hand_example():
     ctx = AlgebraContext(Fraction(1))
-    d2 = AlgebraElement.derivation()
-    assert jacobi_defect(d2, L(1, 0), L(0, 1), ctx) == 0
-    assert jacobi_defect(L(1, 0), L(1, 0), L(2, 2), ctx) == 0
+    assert jacobi_defect(D2, G(1, 0), G(0, 1), ctx) == 0
+    assert jacobi_defect(G(1, 0), G(1, 0), G(2, 2), ctx) == 0
 
 
 def test_jacobi_small_grid():
-    gens = [AlgebraElement.basis(IndexPair(a, b))
-            for a in range(-2, 3) for b in range(-2, 3)]
-    gens.append(AlgebraElement.derivation())
+    gens = box_generators(2)
     for q in (Fraction(5, 7), Fraction(2)):
         ctx = AlgebraContext(q)
         for x in gens[::5]:
@@ -395,6 +388,10 @@ def test_element_format_and_parse():
     assert parse_element("D1", ctx) == Fraction(1, 2) * L(0, 0)
     assert parse_element("4*D1", ctx) == 2 * L(0, 0)
     assert str(AlgebraElement()) == "0"
+    # a bare 0 term is the zero element, as it prints
+    for zero in ("0", "-0", "0/3", "0 - 0"):
+        assert parse_element(zero, ctx) == AlgebraElement()
+    assert parse_element("0 + L(1,0) - 0", ctx) == L(1, 0)
 
 
 def test_element_parse_round_trip_randomized():
@@ -412,7 +409,8 @@ def test_element_parse_round_trip_randomized():
 
 def test_element_parse_errors():
     ctx = AlgebraContext(Fraction(1))
-    for bad in ["", "L(1)", "L(1,2", "3*", "D3", "L(a,b)", "2 L(1,0)", "1/0*D2"]:
+    for bad in ["", "L(1)", "L(1,2", "3*", "D3", "L(a,b)", "2 L(1,0)", "1/0*D2",
+                "1", "-2/3", "0 0", "0/0", "L(1,0) + 1"]:
         with pytest.raises(ParseError):
             parse_element(bad, ctx)
 
@@ -442,6 +440,8 @@ def test_element_keys_are_generators():
     ctx = AlgebraContext(Fraction(5, 7))
     for _ in range(20):
         x, y = sample_element(rng), sample_element(rng)
-        for element in (x, y, bracket(x, y, ctx), jacobi_defect(x, y, L(1, 1), ctx)):
-            for gen in element.terms():
+        defects = [jacobi_defect(u, v, G(1, 1), ctx)
+                   for u in x.terms() for v in y.terms()]
+        for value in (x, y, bracket(x, y, ctx), *defects):
+            for gen in value.terms():
                 assert gen is D2 or (type(gen) is BasisL and type(gen.m) is IndexPair)

@@ -34,6 +34,17 @@ def test_bracket_example():
     assert run_cli(argv)[1] == out
 
 
+def test_zero_element_round_trips():
+    # the zero element prints as 0, and 0 parses back as the zero element
+    code, out, err = run_cli(["bracket", "L(1,0)", "0"])
+    assert (code, err) == (0, "")
+    assert [c["witness"] for c in json.loads(out)["checks"]] == ["0"]
+    code, out, _ = run_cli(["bracket", "L(1,0)", "L(1,0)", "--q", "2"])
+    assert [c["witness"] for c in json.loads(out)["checks"]] == ["0"]
+    code, _, err = run_cli(["bracket", "L(1,0)", "1"])
+    assert code == 2 and "expected '*'" in err
+
+
 def test_closure_example():
     argv = ["closure", "--seed", "1", "--D", "3", "--B", "5",
             "--q", "1", "--lambda", "1,1", "--alpha", "0"]
@@ -413,6 +424,22 @@ def test_failing_check_exits_1():
     statuses = {check["name"]: check["status"] for check in payload["checks"]}
     assert statuses["module axioms (variant action)"] == "fail"
     assert statuses["jacobi q=1"] == "pass"
+
+
+AXIOMS_SHA256 = "cef5a1e1ad56fde3ed9f4b516fb085d0784c3a53f21fe7c703508ffe02a4cbbc"
+AXIOMS_VARIANT_SHA256 = "768639dd4bac04b78987871d79610ea2514f8ad16270a28d8283b7e66f05cdb7"
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    (["axioms"], 0, AXIOMS_SHA256),
+    (["axioms", "--use-variant-action"], 1, AXIOMS_VARIANT_SHA256),
+])
+def test_axioms_report_bytes(argv, exit_code, digest):
+    # the default sweeps; the variant's failure witness names the first
+    # failing generator pair, so any byte change to it shows here
+    code, out, err = run_cli(argv)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_axioms_command_passes():

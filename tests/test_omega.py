@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from blockmod import poly
-from blockmod.blockalg import AlgebraContext, AlgebraElement, bracket
+from blockmod import blockalg, poly
+from blockmod.blockalg import AlgebraContext, AlgebraElement, BasisL, bracket
 from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
                             action_on_one_alt, commutator_defect,
@@ -17,6 +17,10 @@ from oracles import T, cross_form, witt_act
 
 def L(m1, m2):
     return AlgebraElement.basis(IndexPair(m1, m2))
+
+
+def G(m1, m2):
+    return BasisL(IndexPair(m1, m2))
 
 
 D2 = AlgebraElement.derivation()
@@ -155,11 +159,11 @@ def test_act_reads_the_stored_terms(monkeypatch):
 def test_module_axiom_defect_example():
     p = ParamSet(1, 1, 1, 0)
     one = Poly2.const(1)
-    assert module_axiom_defect(L(1, 0), L(0, 1), one, p) == 0
+    assert module_axiom_defect(G(1, 0), G(0, 1), one, p) == 0
     # both orders of the nested action agree with the bracket action
     lhs = act(L(1, 0), act(L(0, 1), one, p), p) - act(L(0, 1), act(L(1, 0), one, p), p)
     assert lhs == -4 * poly.D1 + 2 * poly.D2
-    x = L(2, -1)
+    x = G(2, -1)
     assert module_axiom_defect(x, x, random_poly2(SplitMix64(1)), p) == 0
 
 
@@ -168,8 +172,8 @@ def test_module_axiom_defect_randomized():
     for _ in range(3):
         p = random_params(rng)
         for _ in range(25):
-            x = rng.choice([L(rng.int_between(-2, 2), rng.int_between(-2, 2)), D2])
-            y = rng.choice([L(rng.int_between(-2, 2), rng.int_between(-2, 2)), D2])
+            x = rng.choice([G(rng.int_between(-2, 2), rng.int_between(-2, 2)), blockalg.D2])
+            y = rng.choice([G(rng.int_between(-2, 2), rng.int_between(-2, 2)), blockalg.D2])
             f = random_poly2(rng)
             assert module_axiom_defect(x, y, f, p) == 0
 
@@ -190,18 +194,18 @@ def test_factored_nested_action_matches_the_composed_one(image):
                 composed = (act(x, act(y, f, p, image), p, image)
                             - act(y, act(x, f, p, image), p, image))
                 bracket_term = act(bracket(x, y, ctx), f, p, image)
-                defect = module_axiom_defect(x, y, f, p, image)
+                defect = module_axiom_defect(BasisL(m), BasisL(n), f, p, image)
                 assert defect == bracket_term - composed, (m, n, f)
                 nonzero += bool(defect)
     # the adopted image has no defect; the variant has some
     assert (nonzero == 0) == (image is action_on_one)
-    # a single term with a coefficient scales the factored form
+    # a single term with a coefficient scales the generator defect
     f = polys[0]
     for a, b in ((Fraction(3, 2), -2), (-1, Fraction(1, 5))):
         x, y = a * L(1, -2), b * L(-1, 1)
         composed = (act(x, act(y, f, p, image), p, image)
                     - act(y, act(x, f, p, image), p, image))
-        assert module_axiom_defect(x, y, f, p, image) == \
+        assert a * b * module_axiom_defect(G(1, -2), G(-1, 1), f, p, image) == \
             act(bracket(x, y, ctx), f, p, image) - composed
 
 
@@ -213,33 +217,33 @@ def _forbidden(*args):
 def test_basis_pair_defect_comes_from_the_f_free_commutator_defect(monkeypatch, q):
     # on every basis pair of the radius-2 box, the adopted image's defect is
     # zero with no shift or product of any polynomial; the variant's defect
-    # is -a*b * f(d-m-n) * Delta(m, n), and it equals the composed actions
+    # is -f(d-m-n) * Delta(m, n), and a*b times it equals the composed
+    # actions of a*L(m) and b*L(n)
     p = ParamSet(q, Fraction(2, 3), -3, Fraction(1, 2))
     ctx = p.context()
     f = sample_axiom_polys(5, count=1, max_degree=4)[0]
     box = index_box(2)
-    coefficients = ((1, 1), (Fraction(3, 2), -2))
     with monkeypatch.context() as patched:
         patched.setattr(Poly2, "shifted", _forbidden)
         patched.setattr(Poly2, "__mul__", _forbidden)
-        for a, b in coefficients:
-            for m in box:
-                for n in box:
-                    assert not module_axiom_defect(a * L(*m), b * L(*n), f, p), (a, b, m, n)
-    nonzero = 0
-    for a, b in coefficients:
         for m in box:
             for n in box:
+                assert not module_axiom_defect(BasisL(m), BasisL(n), f, p), (m, n)
+    nonzero = 0
+    for m in box:
+        for n in box:
+            defect = module_axiom_defect(BasisL(m), BasisL(n), f, p, action_on_one_alt)
+            if not defect:
+                continue
+            nonzero += 1
+            delta = commutator_defect(m, n, p, action_on_one_alt)
+            assert defect == -(f.shifted(m + n) * delta), (m, n)
+            for a, b in ((1, 1), (Fraction(3, 2), -2)):
                 x, y = a * L(*m), b * L(*n)
-                defect = module_axiom_defect(x, y, f, p, action_on_one_alt)
-                if not defect:
-                    continue
-                nonzero += 1
-                delta = commutator_defect(m, n, p, action_on_one_alt)
-                assert defect == -a * b * (f.shifted(m + n) * delta), (a, b, m, n)
                 composed = (act(x, act(y, f, p, action_on_one_alt), p, action_on_one_alt)
                             - act(y, act(x, f, p, action_on_one_alt), p, action_on_one_alt))
-                assert defect == act(bracket(x, y, ctx), f, p, action_on_one_alt) - composed
+                assert a * b * defect == \
+                    act(bracket(x, y, ctx), f, p, action_on_one_alt) - composed, (a, b, m, n)
     assert nonzero
 
 
@@ -258,24 +262,44 @@ def _composed_defect(x, y, f, p, image):
             + act(y, act(x, f, p, image), p, image))
 
 
+def generator_sum(x, y, f, p, image):
+    """The sum of a*b * module_axiom_defect(u, v) over the terms a*u of x
+    and b*v of y: the defect of x, y by bilinearity."""
+    total = Poly2()
+    for u, a in x.terms().items():
+        for v, b in y.terms().items():
+            total = total + a * b * module_axiom_defect(u, v, f, p, image)
+    return total
+
+
 @pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
 def test_d2_and_multi_term_defects_match_the_composed_actions(monkeypatch, image):
-    # pairs with D2, and elements of several terms, against the composed
-    # actions: the closed form sums -a*b * f(d-m-n) * Delta(m, n) over the
-    # pairs of L terms and drops the D2 terms, whose pairs cancel
+    # every generator pair with D2 has defect zero, as the composed actions
+    # do; on elements of several terms the generator defects, weighted by
+    # the coefficients, add up to the composed actions: the bilinearity that
+    # lets the axiom sweeps check generators only
     p = ParamSet(Fraction(5, 7), Fraction(2, 3), -3, Fraction(1, 2))
     polys = sample_axiom_polys(5, count=2, max_degree=4)
-    singles = [L(*m) for m in index_box(2)]
+    box = index_box(2)
+    d2_pairs = [(blockalg.D2, BasisL(m)) for m in box] + [(BasisL(m), blockalg.D2) for m in box]
+    d2_pairs.append((blockalg.D2, blockalg.D2))
+    for u, v in d2_pairs:
+        for f in polys:
+            defect = module_axiom_defect(u, v, f, p, image)
+            assert (defect._nums, defect._den) == ({}, 1)
+            assert not _composed_defect(AlgebraElement({u: 1}), AlgebraElement({v: 1}),
+                                        f, p, image), (u, v)
+    singles = [L(*m) for m in box]
     several = [Fraction(3, 2) * L(1, -2) - D2 + L(0, 1),
                Fraction(-2, 3) * D2,
                L(-1, 2) + Fraction(1, 5) * L(2, 0) - 3 * L(0, -1),
                Fraction(1, 2) * L(1, 1) + Fraction(4, 3) * L(-2, 1) + 7 * D2]
-    elements = [D2] + singles + several
-    pairs = [(x, y) for x in elements for y in elements if x not in singles or y not in singles]
+    pairs = [(x, y) for x in several for y in [D2] + singles + several]
+    pairs += [(y, x) for x, y in pairs]
     nonzero = 0
     for x, y in pairs:
         for f in polys:
-            defect = module_axiom_defect(x, y, f, p, image)
+            defect = generator_sum(x, y, f, p, image)
             assert defect == _composed_defect(x, y, f, p, image), (x, y, f)
             nonzero += bool(defect)
     # the adopted image has no defect; the variant's multi-term elements do
@@ -459,7 +483,7 @@ def test_variant_action_fails_axioms_for_generic_alpha():
     found = None
     for a in range(-2, 3):
         for b in range(-2, 3):
-            defect = module_axiom_defect(L(a, b), L(1, 0), Poly2.const(1), p,
+            defect = module_axiom_defect(G(a, b), G(1, 0), Poly2.const(1), p,
                                          image=action_on_one_alt)
             if defect:
                 found = (a, b, defect)
@@ -472,8 +496,8 @@ def test_variant_action_fails_axioms_for_generic_alpha():
     p1 = ParamSet(2, 1, 1, 1)
     rng = SplitMix64(37)
     for _ in range(20):
-        x = L(rng.int_between(-2, 2), rng.int_between(-2, 2))
-        y = L(rng.int_between(-2, 2), rng.int_between(-2, 2))
+        x = G(rng.int_between(-2, 2), rng.int_between(-2, 2))
+        y = G(rng.int_between(-2, 2), rng.int_between(-2, 2))
         assert module_axiom_defect(x, y, random_poly2(rng), p1,
                                    image=action_on_one_alt) == 0
 

@@ -353,7 +353,7 @@ def test_no_operation_changes_an_operand_or_a_returned_zero():
     element_ops = [operator.add, operator.sub, lambda x, y: -x, lambda x, y: Fraction(2, 3) * x,
                    lambda x, y: 0 * y, lambda x, y: x - x, lambda x, y: 0 + y,
                    lambda x, y: bracket(x, y, ctx), lambda x, y: bracket(x, x, ctx),
-                   lambda x, y: jacobi_defect(x, y, x, ctx),
+                   lambda x, y: jacobi_defect(*(next(iter(v._nums), D2) for v in (x, y, x)), ctx),
                    lambda x, y: AlgebraElement._combination([(1, x), (-1, y), (1, y)])]
     for ops, pool in ((poly_ops, [kernel_poly(rng, 2, 3) for _ in range(4)] + [Poly2()]),
                       (element_ops, [kernel_element(rng) for _ in range(4)]

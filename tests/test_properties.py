@@ -11,8 +11,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from blockmod.blockalg import D2, AlgebraContext, AlgebraElement, BasisL, parse_element
 from blockmod.closure import SubspaceBasis
-from blockmod.poly import Poly2
+from blockmod.poly import IndexPair, Poly2, parse_poly2
 
 from oracles import CheckedEchelon, rational_span_insert
 
@@ -20,6 +21,12 @@ ENTRY_BOUND = 1 << 256
 small = st.integers(-3, 3)
 large = st.integers(-ENTRY_BOUND, ENTRY_BOUND)
 entry = st.one_of(st.just(0), small, large)
+
+# zero, small and 300-bit rationals, well inside the literal and print ceilings
+coefficient = st.builds(Fraction, st.one_of(st.just(0), small, st.integers(-(1 << 300), 1 << 300)),
+                        st.one_of(st.integers(1, 9), st.integers(1, 1 << 300)))
+index = st.builds(IndexPair, st.integers(-1000, 1000), st.integers(-1000, 1000))
+generator = st.one_of(st.just(D2), st.builds(BasisL, index))
 
 
 @st.composite
@@ -63,3 +70,23 @@ def test_int_echelon_agrees_with_both_oracles_after_every_insert(stream):
         monic = tuple(as_poly([Fraction(x, r[p]) for x in r]) for p, r in echelon.rows)
         assert monic == basis.vectors
     assert echelon.added == basis.dimension <= dim
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@hypothesis.given(st.dictionaries(generator, coefficient, max_size=6),
+                  st.fractions().filter(bool))
+@hypothesis.example({}, Fraction(1))
+@hypothesis.example({D2: Fraction(0)}, Fraction(-2, 3))
+def test_element_print_parse_round_trip(terms, q):
+    # no terms, or only zero coefficients, give the zero element, printed as 0
+    x = AlgebraElement(terms)
+    assert parse_element(x.format(), AlgebraContext(q)) == x
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@hypothesis.given(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                                  coefficient, max_size=8))
+@hypothesis.example({})
+def test_poly2_print_parse_round_trip(terms):
+    f = Poly2(terms)
+    assert parse_poly2(str(f)) == f

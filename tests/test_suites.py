@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blockmod import blockalg, identities, omega, poly, suites
-from blockmod.blockalg import AlgebraElement
+from blockmod.blockalg import AlgebraElement, BasisL
 from blockmod.closure import ClosureResult, ClosureTag
 from blockmod.identities import SeparatedForm
 from blockmod.omega import ParamSet
@@ -127,8 +127,7 @@ def test_module_axiom_failure_witness(monkeypatch):
 
 def _per_case_axiom_scan(p, polys, radius, image):
     """The axiom grid scan as a plain per-case loop, with no image table."""
-    generators = [AlgebraElement.basis(m) for m in index_box(radius)]
-    generators.append(AlgebraElement.derivation())
+    generators = [BasisL(m) for m in index_box(radius)] + [blockalg.D2]
     cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
     return suites.first_defect(cases, lambda xyf: omega.module_axiom_defect(*xyf, p, image))
 
@@ -171,15 +170,12 @@ def test_axiom_scan_matches_the_per_case_loop(monkeypatch, image):
     assert (count, failure) == expected
     # no case makes an act or a bracket; the clean scan reaches the cases with D2
     assert len(calls) == count and not composed
-    assert failure or any(blockalg.D2 in x._nums or blockalg.D2 in y._nums
-                          for x, y, *_ in calls)
+    assert failure or any(blockalg.D2 in (x, y) for x, y, *_ in calls)
     # one table for the scan: every generator image is built at most once
     assert built and len(built) == len(set(built))
     assert set(built) <= set(index_box(2 * radius))
     # the commutator defect is built once per basis case, in scan order
-    basis_pairs = [(next(iter(x._nums)).m, next(iter(y._nums)).m)
-                   for x, y, *_ in calls
-                   if blockalg.D2 not in x._nums and blockalg.D2 not in y._nums]
+    basis_pairs = [(x.m, y.m) for x, y, *_ in calls if blockalg.D2 not in (x, y)]
     assert pairs == basis_pairs
 
 
