@@ -233,7 +233,9 @@ def jacobi_defect(gx, gy, gz, ctx: AlgebraContext) -> AlgebraElement:
     * for two or three D2, terms that read no constant and cancel, as
       [D2,[D2,L(k)]] = k2^2*L(k) = -[D2,[L(k),D2]] and [L(k),[D2,D2]] = 0.
 
-    c is read through this module's global 6, 2 or 0 times per triple,
+    Any argument that is neither a :class:`BasisL` nor :data:`D2` raises
+    ``TypeError``; the check runs after the L, L, L case returns.  c is
+    read through this module's global 6, 2 or 0 times per triple,
     also where a factor vanishes, and no sum is taken as zero, so a
     patched constant enters every defect it should.  The index sums are
     built with ``tuple.__new__``, as the NamedTuple constructor of
@@ -242,24 +244,26 @@ def jacobi_defect(gx, gy, gz, ctx: AlgebraContext) -> AlgebraElement:
     """
     a, b = ctx.ratio
     c = structure_constant
-    if type(gx) is BasisL:
-        if type(gy) is BasisL:
-            if type(gz) is BasisL:
-                m, n, k = gx.m, gy.m, gz.m
-                (m1, m2), (n1, n2), (k1, k2) = m, n, k
-                j = (c(n, k, a, b) * c(m, _tuple_new(IndexPair, (n1 + k1, n2 + k2)), a, b)
-                     + c(k, m, a, b) * c(n, _tuple_new(IndexPair, (k1 + m1, k2 + m2)), a, b)
-                     + c(m, n, a, b) * c(k, _tuple_new(IndexPair, (m1 + n1, m2 + n2)), a, b))
-                return AlgebraElement._reduced({BasisL(m + n + k): j}, b * b) if j else _ZERO
-            n, k = gx.m, gy.m       # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
-        elif type(gz) is BasisL:
-            n, k = gz.m, gx.m       # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
-        else:
+    if type(gx) is BasisL and type(gy) is BasisL and type(gz) is BasisL:
+        m, n, k = gx.m, gy.m, gz.m
+        (m1, m2), (n1, n2), (k1, k2) = m, n, k
+        j = (c(n, k, a, b) * c(m, _tuple_new(IndexPair, (n1 + k1, n2 + k2)), a, b)
+             + c(k, m, a, b) * c(n, _tuple_new(IndexPair, (k1 + m1, k2 + m2)), a, b)
+             + c(m, n, a, b) * c(k, _tuple_new(IndexPair, (m1 + n1, m2 + n2)), a, b))
+        return AlgebraElement._reduced({BasisL(m + n + k): j}, b * b) if j else _ZERO
+    for g in (gx, gy, gz):
+        if g is not D2 and type(g) is not BasisL:
+            raise TypeError(f"jacobi_defect takes BasisL or D2, not {type(g).__name__}")
+    if gx is D2:
+        if gy is D2 or gz is D2:
             return _ZERO
-    elif type(gy) is BasisL and type(gz) is BasisL:
         n, k = gy.m, gz.m
+    elif gy is D2:
+        if gz is D2:
+            return _ZERO
+        n, k = gz.m, gx.m       # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
     else:
-        return _ZERO
+        n, k = gx.m, gy.m       # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
     j = n.m2 * (c(n, k, a, b) + c(k, n, a, b))
     return AlgebraElement._reduced({BasisL(n + k): j}, b) if j else _ZERO
 

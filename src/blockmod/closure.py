@@ -503,7 +503,7 @@ def closure(seeds: list[Poly2], D: int, B: int,
             break
 
     basis = _reduced_basis(echelon, table.workspace, D)
-    result = classify_span(basis, D, p)
+    result = classify_span(basis, p)
     diagnostics = (
         f"{result.diagnostics}; passes={passes}, workspace additions per pass="
         f"{growth}; fixpoint certificate: all single-step images of the final "
@@ -513,10 +513,9 @@ def closure(seeds: list[Poly2], D: int, B: int,
     return basis, ClosureResult(result.tag, result.dimension, diagnostics)
 
 
-def classify_span(basis: SubspaceBasis, D: int, p: ParamSet) -> ClosureResult:
+def classify_span(basis: SubspaceBasis, p: ParamSet) -> ClosureResult:
     """Name the subspace: ZERO, FULL level, the proper-submodule level, or OTHER."""
-    if basis.degree_cap != D:
-        raise ValueError("basis degree cap does not match D")
+    D = basis.degree_cap        # the level the span is classified in
     full = filtration_dimension(D)
     n = basis.dimension
     if n == 0:

@@ -2,9 +2,10 @@
 
 The canonical generator images g_m of the rank-1 modules satisfy a
 small system of exact polynomial and scalar identities; this module
-recomputes each one from scratch and returns the defect (left side
+recomputes each one from scratch and returns one defect (left side
 minus right side), which the verification suites require to vanish
-identically over parameter and index sweeps.
+identically over parameter and index sweeps: one polynomial per
+polynomial identity and three scalars for the coefficient identities.
 
 Also here: the quadratic difference-equation lemma used to separate the
 paired product into a cross-form part plus q^2*d1*(d1 + m1), with a
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import blockalg, poly
 from .omega import ParamSet, action_on_one, commutator_defect
@@ -114,47 +114,21 @@ def replay_pair_difference(m: IndexPair, p: ParamSet) -> Poly2:
     return G - G.shifted(m) - (2 * m.m1 * p.q * p.q) * poly.D1
 
 
-class SeparatedForm(NamedTuple):
-    """Split of the paired product in (X, d1) coordinates.
+def replay_separated_form(m: IndexPair, p: ParamSet) -> Poly2:
+    """Defect of the separated form of the paired product,
 
-    ``x_part`` is what remains of G_m after removing q^2*d1*(d1 + m1),
-    as a polynomial in the cross form X alone; ``residual`` is any
-    leftover d1 dependence (zero on success) and ``cross_delta`` is the
-    difference against the closed form
-    -(X - q*m1*(alpha - 1)) * (X - q*m1*alpha) (zero on success).
+        G_m - q^2*d1*(d1 + m1) = -(X - u*(alpha - 1)) * (X - u*alpha),
+
+    with X = m2*d1 - m1*d2 and u = q*m1.  Contract: zero, for every m.
+    It is zero exactly when the remainder R = G_m - q^2*d1*(d1 + m1) has
+    no d1 residue and its X-part matches the closed form: if the defect is
+    zero, R is the closed form, a polynomial in X alone; if R = h(X) with
+    h the closed form, the defect is zero.
     """
-
-    x_part: Poly1
-    residual: Poly2
-    cross_delta: Poly1
-
-    @property
-    def ok(self) -> bool:
-        return not self.residual and not self.cross_delta
-
-
-def replay_separated_form(m: IndexPair, p: ParamSet) -> SeparatedForm:
-    """Rewrite G_m in (X, d1), peel off q^2*d1*(d1 + m1), check the rest.
-
-    Requires m1 != 0 so that (X, d1) is a coordinate system.
-    """
-    if m.m1 == 0:
-        raise ValueError("separated form needs m1 != 0")
-    G = paired_product(m, p)
-    F = poly.rewrite_in_xm(G, m)                       # slots (X, d1)
-    d1_out = Poly2({(0, 1): 1})
-    remainder = F - p.q * p.q * d1_out * (d1_out + m.m1)
-    x_only = {}
-    residual = {}
-    for (ex, ed), coeff in remainder.terms().items():
-        if ed == 0:
-            x_only[ex] = coeff
-        else:
-            residual[(ex, ed)] = coeff
-    h = Poly1(x_only)
     u = p.q * m.m1
-    closed = Poly1({2: -1, 1: u * (2 * p.alpha - 1), 0: -u * u * p.alpha * (p.alpha - 1)})
-    return SeparatedForm(x_part=h, residual=Poly2(residual), cross_delta=h - closed)
+    X = m.m2 * poly.D1 - m.m1 * poly.D2
+    return (paired_product(m, p) - p.q * p.q * poly.D1 * (poly.D1 + m.m1)
+            + (X - u * (p.alpha - 1)) * (X - u * p.alpha))
 
 
 def replay_coefficient_identities(m: IndexPair, n: IndexPair,

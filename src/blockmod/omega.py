@@ -144,7 +144,8 @@ def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one) -> Poly2:
 
     L(m) sends f to f(d - m) * g_m(d); the degree derivation acts by
     multiplication with d2.  ``image`` swaps in an alternative generator
-    image (used only by the negative-control suites).
+    image; no suite calls ``act``, and the only callers that pass
+    ``image`` are the tests' composed-action oracles.
     """
     out = Poly2._of({}, 1)
     den = x._den

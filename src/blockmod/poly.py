@@ -583,21 +583,6 @@ def from_single_variable(f: Poly1, slot: int) -> Poly2:
     return Poly2._of({mono[::-1] if slot else mono: n for mono, n in f._nums.items()}, f._den)
 
 
-def rewrite_in_xm(f: Poly2, m: IndexPair) -> Poly2:
-    """Rewrite f(d1, d2) in the coordinates (X, d1), X = m2*d1 - m1*d2.
-
-    Output slots: first = X exponent, second = d1 exponent.  Requires
-    m1 != 0, otherwise (X, d1) is not a coordinate system.  The change
-    of variables divides by m1, so coefficients stay rational and the
-    back substitution X -> m2*d1 - m1*d2 recovers f exactly.
-    """
-    if m.m1 == 0:
-        raise ValueError("degenerate change of variables: m1 = 0")
-    d1_out = Poly2({(0, 1): 1})
-    d2_out = Poly2({(0, 1): Fraction(m.m2, m.m1), (1, 0): Fraction(-1, m.m1)})
-    return compose2(f, d1_out, d2_out)
-
-
 # --- expression grammar (shared with the CLI) -------------------------------
 
 # cost guard: the largest total degree and exponent the grammar accepts

@@ -331,6 +331,17 @@ def test_jacobi_defect_zero_is_shared_and_stays_empty():
     assert parse_element("0", ctx) is zero
 
 
+@pytest.mark.parametrize("bad", [L(1, 2), "junk"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_jacobi_defect_rejects_a_non_generator_argument(bad, position):
+    # an element or any other value is neither BasisL nor D2, beside two L's or an L and D2
+    ctx = AlgebraContext(Fraction(5, 7))
+    for others in ([G(1, 1), G(2, 1)], [G(1, 1), D2], [D2, D2]):
+        triple = others[:position] + [bad] + others[position:]
+        with pytest.raises(TypeError, match="BasisL or D2"):
+            jacobi_defect(*triple, ctx)
+
+
 def test_structure_constant_jacobi_symbolic():
     # c(n,k)c(m,n+k) + c(k,m)c(n,k+m) + c(m,n)c(k,m+n) = 0 for all indices
     # and all q = a/b; the scaled constants carry the common factor b^2

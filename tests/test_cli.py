@@ -442,6 +442,24 @@ def test_axioms_report_bytes(argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+REPLAY_SHA256 = "3fed435dda9013ca54fc2434bd4e0af1a020e2d407df62b598e3ecb8f86d8ec0"
+REPLAY_SEPARATED_SHA256 = "e41986e9496ee7e9939494de1495dd139723bffe2ee3df88174f335b357b6dea"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["replay", "--q", "5/7", "--alpha", "1/3", "--lambda", "2,3", "--radius", "6",
+      "--pairs", "500"], REPLAY_SHA256),
+    # integral q: its exceptional indices (0,2) and (0,4) have m1 = 0 and stay out of the count
+    (["replay", "--eq", "separated-form", "--q", "-2", "--alpha", "3/2", "--lambda", "1/2,3",
+      "--radius", "8"], REPLAY_SEPARATED_SHA256),
+])
+def test_replay_report_bytes(argv, digest):
+    # replay bytes at scales the full report does not reach
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_axioms_command_passes():
     code, out, _ = run_cli(["axioms", "--radius", "1", "--q", "5/7",
                             "--alpha", "1/2", "--sweeps", "3"])

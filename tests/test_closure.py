@@ -383,29 +383,26 @@ def test_closure_multiple_seeds_and_validation():
 
 def test_classify_span_examples():
     p = ParamSet(1, 1, 1, 0)
-    assert classify_span(SubspaceBasis((), 2), 2, p).tag is ClosureTag.ZERO
+    assert classify_span(SubspaceBasis((), 2), p).tag is ClosureTag.ZERO
 
     full = SubspaceBasis((), 2)
     for mono in _monomials(2):
         full = span_insert(full, Poly2({mono: 1}))
-    result = classify_span(full, 2, p)
+    result = classify_span(full, p)
     assert result.tag is ClosureTag.FULL and result.dimension == 6
 
     kernel = SubspaceBasis((), 2)
     for mono in _monomials(2):
         if mono != (0, 0):
             kernel = span_insert(kernel, Poly2({mono: 1}))   # all vanish at (0,0)
-    result = classify_span(kernel, 2, p)
+    result = classify_span(kernel, p)
     assert result.tag is ClosureTag.OMEGA_PRIME and result.dimension == 5
-
-    with pytest.raises(ValueError):
-        classify_span(SubspaceBasis((), 3), 2, p)
 
 
 def test_classify_span_other_diagnostics():
     p = ParamSet(1, 1, 1, 0)
     small = span_insert(SubspaceBasis((), 2), poly.D1)
-    result = classify_span(small, 2, p)
+    result = classify_span(small, p)
     assert result.tag is ClosureTag.OTHER
     assert "truncation artifact" in result.diagnostics
 
@@ -413,7 +410,7 @@ def test_classify_span_other_diagnostics():
     wrong = SubspaceBasis((), 1)
     wrong = span_insert(wrong, Poly2.const(1))
     wrong = span_insert(wrong, poly.D1)
-    result = classify_span(wrong, 1, p)
+    result = classify_span(wrong, p)
     assert result.tag is ClosureTag.OTHER
     assert "counterexample candidate" in result.diagnostics
 
@@ -561,7 +558,7 @@ def test_worklist_matches_full_snapshot_loop():
                 extra, oracle_basis, passes, growth = full_snapshot_closure(seeds, D, B, p)
                 assert all(stored is None for stored in extra), (p, D, B, seeds)
                 assert basis.vectors == oracle_basis, (p, D, B, seeds)
-                classified = classify_span(basis, D, p)
+                classified = classify_span(basis, p)
                 radius = min(B, (D + 2) // 2)
                 assert result.diagnostics == (
                     f"{classified.diagnostics}; passes={passes}, workspace additions per "

@@ -122,25 +122,23 @@ def test_replay_pair_difference():
 
 def test_replay_separated_form_pins_the_sign():
     # hand computation at m=(1,0), q=1, lambda=(1,1), alpha=0:
-    # G = d1^2 - d2^2 + d1 + d2, X = -d2, so G - d1*(d1+1) = d2 - d2^2
-    # becomes -X - X^2; this fixes the sign of the closed form
-    split = replay_separated_form(IndexPair(1, 0), ParamSet(1, 1, 1, 0))
-    assert split.ok
-    assert split.x_part == Poly1({2: -1, 1: -1})
-    assert split.residual == 0 and split.cross_delta == 0
+    # G = d1^2 - d2^2 + d1 + d2 and X = -d2, so the remainder
+    # G - d1*(d1+1) = d2 - d2^2 is -X - X^2 = -(X + 1)*X, the closed form
+    # with u = 1; the defect adds (X + 1)*X back and vanishes
+    m, p = IndexPair(1, 0), ParamSet(1, 1, 1, 0)
+    remainder = paired_product(m, p) - poly.D1 * (poly.D1 + 1)
+    assert remainder == poly.D2 - poly.D2**2
+    assert replay_separated_form(m, p) == remainder + (poly.D2**2 - poly.D2) == 0
 
 
 def test_replay_separated_form_randomized():
+    # a polynomial identity for every m of the box, m1 = 0 included
     rng = SplitMix64(55)
     for q_mode in ([1, 2, 3], None):
         p = random_params(rng, q_mode)
         for m in grid(3):
-            if m.m1 == 0:
-                continue
-            split = replay_separated_form(m, p)
-            assert split.ok, f"m={m}, {p.describe()}"
-    with pytest.raises(ValueError, match="m1 != 0"):
-        replay_separated_form(IndexPair(0, 3), ParamSet(1, 1, 1, 0))
+            defect = replay_separated_form(m, p)
+            assert isinstance(defect, Poly2) and defect == 0, f"m={m}, {p.describe()}"
 
 
 def test_replay_coefficient_identities():

@@ -8,7 +8,7 @@ from blockmod import poly
 from blockmod.blockalg import D2, AlgebraContext, AlgebraElement, BasisL, bracket, jacobi_defect
 from blockmod.poly import (MAX_EXPRESSION_DEGREE, IndexPair, ParseError, Poly1,
                            Poly2, add_terms, compose2, from_single_variable, index_box,
-                           parse_poly2, rewrite_in_xm, shift_terms)
+                           parse_poly2, shift_terms)
 from blockmod.prng import SplitMix64
 from oracles import T, parse_poly1, to_single_variable
 
@@ -469,26 +469,6 @@ def test_ordering_is_graded_lex():
     assert f.leading_monomial() == (0, 3)
     assert [mono for mono, _ in f.items_sorted()] == [(0, 3), (2, 0), (1, 1)]
     assert str(f) == "d2^3 + d1^2 + d1*d2"
-
-
-def test_rewrite_in_xm():
-    # X has slot 0, d1 has slot 1 in the output
-    assert rewrite_in_xm(poly.D2, IndexPair(1, 0)) == Poly2({(1, 0): -1})
-    assert rewrite_in_xm(poly.D1, IndexPair(1, 5)) == Poly2({(0, 1): 1})
-    with pytest.raises(ValueError, match="degenerate"):
-        rewrite_in_xm(poly.D1, IndexPair(0, 3))
-
-
-def test_rewrite_round_trip_randomized():
-    rng = SplitMix64(14)
-    for _ in range(25):
-        f = random_poly2(rng)
-        m = random_index(rng)
-        if m.m1 == 0:
-            m = IndexPair(1 + rng.int_between(0, 3), m.m2)
-        F = rewrite_in_xm(f, m)
-        cross = Poly2({(1, 0): m.m2, (0, 1): -m.m1})
-        assert compose2(F, cross, poly.D1) == f
 
 
 def test_single_variable_conversions():

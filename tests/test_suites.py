@@ -6,9 +6,8 @@ import pytest
 from blockmod import blockalg, identities, omega, poly, suites
 from blockmod.blockalg import AlgebraElement, BasisL
 from blockmod.closure import ClosureResult, ClosureTag
-from blockmod.identities import SeparatedForm
 from blockmod.omega import ParamSet
-from blockmod.poly import IndexPair, Poly1, Poly2, index_box
+from blockmod.poly import IndexPair, Poly2, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import (all_passed, control_param_set, exceptional_indices,
                              iso_parameter_grid, sample_param_set, sample_poly2)
@@ -185,8 +184,7 @@ def test_replay_failure_witnesses(monkeypatch):
         "replay_commutator": _defect_at(3, poly.D1 * poly.D2, Poly2()),
         "replay_pair_difference": _defect_at(2, Poly2.const(-4), Poly2()),
         "replay_separated_form": _defect_at(
-            4, SeparatedForm(Poly1(), Poly2({(1, 1): 2}), Poly1({1: Fraction(-1, 3)})),
-            SeparatedForm(Poly1(), Poly2(), Poly1())),
+            4, Poly2({(1, 1): 2, (1, 0): Fraction(-1, 3)}), Poly2()),
         "replay_coefficient_identities": _defect_at(
             3, (Fraction(0), Fraction(1, 2), Fraction(0)), (0, 0, 0)),
     }
@@ -201,10 +199,25 @@ def test_replay_failure_witnesses(monkeypatch):
         suites.Check(f"pair difference replay {tag}", "pair-difference-replay", "fail",
                      "m=(-1,0), defect=-4"),
         suites.Check(f"separated form replay {tag}", "separated-form-replay", "fail",
-                     "m=(1,-1), residual=2*X*d1, cross delta=-1/3*X"),
+                     "m=(1,-1), defect=2*d1*d2 - 1/3*d1"),
         suites.Check(f"coefficient replay {tag}", "coefficient-replay", "fail",
                      "m=(1,0), n=(-1,-1), defects=('0', '1/2', '0')"),
     ]
+
+
+def test_variant_image_fails_the_separated_form_replay(monkeypatch):
+    # the paired product built from the variant image breaks the separated form
+    p = ParamSet(Fraction(5, 7), 2, 3, Fraction(1, 3))
+
+    def separated_form_check():
+        checks = suites.replay_suite([p], rng_seed=1, radius=2, pair_cap=1)
+        return next(c for c in checks if c.anchor == "separated-form-replay")
+
+    assert separated_form_check().status == "pass"
+    monkeypatch.setattr(identities, "action_on_one", omega.action_on_one_alt)
+    check = separated_form_check()
+    assert check.status == "fail" and check.witness.startswith("m=(")
+    assert ", defect=" in check.witness
 
 
 def test_wrong_structure_constant_is_caught(monkeypatch):
