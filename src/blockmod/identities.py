@@ -1,11 +1,11 @@
 """Mechanical replay of the classification identities.
 
 The canonical generator images g_m of the rank-1 modules satisfy a
-small system of exact polynomial and scalar identities; this module
-recomputes each one from scratch and returns one defect (left side
-minus right side), which the verification suites require to vanish
-identically over parameter and index sweeps: one polynomial per
-polynomial identity and three scalars for the coefficient identities.
+small system of exact polynomial and scalar identities.  Each replay
+returns one defect (left side minus right side), which the suites
+require to vanish over parameter and index sweeps: a polynomial, or for
+the coefficient identities three scalars, the coefficients of the one
+commutator defect of :func:`omega.commutator_defect`.
 
 Also here: the quadratic difference-equation lemma used to separate the
 paired product into a cross-form part plus q^2*d1*(d1 + m1), with a
@@ -14,31 +14,11 @@ constructive solver and an exact checker that round-trip.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
-from . import blockalg, poly
+from . import poly
 from .omega import ParamSet, action_on_one, commutator_defect
 from .poly import IndexPair, Poly1, Poly2
-
-
-class ClassificationWitness(namedtuple("ClassificationWitness", "m lambda_m alpha_m a_m b_m")):
-    """Per-index data (lambda_m, alpha_m, a_m, b_m) entering the scalar identities."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.lambda_m == 0:
-            raise ValueError("lambda_m must be nonzero")
-        return self
-
-
-def canonical_witness(m: IndexPair, p: ParamSet) -> ClassificationWitness:
-    """The witness realized by the canonical modules: geometric lambda,
-    constant alpha, unit linear coefficient, zero constant."""
-    return ClassificationWitness(m=m, lambda_m=p.lam_pow(m), alpha_m=p.alpha,
-                                 a_m=Fraction(1), b_m=Fraction(0))
 
 
 # --- difference-equation lemma ----------------------------------------------
@@ -85,12 +65,6 @@ def difference_check(F: Poly2, a, b, c) -> bool:
 
 # --- identity replays ---------------------------------------------------------
 
-def _struct_const(m: IndexPair, n: IndexPair, q: Fraction) -> Fraction:
-    """The bracket structure constant c(m, n) at q, from the integer form."""
-    return Fraction(blockalg.structure_constant(m, n, q.numerator, q.denominator),
-                    q.denominator)
-
-
 def replay_commutator(m: IndexPair, n: IndexPair, p: ParamSet,
                       image=action_on_one) -> Poly2:
     """Defect of the bracket-compatibility identity on generator images:
@@ -133,29 +107,30 @@ def replay_separated_form(m: IndexPair, p: ParamSet) -> Poly2:
 
 def replay_coefficient_identities(m: IndexPair, n: IndexPair,
                                   p: ParamSet) -> tuple[Fraction, Fraction, Fraction]:
-    """Defects of the three scalar identities tying the canonical witness
-    data together: the d1 coefficient, the d2 coefficient, and the
-    constant term of the commutator identity.  Contract: three zeros.
-    Both indices must be nonzero.
+    """Defects of the three scalar identities: the d1, d2 and constant
+    coefficients of the commutator identity, over lambda^(m+n).
+    Contract: three zeros.  Both indices must be nonzero.
+
+    With Delta = :func:`omega.commutator_defect`, they are
+    (Delta[d1], -Delta[d2], -Delta[1]) / lambda^(m+n).  Proof: g_m is
+    lambda^m * h_m with h_m = (m2 + q)*d1 - m1*d2 - q*m1*alpha, so with
+    <g, s> = a1*s1 + a2*s2 for g = a1*d1 + a2*d2 + c, <g_m, n>/lambda^m is
+    (m2 + q)*n1 - m1*n2 = q*n1 + G for G = n1*m2 - n2*m1, and
+    <g_n, m>/lambda^n = q*m1 - G.
+    As lambda^m * lambda^n = lambda^(m+n), Delta/lambda^(m+n) is
+    (q*n1 + G)*h_n - (q*m1 - G)*h_m - c*h_(m+n) with c = c(m, n), whose
+    d1, d2 and constant coefficients are
+
+        (q*n1 + G)*(q + n2) - (q*m1 - G)*(q + m2) - c*(q + m2 + n2),
+        -[(q*n1 + G)*n1 - (q*m1 - G)*m1 - c*(m1 + n1)],
+        -q*alpha*[(q*n1 + G)*n1 - (q*m1 - G)*m1 - c*(m1 + n1)]:
+
+    the paper's three defects at the canonical witness (linear coefficient
+    1, constant 0, alpha_m = alpha), the last two negated.
     """
     if m.is_zero() or n.is_zero():
         raise ValueError("indices must be nonzero")
-    w_m = canonical_witness(m, p)
-    w_n = canonical_witness(n, p)
-    w_mn = canonical_witness(m + n, p)
-    q = p.q
-    gamma_nm = n.dot(m.perp())       # (n | m-perp)
-    gamma_mn = m.dot(n.perp())       # (m | n-perp) = -gamma_nm
-    beta = _struct_const(m, n, q)
-    lam_ratio = w_mn.lambda_m / (w_m.lambda_m * w_n.lambda_m)
-
-    d1_defect = ((q + w_n.a_m * n.m2) * (q * n.m1 + w_m.a_m * gamma_nm)
-                 - (q + w_m.a_m * m.m2) * (q * m.m1 + w_n.a_m * gamma_mn)
-                 - lam_ratio * beta * (q + w_mn.a_m * (m.m2 + n.m2)))
-    d2_defect = (w_n.a_m * n.m1 * (q * n.m1 + w_m.a_m * gamma_nm)
-                 - w_m.a_m * m.m1 * (q * m.m1 + w_n.a_m * gamma_mn)
-                 - lam_ratio * beta * (m.m1 + n.m1) * w_mn.a_m)
-    const_defect = ((q * n.m1 + w_m.a_m * gamma_nm) * (q * n.m1 * w_n.alpha_m - w_n.b_m)
-                    - (q * m.m1 + w_n.a_m * gamma_mn) * (q * m.m1 * w_m.alpha_m - w_m.b_m)
-                    - lam_ratio * beta * (q * (m.m1 + n.m1) * w_mn.alpha_m - w_mn.b_m))
-    return (d1_defect, d2_defect, const_defect)
+    delta = commutator_defect(m, n, p)
+    lam = p.lam_pow(m + n)
+    return (delta.coefficient(1, 0) / lam, -delta.coefficient(0, 1) / lam,
+            -delta.coefficient(0, 0) / lam)

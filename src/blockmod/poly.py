@@ -112,13 +112,6 @@ class IndexPair(NamedTuple):
 
     __rmul__ = __mul__
 
-    def perp(self) -> "IndexPair":
-        """The rotated index (m2, -m1)."""
-        return IndexPair(self.m2, -self.m1)
-
-    def dot(self, other: "IndexPair") -> int:
-        return self.m1 * other.m1 + self.m2 * other.m2
-
     def is_zero(self) -> bool:
         return self.m1 == 0 and self.m2 == 0
 
@@ -508,8 +501,8 @@ class Poly2(_TermMap):
     def eval_at(self, x1, x2) -> Fraction:
         return self._eval(x1, x2)
 
-    def format(self, names: tuple[str, str] = ("d1", "d2")) -> str:
-        return self._format(names)
+    def format(self) -> str:
+        return self._format(("d1", "d2"))
 
 
 class Poly1(_TermMap):
@@ -551,8 +544,8 @@ class Poly1(_TermMap):
     def eval_at(self, x) -> Fraction:
         return self._eval(x, 0)
 
-    def format(self, name: str = "t") -> str:
-        return self._format((name, name))
+    def format(self) -> str:
+        return self._format(("t", "t"))
 
 
 D1 = Poly2({(1, 0): 1})

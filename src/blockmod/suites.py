@@ -337,8 +337,9 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
     Two-index replays run over a subsample of the box pairs plus, when
     q or 2q is integral, explicit pairs touching the exceptional
     indices (0,-q) and (0,-2q).  Single-index replays run over the
-    whole box.  Radius 0 would leave the separated-form replay no index
-    with m1 != 0, and a zero pair cap no pairs, so both are rejected.
+    whole box, exceptional indices included.  Radius 0 is the zero index
+    alone, which the coefficient replay skips, and a zero pair cap leaves
+    no pairs, so both are rejected.
     """
     if radius < 1:
         raise ValueError(f"replay radius must be at least 1, got {radius}")
@@ -367,10 +368,8 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
             failure and "m={}, defect={}".format(*failure),
             f"{count} indices, all defects zero"))
 
-        # m1 != 0 keeps the report's index counts and bytes
         count, failure = first_defect(
-            [m for m in singles if m.m1 != 0],
-            lambda m: identities.replay_separated_form(m, p))
+            singles, lambda m: identities.replay_separated_form(m, p))
         checks.append(verdict(
             f"separated form replay {tag}", "separated-form-replay", count,
             failure and "m={}, defect={}".format(*failure),

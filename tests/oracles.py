@@ -5,6 +5,9 @@
 * The cross form X_m of a Witt line.
 * The one-variable polynomial grammar over t, and the re-keying of a
   two-variable polynomial that uses one slot only, which it needs.
+* The three coefficient identities in the paper's witness notation
+  (lambda_m, alpha_m, a_m, b_m), which the coefficient replay of
+  :mod:`blockmod.identities` is checked against.
 * The per-index generator action on closure workspace rows, which the
   closure's Taylor-coefficient rows are checked against.
 * Rational elimination against a reduced monic echelon basis, which the
@@ -17,8 +20,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
+from blockmod import blockalg
 from blockmod.closure import SubspaceBasis, _IntEchelon, _monomials_upto, _rank
 from blockmod.omega import ParamSet, WittParams, generator_image
 from blockmod.poly import IndexPair, Monomial2, Poly1, Poly2, _PolyParser, grlex_key, shift_terms
@@ -52,6 +57,42 @@ def to_single_variable(f: Poly2, keep: int) -> Poly1:
 def parse_poly1(text: str) -> Poly1:
     """Parse an expression in the single variable t."""
     return to_single_variable(_PolyParser(text, {"t": (1, 0)}).parse(), keep=0)
+
+
+def witness_coefficient_defects(m: IndexPair, n: IndexPair,
+                                p: ParamSet) -> tuple[Fraction, Fraction, Fraction]:
+    """The d1, d2 and constant defects of the commutator identity, in the
+    paper's witness notation, divided by lambda^(m+n).
+
+    Each index k carries the witness (lambda_k, alpha_k, a_k, b_k) of the
+    canonical modules: lambda_k = lambda^k, alpha_k = alpha, a_k = 1 and
+    b_k = 0.  (x | y-perp) is the pairing of x with y rotated to
+    (y2, -y1).  c(m, n) is read from ``blockalg.structure_constant`` at
+    call time, so a patched constant reaches this formula too.
+    """
+    def witness(k: IndexPair):
+        return p.lam_pow(k), p.alpha, Fraction(1), Fraction(0)
+
+    lam_m, alpha_m, a_m, b_m = witness(m)
+    lam_n, alpha_n, a_n, b_n = witness(n)
+    lam_mn, alpha_mn, a_mn, b_mn = witness(m + n)
+    q = p.q
+    gamma_nm = n.m1 * m.m2 - n.m2 * m.m1        # (n | m-perp)
+    gamma_mn = m.m1 * n.m2 - m.m2 * n.m1        # (m | n-perp) = -gamma_nm
+    beta = Fraction(blockalg.structure_constant(m, n, q.numerator, q.denominator),
+                    q.denominator)
+    lam_ratio = lam_mn / (lam_m * lam_n)
+
+    d1_defect = ((q + a_n * n.m2) * (q * n.m1 + a_m * gamma_nm)
+                 - (q + a_m * m.m2) * (q * m.m1 + a_n * gamma_mn)
+                 - lam_ratio * beta * (q + a_mn * (m.m2 + n.m2)))
+    d2_defect = (a_n * n.m1 * (q * n.m1 + a_m * gamma_nm)
+                 - a_m * m.m1 * (q * m.m1 + a_n * gamma_mn)
+                 - lam_ratio * beta * (m.m1 + n.m1) * a_mn)
+    const_defect = ((q * n.m1 + a_m * gamma_nm) * (q * n.m1 * alpha_n - b_n)
+                    - (q * m.m1 + a_n * gamma_mn) * (q * m.m1 * alpha_m - b_m)
+                    - lam_ratio * beta * (q * (m.m1 + n.m1) * alpha_mn - b_mn))
+    return (d1_defect, d2_defect, const_defect)
 
 
 class BoxActTable:

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from blockmod import blockalg, suites
+from blockmod import blockalg, identities, suites
 from blockmod.blockalg import D2, AlgebraContext
+from blockmod.omega import ParamSet
+from blockmod.poly import IndexPair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -103,3 +105,27 @@ def test_jacobi_defect_reads_structure_constants_and_makes_no_bracket_call(monke
     [check] = suites.jacobi_suite([Fraction(5, 7)], radius=1)
     assert check.status == "pass" and check.witness == "1000 triples, all defects zero"
     assert len(calls) == 6 * 9 ** 3 + 2 * 3 * 9 ** 2
+
+
+def test_coefficient_replay_makes_no_commutator_replay_call(monkeypatch):
+    # the four replay_* functions share the layer identities.replay: the
+    # coefficient replay builds its one commutator defect through
+    # omega.commutator_defect, never through replay_commutator, so the
+    # layer's calls count each coefficient case once
+    built = []
+    delta = identities.commutator_defect
+
+    def counted(*args, **kwargs):
+        built.append(args[:2])
+        return delta(*args, **kwargs)
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("the coefficient replay called replay_commutator")
+
+    monkeypatch.setattr(identities, "commutator_defect", counted)
+    monkeypatch.setattr(identities, "replay_commutator", no_replay)
+    p = ParamSet(Fraction(5, 7), 2, 3, Fraction(1, 2))
+    pairs = [(IndexPair(2, -1), IndexPair(-1, 3)), (IndexPair(0, 1), IndexPair(1, 0))]
+    for m, n in pairs:
+        assert identities.replay_coefficient_identities(m, n, p) == (0, 0, 0)
+    assert built == pairs

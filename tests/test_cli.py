@@ -442,14 +442,14 @@ def test_axioms_report_bytes(argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-REPLAY_SHA256 = "3fed435dda9013ca54fc2434bd4e0af1a020e2d407df62b598e3ecb8f86d8ec0"
-REPLAY_SEPARATED_SHA256 = "e41986e9496ee7e9939494de1495dd139723bffe2ee3df88174f335b357b6dea"
+REPLAY_SHA256 = "5a2ef144b7ca24230a0f5a54bef53a0578276e7a3095a211471fbc6e3793b352"
+REPLAY_SEPARATED_SHA256 = "591be951183f71fd3d1c6c97160f5ebb38b1a44de6828b673d155b23fda49aba"
 
 
 @pytest.mark.parametrize("argv, digest", [
     (["replay", "--q", "5/7", "--alpha", "1/3", "--lambda", "2,3", "--radius", "6",
       "--pairs", "500"], REPLAY_SHA256),
-    # integral q: its exceptional indices (0,2) and (0,4) have m1 = 0 and stay out of the count
+    # integral q: its exceptional indices (0,2) and (0,4) join the 17^2 box indices (291)
     (["replay", "--eq", "separated-form", "--q", "-2", "--alpha", "3/2", "--lambda", "1/2,3",
       "--radius", "8"], REPLAY_SEPARATED_SHA256),
 ])
@@ -640,8 +640,8 @@ def test_global_flags_before_subcommand():
     assert "-3*L(1,1)" in out
 
 
-QUICK_REPORT_SHA256 = "f4bb9a30dada0a2102c9f9f53ba1d6806066de241b05d12678bdb04b249f1ab3"
-FULL_REPORT_SHA256 = "fc4650754302c7146b6b368f6716cce75fc534ba95aeef12abdac2949fea0a8d"
+QUICK_REPORT_SHA256 = "bce251f7cf31456561b678acd0c4191a2bf5249534bd31ad682c452a3d33dc7c"
+FULL_REPORT_SHA256 = "0a0daeaa225255210a74abc9c25e62df4e58f059d21241a624669757607ceff9"
 
 
 def test_quick_report():

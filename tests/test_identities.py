@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from blockmod import poly
-from blockmod.identities import (ClassificationWitness, canonical_witness,
-                                 difference_check, difference_solve,
+from blockmod import blockalg, poly
+from blockmod.identities import (difference_check, difference_solve,
                                  paired_product, replay_coefficient_identities,
                                  replay_commutator, replay_pair_difference,
                                  replay_separated_form)
 from blockmod.omega import ParamSet, action_on_one_alt
 from blockmod.poly import IndexPair, Poly1, Poly2
 from blockmod.prng import SplitMix64
+from blockmod.suites import acceptance_param_sets
+from oracles import witness_coefficient_defects
 
 X = Poly2({(1, 0): 1})
 Y = Poly2({(0, 1): 1})
@@ -161,13 +162,28 @@ def test_replay_coefficient_identities():
         replay_coefficient_identities(IndexPair(0, 0), IndexPair(1, 1), p)
 
 
-def test_canonical_witness():
-    p = ParamSet(2, 3, Fraction(1, 2), Fraction(-1, 3))
-    w = canonical_witness(IndexPair(2, -1), p)
-    assert w.lambda_m == 9 * 2 and w.alpha_m == p.alpha
-    assert w.a_m == 1 and w.b_m == 0
-    with pytest.raises(ValueError):
-        ClassificationWitness(IndexPair(0, 0), 0, 0, 1, 0)
-    # lambda is geometric along lines
-    base = canonical_witness(IndexPair(1, 2), p)
-    assert canonical_witness(IndexPair(3, 6), p).lambda_m == base.lambda_m ** 3
+TRUE_CONSTANT = blockalg.structure_constant
+
+
+def _off_by_one(m, n, a, b):
+    # c(m, n) off by one on the single ordered pair m=(1,0), n=(0,1), as in
+    # test_suites.py::test_wrong_structure_constant_is_caught
+    return TRUE_CONSTANT(m, n, a, b) + b * ((m, n) == (IndexPair(1, 0), IndexPair(0, 1)))
+
+
+@pytest.mark.parametrize("constant", [TRUE_CONSTANT, _off_by_one], ids=["true", "off-by-one"])
+def test_coefficient_replay_matches_the_witness_oracle(monkeypatch, constant):
+    # value by value on every nonzero pair of the radius-3 box, against the
+    # paper's witness-notation formula
+    monkeypatch.setattr(blockalg, "structure_constant", constant)
+    param_sets = acceptance_param_sets(7) + [ParamSet(-2, Fraction(2, 3), -3, Fraction(1, 2))]
+    box = [m for m in grid(3) if not m.is_zero()]
+    nonzero = 0
+    for p in param_sets:
+        for m in box:
+            for n in box:
+                replay = replay_coefficient_identities(m, n, p)
+                assert replay == witness_coefficient_defects(m, n, p), (m, n, p.describe())
+                assert all(type(d) is Fraction for d in replay)
+                nonzero += any(replay)
+    assert (nonzero > 0) == (constant is _off_by_one)

@@ -51,6 +51,8 @@ def test_param_set_validation():
         ParamSet(1, 1, 0, 0)
     p = ParamSet(2, 1, 1, 1)
     assert p.vanishing_point() == (0, -2)
+    # lambda^m with a negative exponent: 3^2 * (1/2)^-1
+    assert ParamSet(2, 3, Fraction(1, 2), 0).lam_pow(IndexPair(2, -1)) == 18
     # one algebra context per parameter set; the four fields, in this order,
     # are all that equality, hashing and the repr read, and the context is none of them
     assert p.context() is p.context() and p.context() == AlgebraContext(2)

@@ -500,7 +500,7 @@ def test_poly1_is_a_one_variable_view():
     for _ in range(10):
         f1 = Poly1([(rng.int_between(0, 5), rng.fraction(nonzero=True)) for _ in range(4)])
         f2 = from_single_variable(f1, 0)
-        assert f1.format("t") == f2.format(("t", "d2"))
+        assert str(f2) == str(f1).replace("t", "d1")
         assert f1.eval_at(Fraction(2, 3)) == f2.eval_at(Fraction(2, 3), 5)
         assert f1.degree() == f2.total_degree()
         assert hash(f1) == hash(Poly1(f1.terms()))
@@ -567,8 +567,6 @@ def test_difference_makes_no_intermediate_sum(monkeypatch):
 
 def test_index_pair_helpers():
     m = IndexPair(2, 3)
-    assert m.perp() == IndexPair(3, -2)
-    assert m.dot(IndexPair(-1, 4)) == 10
     assert 2 * m == IndexPair(4, 6)
     assert -m == IndexPair(-2, -3)
     assert m + IndexPair(1, 1) - IndexPair(1, 1) == m
@@ -583,10 +581,10 @@ def test_index_pair_key_contract():
     assert hash(m) == hash((2, -3))
     assert m == (2, -3) and IndexPair(1, 2) == (1, 2)
     assert tuple(m) == (2, -3) and (m.m1, m.m2) == (2, -3)
-    for value in (m + m, m - m, -m, m * 3, 3 * m, m.perp()):
+    for value in (m + m, m - m, -m, m * 3, 3 * m):
         assert type(value) is IndexPair
     assert (m + IndexPair(1, 1), m - IndexPair(1, 1)) == ((3, -2), (1, -4))
-    assert (3 * m, m * -1, m.perp(), m.dot(m)) == ((6, -9), (-2, 3), (-3, -2), 13)
+    assert (3 * m, m * -1) == ((6, -9), (-2, 3))
     with pytest.raises(AttributeError):
         m.m1 = 5
     with pytest.raises(AttributeError):

@@ -184,14 +184,15 @@ def test_replay_failure_witnesses(monkeypatch):
         "replay_commutator": _defect_at(3, poly.D1 * poly.D2, Poly2()),
         "replay_pair_difference": _defect_at(2, Poly2.const(-4), Poly2()),
         "replay_separated_form": _defect_at(
-            4, Poly2({(1, 1): 2, (1, 0): Fraction(-1, 3)}), Poly2()),
+            7, Poly2({(1, 1): 2, (1, 0): Fraction(-1, 3)}), Poly2()),
         "replay_coefficient_identities": _defect_at(
             3, (Fraction(0), Fraction(1, 2), Fraction(0)), (0, 0, 0)),
     }
     for name, fake in fakes.items():
         monkeypatch.setattr(identities, name, fake)
     checks = suites.replay_suite([p], rng_seed=3, radius=1, pair_cap=6)
-    assert [len(fake.calls) for fake in fakes.values()] == [3, 2, 4, 3]
+    # the separated form scans the whole box, m1 = 0 included: (1,-1) is index 7
+    assert [len(fake.calls) for fake in fakes.values()] == [3, 2, 7, 3]
     tag = "#1 (q=5/7, lambda=(1,1), alpha=1/2)"
     assert checks == [
         suites.Check(f"commutator replay {tag}", "commutator-replay", "fail",
@@ -220,6 +221,25 @@ def test_variant_image_fails_the_separated_form_replay(monkeypatch):
     assert ", defect=" in check.witness
 
 
+def test_faulty_generator_image_fails_the_coefficient_replay(monkeypatch):
+    # the coefficient replay reads the images the module uses: a constant
+    # term added to every g_m breaks the commutator identity's constant part
+    p = ParamSet(Fraction(5, 7), 2, 3, Fraction(1, 3))
+    image = omega.generator_image
+
+    def coefficient_check():
+        checks = suites.replay_suite([p], rng_seed=1, radius=2, pair_cap=40)
+        return next(c for c in checks if c.anchor == "coefficient-replay")
+
+    assert coefficient_check().status == "pass"
+    monkeypatch.setattr(omega, "generator_image",
+                        lambda m, params, variant=False: image(m, params, variant) + 1)
+    check = coefficient_check()
+    assert check.status == "fail", check
+    assert check.witness.startswith("m=(") and ", n=(" in check.witness
+    assert ", defects=(" in check.witness
+
+
 def test_wrong_structure_constant_is_caught(monkeypatch):
     # c(m, n) off by one on the single ordered pair m=(1,0), n=(0,1)
     p = ParamSet(Fraction(5, 7), Fraction(2, 3), -3, Fraction(1, 2))
@@ -228,17 +248,18 @@ def test_wrong_structure_constant_is_caught(monkeypatch):
 
     def statuses():
         replay = suites.replay_suite([p], rng_seed=1, radius=1, pair_cap=81)
+        replay_statuses = {c.anchor: c.status for c in replay}
         return ([c.status for c in suites.jacobi_suite([p.q], radius=1)],
                 [c.status for c in suites.module_axiom_suite([p], polys, radius=1)],
-                {c.anchor: c.status for c in replay}["commutator-replay"])
+                replay_statuses["commutator-replay"], replay_statuses["coefficient-replay"])
 
-    assert statuses() == (["pass"], ["pass"], "pass")
+    assert statuses() == (["pass"], ["pass"], "pass", "pass")
 
     def off_by_one(m, n, a, b):
         return true_constant(m, n, a, b) + b * ((m, n) == (IndexPair(1, 0), IndexPair(0, 1)))
 
     monkeypatch.setattr(blockalg, "structure_constant", off_by_one)
-    assert statuses() == (["fail"], ["fail"], "fail")
+    assert statuses() == (["fail"], ["fail"], "fail", "fail")
 
 
 def _materialized_pair_sample(rng, radius, cap):
