@@ -5,7 +5,8 @@ Every invocation prints one JSON report to standard output (fields in a
 fixed order: command, config, checks, overall) and exits 0 when every
 check passed, 1 when any check failed or checked no case, 2 on usage or
 expression syntax errors.  Reports are byte-deterministic functions of
-the arguments and the configuration, including the rng seed.
+the arguments and the configuration, including the rng seed; the config
+ends with axioms' and replay's own scales (_ECHOED_OPTIONS).
 
 Rational parameters are written as ``a`` or ``a/b`` (for example
 ``--q 5/7``).  A config file of ``key=value`` lines may supply defaults
@@ -131,10 +132,15 @@ class RunConfig(namedtuple("RunConfig", "params degree_bound box_radius rng_seed
         return self
 
 
+# subcommand scales a report's config echoes after the shared ones; dest = JSON key
+_ECHOED_OPTIONS = ("axiom_radius", "replay_radius", "pair_cap")
+
+
 class Report(NamedTuple):
     command: str
     config: RunConfig
     checks: tuple[Check, ...]
+    options: tuple[tuple[str, int], ...] = ()     # (key, value) of the echoed options
 
     @property
     def overall(self) -> str:
@@ -147,7 +153,8 @@ def report_to_json(report: Report) -> str:
     payload = {
         "command": report.command,
         # the JSON config is flat: the parameters as rational strings, then the scales
-        "config": {**{name: str(getattr(params, name)) for name in params._fields}, **config},
+        "config": {**{name: str(getattr(params, name)) for name in params._fields}, **config,
+                   **dict(report.options)},
         "checks": [check._asdict() for check in report.checks],
         "overall": report.overall,
     }
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("axioms", parents=[common],
                               help="Jacobi and module-axiom sweeps")
-    sub.add_argument("--radius", type=_integer_argument, default=2,
+    sub.add_argument("--radius", dest="axiom_radius", type=_integer_argument, default=2,
                      help=f"generator box radius (at most {MAX_AXIOM_RADIUS})")
     sub.add_argument("--use-variant-action", action="store_true",
                      help="diagnostic: run the module-axiom sweep with the rejected "
@@ -358,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("replay", parents=[common],
                               help="identity replay suite")
     sub.add_argument("--eq", default="all", choices=_REPLAY_ANCHORS)
-    sub.add_argument("--radius", type=_integer_argument, default=3,
+    sub.add_argument("--radius", dest="replay_radius", type=_integer_argument, default=3,
                      help=f"index box radius (at most {MAX_REPLAY_RADIUS})")
-    sub.add_argument("--pairs", type=_integer_argument, default=200,
+    sub.add_argument("--pairs", dest="pair_cap", type=_integer_argument, default=200,
                      help=f"pair subsample cap (at most {MAX_REPLAY_PAIRS})")
 
     sub = commands.add_parser("report", parents=[common],
@@ -394,11 +401,11 @@ def _cmd_act(args, config: RunConfig) -> list[Check]:
 
 
 def _cmd_axioms(args, config: RunConfig) -> list[Check]:
-    _check_ceiling("axioms radius {}", args.radius, MAX_AXIOM_RADIUS)
-    checks = suites.jacobi_suite([config.params.q], radius=args.radius)
+    _check_ceiling("axioms radius {}", args.axiom_radius, MAX_AXIOM_RADIUS)
+    checks = suites.jacobi_suite([config.params.q], radius=args.axiom_radius)
     polys = suites.sample_axiom_polys(config.rng_seed, count=config.sweep_count)
     if args.use_variant_action:
-        count, failure = suites.axiom_grid_scan(config.params, polys, args.radius,
+        count, failure = suites.axiom_grid_scan(config.params, polys, args.axiom_radius,
                                                 omega.action_on_one_alt)
         checks.append(suites.verdict(
             "module axioms (variant action)", "module-action-compatibility", count,
@@ -406,7 +413,7 @@ def _cmd_axioms(args, config: RunConfig) -> list[Check]:
                 suites.VARIANT_IMAGE_TEXT, *failure[0][:2]),
             f"variant image {suites.VARIANT_IMAGE_TEXT}: {count} cases clean"))
     else:
-        checks += suites.module_axiom_suite([config.params], polys, radius=args.radius)
+        checks += suites.module_axiom_suite([config.params], polys, radius=args.axiom_radius)
     return checks
 
 
@@ -458,25 +465,18 @@ _REPLAY_ANCHORS = {
 
 
 def _cmd_replay(args, config: RunConfig) -> list[Check]:
-    _check_ceiling("replay radius {}", args.radius, MAX_REPLAY_RADIUS)
-    _check_ceiling("pair cap {}", args.pairs, MAX_REPLAY_PAIRS)
+    _check_ceiling("replay radius {}", args.replay_radius, MAX_REPLAY_RADIUS)
+    _check_ceiling("pair cap {}", args.pair_cap, MAX_REPLAY_PAIRS)
     selected: list[Check] = []
     if wanted := _REPLAY_ANCHORS[args.eq]:
         checks = suites.replay_suite([config.params], config.rng_seed,
-                                     radius=args.radius, pair_cap=args.pairs)
+                                     radius=args.replay_radius, pair_cap=args.pair_cap)
         selected += [c for c in checks if c.anchor in wanted]
+    # at alpha=1 the control is undefined: "all" leaves it out, and asking
+    # for it alone gives its error check
     if args.eq == "control" or (args.eq == "all" and config.params.alpha != 1):
-        # at alpha=1 the variant is a d2-translate of the adopted action and
-        # the control is undefined; "all" skips it, asking for it is an error
-        if config.params.alpha == 1:
-            selected.append(Check(
-                "commutator replay rejects the variant image", "action-variant-control",
-                "error",
-                "control undefined at alpha=1: the variant there is a d2-translate "
-                "of the adopted action and satisfies the identities"))
-        else:
-            selected.append(suites.commutator_variant_control(config.params,
-                                                              radius=args.radius))
+        selected.append(suites.commutator_variant_control(config.params,
+                                                          radius=args.replay_radius))
     return selected
 
 
@@ -499,7 +499,8 @@ _COMMANDS = {
 def run(command: str, args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     """Dispatch a parsed command; returns the report and the exit code."""
     checks = _COMMANDS[command](args, config)
-    report = Report(command=command, config=config, checks=tuple(checks))
+    options = tuple((key, getattr(args, key)) for key in _ECHOED_OPTIONS if key in args)
+    report = Report(command=command, config=config, checks=tuple(checks), options=options)
     return report, 0 if report.overall == "pass" else 1
 
 

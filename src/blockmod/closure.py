@@ -75,10 +75,10 @@ row acted on had vectors spanning all its images over the box inserted
 once, and they lie in the final span.  The terminating pass, which
 added nothing, acted with the last rows added, so no row is left out.
 
-The intersection step is free: under a degree-graded monomial order an
-echelonized spanning set splits by leading-monomial degree, so the
-degree-<=D part of the span is exactly the span of the rows whose pivot
-has degree <= D.
+The intersection step is free: under the degree-graded order of the
+workspace columns (:func:`poly.monomial_rank`) an echelonized spanning
+set splits by leading-monomial degree, so the degree-<=D part of the
+span is exactly the span of the rows whose pivot has degree <= D.
 
 The echelon is kept reduced over the integers: each stored row is
 primitive (its entries have gcd 1), positive at its pivot (its highest
@@ -154,7 +154,8 @@ from operator import lshift, mul
 from typing import NamedTuple
 
 from .omega import ParamSet, generator_image, in_proper_submodule
-from .poly import IndexPair, Monomial2, Poly2, _binomial_row, printable
+from .poly import (IndexPair, Monomial2, Poly2, _binomial_row, monomial_rank, monomials_upto,
+                   printable)
 
 
 class ClosureTag(Enum):
@@ -206,7 +207,7 @@ def span_insert(basis: SubspaceBasis, v: Poly2) -> SubspaceBasis:
         if f.total_degree() > basis.degree_cap:
             raise ValueError(
                 f"vector of degree {f.total_degree()} exceeds the cap {basis.degree_cap}")
-    workspace = _monomials_upto(basis.degree_cap)
+    workspace = monomials_upto(basis.degree_cap)
     echelon = _IntEchelon(len(workspace))
     for f in basis.vectors:
         echelon.insert(_poly_to_int_row(f, echelon.dim))
@@ -216,21 +217,6 @@ def span_insert(basis: SubspaceBasis, v: Poly2) -> SubspaceBasis:
 
 
 # --- integer workspace engine -------------------------------------------------
-
-def _monomials_upto(degree: int) -> list[Monomial2]:
-    """All monomials of total degree <= degree, rank (ascending graded-lex) order."""
-    out = []
-    for d in range(degree + 1):
-        for e1 in range(d + 1):
-            out.append((e1, d - e1))
-    return out
-
-
-def _rank(mono: Monomial2) -> int:
-    e1, e2 = mono
-    d = e1 + e2
-    return d * (d + 1) // 2 + e1
-
 
 def _primitive(row: list[int], pivot: int) -> list[int]:
     """row divided by the gcd of its entries and signed positive at pivot."""
@@ -343,7 +329,7 @@ class _ActTable:
     """
 
     def __init__(self, D: int, p: ParamSet):
-        self.workspace = _monomials_upto(D + 1)
+        self.workspace = monomials_upto(D + 1)
         self.dim = len(self.workspace)
         s = p.q.denominator * p.alpha.denominator
         unit = ParamSet(p.q, 1, 1, p.alpha)
@@ -377,7 +363,7 @@ class _ActTable:
                     row = coefficients[gamma] = [0] * self.dim
                 for i, j, c in terms:
                     for (g1, g2), gc in part:
-                        row[_rank((i + g1, j + g2))] += c * gc
+                        row[monomial_rank((i + g1, j + g2))] += c * gc
         return [(gamma, row) for gamma, row in coefficients.items() if any(row)]
 
 
@@ -426,7 +412,7 @@ def _poly_to_int_row(f: Poly2, dim: int) -> list[int]:
     """The integer numerators of f, as a row over the workspace ranks."""
     row = [0] * dim
     for mono, n in f._nums.items():
-        row[_rank(mono)] = n
+        row[monomial_rank(mono)] = n
     return row
 
 

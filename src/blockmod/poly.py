@@ -52,10 +52,11 @@ as it reaches 1.
   is one integer sum over one denominator, made a Fraction once.
 
 Monomials are ordered graded-lexicographically with d1 > d2 (total
-degree first, then the d1 exponent); printing, leading terms and pivot
-selection all use this single order, which makes printed forms and
-echelon bases canonical.  Values are immutable: every operation returns
-a fresh value (scaling by 1 and adding zero return the value itself).
+degree first, then the d1 exponent), by :func:`monomial_rank`; printing,
+leading terms and the closure echelon's columns all use this single
+order, which makes printed forms and echelon bases canonical.  Values are
+immutable: every operation returns a fresh value (scaling by 1 and adding
+zero return the value itself).
 
 The polynomial expression grammar used by the command line lives here as
 well: rational literals (the one literal rule of :mod:`blockmod.exactnum`),
@@ -81,10 +82,16 @@ from .exactnum import ParseError, _Parser, excerpt
 Monomial2 = tuple[int, int]
 
 
-def grlex_key(mono: Monomial2) -> tuple[int, int]:
-    """Sort key realizing graded-lex order with d1 > d2."""
+def monomial_rank(mono: Monomial2) -> int:
+    """0-based graded-lex position: the d(d+1)/2 monomials of degree below d = e1 + e2 lead."""
     e1, e2 = mono
-    return (e1 + e2, e1)
+    d = e1 + e2
+    return d * (d + 1) // 2 + e1
+
+
+def monomials_upto(degree: int) -> list[Monomial2]:
+    """All monomials of total degree <= degree, in ascending :func:`monomial_rank`."""
+    return [(e1, d - e1) for d in range(degree + 1) for e1 in range(d + 1)]
 
 
 class IndexPair(NamedTuple):
@@ -431,7 +438,7 @@ class _TermMap:
         return result
 
     def _sorted_terms(self) -> list[tuple[Monomial2, Fraction]]:
-        return sorted(self._fraction_items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return sorted(self._fraction_items(), key=lambda kv: monomial_rank(kv[0]), reverse=True)
 
     def _eval(self, x1, x2) -> Fraction:
         """The value at rationals x1 and x2, summed in ints (see the module docstring)."""
@@ -496,7 +503,7 @@ class Poly2(_TermMap):
     def leading_monomial(self) -> Monomial2 | None:
         if not self._nums:
             return None
-        return max(self._nums, key=grlex_key)
+        return max(self._nums, key=monomial_rank)
 
     def eval_at(self, x1, x2) -> Fraction:
         return self._eval(x1, x2)

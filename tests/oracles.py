@@ -24,9 +24,10 @@ from fractions import Fraction
 from math import gcd
 
 from blockmod import blockalg
-from blockmod.closure import SubspaceBasis, _IntEchelon, _monomials_upto, _rank
+from blockmod.closure import SubspaceBasis, _IntEchelon
 from blockmod.omega import ParamSet, WittParams, generator_image
-from blockmod.poly import IndexPair, Monomial2, Poly1, Poly2, _PolyParser, grlex_key, shift_terms
+from blockmod.poly import (IndexPair, Monomial2, Poly1, Poly2, _PolyParser, monomial_rank,
+                           monomials_upto, shift_terms)
 
 T = Poly1({1: 1})
 
@@ -107,7 +108,7 @@ class BoxActTable:
 
     def __init__(self, D: int, p: ParamSet):
         self.unit = ParamSet(p.q, 1, 1, p.alpha)
-        self.workspace = _monomials_upto(D + 1)
+        self.workspace = monomials_upto(D + 1)
         self.dim = len(self.workspace)
         self._columns: dict[tuple[IndexPair, Monomial2], list[tuple[int, int]]] = {}
 
@@ -120,7 +121,7 @@ class BoxActTable:
             g = generator_image(m, self.unit)._nums.items()
             for (i, j), c in shift_terms({mono: 1}, m.m1, m.m2)[0].items():
                 for (g1, g2), gc in g:
-                    r = _rank((i + g1, j + g2))
+                    r = monomial_rank((i + g1, j + g2))
                     accum[r] = accum.get(r, 0) + c * gc
             column = [(r, c) for r, c in sorted(accum.items()) if c]
             self._columns[key] = column
@@ -166,7 +167,7 @@ def rational_span_insert(basis: SubspaceBasis, v: Poly2) -> SubspaceBasis:
         c = vector.coefficient(*pivot)
         updated.append(vector - c * monic if c else vector)
     updated.append(monic)
-    updated.sort(key=lambda w: grlex_key(w.leading_monomial()), reverse=True)
+    updated.sort(key=lambda w: monomial_rank(w.leading_monomial()), reverse=True)
     return SubspaceBasis(tuple(updated), basis.degree_cap)
 
 

@@ -251,6 +251,9 @@ def test_argument_type_errors_keep_their_message(argv, message):
     (["replay", "--radius", "-1"], "replay radius must be at least 1, got -1"),
     (["replay", "--pairs", "0"], "pair cap must be at least 1, got 0"),
     (["witt", "--i-min", "5", "--i-max", "-5"], "empty Witt index range [5,-5]"),
+    (["replay", "--eq", "control", "--alpha", "1/2", "--radius", "0"],
+     "control radius must be at least 1, got 0"),
+    (["replay", "--alpha", "1/2", "--radius", "0"], "replay radius must be at least 1, got 0"),
 ])
 def test_empty_grids_are_usage_errors(argv, message):
     code, out, err = run_cli(argv)
@@ -426,14 +429,14 @@ def test_failing_check_exits_1():
     assert statuses["jacobi q=1"] == "pass"
 
 
-AXIOMS_SHA256 = "cef5a1e1ad56fde3ed9f4b516fb085d0784c3a53f21fe7c703508ffe02a4cbbc"
-AXIOMS_VARIANT_SHA256 = "768639dd4bac04b78987871d79610ea2514f8ad16270a28d8283b7e66f05cdb7"
+AXIOMS_SHA256 = "6c8a8fe71d3bd78265862de5a21b6872b196a80d0c3979ef4928767d16503798"
+AXIOMS_VARIANT_SHA256 = "ce240c781372ef62e294517bc42daff44f5c575fd457a4011762f9d2302ff093"
 
 
 @pytest.mark.parametrize("argv, exit_code, digest", [
     (["axioms"], 0, AXIOMS_SHA256),
     (["axioms", "--use-variant-action"], 1, AXIOMS_VARIANT_SHA256),
-])
+], ids=["default", "variant"])     # ids that stay put when a pin changes
 def test_axioms_report_bytes(argv, exit_code, digest):
     # the default sweeps; the variant's failure witness names the first
     # failing generator pair, so any byte change to it shows here
@@ -442,8 +445,8 @@ def test_axioms_report_bytes(argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-REPLAY_SHA256 = "5a2ef144b7ca24230a0f5a54bef53a0578276e7a3095a211471fbc6e3793b352"
-REPLAY_SEPARATED_SHA256 = "591be951183f71fd3d1c6c97160f5ebb38b1a44de6828b673d155b23fda49aba"
+REPLAY_SHA256 = "e8a2dda0254214151184502ccc76d27dae040e1299aa0c92372f082721c6f91d"
+REPLAY_SEPARATED_SHA256 = "26098a1497ce0c03f5e3dc2657ae228ff1a0b1d865f5185e7ff5aece354ab3cc"
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -452,12 +455,45 @@ REPLAY_SEPARATED_SHA256 = "591be951183f71fd3d1c6c97160f5ebb38b1a44de6828b673d155
     # integral q: its exceptional indices (0,2) and (0,4) join the 17^2 box indices (291)
     (["replay", "--eq", "separated-form", "--q", "-2", "--alpha", "3/2", "--lambda", "1/2,3",
       "--radius", "8"], REPLAY_SEPARATED_SHA256),
-])
+], ids=["all", "separated-form"])
 def test_replay_report_bytes(argv, digest):
     # replay bytes at scales the full report does not reach
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CONTROL_ALPHA_1_SHA256 = "dce9505b0e35ae4ac734138ac77191955d426cd0d4241217686f7ae085b674f5"
+WITT_SHA256 = "0ea29b655606634245351b5aaa4b7da1f80a4ff6c370006c49585b183b363d6a"
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    # the control is undefined at alpha=1: one error check, and exit 1
+    (["replay", "--eq", "control", "--alpha", "1"], 1, CONTROL_ALPHA_1_SHA256),
+    (["witt"], 0, WITT_SHA256),
+], ids=["control-alpha-1", "witt"])
+def test_control_and_witt_report_bytes(argv, exit_code, digest):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reports_echo_their_own_scales():
+    # each command's scale options follow the shared config, under keys of their own
+    def config_of(argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        return json.loads(out)["config"]
+
+    shared = ["q", "lambda1", "lambda2", "alpha", "degree_bound", "box_radius", "rng_seed",
+              "sweep_count"]
+    config = config_of(["replay", "--eq", "commutator", "--radius", "2", "--pairs", "7"])
+    assert list(config) == shared + ["replay_radius", "pair_cap"]
+    assert (config["replay_radius"], config["pair_cap"], config["box_radius"]) == (2, 7, 5)
+    config = config_of(["axioms", "--radius", "1", "--sweeps", "1"])
+    assert list(config) == shared + ["axiom_radius"]
+    assert config["axiom_radius"] == 1
+    assert list(config_of(["witt"])) == shared
 
 
 def test_axioms_command_passes():

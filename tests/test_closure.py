@@ -10,7 +10,7 @@ from blockmod.blockalg import AlgebraElement
 from blockmod.closure import (ClosureTag, SubspaceBasis, classify_span, closure,
                               filtration_dimension, span_insert)
 from blockmod.omega import ParamSet, act, generator_image
-from blockmod.poly import IndexPair, Poly2, grlex_key
+from blockmod.poly import IndexPair, Poly2, monomial_rank, monomials_upto
 from blockmod.prng import SplitMix64
 from blockmod.suites import sample_poly2
 
@@ -43,10 +43,10 @@ def _rref(rows):
                         del row[mono]
         if not row:
             continue
-        pivot = max(row, key=grlex_key)
+        pivot = max(row, key=monomial_rank)
         inv = 1 / row[pivot]
         basis.append((pivot, {mono: c * inv for mono, c in row.items()}))
-    basis.sort(key=lambda pv: grlex_key(pv[0]), reverse=True)
+    basis.sort(key=lambda pv: monomial_rank(pv[0]), reverse=True)
     return basis
 
 
@@ -124,7 +124,7 @@ def test_span_insert_invariants_randomized():
                   rng.fraction(nonzero=True)) for _ in range(3)]
         basis = span_insert(basis, Poly2(terms))
     pivots = leading_monomials(basis)
-    assert pivots == sorted(pivots, key=grlex_key, reverse=True)
+    assert pivots == sorted(pivots, key=monomial_rank, reverse=True)
     for i, v in enumerate(basis.vectors):
         assert v.coefficient(*pivots[i]) == 1
         for j, other in enumerate(basis.vectors):
@@ -201,7 +201,7 @@ def test_span_insert_accepts_a_basis_that_is_not_reduced():
 
 def rational_low_basis(oracle, D):
     """The rational oracle's reduced basis of the oracle rows of degree <= D."""
-    workspace = engine._monomials_upto(D + 1)
+    workspace = monomials_upto(D + 1)
     return rational_basis((Poly2({workspace[r]: c for r, c in enumerate(row) if c})
                            for pivot, row in sorted(oracle.rows)
                            if pivot < filtration_dimension(D)), D)

@@ -78,6 +78,30 @@ def test_difference_round_trip_randomized():
         assert not difference_check(spoiled, a, b, c)
 
 
+def y_part(F, k):
+    """The coefficient of Y^k in F, as a polynomial in X."""
+    return Poly2({(e1, 0): coeff for (e1, e2), coeff in F.terms().items() if e2 == k})
+
+
+def test_difference_solutions_have_the_forced_shape():
+    # difference_check's docstring proves that every solution has Y-degree
+    # <= 2, Y^2 coefficient b/(2c) and Y coefficient (a/c)*X + b/2; any
+    # Y-free part is free, so a random one is added to the solver's F
+    rng = SplitMix64(52)
+    for _ in range(60):
+        f_x = Poly1([(rng.int_between(0, 5), rng.fraction(nonzero=True))
+                     for _ in range(rng.int_between(1, 4))])
+        a, b = rng.fraction(), rng.fraction()
+        c = rng.fraction(nonzero=True)
+        for F in (difference_solve(f_x, a, b, c),
+                  difference_solve(f_x, a, b, c) + Poly2({(rng.int_between(0, 3), 0):
+                                                          rng.fraction(nonzero=True)})):
+            assert difference_check(F, a, b, c)
+            assert max((e2 for _, e2 in F.terms()), default=0) <= 2
+            assert y_part(F, 2) == Poly2.const(b / (2 * c))
+            assert y_part(F, 1) == (a / c) * X + Poly2.const(b / 2)
+
+
 # --- replays ---------------------------------------------------------------------
 
 def test_replay_commutator_examples():

@@ -57,11 +57,45 @@ def test_iso_parameter_grid():
 
 
 def test_variant_controls_reject_degenerate_alpha():
+    # at alpha=1 the variant is a d2-translate of the adopted action: the
+    # axiom control raises, the commutator control is an error check
     polys = [sample_poly2(SplitMix64(3), 2)]
     with pytest.raises(ValueError, match="alpha"):
         suites.variant_control_suite(ParamSet(1, 1, 1, 1), polys, radius=1)
-    with pytest.raises(ValueError, match="alpha"):
-        suites.commutator_variant_control(ParamSet(1, 1, 1, 1))
+    assert suites.commutator_variant_control(ParamSet(1, 1, 1, 1)) == suites.Check(
+        "commutator replay rejects the variant image", "action-variant-control", "error",
+        "control undefined at alpha=1: the variant there is a d2-translate of the adopted "
+        "action and satisfies the identities")
+
+
+@pytest.mark.parametrize("q", suites.ACCEPTANCE_Q_VALUES)
+@pytest.mark.parametrize("lam", [(1, 1), (Fraction(2, 3), -3)])
+def test_variant_controls_pass_at_alpha_zero(q, lam):
+    # the controls are undefined only at alpha=1: at alpha=0 the variant
+    # fails both the axiom grid and the commutator identity
+    p = ParamSet(q, *lam, 0)
+    polys = [sample_poly2(SplitMix64(3), 2)]
+    checks = suites.variant_control_suite(p, polys, radius=1)
+    assert [c.status for c in checks] == ["pass", "pass"]
+    assert suites.commutator_variant_control(p, radius=1).status == "pass"
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1)])
+def test_variant_controls_reject_radius_zero(alpha):
+    # the radius-0 grid holds only L(0,0), where Delta(0,0) = 0 for every image
+    p = ParamSet(1, 1, 1, alpha)
+    polys = [sample_poly2(SplitMix64(3), 2)]
+    with pytest.raises(ValueError, match="control radius must be at least 1, got 0"):
+        suites.variant_control_suite(p, polys, radius=0)
+    with pytest.raises(ValueError, match="control radius must be at least 1, got 0"):
+        suites.commutator_variant_control(p, radius=0)
+
+
+def test_witt_suite_rejects_m1_zero():
+    # a line with m1 = 0 is an invalid grid, not a failed check
+    lines = [IndexPair(1, 0), IndexPair(0, 1)]
+    with pytest.raises(ValueError, match="m1 != 0"):
+        suites.witt_restriction_suite(lines, -2, 2, [ParamSet(1, 1, 1, 0)])
 
 
 def test_small_scale_dichotomy():
