@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"generator box radius (at most {MAX_AXIOM_RADIUS})")
     sub.add_argument("--use-variant-action", action="store_true",
                      help="diagnostic: run the module-axiom sweep with the rejected "
-                          "variant action (expected to fail)")
+                          "variant action (expected to fail; needs alpha != 1, radius >= 1)")
 
     sub = commands.add_parser("closure", parents=[common],
                               help="submodule closure of seed polynomials")
@@ -402,6 +402,8 @@ def _cmd_act(args, config: RunConfig) -> list[Check]:
 
 def _cmd_axioms(args, config: RunConfig) -> list[Check]:
     _check_ceiling("axioms radius {}", args.axiom_radius, MAX_AXIOM_RADIUS)
+    if args.use_variant_action:
+        suites.check_variant_domain(config.params, args.axiom_radius)
     checks = suites.jacobi_suite([config.params.q], radius=args.axiom_radius)
     polys = suites.sample_axiom_polys(config.rng_seed, count=config.sweep_count)
     if args.use_variant_action:

@@ -27,13 +27,14 @@ def difference_solve(f_x: Poly1, a, b, c) -> Poly2:
     """Solve F(X,Y) - F(X,Y-c) = a*X + b*Y with prescribed X-part.
 
     Returns F = (f(X) + (2aX + bc)*Y + b*Y^2) / (2c), a Poly2 with slots
-    (X, Y).  Requires c != 0.
+    (X, Y).  Requires c != 0.  A Poly1 stores t^k under (k, 0), so its
+    integer carrier already is f(X) in slot X; being immutable, it is shared.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
     half_inv_c = Fraction(1, 2) / c
-    return (poly.from_single_variable(f_x, slot=0) * half_inv_c
+    return (Poly2._of(f_x._nums, f_x._den) * half_inv_c
             + Poly2({(1, 1): a / c, (0, 1): b / 2, (0, 2): b * half_inv_c}))
 
 

@@ -36,9 +36,10 @@ composes actions.
 Restricting to the line Z*m with m1 != 0 gives a copy of the Witt
 algebra; modulo the cross form X_m = m2*d1 - m1*d2, the action collapses
 to the one-variable Witt module with parameters (lambda1^m1*lambda2^m2,
-alpha).  :func:`witt_restrict` computes those parameters and checks the
-reduction of each generator image; the tests hold the one-variable
-action itself as an oracle.
+alpha).  :func:`witt_restrict` computes those parameters and reduces each
+generator image g, which is affine, in one step: g - g[d2]*(d2 - (m2/m1)*d1),
+as d2 - (m2/m1)*d1 = -X_m/m1.  The tests hold the one-variable action and
+the general substitution as oracles.
 """
 
 from __future__ import annotations
@@ -255,18 +256,25 @@ def witt_restrict(m: IndexPair, i_lo: int, i_hi: int,
 
     Returns (lambda_m, alpha_m) = (lambda1^m1*lambda2^m2, alpha) and the
     list of i in [i_lo, i_hi] for which the reduction of the L(i*m)
-    image modulo the cross form (substitute d2 -> (m2/m1)*d1) fails to
-    equal q * lambda_m^i * (d1 - i*m1*alpha).  Empty list means every
+    image g modulo the cross form X_m = m2*d1 - m1*d2 fails to equal
+    q * lambda_m^i * (d1 - i*m1*alpha).  Empty list means every
     reduction matched exactly.
+
+    The reduction is g - g[d2] * (d2 - (m2/m1)*d1).  Proof: the subtracted
+    term is -g[d2] * X_m/m1, so the reduction is congruent to g modulo X_m.
+    For affine g = a1*d1 + a2*d2 + c, as every :func:`generator_image` is,
+    it is (a1 + a2*m2/m1)*d1 + c, the substitution d2 -> (m2/m1)*d1.  A
+    term of degree 2 survives the step, so an image that is not affine
+    fails even where it is congruent to the expected one.
     """
     if m.m1 == 0:
         raise ValueError("Witt restriction needs m1 != 0")
     params = WittParams(lam=p.lam_pow(m), alpha=p.alpha)
-    ratio = Fraction(m.m2, m.m1)
+    along = poly.D2 - Fraction(m.m2, m.m1) * poly.D1     # -X_m/m1
     failures = []
     for i in range(i_lo, i_hi + 1):
         g = action_on_one(i * m, p)
-        reduced = poly.compose2(g, poly.D1, ratio * poly.D1)
+        reduced = g - g.coefficient(0, 1) * along
         expected = p.q * params.lam ** i * (poly.D1 - i * m.m1 * params.alpha)
         if reduced != expected:
             failures.append(i)

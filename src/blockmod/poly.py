@@ -34,13 +34,14 @@ as it reaches 1.
   the lcm of the e_k and N_k = n_k*(D/e_k).  This is already in lowest
   terms: for a prime p dividing D, the term whose e_k holds the highest
   power of p has p dividing neither D/e_k nor n_k.
-* Shift by an integer index, f(d) -> f(d - m) (:func:`shift_terms`,
-  one binomial expansion): keeps D and needs no gcd pass.  The
-  substitution is a Z-linear bijection of Z[d1, d2], its inverse being
-  the shift by -m.  So every coefficient of N(d - m) is an integer
-  combination of the coefficients of N, and content(N) divides
-  content(N(d - m)); the inverse shift gives the converse.  The content
-  is kept, and gcd(content, D) = 1 still holds.
+* Shift by an integer index, f(d) -> f(d - m) (:func:`shift_terms`, one
+  binomial expansion and the one substitution here; general substitution
+  is a test oracle): keeps D and needs no gcd pass.  The substitution is
+  a Z-linear bijection of Z[d1, d2], its inverse being the shift by -m.
+  So every coefficient of N(d - m) is an integer combination of the
+  coefficients of N, and content(N) divides content(N(d - m)); the
+  inverse shift gives the converse.  The content is kept, and
+  gcd(content, D) = 1 still holds.
 * Shift by a rational m = u/v: v^a*(x - m)^a = sum_i comb(a, i) *
   (-u)^(a-i) * v^i * x^i has integer coefficients; scaling the
   numerator of a term with exponent a by v^(A-a), where A is the
@@ -437,9 +438,6 @@ class _TermMap:
                 base = base * base
         return result
 
-    def _sorted_terms(self) -> list[tuple[Monomial2, Fraction]]:
-        return sorted(self._fraction_items(), key=lambda kv: monomial_rank(kv[0]), reverse=True)
-
     def _eval(self, x1, x2) -> Fraction:
         """The value at rationals x1 and x2, summed in ints (see the module docstring)."""
         nums = self._nums
@@ -452,7 +450,8 @@ class _TermMap:
 
     def _format(self, names: tuple[str, str]) -> str:
         parts = []
-        for (a, b), c in self._sorted_terms():
+        for (a, b), c in sorted(self._fraction_items(), key=lambda kv: monomial_rank(kv[0]),
+                                reverse=True):
             mono_pieces = []
             if a:
                 mono_pieces.append(names[0] if a == 1 else f"{names[0]}^{a}")
@@ -488,10 +487,6 @@ class Poly2(_TermMap):
     def shifted(self, m: IndexPair) -> "Poly2":
         """Substitute d1 -> d1 - m1 and d2 -> d2 - m2."""
         return self._shift(m.m1, m.m2)
-
-    def items_sorted(self) -> list[tuple[Monomial2, Fraction]]:
-        """Terms in descending graded-lex order (leading term first)."""
-        return self._sorted_terms()
 
     def coefficient(self, e1: int, e2: int) -> Fraction:
         return Fraction(self._nums.get((e1, e2), 0), self._den)
@@ -557,30 +552,6 @@ class Poly1(_TermMap):
 
 D1 = Poly2({(1, 0): 1})
 D2 = Poly2({(0, 1): 1})
-
-
-def compose2(f: Poly2, first: Poly2, second: Poly2) -> Poly2:
-    """Substitute polynomials for the two slots of f: returns f(first, second)."""
-    pow1: dict[int, Poly2] = {0: Poly2.const(1)}
-    pow2: dict[int, Poly2] = {0: Poly2.const(1)}
-
-    def power(cache, base, k):
-        while k not in cache:
-            top = max(cache)
-            cache[top + 1] = cache[top] * base
-        return cache[k]
-
-    out = Poly2()
-    for (a, b), c in f.items_sorted():
-        out = out + c * (power(pow1, first, a) * power(pow2, second, b))
-    return out
-
-
-def from_single_variable(f: Poly1, slot: int) -> Poly2:
-    """Embed a Poly1 into slot 0 or slot 1 of a Poly2."""
-    if slot not in (0, 1):
-        raise ValueError("slot must be 0 or 1")
-    return Poly2._of({mono[::-1] if slot else mono: n for mono, n in f._nums.items()}, f._den)
 
 
 # --- expression grammar (shared with the CLI) -------------------------------

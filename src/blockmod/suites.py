@@ -87,11 +87,11 @@ def sample_param_set(rng: SplitMix64, q_mode: str = "generic") -> ParamSet:
                     alpha=rng.fraction(num_bound=5, den_bound=5))
 
 
-def sample_poly2(rng: SplitMix64, max_degree: int, max_terms: int = 6) -> Poly2:
-    """Random nonzero polynomial of total degree at most max_degree."""
+def sample_poly2(rng: SplitMix64, max_degree: int) -> Poly2:
+    """Random nonzero polynomial of total degree at most max_degree, from 1 to 6 terms."""
     while True:
         terms = []
-        for _ in range(rng.int_between(1, max_terms)):
+        for _ in range(rng.int_between(1, 6)):
             d = rng.int_between(0, max_degree)
             a = rng.int_between(0, d)
             terms.append(((a, d - a), rng.fraction(num_bound=9, den_bound=4, nonzero=True)))
@@ -100,9 +100,10 @@ def sample_poly2(rng: SplitMix64, max_degree: int, max_terms: int = 6) -> Poly2:
             return candidate
 
 
-def sample_poly1(rng: SplitMix64, max_degree: int, max_terms: int = 5) -> Poly1:
+def sample_poly1(rng: SplitMix64, max_degree: int) -> Poly1:
+    """Random polynomial of degree at most max_degree, from 1 to 5 terms."""
     terms = []
-    for _ in range(rng.int_between(1, max_terms)):
+    for _ in range(rng.int_between(1, 5)):
         terms.append((rng.int_between(0, max_degree),
                       rng.fraction(num_bound=9, den_bound=4, nonzero=True)))
     return Poly1(terms)
@@ -192,19 +193,24 @@ CANONICAL_IMAGE_TEXT = "lam^m*((m2+q)*d1 - m1*(d2+q*alpha))"
 VARIANT_IMAGE_TEXT = "lam^m*((q*alpha+m2)*d1 - m1*(d2+alpha))"
 
 
+def check_variant_domain(p: ParamSet, radius: int) -> None:
+    """Raise ValueError where the axiom grid cannot tell the variant image from the
+    adopted one: radius 0 (L(0,0) and D2 only) and alpha = 1 (a d2-translate)."""
+    if radius < 1:
+        raise ValueError(f"control radius must be at least 1, got {radius}")
+    if p.alpha == 1:
+        raise ValueError("control parameter set needs alpha != 1")
+
+
 def variant_control_suite(p: ParamSet, polys: list[Poly2],
                           radius: int = 2) -> list[Check]:
     """Negative control: the variant factor placement must violate the axioms.
 
     Runs the same generator-pair grid twice.  With the adopted image
     every defect must vanish; with the variant image at least one
-    defect must be nonzero.  alpha = 1, where the variant is a d2-translate
-    of the adopted action, and radius 0 (L(0,0) and D2) raise ValueError.
+    defect must be nonzero; :func:`check_variant_domain` guards the inputs.
     """
-    if radius < 1:
-        raise ValueError(f"control radius must be at least 1, got {radius}")
-    if p.alpha == 1:
-        raise ValueError("control parameter set needs alpha != 1")
+    check_variant_domain(p, radius)
     count, failure = axiom_grid_scan(p, polys, radius, action_on_one)
     adopted = verdict(
         "adopted action passes the axiom grid", "action-variant-control", count,
@@ -225,16 +231,15 @@ def variant_control_suite(p: ParamSet, polys: list[Poly2],
 # --- closure dichotomy ----------------------------------------------------------
 
 def closure_dichotomy_suite(p: ParamSet, D: int, B: int, runs_full: int,
-                            runs_sub: int, rng_seed: int,
-                            seed_degree: int = 3) -> list[Check]:
+                            runs_sub: int, rng_seed: int) -> list[Check]:
     """Random seeds must close onto the full level or the submodule level.
 
-    Seeds nonzero at the distinguished point must be tagged FULL, nonzero
-    seeds inside the submodule OMEGA_PRIME; any other tag is a failure to
-    surface, never to retry.  The tag is the whole verdict:
-    :func:`closure.classify_span` tags FULL only at the full dimension, and
-    OMEGA_PRIME only one below it with every basis vector vanishing at the
-    point, which the invariance certificate counts on.
+    Seeds have total degree at most 3.  Those nonzero at the distinguished
+    point must be tagged FULL, nonzero seeds inside the submodule OMEGA_PRIME;
+    any other tag is a failure to surface, never to retry.  The tag is the
+    whole verdict: :func:`closure.classify_span` tags FULL only at the full
+    dimension, and OMEGA_PRIME only one below it with every basis vector
+    vanishing at the point, which the invariance certificate counts on.
     """
     rng = SplitMix64(rng_seed)
     x1, x2 = p.vanishing_point()
@@ -244,10 +249,10 @@ def closure_dichotomy_suite(p: ParamSet, D: int, B: int, runs_full: int,
                                   ("inside", runs_sub, ClosureTag.OMEGA_PRIME, full_dim - 1)):
         failures = []
         for run in range(runs):
-            seed = sample_poly2(rng, seed_degree)
+            seed = sample_poly2(rng, 3)
             if tag is ClosureTag.OMEGA_PRIME:
                 while not (seed := seed - seed.eval_at(x1, x2)):    # onto the hyperplane
-                    seed = sample_poly2(rng, seed_degree)
+                    seed = sample_poly2(rng, 3)
             elif omega.in_proper_submodule(seed, p):
                 seed = seed + 1      # move off the hyperplane, degree unchanged
             _, result = closure([seed], D, B, p)

@@ -5,6 +5,9 @@
 * The cross form X_m of a Witt line.
 * The one-variable polynomial grammar over t, and the re-keying of a
   two-variable polynomial that uses one slot only, which it needs.
+* The embedding of a one-variable polynomial into either slot, and the
+  general substitution f(first, second), which the shift, the
+  difference lemma and the Witt-line reduction are checked against.
 * The three coefficient identities in the paper's witness notation
   (lambda_m, alpha_m, a_m, b_m), which the coefficient replay of
   :mod:`blockmod.identities` is checked against.
@@ -53,6 +56,21 @@ def to_single_variable(f: Poly2, keep: int) -> Poly1:
     if any(mono[1 - keep] for mono in f._nums):
         raise ValueError(f"polynomial depends on slot {1 - keep}: {f}")
     return Poly1._of({mono[::-1] if keep else mono: n for mono, n in f._nums.items()}, f._den)
+
+
+def from_single_variable(f: Poly1, slot: int) -> Poly2:
+    """Embed a Poly1 into slot 0 or slot 1 of a Poly2; inverse of :func:`to_single_variable`."""
+    if slot not in (0, 1):
+        raise ValueError("slot must be 0 or 1")
+    return Poly2._of({mono[::-1] if slot else mono: n for mono, n in f._nums.items()}, f._den)
+
+
+def compose2(f: Poly2, first: Poly2, second: Poly2) -> Poly2:
+    """Substitute polynomials for the two slots of f: returns f(first, second)."""
+    out = Poly2()
+    for (a, b), c in f.terms().items():
+        out = out + c * first ** a * second ** b
+    return out
 
 
 def parse_poly1(text: str) -> Poly1:

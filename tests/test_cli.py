@@ -261,6 +261,23 @@ def test_empty_grids_are_usage_errors(argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the radius-0 grid (L(0,0), D2) cannot tell the two images apart
+    (["axioms", "--radius", "0", "--sweeps", "1", "--use-variant-action", "--alpha", "1/2"],
+     "control radius must be at least 1, got 0"),
+    # at alpha = 1 the variant is a d2-translate of the adopted action
+    (["axioms", "--radius", "1", "--sweeps", "1", "--use-variant-action", "--alpha", "1"],
+     "control parameter set needs alpha != 1"),
+], ids=["radius-0", "alpha-1"])
+def test_variant_axioms_reject_degenerate_inputs(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert message in err
+    # the adopted action has no such restriction
+    code, out, err = run_cli([arg for arg in argv if arg != "--use-variant-action"])
+    assert (code, err) == (0, "") and json.loads(out)["overall"] == "pass"
+
+
 def test_expression_degree_ceiling_is_fast():
     for text in ("d1^1000000000", "(d1+d2)^400"):
         result = cli_subprocess("act", "L(1,0)", text)
@@ -465,13 +482,17 @@ def test_replay_report_bytes(argv, digest):
 
 CONTROL_ALPHA_1_SHA256 = "dce9505b0e35ae4ac734138ac77191955d426cd0d4241217686f7ae085b674f5"
 WITT_SHA256 = "0ea29b655606634245351b5aaa4b7da1f80a4ff6c370006c49585b183b363d6a"
+WITT_LINES_SHA256 = "58d975368580f5789c54f327791961e0262db73b16b1d2b7a98cb1698b817ced"
 
 
 @pytest.mark.parametrize("argv, exit_code, digest", [
     # the control is undefined at alpha=1: one error check, and exit 1
     (["replay", "--eq", "control", "--alpha", "1"], 1, CONTROL_ALPHA_1_SHA256),
     (["witt"], 0, WITT_SHA256),
-], ids=["control-alpha-1", "witt"])
+    # lines with m2/m1 not an integer, negative i, and q, alpha, lambda off the defaults
+    (["witt", "--m", "3,-2", "--m", "-5,7", "--i-min", "-9", "--i-max", "9", "--q", "2/3",
+      "--alpha", "5/4", "--lambda", "2,1/3"], 0, WITT_LINES_SHA256),
+], ids=["control-alpha-1", "witt", "witt-lines"])
 def test_control_and_witt_report_bytes(argv, exit_code, digest):
     code, out, err = run_cli(argv)
     assert (code, err) == (exit_code, "")

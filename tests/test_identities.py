@@ -11,7 +11,7 @@ from blockmod.omega import ParamSet, action_on_one_alt
 from blockmod.poly import IndexPair, Poly1, Poly2
 from blockmod.prng import SplitMix64
 from blockmod.suites import acceptance_param_sets
-from oracles import witness_coefficient_defects
+from oracles import compose2, from_single_variable, witness_coefficient_defects
 
 X = Poly2({(1, 0): 1})
 Y = Poly2({(0, 1): 1})
@@ -36,14 +36,14 @@ def grid(radius):
 def test_difference_solve_degenerate():
     f_x = Poly1({3: 1, 0: -2})
     F = difference_solve(f_x, 0, 0, 1)
-    assert F == Fraction(1, 2) * poly.from_single_variable(f_x, 0)
-    assert F - poly.compose2(F, X, Y - 1) == 0
+    assert F == Fraction(1, 2) * from_single_variable(f_x, 0)
+    assert F - compose2(F, X, Y - 1) == 0
 
 
 def test_difference_solve_hand_example():
     F = difference_solve(Poly1(), 2, 4, 1)
     assert F == (2 * X + 2) * Y + 2 * Y**2
-    difference = F - poly.compose2(F, X, Y - 1)
+    difference = F - compose2(F, X, Y - 1)
     assert difference == 2 * X + 4 * Y
     assert difference_check(F, 2, 4, 1)
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockmod import blockalg, poly
+from blockmod import blockalg, omega, poly
 from blockmod.blockalg import AlgebraContext, AlgebraElement, BasisL, bracket
 from blockmod.closure import _ActTable
 from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
@@ -12,7 +12,7 @@ from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
 from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import axiom_grid_scan, control_param_set, sample_axiom_polys
-from oracles import T, cross_form, witt_act
+from oracles import T, compose2, cross_form, witt_act
 
 
 def L(m1, m2):
@@ -473,11 +473,52 @@ def test_witt_restriction_matches_witt_module():
     ratio = Fraction(m.m2, m.m1)
     for i in range(-3, 4):
         g = action_on_one(i * m, p)
-        reduced = poly.compose2(g, poly.D1, ratio * poly.D1)
+        reduced = compose2(g, poly.D1, ratio * poly.D1)
         witt_image = witt_act(i, Poly1.const(1), params)   # lambda^i (t - i*alpha)
         lifted = Poly2({(1, 0): witt_image.coefficient(1) / m.m1,
                         (0, 0): witt_image.coefficient(0)})
         assert reduced == p.q * m.m1 * lifted
+
+
+def test_witt_restrict_rejects_images_that_are_not_affine(monkeypatch):
+    # g + X_m*d2 is congruent to g modulo X_m, and the substitution
+    # d2 -> (m2/m1)*d1 accepts it; the one-step reduction keeps its
+    # degree-2 part, so every i fails
+    p = ParamSet(1, 1, 1, Fraction(1, 2))
+    m = IndexPair(2, 3)
+    assert witt_restrict(m, -3, 3, p)[1] == []
+    ratio = Fraction(m.m2, m.m1)
+    monkeypatch.setattr(omega, "action_on_one",
+                        lambda k, params: action_on_one(k, params) + cross_form(m) * poly.D2)
+    for i in range(-3, 4):
+        g = omega.action_on_one(i * m, p)
+        assert compose2(g, poly.D1, ratio * poly.D1) == compose2(
+            action_on_one(i * m, p), poly.D1, ratio * poly.D1)
+    assert witt_restrict(m, -3, 3, p)[1] == list(range(-3, 4))
+
+
+def test_witt_reduction_matches_the_substitution_on_affine_images(monkeypatch):
+    # on affine images and lines with m2/m1 not an integer, the one-step
+    # reduction and the substitution d2 -> (m2/m1)*d1 give one verdict: an
+    # image congruent to the expected one modulo X_m passes, one with an
+    # affine term added fails
+    rng = SplitMix64(38)
+    for m in (IndexPair(2, 3), IndexPair(-3, 2), IndexPair(4, -6), IndexPair(-5, -7)):
+        p = random_params(rng)
+        lam = p.lam_pow(m)
+        ratio = Fraction(m.m2, m.m1)
+        images, broken = {}, []
+        for i in range(-3, 4):
+            expected = p.q * lam ** i * (poly.D1 - i * m.m1 * p.alpha)
+            g = expected + rng.fraction() * cross_form(m)
+            if rng.int_between(0, 1):
+                key = rng.choice([(1, 0), (0, 1), (0, 0)])
+                g = g + Poly2({key: rng.fraction(nonzero=True)})
+                broken.append(i)
+            images[i * m] = g
+            assert (compose2(g, poly.D1, ratio * poly.D1) == expected) == (i not in broken)
+        monkeypatch.setattr(omega, "action_on_one", lambda k, params: images[k])
+        assert witt_restrict(m, -3, 3, p)[1] == broken
 
 
 def test_variant_action_fails_axioms_for_generic_alpha():
