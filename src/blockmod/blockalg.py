@@ -21,7 +21,13 @@ polynomials, and the only rational they equal or absorb is 0.
 
 The Jacobi defect is trilinear, so it is checked on generators: the
 defect of three generators is one closed form in the structure
-constants (:func:`jacobi_defect`), and it builds no bracket.
+constants (:func:`jacobi_defect`), and it builds no bracket.  A sweep
+over the radius-R box reads every constant it needs from one
+:class:`ConstantTable` per q, b*c(u, v) for u in the radius-R box and v
+in the radius-2R box, built by calling :func:`structure_constant`
+through this module's global, so a patched constant enters the table.
+Its flat index is linear in v, which is why the index of n + k is the
+sum of two per-generator columns.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactnum import ParseError, _Parser, excerpt
-from .poly import IndexPair, _format_terms, _TermMap, add_terms, origin_first_key
+from .poly import IndexPair, _format_terms, _TermMap, add_terms, index_box, origin_first_key
 
 
 class _FrozenSlots:
@@ -208,64 +214,112 @@ def bracket(x: AlgebraElement, y: AlgebraElement, ctx: AlgebraContext) -> Algebr
         for gx, nx in x._nums.items() for gy, ny in y._nums.items()))), x._den * y._den * b)
 
 
-_tuple_new = tuple.__new__
 _ZERO = AlgebraElement._of({}, 1)
 
 
-def jacobi_defect(gx, gy, gz, ctx: AlgebraContext) -> AlgebraElement:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] for generators x = gx, y = gy,
-    z = gz, each a :class:`BasisL` or :data:`D2`; must vanish.
+def box_generators(radius: int) -> list:
+    """Every L(m) of the radius-R index box, in box order, then D2."""
+    return [BasisL(m) for m in index_box(radius)] + [D2]
+
+
+class ConstantTable:
+    """The scaled structure constants of one q that the Jacobi sweep of the
+    radius-R box reads, built once per q and then only read.
+
+    ``generators`` is ``box_generators(R)``: the L(m) of the box in box
+    order, then D2 at position ``len(rows)``.  ``constants`` holds
+    b*c(u, v) (:func:`structure_constant`, q = a/b) for every u in the
+    radius-R box and every v in the radius-2R box, in one flat list of
+    ints: (2R+1)^2 * (4R+1)^2 entries, each read through this module's
+    global, so a patched constant enters the table.  Both orders are
+    read; the table assumes no antisymmetry.
+
+    Index proof.  Row-major order puts v in the radius-2R box at
+    (v1 + 2R)*(4R+1) + (v2 + 2R) = v1*(4R+1) + v2 + o, with o the
+    position of the origin.  The part v1*(4R+1) + v2 is linear in v, so
+    with ``cols[i]`` that part for the i-th index m of the radius-R box and
+    ``rows[i]`` = i*(4R+1)^2 + o, b*c(m, v) is
+    ``constants[rows[i] + col(v)]``, and the column of a sum is the sum
+    of the columns: lin(n+k) = lin(n) + lin(k) - lin(0).  That is a true
+    position whenever v lies in the radius-2R box, which holds for v = k
+    and for v = n + k when n and k lie in the radius-R box.
+    """
+
+    __slots__ = ("generators", "den", "constants", "rows", "cols")
+
+    def __init__(self, ctx: AlgebraContext, radius: int):
+        a, b = ctx.ratio
+        box, wide = index_box(radius), index_box(2 * radius)
+        width = 4 * radius + 1
+        origin = 2 * radius * width + 2 * radius
+        self.generators = box_generators(radius)
+        self.den = b
+        self.constants = [structure_constant(u, v, a, b) for u in box for v in wide]
+        self.rows = [i * len(wide) + origin for i in range(len(box))]
+        self.cols = [m1 * width + m2 for m1, m2 in box]
+
+
+def jacobi_defect(i: int, j: int, k: int, table: ConstantTable) -> AlgebraElement:
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] for the generators x, y, z at
+    positions i, j, k of ``table.generators``; must vanish.
 
     The defect is trilinear, so on sums of generators it is the sum of
     the generator defects weighted by the products of the coefficients:
     the identity holds on all of B(q) and D2 once it holds on every
-    generator triple.  No bracket is built.
+    generator triple.  No bracket is built, and no constant is computed
+    here: every one is read from ``table`` (see :class:`ConstantTable`
+    for the index proof).
 
-    Write c for :func:`structure_constant`, b times the true constant
-    for q = a/b (``ctx.ratio``).  The three terms are:
+    Write c for b times the true constant, q = a/b.  The three terms are:
 
     * for L(m), L(n), L(k), times b^2: c(n,k)*c(m,n+k), c(k,m)*c(n,k+m)
-      and c(m,n)*c(k,m+n), all on L(m+n+k);
+      and c(m,n)*c(k,m+n), all on L(m+n+k): six table reads;
     * for D2, L(n), L(k), times b: [D2,[L(n),L(k)]] = c(n,k)*(n2+k2),
       [L(n),[L(k),D2]] = -k2*c(n,k) and [L(k),[D2,L(n)]] = n2*c(k,n),
-      all on L(n+k), which sum to n2*(c(n,k) + c(k,n)).  The defect is
-      cyclic, so D2 in another place is the rotation that puts it first;
+      all on L(n+k), which sum to n2*(c(n,k) + c(k,n)): two reads.  The
+      defect is cyclic, so D2 in another place is the rotation that puts
+      it first;
     * for two or three D2, terms that read no constant and cancel, as
       [D2,[D2,L(k)]] = k2^2*L(k) = -[D2,[L(k),D2]] and [L(k),[D2,D2]] = 0.
 
-    Any argument that is neither a :class:`BasisL` nor :data:`D2` raises
-    ``TypeError``; the check runs after the L, L, L case returns.  c is
-    read through this module's global 6, 2 or 0 times per triple,
-    also where a factor vanishes, and no sum is taken as zero, so a
-    patched constant enters every defect it should.  The index sums are
-    built with ``tuple.__new__``, as the NamedTuple constructor of
-    :class:`IndexPair` does after a Python-level frame.  A zero defect is
-    the one shared zero element, which no operation mutates.
+    No sum is taken as zero without reading it, so a patched constant
+    enters every defect it should.  A non-int position raises
+    ``TypeError``: in the L, L, L case from the list index, elsewhere from
+    a check that runs after that case returns.  Positions must lie in
+    ``range(len(table.generators))``, as the sweep's do; a negative one
+    is not caught.  An element is built only for a nonzero defect; a
+    zero defect is the one shared zero element, which no operation
+    mutates.
     """
-    a, b = ctx.ratio
-    c = structure_constant
-    if type(gx) is BasisL and type(gy) is BasisL and type(gz) is BasisL:
-        m, n, k = gx.m, gy.m, gz.m
-        (m1, m2), (n1, n2), (k1, k2) = m, n, k
-        j = (c(n, k, a, b) * c(m, _tuple_new(IndexPair, (n1 + k1, n2 + k2)), a, b)
-             + c(k, m, a, b) * c(n, _tuple_new(IndexPair, (k1 + m1, k2 + m2)), a, b)
-             + c(m, n, a, b) * c(k, _tuple_new(IndexPair, (m1 + n1, m2 + n2)), a, b))
-        return AlgebraElement._reduced({BasisL(m + n + k): j}, b * b) if j else _ZERO
-    for g in (gx, gy, gz):
-        if g is not D2 and type(g) is not BasisL:
-            raise TypeError(f"jacobi_defect takes BasisL or D2, not {type(g).__name__}")
-    if gx is D2:
-        if gy is D2 or gz is D2:
+    rows, cols, c = table.rows, table.cols, table.constants
+    d2 = len(rows)
+    if i != d2 and j != d2 and k != d2:
+        ri, rj, rk = rows[i], rows[j], rows[k]
+        ci, cj, ck = cols[i], cols[j], cols[k]
+        d = (c[rj + ck] * c[ri + cj + ck] + c[rk + ci] * c[rj + ck + ci]
+             + c[ri + cj] * c[rk + ci + cj])
+        if not d:
             return _ZERO
-        n, k = gy.m, gz.m
-    elif gy is D2:
-        if gz is D2:
+        gens = table.generators
+        return AlgebraElement._reduced({BasisL(gens[i].m + gens[j].m + gens[k].m): d},
+                                       table.den ** 2)
+    for p in (i, j, k):
+        if type(p) is not int:
+            raise TypeError(f"jacobi_defect takes positions in table.generators, "
+                            f"not {type(p).__name__}")
+    if i == d2:
+        if j == d2 or k == d2:
             return _ZERO
-        n, k = gz.m, gx.m       # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
+        n, k = j, k
+    elif j == d2:
+        if k == d2:
+            return _ZERO
+        n, k = k, i         # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
     else:
-        n, k = gx.m, gy.m       # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
-    j = n.m2 * (c(n, k, a, b) + c(k, n, a, b))
-    return AlgebraElement._reduced({BasisL(n + k): j}, b) if j else _ZERO
+        n, k = i, j         # (L(m), L(n), D2) rotates to (D2, L(m), L(n))
+    gens = table.generators
+    d = gens[n].m.m2 * (c[rows[n] + cols[k]] + c[rows[k] + cols[n]])
+    return AlgebraElement._reduced({BasisL(gens[n].m + gens[k].m): d}, table.den) if d else _ZERO
 
 
 # --- element syntax ----------------------------------------------------------

@@ -53,9 +53,9 @@ as it reaches 1.
   is one integer sum over one denominator, made a Fraction once.
 
 Monomials are ordered graded-lexicographically with d1 > d2 (total
-degree first, then the d1 exponent), by :func:`monomial_rank`; printing,
-leading terms and the closure echelon's columns all use this single
-order, which makes printed forms and echelon bases canonical.  Values are
+degree first, then the d1 exponent), by :func:`monomial_rank`; printing
+and the closure echelon's columns both use this single order, which
+makes printed forms and echelon bases canonical.  Values are
 immutable: every operation returns a fresh value (scaling by 1 and adding
 zero return the value itself).
 
@@ -494,11 +494,6 @@ class Poly2(_TermMap):
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((e1 + e2 for e1, e2 in self._nums), default=-1)
-
-    def leading_monomial(self) -> Monomial2 | None:
-        if not self._nums:
-            return None
-        return max(self._nums, key=monomial_rank)
 
     def eval_at(self, x1, x2) -> Fraction:
         return self._eval(x1, x2)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import blockalg, identities, omega
-from .blockalg import D2, AlgebraContext, BasisL
+from .blockalg import AlgebraContext, box_generators
 from .closure import ClosureTag, closure, filtration_dimension
 from .omega import ParamSet, action_on_one, action_on_one_alt
 from .poly import IndexPair, Poly1, Poly2, index_box
@@ -121,22 +121,23 @@ def exceptional_indices(p: ParamSet) -> list[IndexPair]:
 
 # --- Lie algebra axioms -------------------------------------------------------
 
-def box_generators(radius: int) -> list:
-    """Every L(m) of the radius-R index box, in box order, then D2."""
-    return [BasisL(m) for m in index_box(radius)] + [D2]
-
-
 def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
-    """Jacobi defect of every ordered generator triple in the box, plus D2."""
-    generators = box_generators(radius)
+    """Jacobi defect of every ordered generator triple in the box, plus D2.
+
+    Per q it builds one :class:`blockalg.ConstantTable` and scans the
+    positions of its generators in ``itertools.product`` order, so the
+    witness is the first failing generator triple in that order.
+    """
     checks = []
     for q in q_values:
-        ctx = AlgebraContext(Fraction(q))
-        count, failure = first_defect(itertools.product(generators, repeat=3),
-                                      lambda xyz: blockalg.jacobi_defect(*xyz, ctx))
+        table = blockalg.ConstantTable(AlgebraContext(Fraction(q)), radius)
+        generators = table.generators
+        count, failure = first_defect(itertools.product(range(len(generators)), repeat=3),
+                                      lambda ijk: blockalg.jacobi_defect(*ijk, table))
         checks.append(verdict(
             f"jacobi q={q}", "jacobi-identity", count,
-            failure and "x={}, y={}, z={}, defect={}".format(*failure[0], failure[1]),
+            failure and "x={}, y={}, z={}, defect={}".format(
+                *(generators[i] for i in failure[0]), failure[1]),
             f"{count} triples, all defects zero"))
     return checks
 
@@ -193,11 +194,17 @@ CANONICAL_IMAGE_TEXT = "lam^m*((m2+q)*d1 - m1*(d2+q*alpha))"
 VARIANT_IMAGE_TEXT = "lam^m*((q*alpha+m2)*d1 - m1*(d2+alpha))"
 
 
-def check_variant_domain(p: ParamSet, radius: int) -> None:
-    """Raise ValueError where the axiom grid cannot tell the variant image from the
-    adopted one: radius 0 (L(0,0) and D2 only) and alpha = 1 (a d2-translate)."""
+def check_control_radius(radius: int) -> None:
+    """Raise ValueError at radius 0, where no variant control can tell the variant
+    image from the adopted one: the grid is L(0,0) and D2, and Delta(0,0) = 0."""
     if radius < 1:
         raise ValueError(f"control radius must be at least 1, got {radius}")
+
+
+def check_variant_domain(p: ParamSet, radius: int) -> None:
+    """Raise ValueError where the axiom grid cannot tell the variant image from the
+    adopted one: radius 0 (:func:`check_control_radius`) and alpha = 1 (a d2-translate)."""
+    check_control_radius(radius)
     if p.alpha == 1:
         raise ValueError("control parameter set needs alpha != 1")
 
@@ -379,9 +386,9 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
 
 def commutator_variant_control(p: ParamSet, radius: int = 3) -> Check:
     """The variant image must violate the commutator identity when alpha != 1;
-    at alpha = 1 the Check is an error.  Radius 0 (Delta(0,0) = 0) raises."""
-    if radius < 1:
-        raise ValueError(f"control radius must be at least 1, got {radius}")
+    at alpha = 1 the Check is an error.  Radius 0 raises (:func:`check_control_radius`),
+    at alpha = 1 too."""
+    check_control_radius(radius)
     if p.alpha == 1:
         return Check("commutator replay rejects the variant image", "action-variant-control",
                      "error", "control undefined at alpha=1: the variant there is a "

@@ -8,6 +8,9 @@
 * The embedding of a one-variable polynomial into either slot, and the
   general substitution f(first, second), which the shift, the
   difference lemma and the Witt-line reduction are checked against.
+* The Jacobi defect of three generators as one closed form in the
+  structure constants, read per triple, which the table scan of
+  :func:`blockalg.jacobi_defect` is checked against.
 * The three coefficient identities in the paper's witness notation
   (lambda_m, alpha_m, a_m, b_m), which the coefficient replay of
   :mod:`blockmod.identities` is checked against.
@@ -15,7 +18,7 @@
   closure's Taylor-coefficient rows are checked against.
 * Rational elimination against a reduced monic echelon basis, which the
   closure's integer echelon and :func:`closure.span_insert` are checked
-  against.
+  against, with the leading monomial of a polynomial that it reads.
 * Fraction-free elimination on integer rows, the closure's echelon as it
   was before it was kept reduced, and :class:`CheckedEchelon`, which
   compares the closure's echelon with it on every insert.
@@ -27,6 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 from blockmod import blockalg
+from blockmod.blockalg import D2, AlgebraContext, AlgebraElement, BasisL
 from blockmod.closure import SubspaceBasis, _IntEchelon
 from blockmod.omega import ParamSet, WittParams, generator_image
 from blockmod.poly import (IndexPair, Monomial2, Poly1, Poly2, _PolyParser, monomial_rank,
@@ -76,6 +80,37 @@ def compose2(f: Poly2, first: Poly2, second: Poly2) -> Poly2:
 def parse_poly1(text: str) -> Poly1:
     """Parse an expression in the single variable t."""
     return to_single_variable(_PolyParser(text, {"t": (1, 0)}).parse(), keep=0)
+
+
+def generator_jacobi_defect(gx, gy, gz, ctx: AlgebraContext) -> AlgebraElement:
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] for generators x = gx, y = gy,
+    z = gz, each a :class:`BasisL` or :data:`D2`, at any indices.
+
+    The closed form of :func:`blockalg.jacobi_defect`, with every constant
+    computed per triple through ``blockalg.structure_constant`` (so a
+    patched constant enters): for L(m), L(n), L(k), over b^2,
+    c(n,k)*c(m,n+k) + c(k,m)*c(n,k+m) + c(m,n)*c(k,m+n) on L(m+n+k); for
+    one D2, rotated first, n2*(c(n,k) + c(k,n)) on L(n+k) over b; for two
+    or three D2, zero.  An argument that is neither a :class:`BasisL` nor
+    :data:`D2` raises ``TypeError``.
+    """
+    a, b = ctx.ratio
+    c = blockalg.structure_constant
+    for g in (gx, gy, gz):
+        if g is not D2 and type(g) is not BasisL:
+            raise TypeError(f"jacobi_defect takes BasisL or D2, not {type(g).__name__}")
+    if D2 not in (gx, gy, gz):
+        m, n, k = gx.m, gy.m, gz.m
+        j = (c(n, k, a, b) * c(m, n + k, a, b) + c(k, m, a, b) * c(n, k + m, a, b)
+             + c(m, n, a, b) * c(k, m + n, a, b))
+        return AlgebraElement({BasisL(m + n + k): Fraction(j, b * b)})
+    if [gx, gy, gz].count(D2) > 1:
+        return AlgebraElement()
+    # the defect is cyclic: rotate D2 to the front
+    n, k = (gy, gz) if gx is D2 else (gz, gx) if gy is D2 else (gx, gy)
+    n, k = n.m, k.m
+    j = n.m2 * (c(n, k, a, b) + c(k, n, a, b))
+    return AlgebraElement({BasisL(n + k): Fraction(j, b)})
 
 
 def witness_coefficient_defects(m: IndexPair, n: IndexPair,
@@ -154,11 +189,16 @@ class BoxActTable:
         return out
 
 
+def leading_monomial(f: Poly2) -> Monomial2 | None:
+    """The largest monomial of f in :func:`poly.monomial_rank` order; None for 0."""
+    return max(f._nums, key=monomial_rank, default=None)
+
+
 def rational_reduce(basis: SubspaceBasis, f: Poly2) -> Poly2:
     """Remainder of f after rational elimination against every pivot of a
     reduced monic echelon basis."""
     for vector in basis.vectors:
-        pivot = vector.leading_monomial()
+        pivot = leading_monomial(vector)
         c = f.coefficient(*pivot)
         if c:
             f = f - c * vector
@@ -178,14 +218,14 @@ def rational_span_insert(basis: SubspaceBasis, v: Poly2) -> SubspaceBasis:
     remainder = rational_reduce(basis, v)
     if not remainder:
         return basis
-    pivot = remainder.leading_monomial()
+    pivot = leading_monomial(remainder)
     monic = (1 / remainder.coefficient(*pivot)) * remainder
     updated = []
     for vector in basis.vectors:
         c = vector.coefficient(*pivot)
         updated.append(vector - c * monic if c else vector)
     updated.append(monic)
-    updated.sort(key=lambda w: monomial_rank(w.leading_monomial()), reverse=True)
+    updated.sort(key=lambda w: monomial_rank(leading_monomial(w)), reverse=True)
     return SubspaceBasis(tuple(updated), basis.degree_cap)
 
 

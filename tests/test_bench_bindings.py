@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from blockmod import blockalg, identities, suites
-from blockmod.blockalg import D2, AlgebraContext
+from blockmod.blockalg import AlgebraContext
 from blockmod.omega import ParamSet
 from blockmod.poly import IndexPair
 
@@ -76,12 +76,12 @@ def test_benchmark_methods_have_their_own_body(module, qualname):
     assert holders == {owner}, f"blockmod.{module}.{qualname} is bound in {holders}"
 
 
-def test_jacobi_defect_reads_structure_constants_and_makes_no_bracket_call(monkeypatch):
-    # jacobi_defect is one closed form in the structure constants: it calls no
-    # bracket, and it reads blockalg.structure_constant through the module
-    # global (where the skewed-constant tests of test_blockalg.py patch it)
-    # 6 times per generator triple of L terms, 2 per triple with exactly one
-    # D2 and never for two or three D2
+def test_constant_table_reads_each_constant_once_and_the_kernel_reads_none(monkeypatch):
+    # building the table of one q reads blockalg.structure_constant through
+    # the module global (where the skewed-constant tests of test_blockalg.py
+    # patch it) once per (u, v), u in the radius-R box and v in the
+    # radius-2R box; jacobi_defect then reads only the table, and calls no
+    # bracket
     calls = []
     constant = blockalg.structure_constant
 
@@ -95,16 +95,42 @@ def test_jacobi_defect_reads_structure_constants_and_makes_no_bracket_call(monke
     monkeypatch.setattr(blockalg, "structure_constant", counting)
     monkeypatch.setattr(blockalg, "bracket", no_bracket)
     ctx = AlgebraContext(Fraction(5, 7))
-    generators = suites.box_generators(1)
-    reads = {0: 6, 1: 2, 2: 0, 3: 0}
-    for triple in itertools.product(generators, repeat=3):
+    for radius in (0, 1, 2):
         calls.clear()
-        blockalg.jacobi_defect(*triple, ctx)
-        assert len(calls) == reads[sum(gen is D2 for gen in triple)], triple
+        table = blockalg.ConstantTable(ctx, radius)
+        assert len(calls) == (2 * radius + 1) ** 2 * (4 * radius + 1) ** 2
+        calls.clear()
+        for triple in itertools.product(range(len(table.generators)), repeat=3):
+            blockalg.jacobi_defect(*triple, table)
+        assert calls == []
     calls.clear()
-    [check] = suites.jacobi_suite([Fraction(5, 7)], radius=1)
-    assert check.status == "pass" and check.witness == "1000 triples, all defects zero"
-    assert len(calls) == 6 * 9 ** 3 + 2 * 3 * 9 ** 2
+    checks = suites.jacobi_suite([Fraction(5, 7), Fraction(-2)], radius=1)
+    assert [c.witness for c in checks] == ["1000 triples, all defects zero"] * 2
+    assert len(calls) == 2 * 9 * 25
+
+
+def test_jacobi_suite_calls_the_kernel_once_per_triple_through_the_module_global(monkeypatch):
+    # the benchmark counts Jacobi triples, and ticks its clock, at
+    # blockalg.jacobi_defect: the suite calls it through the module global
+    # once per ordered triple, ((2R+1)^2 + 1)^3 per q; at radius 2 over the
+    # five acceptance q that is the count the jacobi workload gates on
+    calls = []
+    kernel = blockalg.jacobi_defect
+
+    def counted(*args):
+        calls.append(args[:3])
+        return kernel(*args)
+
+    monkeypatch.setattr(blockalg, "jacobi_defect", counted)
+    for radius in (0, 1, 2):
+        calls.clear()
+        checks = suites.jacobi_suite(suites.ACCEPTANCE_Q_VALUES, radius=radius)
+        assert all(c.ok for c in checks)
+        per_q = ((2 * radius + 1) ** 2 + 1) ** 3
+        assert len(calls) == len(suites.ACCEPTANCE_Q_VALUES) * per_q
+        assert calls[:per_q] == list(itertools.product(range((2 * radius + 1) ** 2 + 1),
+                                                       repeat=3))
+    assert len(calls) == 87_880
 
 
 def test_coefficient_replay_makes_no_commutator_replay_call(monkeypatch):

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from blockmod import blockalg, suites
-from blockmod.blockalg import (D2, AlgebraContext, AlgebraElement, BasisL, bracket,
-                               jacobi_defect, parse_element, structure_constant)
+from blockmod.blockalg import (D2, AlgebraContext, AlgebraElement, BasisL, ConstantTable,
+                               bracket, jacobi_defect, parse_element, structure_constant)
 from blockmod.poly import IndexPair, ParseError, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import ACCEPTANCE_Q_VALUES, box_generators
+
+from oracles import generator_jacobi_defect
 
 ORACLE_Q_VALUES = (*ACCEPTANCE_Q_VALUES, Fraction(-1, 3))
 
@@ -191,20 +193,49 @@ def element(gen):
     return AlgebraElement({gen: 1})
 
 
+def table_defects(ctx, radius):
+    """(generator triple, kernel defect) for every ordered triple of the radius-R
+    table, in ``itertools.product`` order; the table reads the constant as it
+    is patched now."""
+    table = ConstantTable(ctx, radius)
+    gens = table.generators
+    for ijk in itertools.product(range(len(gens)), repeat=3):
+        yield tuple(gens[i] for i in ijk), jacobi_defect(*ijk, table)
+
+
+def test_constant_table_index_proof():
+    # constants[rows[i] + cols[j] + cols[k]] is b*c(m, n + k) for m, n, k at
+    # positions i, j, k of the box, and constants[rows[i] + cols[k]] is
+    # b*c(m, k): the column of a sum is the sum of the columns
+    for radius in (0, 1, 2):
+        box = index_box(radius)
+        for q in (Fraction(5, 7), Fraction(-2)):
+            a, b = q.numerator, q.denominator
+            table = ConstantTable(AlgebraContext(q), radius)
+            assert table.generators == box_generators(radius) and table.den == b
+            assert len(table.constants) == (2 * radius + 1) ** 2 * (4 * radius + 1) ** 2
+            for i, m in enumerate(box):
+                for j, n in enumerate(box):
+                    assert table.constants[table.rows[i] + table.cols[j]] == \
+                        structure_constant(m, n, a, b)
+                    for k, k_ in enumerate(box):
+                        assert table.constants[table.rows[i] + table.cols[j] + table.cols[k]] \
+                            == structure_constant(m, n + k_, a, b)
+
+
 def test_jacobi_defect_matches_three_bracket_sum_on_the_box(monkeypatch):
     # with the true constant every defect is 0 (criterion 01 checks that);
     # the skewed one gives nonzero defects, so every generator triple of the
-    # radius-1 box, with D2 in each place, is compared with the reference's
-    # three brackets on real values
+    # radius-1 table, with D2 in each place, is compared with the reference's
+    # three brackets and with the per-triple oracle on real values
     skewed_constant(monkeypatch)
-    triples = list(itertools.product(box_generators(1), repeat=3))
     for q in ORACLE_Q_VALUES:
         ctx = AlgebraContext(q)
         nonzero = set()
-        for triple in triples:
-            defect = jacobi_defect(*triple, ctx)
+        for triple, defect in table_defects(ctx, 1):
             assert defect.terms() == reference_jacobi_defect(
                 *map(element, triple), ctx, skew).terms(), triple
+            assert defect == generator_jacobi_defect(*triple, ctx), triple
             if defect:
                 nonzero.add(tuple(gen is D2 for gen in triple))
         # all-L triples and the three rotations of one D2 give nonzero defects
@@ -218,7 +249,7 @@ def generator_sum(x, y, z, ctx):
     total = AlgebraElement()
     for (u, a), (v, b), (w, c) in itertools.product(x.terms().items(), y.terms().items(),
                                                     z.terms().items()):
-        total = total + a * b * c * jacobi_defect(u, v, w, ctx)
+        total = total + a * b * c * generator_jacobi_defect(u, v, w, ctx)
     return total
 
 
@@ -241,8 +272,8 @@ def test_jacobi_defect_matches_three_bracket_sum_on_multi_term_elements(monkeypa
         cases.append((L(*m) + Fraction(3, 4) * AlgebraElement.derivation(), 5 * L(*n),
                       L(*k) + L(*(m + k))))
         # scaled so that the two land with opposite coefficients and cancel
-        j1 = jacobi_defect(BasisL(m), BasisL(n), BasisL(k_), ctx).terms()
-        j2 = jacobi_defect(BasisL(m), BasisL(n_), BasisL(k), ctx).terms()
+        j1 = generator_jacobi_defect(BasisL(m), BasisL(n), BasisL(k_), ctx).terms()
+        j2 = generator_jacobi_defect(BasisL(m), BasisL(n_), BasisL(k), ctx).terms()
         ratio = j1[BasisL(m + n + k_)] / j2[BasisL(m + n + k_)] if skewed else 1
         cases.append((L(*m), L(*n) + ratio * L(*n_), L(*k) - L(*k_)))
         for x, y, z in cases:
@@ -282,9 +313,9 @@ def test_zero_brackets_match_reference(monkeypatch, skewed):
 
 @pytest.mark.parametrize("skewed", [False, True])
 def test_jacobi_defect_matches_reference_when_inner_brackets_vanish(monkeypatch, skewed):
-    # every generator triple of the radius-1 box and D2 in which an inner
-    # bracket vanishes, under both constants: the defect matches the
-    # reference, and a zero defect is the empty shared zero element
+    # every generator triple of the radius-1 table in which an inner bracket
+    # vanishes, under both constants: the defect matches the reference, and
+    # a zero defect is the empty shared zero element
     if skewed:
         skewed_constant(monkeypatch)
     for q in ORACLE_Q_VALUES:
@@ -294,31 +325,35 @@ def test_jacobi_defect_matches_reference_when_inner_brackets_vanish(monkeypatch,
             return reference_bracket(u, v, ctx, skew if skewed else None)
 
         all_vanish = some_vanish = 0
-        for triple in itertools.product(box_generators(1), repeat=3):
+        for triple, defect in table_defects(ctx, 1):
             x, y, z = map(element, triple)
             inner = [br(y, z), br(z, x), br(x, y)]
             if all(inner):
                 continue
-            defect = jacobi_defect(*triple, ctx)
             assert defect.terms() == reference_jacobi_defect(
                 x, y, z, ctx, skew if skewed else None).terms()
             if not defect:
-                assert (defect._nums, defect._den) == ({}, 1)
+                assert defect is blockalg._ZERO and (defect._nums, defect._den) == ({}, 1)
             some_vanish += 1
             all_vanish += not any(inner)
         assert all_vanish > 10 and some_vanish > all_vanish
+
+
+def positions(table, *gens):
+    return [table.generators.index(gen) for gen in gens]
 
 
 def test_jacobi_defect_zero_is_shared_and_stays_empty():
     # a vanishing defect is one shared zero element, not a fresh one; no
     # sum, negation or scaling may write into it
     ctx = AlgebraContext(Fraction(5, 7))
+    table = ConstantTable(ctx, 2)
     d2 = AlgebraElement.derivation()
-    zero = jacobi_defect(G(1, 0), G(0, 1), G(1, 1), ctx)
+    zero = jacobi_defect(*positions(table, G(1, 0), G(0, 1), G(1, 1)), table)
     assert zero == AlgebraElement() and (zero._nums, zero._den) == ({}, 1)
-    assert jacobi_defect(D2, D2, G(2, 1), ctx) is zero
-    assert jacobi_defect(G(1, 0), D2, G(0, 1), ctx) is zero
-    assert jacobi_defect(D2, D2, D2, ctx) is zero
+    assert jacobi_defect(*positions(table, D2, D2, G(2, 1)), table) is zero
+    assert jacobi_defect(*positions(table, G(1, 0), D2, G(0, 1)), table) is zero
+    assert jacobi_defect(*positions(table, D2, D2, D2), table) is zero
     [check] = suites.jacobi_suite([Fraction(5, 7)], radius=1)
     assert check.status == "pass"
     x = Fraction(3, 2) * L(2, -1) - d2
@@ -327,19 +362,26 @@ def test_jacobi_defect_zero_is_shared_and_stays_empty():
     assert 3 * zero == 0 and zero * 1 == 0 and zero * 0 == 0
     assert zero + x + zero - x == 0 and (zero + x) * 2 == 2 * x
     assert (zero._nums, zero._den) == ({}, 1)
-    assert jacobi_defect(G(1, 0), G(0, 1), G(1, 1), ctx) is zero
+    assert jacobi_defect(*positions(table, G(1, 0), G(0, 1), G(1, 1)), table) is zero
     assert parse_element("0", ctx) is zero
 
 
-@pytest.mark.parametrize("bad", [L(1, 2), "junk"])
+@pytest.mark.parametrize("bad", [L(1, 2), G(1, 2), "junk", 1.0])
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_jacobi_defect_rejects_a_non_generator_argument(bad, position):
-    # an element or any other value is neither BasisL nor D2, beside two L's or an L and D2
+    # the oracle takes generators: an element or any other value is neither
+    # BasisL nor D2, beside two L's or an L and D2; the kernel takes positions
+    # in its table, and any non-int beside the same pairs raises too
     ctx = AlgebraContext(Fraction(5, 7))
+    table = ConstantTable(ctx, 2)
     for others in ([G(1, 1), G(2, 1)], [G(1, 1), D2], [D2, D2]):
         triple = others[:position] + [bad] + others[position:]
-        with pytest.raises(TypeError, match="BasisL or D2"):
-            jacobi_defect(*triple, ctx)
+        if type(bad) is not BasisL:
+            with pytest.raises(TypeError, match="BasisL or D2"):
+                generator_jacobi_defect(*triple, ctx)
+        at = positions(table, *others)
+        with pytest.raises(TypeError):
+            jacobi_defect(*(at[:position] + [bad] + at[position:]), table)
 
 
 def test_structure_constant_jacobi_symbolic():
@@ -357,19 +399,19 @@ def test_structure_constant_jacobi_symbolic():
 
 
 def test_jacobi_hand_example():
-    ctx = AlgebraContext(Fraction(1))
-    assert jacobi_defect(D2, G(1, 0), G(0, 1), ctx) == 0
-    assert jacobi_defect(G(1, 0), G(1, 0), G(2, 2), ctx) == 0
+    table = ConstantTable(AlgebraContext(Fraction(1)), 2)
+    assert jacobi_defect(*positions(table, D2, G(1, 0), G(0, 1)), table) == 0
+    assert jacobi_defect(*positions(table, G(1, 0), G(1, 0), G(2, 2)), table) == 0
 
 
 def test_jacobi_small_grid():
-    gens = box_generators(2)
     for q in (Fraction(5, 7), Fraction(2)):
-        ctx = AlgebraContext(q)
-        for x in gens[::5]:
-            for y in gens[::3]:
-                for z in gens[::4]:
-                    assert jacobi_defect(x, y, z, ctx) == 0
+        table = ConstantTable(AlgebraContext(q), 2)
+        count = len(table.generators)
+        for i in range(0, count, 5):
+            for j in range(0, count, 3):
+                for k in range(0, count, 4):
+                    assert jacobi_defect(i, j, k, table) == 0
 
 
 def test_witt_embedding():
@@ -451,7 +493,7 @@ def test_element_keys_are_generators():
     ctx = AlgebraContext(Fraction(5, 7))
     for _ in range(20):
         x, y = sample_element(rng), sample_element(rng)
-        defects = [jacobi_defect(u, v, G(1, 1), ctx)
+        defects = [generator_jacobi_defect(u, v, G(1, 1), ctx)
                    for u in x.terms() for v in y.terms()]
         for value in (x, y, bracket(x, y, ctx), *defects):
             for gen in value.terms():

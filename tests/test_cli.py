@@ -254,6 +254,9 @@ def test_argument_type_errors_keep_their_message(argv, message):
     (["replay", "--eq", "control", "--alpha", "1/2", "--radius", "0"],
      "control radius must be at least 1, got 0"),
     (["replay", "--alpha", "1/2", "--radius", "0"], "replay radius must be at least 1, got 0"),
+    # the radius guard comes before the alpha = 1 error check
+    (["replay", "--eq", "control", "--alpha", "1", "--radius", "0"],
+     "control radius must be at least 1, got 0"),
 ])
 def test_empty_grids_are_usage_errors(argv, message):
     code, out, err = run_cli(argv)

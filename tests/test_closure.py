@@ -14,8 +14,8 @@ from blockmod.poly import IndexPair, Poly2, monomial_rank, monomials_upto
 from blockmod.prng import SplitMix64
 from blockmod.suites import sample_poly2
 
-from oracles import (BoxActTable, CheckedEchelon, rational_basis, rational_contains,
-                     rational_span_insert)
+from oracles import (BoxActTable, CheckedEchelon, leading_monomial, rational_basis,
+                     rational_contains, rational_span_insert)
 
 
 # --- an independent fixpoint oracle ------------------------------------------
@@ -87,7 +87,7 @@ def spans_agree(basis: SubspaceBasis, oracle_rows):
 # --- span_insert ---------------------------------------------------------------
 
 def leading_monomials(basis):
-    return [v.leading_monomial() for v in basis.vectors]
+    return [leading_monomial(v) for v in basis.vectors]
 
 
 def test_span_insert_examples():

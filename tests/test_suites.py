@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blockmod import blockalg, identities, omega, poly, suites
-from blockmod.blockalg import AlgebraElement, BasisL
+from blockmod.blockalg import D2, AlgebraContext, AlgebraElement, BasisL
 from blockmod.closure import ClosureResult, ClosureTag
 from blockmod.omega import ParamSet
 from blockmod.poly import IndexPair, Poly2, index_box
@@ -12,6 +12,7 @@ from blockmod.prng import SplitMix64
 from blockmod.suites import (all_passed, control_param_set, exceptional_indices,
                              iso_parameter_grid, sample_param_set, sample_poly2)
 from child_process import run_python
+from oracles import generator_jacobi_defect
 
 
 def test_splitmix64_reference_sequence():
@@ -81,14 +82,23 @@ def test_variant_controls_pass_at_alpha_zero(q, lam):
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1)])
-def test_variant_controls_reject_radius_zero(alpha):
-    # the radius-0 grid holds only L(0,0), where Delta(0,0) = 0 for every image
+def test_variant_controls_reject_radius_zero(alpha, monkeypatch):
+    # the radius-0 grid holds only L(0,0), where Delta(0,0) = 0 for every image;
+    # both controls and the CLI's variant guard raise through one radius guard,
+    # before the alpha = 1 case
+    guarded = []
+    guard = suites.check_control_radius
+    monkeypatch.setattr(suites, "check_control_radius",
+                        lambda radius: guarded.append(radius) or guard(radius))
     p = ParamSet(1, 1, 1, alpha)
     polys = [sample_poly2(SplitMix64(3), 2)]
     with pytest.raises(ValueError, match="control radius must be at least 1, got 0"):
         suites.variant_control_suite(p, polys, radius=0)
     with pytest.raises(ValueError, match="control radius must be at least 1, got 0"):
         suites.commutator_variant_control(p, radius=0)
+    with pytest.raises(ValueError, match="control radius must be at least 1, got 0"):
+        suites.check_variant_domain(p, 0)
+    assert guarded == [0, 0, 0]
 
 
 def test_witt_suite_rejects_m1_zero():
@@ -129,6 +139,60 @@ def test_jacobi_failure_witness(monkeypatch):
     assert checks == [suites.Check(
         "jacobi q=5/7", "jacobi-identity", "fail",
         "x=L(-1,-1), y=L(-1,-1), z=L(1,-1), defect=L(1,0) - 3/2*D2")]
+
+
+def oracle_jacobi_checks(q_values, radius):
+    """The Jacobi checks as the per-triple oracle gives them: every generator
+    triple of the row-major radius-R box, then D2, in itertools.product
+    order, with the first nonzero defect as the witness."""
+    generators = [BasisL(IndexPair(a, b)) for a in range(-radius, radius + 1)
+                  for b in range(-radius, radius + 1)] + [D2]
+    checks = []
+    for q in q_values:
+        ctx = AlgebraContext(Fraction(q))
+        name = f"jacobi q={q}"
+        for count, xyz in enumerate(itertools.product(generators, repeat=3), 1):
+            defect = generator_jacobi_defect(*xyz, ctx)
+            if defect:
+                checks.append(suites.Check(name, "jacobi-identity", "fail",
+                                           "x={}, y={}, z={}, defect={}".format(*xyz, defect)))
+                break
+        else:
+            checks.append(suites.Check(name, "jacobi-identity", "pass",
+                                       f"{count} triples, all defects zero"))
+    return checks
+
+
+def _patched(true_constant, kind):
+    if kind == "skew":
+        return lambda m, n, a, b: true_constant(m, n, a, b) + m.m1 * n.m2 + 1
+    pair = {"off-by-one": (IndexPair(1, 0), IndexPair(0, 1)),
+            "late-pair": (IndexPair(2, 2), IndexPair(-1, 3))}[kind]
+    return lambda m, n, a, b: true_constant(m, n, a, b) + b * ((m, n) == pair)
+
+
+@pytest.mark.parametrize("kind", ["true", "skew", "off-by-one", "late-pair"])
+def test_jacobi_table_scan_matches_the_oracle_scan(monkeypatch, kind):
+    # the table scan gives the oracle scan's checks byte for byte, witnesses
+    # included, under the true constant and three patched ones: a skew that
+    # fails at the first triple, and two single off-by-one pairs, one of
+    # them read only late in the scan (its v lies outside the radius-R box)
+    if kind != "true":
+        monkeypatch.setattr(blockalg, "structure_constant",
+                            _patched(blockalg.structure_constant, kind))
+    checks = suites.jacobi_suite(suites.ACCEPTANCE_Q_VALUES, radius=2)
+    assert checks == oracle_jacobi_checks(suites.ACCEPTANCE_Q_VALUES, radius=2)
+    assert [c.status for c in checks] == ["pass" if kind == "true" else "fail"] * 5
+    if kind == "skew":
+        # every triple, not only the first failing one: the D2 rotations
+        # are nonzero under the skew
+        for q in suites.ACCEPTANCE_Q_VALUES:
+            ctx = AlgebraContext(q)
+            table = blockalg.ConstantTable(ctx, 2)
+            generators = table.generators
+            for ijk in itertools.product(range(len(generators)), repeat=3):
+                assert blockalg.jacobi_defect(*ijk, table) == generator_jacobi_defect(
+                    *(generators[i] for i in ijk), ctx), ijk
 
 
 def test_module_axiom_failure_witness(monkeypatch):
