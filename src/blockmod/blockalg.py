@@ -227,12 +227,12 @@ class ConstantTable:
     radius-R box reads, built once per q and then only read.
 
     ``generators`` is ``box_generators(R)``: the L(m) of the box in box
-    order, then D2 at position ``len(rows)``.  ``constants`` holds
-    b*c(u, v) (:func:`structure_constant`, q = a/b) for every u in the
-    radius-R box and every v in the radius-2R box, in one flat list of
-    ints: (2R+1)^2 * (4R+1)^2 entries, each read through this module's
-    global, so a patched constant enters the table.  Both orders are
-    read; the table assumes no antisymmetry.
+    order, then D2.  ``constants`` holds b*c(u, v)
+    (:func:`structure_constant`, q = a/b) for every u in the radius-R box
+    and every v in the radius-2R box, in one flat list of ints:
+    (2R+1)^2 * (4R+1)^2 entries, each read through this module's global,
+    so a patched constant enters the table.  Both orders are read; the
+    table assumes no antisymmetry.
 
     Index proof.  Row-major order puts v in the radius-2R box at
     (v1 + 2R)*(4R+1) + (v2 + 2R) = v1*(4R+1) + v2 + o, with o the
@@ -243,6 +243,11 @@ class ConstantTable:
     of the columns: lin(n+k) = lin(n) + lin(k) - lin(0).  That is a true
     position whenever v lies in the radius-2R box, which holds for v = k
     and for v = n + k when n and k lie in the radius-R box.
+
+    D2 slot.  ``rows`` and ``cols`` hold None at D2's position, the last,
+    so all three lists line up: position p names ``generators[p]``, and
+    ``rows[p] is None`` exactly when that generator is D2, for every p
+    that a list accepts as an index, negative ones included.
     """
 
     __slots__ = ("generators", "den", "constants", "rows", "cols")
@@ -255,8 +260,8 @@ class ConstantTable:
         self.generators = box_generators(radius)
         self.den = b
         self.constants = [structure_constant(u, v, a, b) for u in box for v in wide]
-        self.rows = [i * len(wide) + origin for i in range(len(box))]
-        self.cols = [m1 * width + m2 for m1, m2 in box]
+        self.rows = [i * len(wide) + origin for i in range(len(box))] + [None]
+        self.cols = [m1 * width + m2 for m1, m2 in box] + [None]
 
 
 def jacobi_defect(i: int, j: int, k: int, table: ConstantTable) -> AlgebraElement:
@@ -268,7 +273,7 @@ def jacobi_defect(i: int, j: int, k: int, table: ConstantTable) -> AlgebraElemen
     the identity holds on all of B(q) and D2 once it holds on every
     generator triple.  No bracket is built, and no constant is computed
     here: every one is read from ``table`` (see :class:`ConstantTable`
-    for the index proof).
+    for the index proof and the D2 slot).
 
     Write c for b times the true constant, q = a/b.  The three terms are:
 
@@ -283,18 +288,17 @@ def jacobi_defect(i: int, j: int, k: int, table: ConstantTable) -> AlgebraElemen
       [D2,[D2,L(k)]] = k2^2*L(k) = -[D2,[L(k),D2]] and [L(k),[D2,D2]] = 0.
 
     No sum is taken as zero without reading it, so a patched constant
-    enters every defect it should.  A non-int position raises
-    ``TypeError``: in the L, L, L case from the list index, elsewhere from
-    a check that runs after that case returns.  Positions must lie in
-    ``range(len(table.generators))``, as the sweep's do; a negative one
-    is not caught.  An element is built only for a nonzero defect; a
-    zero defect is the one shared zero element, which no operation
-    mutates.
+    enters every defect it should.  Position p means
+    ``table.generators[p]`` for every index a list accepts, negative ones
+    included: the kernel tells D2 from L(m) by ``rows[p] is None``.  A
+    position that is no index (a float, a generator) raises ``TypeError``
+    from the first row read, and one out of range ``IndexError``.  An
+    element is built only for a nonzero defect; a zero defect is the one
+    shared zero element, which no operation mutates.
     """
     rows, cols, c = table.rows, table.cols, table.constants
-    d2 = len(rows)
-    if i != d2 and j != d2 and k != d2:
-        ri, rj, rk = rows[i], rows[j], rows[k]
+    ri, rj, rk = rows[i], rows[j], rows[k]
+    if ri is not None and rj is not None and rk is not None:
         ci, cj, ck = cols[i], cols[j], cols[k]
         d = (c[rj + ck] * c[ri + cj + ck] + c[rk + ci] * c[rj + ck + ci]
              + c[ri + cj] * c[rk + ci + cj])
@@ -303,16 +307,12 @@ def jacobi_defect(i: int, j: int, k: int, table: ConstantTable) -> AlgebraElemen
         gens = table.generators
         return AlgebraElement._reduced({BasisL(gens[i].m + gens[j].m + gens[k].m): d},
                                        table.den ** 2)
-    for p in (i, j, k):
-        if type(p) is not int:
-            raise TypeError(f"jacobi_defect takes positions in table.generators, "
-                            f"not {type(p).__name__}")
-    if i == d2:
-        if j == d2 or k == d2:
+    if ri is None:
+        if rj is None or rk is None:
             return _ZERO
         n, k = j, k
-    elif j == d2:
-        if k == d2:
+    elif rj is None:
+        if rk is None:
             return _ZERO
         n, k = k, i         # (L(m), D2, L(k)) rotates to (D2, L(k), L(m))
     else:

@@ -43,17 +43,21 @@ def all_passed(checks: list[Check]) -> bool:
     return all(c.ok for c in checks)
 
 
-def first_defect(cases, defect_of):
-    """Scan ``cases`` in order until ``defect_of(case)`` is nonzero.
+def first_defect(kernel, cases, zero=None):
+    """Scan the argument tuples ``cases`` in order until ``kernel(*case)`` is
+    nonzero.
 
     Returns ``(cases scanned, (case, defect))`` at the first nonzero
-    defect, or ``(cases scanned, None)`` when every defect vanished.
+    defect, or ``(cases scanned, None)`` when every defect vanished.  A
+    defect is nonzero when ``defect is not zero and defect``: ``zero`` is
+    the kernel's shared zero (falsy), so the identity test skips the
+    truth test for it, and any other defect, a fresh zero included, goes
+    through the truth test.
     """
     count = 0
-    for case in cases:
-        count += 1
-        defect = defect_of(case)
-        if defect:
+    for count, case in enumerate(cases, 1):
+        defect = kernel(*case)
+        if defect is not zero and defect:
             return count, (case, defect)
     return count, None
 
@@ -126,18 +130,22 @@ def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
 
     Per q it builds one :class:`blockalg.ConstantTable` and scans the
     positions of its generators in ``itertools.product`` order, so the
-    witness is the first failing generator triple in that order.
+    witness is the first failing generator triple in that order.  The
+    kernel is read from :mod:`blockalg` at sweep time and called once per
+    triple, on ``(i, j, k, table)``.
     """
     checks = []
     for q in q_values:
         table = blockalg.ConstantTable(AlgebraContext(Fraction(q)), radius)
         generators = table.generators
-        count, failure = first_defect(itertools.product(range(len(generators)), repeat=3),
-                                      lambda ijk: blockalg.jacobi_defect(*ijk, table))
+        span = range(len(generators))
+        count, failure = first_defect(blockalg.jacobi_defect,
+                                      itertools.product(span, span, span, (table,)),
+                                      zero=blockalg._ZERO)
         checks.append(verdict(
             f"jacobi q={q}", "jacobi-identity", count,
             failure and "x={}, y={}, z={}, defect={}".format(
-                *(generators[i] for i in failure[0]), failure[1]),
+                *(generators[i] for i in failure[0][:3]), failure[1]),
             f"{count} triples, all defects zero"))
     return checks
 
@@ -169,8 +177,9 @@ def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
             g = table[m] = image(m, p)
         return g
 
-    cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
-    return first_defect(cases, lambda xyf: omega.module_axiom_defect(*xyf, p, tabled))
+    count, failure = first_defect(omega.module_axiom_defect, itertools.product(
+        generators, generators, polys, (p,), (tabled,)))
+    return count, failure and (failure[0][:3], failure[1])
 
 
 def _axiom_failure_text(failure) -> str:
@@ -324,6 +333,12 @@ def _sample_pairs(rng: SplitMix64, radius: int, cap: int) -> list[tuple[IndexPai
     return chosen
 
 
+def _coefficient_defects(m: IndexPair, n: IndexPair, p: ParamSet):
+    """The three coefficient defects of (m, n), or None when all vanish."""
+    defects = identities.replay_coefficient_identities(m, n, p)
+    return defects if any(defects) else None
+
+
 def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
                  pair_cap: int = 200) -> list[Check]:
     """Replay every classification identity over index grids.
@@ -347,39 +362,33 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
         for e in exceptional_indices(p):
             pairs.extend([(e, IndexPair(1, 2)), (IndexPair(-2, 1), e), (e, e)])
 
-        count, failure = first_defect(
-            pairs, lambda mn: identities.replay_commutator(*mn, p))
+        count, failure = first_defect(identities.replay_commutator,
+                                      [(m, n, p) for m, n in pairs])
         checks.append(verdict(
             f"commutator replay {tag}", "commutator-replay", count,
-            failure and "m={}, n={}, defect={}".format(*failure[0], failure[1]),
+            failure and "m={}, n={}, defect={}".format(*failure[0][:2], failure[1]),
             f"{count} pairs, all defects zero"))
 
-        singles = index_box(radius) + exceptional_indices(p)
-        count, failure = first_defect(
-            singles, lambda m: identities.replay_pair_difference(m, p))
+        singles = [(m, p) for m in index_box(radius) + exceptional_indices(p)]
+        count, failure = first_defect(identities.replay_pair_difference, singles)
         checks.append(verdict(
             f"pair difference replay {tag}", "pair-difference-replay", count,
-            failure and "m={}, defect={}".format(*failure),
+            failure and "m={}, defect={}".format(failure[0][0], failure[1]),
             f"{count} indices, all defects zero"))
 
-        count, failure = first_defect(
-            singles, lambda m: identities.replay_separated_form(m, p))
+        count, failure = first_defect(identities.replay_separated_form, singles)
         checks.append(verdict(
             f"separated form replay {tag}", "separated-form-replay", count,
-            failure and "m={}, defect={}".format(*failure),
+            failure and "m={}, defect={}".format(failure[0][0], failure[1]),
             f"{count} indices: no d1 residue and the X-part matches "
             f"-(X-q*m1*(alpha-1))*(X-q*m1*alpha)"))
 
-        def coefficient_defects(mn):
-            defects = identities.replay_coefficient_identities(*mn, p)
-            return defects if any(defects) else None
-
-        nonzero_pairs = [(m, n) for m, n in pairs if not (m.is_zero() or n.is_zero())]
-        count, failure = first_defect(nonzero_pairs, coefficient_defects)
+        nonzero_pairs = [(m, n, p) for m, n in pairs if not (m.is_zero() or n.is_zero())]
+        count, failure = first_defect(_coefficient_defects, nonzero_pairs)
         checks.append(verdict(
             f"coefficient replay {tag}", "coefficient-replay", count,
             failure and "m={}, n={}, defects={}".format(
-                *failure[0], tuple(str(d) for d in failure[1])),
+                *failure[0][:2], tuple(str(d) for d in failure[1])),
             f"{count} nonzero pairs, three zero defects each"))
     return checks
 
@@ -394,14 +403,13 @@ def commutator_variant_control(p: ParamSet, radius: int = 3) -> Check:
                      "error", "control undefined at alpha=1: the variant there is a "
                      "d2-translate of the adopted action and satisfies the identities")
     box = index_box(radius)
-    _, failure = first_defect(
-        itertools.product(box, box),
-        lambda mn: identities.replay_commutator(*mn, p, image=action_on_one_alt))
+    _, failure = first_defect(identities.replay_commutator,
+                              itertools.product(box, box, (p,), (action_on_one_alt,)))
     return Check(
         "commutator replay rejects the variant image", "action-variant-control",
         "pass" if failure else "fail",
         "variant {} breaks the identity: m={}, n={}, defect={}; adopted {} passes "
-        "(see commutator replay); {}".format(VARIANT_IMAGE_TEXT, *failure[0], failure[1],
+        "(see commutator replay); {}".format(VARIANT_IMAGE_TEXT, *failure[0][:2], failure[1],
                                              CANONICAL_IMAGE_TEXT, p.describe())
         if failure else
         f"variant {VARIANT_IMAGE_TEXT} unexpectedly satisfied the grid; {p.describe()}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmod import blockalg, identities, suites
+from blockmod import blockalg, identities, poly, suites
 from blockmod.blockalg import AlgebraContext
 from blockmod.omega import ParamSet
 from blockmod.poly import IndexPair
@@ -131,6 +131,25 @@ def test_jacobi_suite_calls_the_kernel_once_per_triple_through_the_module_global
         assert calls[:per_q] == list(itertools.product(range((2 * radius + 1) ** 2 + 1),
                                                        repeat=3))
     assert len(calls) == 87_880
+
+
+def test_clean_jacobi_suite_takes_no_truth_test_of_a_term_map(monkeypatch):
+    # every zero that jacobi_defect returns is the shared zero, which
+    # first_defect tests by identity: a clean sweep makes no Python-level
+    # _TermMap.__bool__ call, where a per-triple truth test would make G^3
+    truth_tests = []
+    truth = poly._TermMap.__bool__
+
+    def counted(self):
+        truth_tests.append(1)
+        return truth(self)
+
+    monkeypatch.setattr(poly._TermMap, "__bool__", counted)
+    assert not blockalg.AlgebraElement() and truth_tests == [1]
+    truth_tests.clear()
+    checks = suites.jacobi_suite([Fraction(5, 7), Fraction(-2)], radius=1)
+    assert [c.witness for c in checks] == ["1000 triples, all defects zero"] * 2
+    assert truth_tests == []
 
 
 def test_coefficient_replay_makes_no_commutator_replay_call(monkeypatch):

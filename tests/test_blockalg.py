@@ -384,6 +384,31 @@ def test_jacobi_defect_rejects_a_non_generator_argument(bad, position):
             jacobi_defect(*(at[:position] + [bad] + at[position:]), table)
 
 
+@pytest.mark.parametrize("skewed", [False, True])
+def test_jacobi_defect_reads_every_position_a_list_accepts(monkeypatch, skewed):
+    # rows and cols hold None at D2's slot, so position p means
+    # table.generators[p] for negative p too: -1 is D2 and -count is the
+    # first L; the skewed constant makes the defects nonzero, so a wrong
+    # row read shows
+    if skewed:
+        skewed_constant(monkeypatch)
+    for q in (Fraction(5, 7), Fraction(-2)):
+        ctx = AlgebraContext(q)
+        table = ConstantTable(ctx, 1)
+        gens = table.generators
+        count = len(gens)
+        assert table.rows[-1] is None and table.cols[-1] is None
+        assert len(table.rows) == len(table.cols) == count
+        nonzero = 0
+        for ijk in itertools.product(range(-count, count), repeat=3):
+            defect = jacobi_defect(*ijk, table)
+            assert defect == generator_jacobi_defect(*(gens[p] for p in ijk), ctx), ijk
+            nonzero += bool(defect)
+        assert bool(nonzero) == skewed
+        with pytest.raises(IndexError):
+            jacobi_defect(0, count, 0, table)
+
+
 def test_structure_constant_jacobi_symbolic():
     # c(n,k)c(m,n+k) + c(k,m)c(n,k+m) + c(m,n)c(k,m+n) = 0 for all indices
     # and all q = a/b; the scaled constants carry the common factor b^2

@@ -141,6 +141,44 @@ def test_jacobi_failure_witness(monkeypatch):
         "x=L(-1,-1), y=L(-1,-1), z=L(1,-1), defect=L(1,0) - 3/2*D2")]
 
 
+def test_jacobi_scan_tests_a_fresh_zero_by_truth(monkeypatch):
+    # the sweep skips the truth test only for the kernel's shared zero; a
+    # falsy defect that is another object still reads as zero, so every
+    # triple is scanned and every check passes
+    kernel = blockalg.jacobi_defect
+    fresh = []
+
+    def fresh_zero(*args):
+        defect = kernel(*args)
+        assert defect is blockalg._ZERO
+        fresh.append(args[:3])
+        return AlgebraElement._of({}, 1)
+
+    monkeypatch.setattr(blockalg, "jacobi_defect", fresh_zero)
+    checks = suites.jacobi_suite(suites.ACCEPTANCE_Q_VALUES, radius=1)
+    assert [c.status for c in checks] == ["pass"] * 5
+    assert [c.witness for c in checks] == ["1000 triples, all defects zero"] * 5
+    assert len(fresh) == 5 * 1000
+
+
+def test_jacobi_scan_reaches_a_defect_at_the_last_triple(monkeypatch):
+    # a defect only at the last triple, (D2, D2, D2), is found after all
+    # G^3 kernel calls and is that triple's witness
+    count = (3 ** 2 + 1) ** 3
+    defect = Fraction(-2) * AlgebraElement.basis(IndexPair(0, 1))
+    fake = _defect_at(count, defect, blockalg._ZERO)
+    monkeypatch.setattr(blockalg, "jacobi_defect", fake)
+    checks = suites.jacobi_suite([Fraction(5, 7)], radius=1)
+    assert len(fake.calls) == count and fake.calls[-1][:3] == (9, 9, 9)
+    assert checks == [suites.Check("jacobi q=5/7", "jacobi-identity", "fail",
+                                   "x=D2, y=D2, z=D2, defect=-2*L(0,1)")]
+    table = fake.calls[-1][3]
+    span = range(len(table.generators))
+    fake.calls.clear()
+    assert suites.first_defect(fake, itertools.product(span, span, span, (table,)),
+                               zero=blockalg._ZERO) == (count, ((9, 9, 9, table), defect))
+
+
 def oracle_jacobi_checks(q_values, radius):
     """The Jacobi checks as the per-triple oracle gives them: every generator
     triple of the row-major radius-R box, then D2, in itertools.product
@@ -225,8 +263,8 @@ def test_module_axiom_failure_witness(monkeypatch):
 def _per_case_axiom_scan(p, polys, radius, image):
     """The axiom grid scan as a plain per-case loop, with no image table."""
     generators = [BasisL(m) for m in index_box(radius)] + [blockalg.D2]
-    cases = ((x, y, f) for x, y in itertools.product(generators, repeat=2) for f in polys)
-    return suites.first_defect(cases, lambda xyf: omega.module_axiom_defect(*xyf, p, image))
+    return suites.first_defect(lambda x, y, f: omega.module_axiom_defect(x, y, f, p, image),
+                               itertools.product(generators, generators, polys))
 
 
 @pytest.mark.parametrize("image", [omega.action_on_one, omega.action_on_one_alt])
