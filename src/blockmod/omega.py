@@ -140,22 +140,24 @@ def action_on_one_alt(m: IndexPair, p: ParamSet) -> Poly2:
     return generator_image(m, p, variant=True)
 
 
-def act(x: AlgebraElement, f: Poly2, p: ParamSet, image=action_on_one) -> Poly2:
+# the one zero the kernels return: no operation mutates a term map, so it is shared
+_ZERO = Poly2._of({}, 1)
+
+
+def act(x: AlgebraElement, f: Poly2, p: ParamSet) -> Poly2:
     """Module action of an algebra element on a carrier polynomial.
 
     L(m) sends f to f(d - m) * g_m(d); the degree derivation acts by
-    multiplication with d2.  ``image`` swaps in an alternative generator
-    image; no suite calls ``act``, and the only callers that pass
-    ``image`` are the tests' composed-action oracles.
+    multiplication with d2.
     """
-    out = Poly2._of({}, 1)
+    out = _ZERO
     den = x._den
     for gen, n in x._nums.items():
         c = n if den == 1 else Fraction(n, den)
         if gen is blockalg.D2:
             out = out + c * (poly.D2 * f)
         else:
-            out = out + c * (f.shifted(gen.m) * image(gen.m, p))
+            out = out + c * (f.shifted(gen.m) * action_on_one(gen.m, p))
     return out
 
 
@@ -184,7 +186,7 @@ def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
 
         Delta = (F*b*D - C*D_m*D_n*N) / (D_m*D_n*b*D),
 
-    on integer numerators with one gcd pass; zero is ({}, 1).  Delta has
+    on integer numerators with one gcd pass; zero is ``_ZERO``.  Delta has
     degree at most 1 and does not depend on any carrier polynomial.
     """
     gm, gn, g = image(m, p), image(n, p), image(m + n, p)
@@ -196,7 +198,7 @@ def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
     nums = {key: c for key in _AFFINE_KEYS
             if (c := (km * gn._nums.get(key, 0) - kn * gm._nums.get(key, 0)) * keep
                 - drop * g._nums.get(key, 0))}
-    return Poly2._reduced(nums, den * keep) if nums else Poly2._of(nums, 1)
+    return Poly2._reduced(nums, den * keep) if nums else _ZERO
 
 
 def module_axiom_defect(gx, gy, f: Poly2, p: ParamSet, image=action_on_one) -> Poly2:
@@ -232,12 +234,12 @@ def module_axiom_defect(gx, gy, f: Poly2, p: ParamSet, image=action_on_one) -> P
     [D2, D2] = 0 while both nested actions are d2^2*f.
 
     f is shifted and multiplied only for a nonzero Delta; for the
-    adopted image no polynomial is touched at all.
+    adopted image no polynomial is touched at all.  A zero defect is ``_ZERO``.
     """
     if gx is blockalg.D2 or gy is blockalg.D2:
-        return Poly2._of({}, 1)
+        return _ZERO
     delta = commutator_defect(gx.m, gy.m, p, image)
-    return -(f.shifted(gx.m + gy.m) * delta) if delta else delta
+    return delta if delta is _ZERO else -(f.shifted(gx.m + gy.m) * delta)
 
 
 def in_proper_submodule(f: Poly2, p: ParamSet) -> bool:

@@ -155,30 +155,23 @@ def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
 def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
     """Scan all ordered generator pairs and polys with :func:`first_defect`.
 
-    Returns ``(cases scanned, ((x, y, f), defect) or None)``.  The scan
-    builds each generator image g_m = image(m, p) once and keeps it in
-    one table, which every case of the scan reads.  A case reaches the
-    indices m, n and m + n of a radius-R box, so the table holds at most
-    (4R+1)^2 small degree-1 polynomials (81 at radius 2).
+    Returns ``(cases scanned, ((x, y, f), defect) or None)``.  Before the
+    first case the scan builds g_m = image(m, p) for every m of the
+    radius-2R box into one table, (4R+1)^2 degree-1 polynomials (81 at
+    radius 2), which every case reads: a case of the radius-R box reads
+    only the images of m, n and m + n.
 
     :func:`omega.module_axiom_defect` builds, for a case L(m), L(n), the
     f-free commutator defect Delta(m, n) of three table images
     (:func:`omega.commutator_defect`), and a case with D2 builds
     nothing.  It shifts and multiplies f only where Delta is nonzero, so
-    for the adopted image the scan touches no polynomial at all.
+    for the adopted image the scan touches no polynomial at all.  Each
+    zero defect is the shared ``omega._ZERO``, tested by identity.
     """
     generators = box_generators(radius)
-    table: dict[IndexPair, Poly2] = {}
-
-    def tabled(m: IndexPair, _p: ParamSet) -> Poly2:
-        # every case of this scan passes the scan's own p
-        g = table.get(m)
-        if g is None:
-            g = table[m] = image(m, p)
-        return g
-
+    table = {m: image(m, p) for m in index_box(2 * radius)}
     count, failure = first_defect(omega.module_axiom_defect, itertools.product(
-        generators, generators, polys, (p,), (tabled,)))
+        generators, generators, polys, (p,), (lambda m, _p: table[m],)), zero=omega._ZERO)
     return count, failure and (failure[0][:3], failure[1])
 
 
@@ -363,7 +356,7 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
             pairs.extend([(e, IndexPair(1, 2)), (IndexPair(-2, 1), e), (e, e)])
 
         count, failure = first_defect(identities.replay_commutator,
-                                      [(m, n, p) for m, n in pairs])
+                                      [(m, n, p) for m, n in pairs], zero=omega._ZERO)
         checks.append(verdict(
             f"commutator replay {tag}", "commutator-replay", count,
             failure and "m={}, n={}, defect={}".format(*failure[0][:2], failure[1]),
@@ -403,8 +396,8 @@ def commutator_variant_control(p: ParamSet, radius: int = 3) -> Check:
                      "error", "control undefined at alpha=1: the variant there is a "
                      "d2-translate of the adopted action and satisfies the identities")
     box = index_box(radius)
-    _, failure = first_defect(identities.replay_commutator,
-                              itertools.product(box, box, (p,), (action_on_one_alt,)))
+    _, failure = first_defect(identities.replay_commutator, itertools.product(
+        box, box, (p,), (action_on_one_alt,)), zero=omega._ZERO)
     return Check(
         "commutator replay rejects the variant image", "action-variant-control",
         "pass" if failure else "fail",

@@ -8,6 +8,8 @@
 * The embedding of a one-variable polynomial into either slot, and the
   general substitution f(first, second), which the shift, the
   difference lemma and the Witt-line reduction are checked against.
+* The module action under any generator image, which the module-axiom
+  defect is checked against, composed, for both placements of the image.
 * The Jacobi defect of three generators as one closed form in the
   structure constants, read per triple, which the table scan of
   :func:`blockalg.jacobi_defect` is checked against.
@@ -111,6 +113,19 @@ def generator_jacobi_defect(gx, gy, gz, ctx: AlgebraContext) -> AlgebraElement:
     n, k = n.m, k.m
     j = n.m2 * (c(n, k, a, b) + c(k, n, a, b))
     return AlgebraElement({BasisL(n + k): Fraction(j, b)})
+
+
+def image_act(x: AlgebraElement, f: Poly2, p: ParamSet, image) -> Poly2:
+    """The module action of x on f with the generator image ``image(m, p)``:
+    L(m) sends f to f(d - m) * image(m, p), and D2 multiplies f by d2.
+    With ``omega.action_on_one`` it is ``omega.act``."""
+    out = Poly2()
+    for gen, c in x.terms().items():
+        if gen is D2:
+            out = out + c * (Poly2({(0, 1): 1}) * f)
+        else:
+            out = out + c * (f.shifted(gen.m) * image(gen.m, p))
+    return out
 
 
 def witness_coefficient_defects(m: IndexPair, n: IndexPair,

@@ -152,6 +152,41 @@ def test_clean_jacobi_suite_takes_no_truth_test_of_a_term_map(monkeypatch):
     assert truth_tests == []
 
 
+def test_clean_axiom_scan_and_commutator_replay_take_no_truth_test_of_a_term_map(monkeypatch):
+    # every zero that module_axiom_defect and commutator_defect return is
+    # omega._ZERO, which the axiom scan and the commutator replay test by
+    # identity: once the polynomials are sampled, a clean radius-2 axiom
+    # suite and the commutator replay make no Python-level _TermMap.__bool__
+    # call, where a truth test per case would make one or two
+    truth_tests = []
+    truth = poly._TermMap.__bool__
+
+    def counted(self):
+        truth_tests.append(1)
+        return truth(self)
+
+    params = suites.acceptance_param_sets(2)
+    polys = suites.sample_axiom_polys(3, count=1)
+    monkeypatch.setattr(poly._TermMap, "__bool__", counted)
+    checks = suites.module_axiom_suite(params, polys, radius=2)
+    assert [c.witness.split(";")[0] for c in checks] == \
+        ["676 (pair, poly) cases, all defects zero"] * 3
+    assert truth_tests == []
+
+    scan, replays = suites.first_defect, []
+
+    def counted_scan(kernel, cases, zero=None):
+        before = len(truth_tests)
+        count, failure = scan(kernel, cases, zero)
+        if kernel is identities.replay_commutator:
+            replays.append((count, failure, len(truth_tests) - before))
+        return count, failure
+
+    monkeypatch.setattr(suites, "first_defect", counted_scan)
+    suites.replay_suite(params, rng_seed=8, radius=2, pair_cap=40)
+    assert replays == [(40 + 3 * len(suites.exceptional_indices(p)), None, 0) for p in params]
+
+
 def test_coefficient_replay_makes_no_commutator_replay_call(monkeypatch):
     # the four replay_* functions share the layer identities.replay: the
     # coefficient replay builds its one commutator defect through

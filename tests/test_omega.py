@@ -12,7 +12,7 @@ from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
 from blockmod.poly import IndexPair, Poly1, Poly2, index_box
 from blockmod.prng import SplitMix64
 from blockmod.suites import axiom_grid_scan, control_param_set, sample_axiom_polys
-from oracles import T, compose2, cross_form, witt_act
+from oracles import T, compose2, cross_form, image_act, witt_act
 
 
 def L(m1, m2):
@@ -193,9 +193,9 @@ def test_factored_nested_action_matches_the_composed_one(image):
         for n in index_box(2):
             x, y = L(*m), L(*n)
             for f in polys:
-                composed = (act(x, act(y, f, p, image), p, image)
-                            - act(y, act(x, f, p, image), p, image))
-                bracket_term = act(bracket(x, y, ctx), f, p, image)
+                composed = (image_act(x, image_act(y, f, p, image), p, image)
+                            - image_act(y, image_act(x, f, p, image), p, image))
+                bracket_term = image_act(bracket(x, y, ctx), f, p, image)
                 defect = module_axiom_defect(BasisL(m), BasisL(n), f, p, image)
                 assert defect == bracket_term - composed, (m, n, f)
                 nonzero += bool(defect)
@@ -205,10 +205,10 @@ def test_factored_nested_action_matches_the_composed_one(image):
     f = polys[0]
     for a, b in ((Fraction(3, 2), -2), (-1, Fraction(1, 5))):
         x, y = a * L(1, -2), b * L(-1, 1)
-        composed = (act(x, act(y, f, p, image), p, image)
-                    - act(y, act(x, f, p, image), p, image))
+        composed = (image_act(x, image_act(y, f, p, image), p, image)
+                    - image_act(y, image_act(x, f, p, image), p, image))
         assert a * b * module_axiom_defect(G(1, -2), G(-1, 1), f, p, image) == \
-            act(bracket(x, y, ctx), f, p, image) - composed
+            image_act(bracket(x, y, ctx), f, p, image) - composed
 
 
 def _forbidden(*args):
@@ -242,10 +242,11 @@ def test_basis_pair_defect_comes_from_the_f_free_commutator_defect(monkeypatch, 
             assert defect == -(f.shifted(m + n) * delta), (m, n)
             for a, b in ((1, 1), (Fraction(3, 2), -2)):
                 x, y = a * L(*m), b * L(*n)
-                composed = (act(x, act(y, f, p, action_on_one_alt), p, action_on_one_alt)
-                            - act(y, act(x, f, p, action_on_one_alt), p, action_on_one_alt))
+                composed = (
+                    image_act(x, image_act(y, f, p, action_on_one_alt), p, action_on_one_alt)
+                    - image_act(y, image_act(x, f, p, action_on_one_alt), p, action_on_one_alt))
                 assert a * b * defect == \
-                    act(bracket(x, y, ctx), f, p, action_on_one_alt) - composed, (a, b, m, n)
+                    image_act(bracket(x, y, ctx), f, p, action_on_one_alt) - composed, (a, b, m, n)
     assert nonzero
 
 
@@ -259,9 +260,9 @@ def _commutator_oracle(m, n, p, g):
 
 def _composed_defect(x, y, f, p, image):
     """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)), the oracle."""
-    return (act(bracket(x, y, p.context()), f, p, image)
-            - act(x, act(y, f, p, image), p, image)
-            + act(y, act(x, f, p, image), p, image))
+    return (image_act(bracket(x, y, p.context()), f, p, image)
+            - image_act(x, image_act(y, f, p, image), p, image)
+            + image_act(y, image_act(x, f, p, image), p, image))
 
 
 def generator_sum(x, y, f, p, image):

@@ -161,6 +161,59 @@ def test_jacobi_scan_tests_a_fresh_zero_by_truth(monkeypatch):
     assert len(fresh) == 5 * 1000
 
 
+def test_axiom_scan_and_commutator_replay_test_a_fresh_zero_by_truth(monkeypatch):
+    # the two scans skip the truth test only for omega._ZERO; a falsy defect
+    # that is another object still reads as zero, so every case is scanned
+    # and every check passes
+    fresh = []
+
+    def fresh_zero(kernel):
+        def patched(*args):
+            assert kernel(*args) is omega._ZERO
+            fresh.append(args)
+            return Poly2._of({}, 1)
+        return patched
+
+    monkeypatch.setattr(omega, "module_axiom_defect", fresh_zero(omega.module_axiom_defect))
+    monkeypatch.setattr(identities, "replay_commutator", fresh_zero(identities.replay_commutator))
+    params = suites.acceptance_param_sets(2)
+    polys = suites.sample_axiom_polys(3, count=2)
+    checks = suites.module_axiom_suite(params, polys, radius=2)
+    assert [c.status for c in checks] == ["pass"] * 3
+    assert [c.witness.split(";")[0] for c in checks] == \
+        ["1352 (pair, poly) cases, all defects zero"] * 3
+    assert len(fresh) == 3 * 1352
+
+    fresh.clear()
+    checks = [c for c in suites.replay_suite(params, rng_seed=8, radius=2, pair_cap=40)
+              if c.anchor == "commutator-replay"]
+    counts = [40 + 3 * len(exceptional_indices(p)) for p in params]
+    assert [c.status for c in checks] == ["pass"] * 3
+    assert [c.witness for c in checks] == [f"{n} pairs, all defects zero" for n in counts]
+    assert len(fresh) == sum(counts) > 3 * 40
+
+
+def test_shared_zeros_are_never_changed():
+    # the kernels hand omega._ZERO and blockalg._ZERO to every caller, so no
+    # operation may write into a zero operand: after a quick report and each
+    # operation with a zero on either side, both are still ({}, 1)
+    suites.full_report(quick=True)
+    z, f = omega._ZERO, Poly2({(2, 1): Fraction(3, 4), (0, 0): -2})
+    assert z + z == z - z == -z == z * z == z * f == f * z == 0
+    assert z + f == f + z == f - z == -(z - f) == f and 1 - z == 1
+    assert Fraction(5, 3) * z == z * 2 == z * 0 == 0
+    assert z.shifted(IndexPair(1, -2)) == z._shift(Fraction(1, 2), 3) == 0
+    e = blockalg._ZERO
+    x = AlgebraElement.basis(IndexPair(1, 0)) - Fraction(3, 2) * AlgebraElement.derivation()
+    assert e + e == e - e == -e == Fraction(2, 7) * e == e * 3 == e * 0 == AlgebraElement()
+    assert e + x == x + e == x - e == -(e - x) == x
+    ctx = AlgebraContext(Fraction(5, 7))
+    assert not (blockalg.bracket(e, x, ctx) or blockalg.bracket(x, e, ctx)
+                or blockalg.bracket(e, e, ctx))
+    for zero in (omega._ZERO, blockalg._ZERO):
+        assert (zero._nums, zero._den) == ({}, 1)
+
+
 def test_jacobi_scan_reaches_a_defect_at_the_last_triple(monkeypatch):
     # a defect only at the last triple, (D2, D2, D2), is found after all
     # G^3 kernel calls and is that triple's witness
