@@ -26,8 +26,8 @@ over the radius-R box reads every constant it needs from one
 :class:`ConstantTable` per q, b*c(u, v) for u in the radius-R box and v
 in the radius-2R box, built by calling :func:`structure_constant`
 through this module's global, so a patched constant enters the table.
-Its flat index is linear in v, which is why the index of n + k is the
-sum of two per-generator columns.
+Its flat index is linear in v (:func:`box_columns`), which is why the
+index of n + k is the sum of two per-generator columns.
 """
 
 from __future__ import annotations
@@ -222,6 +222,23 @@ def box_generators(radius: int) -> list:
     return [BasisL(m) for m in index_box(radius)] + [D2]
 
 
+def box_columns(radius: int) -> tuple[list[int], int]:
+    """The linear column col(m) = m1*(4R+1) + m2 of every m of the
+    radius-R box, in box order, and the position o of the origin in the
+    radius-2R box; the tables of the Jacobi and module-axiom sweeps index
+    the radius-2R box through them.
+
+    Index proof.  Row-major order (:func:`poly.index_box`) puts v of the
+    radius-2R box at lin(v) = (v1 + 2R)*(4R+1) + (v2 + 2R) = col(v) + o,
+    with o = lin(0) = 2R*(4R+1) + 2R.  col is linear in v, so
+    col(n + k) = col(n) + col(k) and lin(n + k) = lin(n) + lin(k) - lin(0).
+    That is a true position whenever n + k lies in the radius-2R box,
+    which holds when n and k lie in the radius-R box.
+    """
+    width = 4 * radius + 1
+    return [m1 * width + m2 for m1, m2 in index_box(radius)], 2 * radius * (width + 1)
+
+
 class ConstantTable:
     """The scaled structure constants of one q that the Jacobi sweep of the
     radius-R box reads, built once per q and then only read.
@@ -234,15 +251,12 @@ class ConstantTable:
     so a patched constant enters the table.  Both orders are read; the
     table assumes no antisymmetry.
 
-    Index proof.  Row-major order puts v in the radius-2R box at
-    (v1 + 2R)*(4R+1) + (v2 + 2R) = v1*(4R+1) + v2 + o, with o the
-    position of the origin.  The part v1*(4R+1) + v2 is linear in v, so
-    with ``cols[i]`` that part for the i-th index m of the radius-R box and
-    ``rows[i]`` = i*(4R+1)^2 + o, b*c(m, v) is
-    ``constants[rows[i] + col(v)]``, and the column of a sum is the sum
-    of the columns: lin(n+k) = lin(n) + lin(k) - lin(0).  That is a true
-    position whenever v lies in the radius-2R box, which holds for v = k
-    and for v = n + k when n and k lie in the radius-R box.
+    Index.  Row i holds the radius-2R box in row-major order, so with
+    ``cols[i]`` the linear column col(m) of the i-th index m of the
+    radius-R box and ``rows[i]`` = i*(4R+1)^2 + o (:func:`box_columns`),
+    b*c(m, v) is ``constants[rows[i] + col(v)]``, and the column of a sum
+    is the sum of the columns: col(n + k) = col(n) + col(k), a true
+    position for v = k and for v = n + k.
 
     D2 slot.  ``rows`` and ``cols`` hold None at D2's position, the last,
     so all three lists line up: position p names ``generators[p]``, and
@@ -255,13 +269,12 @@ class ConstantTable:
     def __init__(self, ctx: AlgebraContext, radius: int):
         a, b = ctx.ratio
         box, wide = index_box(radius), index_box(2 * radius)
-        width = 4 * radius + 1
-        origin = 2 * radius * width + 2 * radius
+        cols, origin = box_columns(radius)
         self.generators = box_generators(radius)
         self.den = b
         self.constants = [structure_constant(u, v, a, b) for u in box for v in wide]
         self.rows = [i * len(wide) + origin for i in range(len(box))] + [None]
-        self.cols = [m1 * width + m2 for m1, m2 in box] + [None]
+        self.cols = cols + [None]
 
 
 def jacobi_defect(i: int, j: int, k: int, table: ConstantTable) -> AlgebraElement:
@@ -272,8 +285,8 @@ def jacobi_defect(i: int, j: int, k: int, table: ConstantTable) -> AlgebraElemen
     the generator defects weighted by the products of the coefficients:
     the identity holds on all of B(q) and D2 once it holds on every
     generator triple.  No bracket is built, and no constant is computed
-    here: every one is read from ``table`` (see :class:`ConstantTable`
-    for the index proof and the D2 slot).
+    here: every one is read from ``table`` (see :func:`box_columns` for
+    the index proof and :class:`ConstantTable` for the D2 slot).
 
     Write c for b times the true constant, q = a/b.  The three terms are:
 

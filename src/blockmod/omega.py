@@ -27,11 +27,18 @@ shape once, on integers; :func:`action_on_one` and
 lambda-free form, which is affine in m, at m = (0,0), (1,0) and (0,1).
 
 The module axioms reduce to the images: on L(m), L(n) the axiom
-defect is -f(d - m - n) times the f-free commutator defect Delta(m, n)
-of :func:`commutator_defect`, and every pair with D2 cancels
-identically.  The defect is bilinear, so :func:`module_axiom_defect`
-takes two generators and returns that one closed form; it never
-composes actions.
+defect is -f(d - m - n) times the f-free commutator defect Delta(m, n),
+and every pair with D2 cancels identically.  Delta is one closed form
+on the integer carriers of three affine images, the d1, d2 and constant
+numerators and the denominator (:func:`_affine_delta`); the one carrier
+conversion refuses an image of degree above 1, which that form cannot
+read.  :func:`commutator_defect` builds the three images per call; the
+module-axiom scan builds one :class:`ImageTable` per parameter set, the
+carriers of every image of the radius-2R box, and the defect is
+bilinear, so :func:`module_axiom_defect` takes two positions into the
+table's generators and reads three carriers by position, as
+:func:`blockalg.jacobi_defect` reads its constants; it never composes
+actions.
 
 Restricting to the line Z*m with m1 != 0 gives a copy of the Witt
 algebra; modulo the cross form X_m = m2*d1 - m1*d2, the action collapses
@@ -162,6 +169,53 @@ def act(x: AlgebraElement, f: Poly2, p: ParamSet) -> Poly2:
 
 
 _AFFINE_KEYS = ((1, 0), (0, 1), (0, 0))
+_AFFINE_SUPPORT = frozenset(_AFFINE_KEYS)
+
+
+def _affine_carrier(m: IndexPair, g: Poly2) -> tuple[int, int, int, int]:
+    """The integer carrier (N[d1], N[d2], N[1], D) of an image g = N/D of
+    L(m); an image of degree above 1, which the closed form of Delta
+    cannot read, raises ValueError naming m and the degree."""
+    nums = g._nums
+    if not nums.keys() <= _AFFINE_SUPPORT:
+        raise ValueError(f"the image of L{m} has degree {g.total_degree()}; "
+                         "the commutator defect needs images of degree at most 1")
+    return nums.get((1, 0), 0), nums.get((0, 1), 0), nums.get((0, 0), 0), g._den
+
+
+def _affine_delta(m: IndexPair, n: IndexPair, gm, gn, g, c: int, b: int) -> Poly2:
+    """Delta(m, n) from the carriers gm, gn, g (:func:`_affine_carrier`)
+    of the images of L(m), L(n), L(m + n), with c = b*c(m, n) and q = a/b
+    (``blockalg.structure_constant``); the one closed form of Delta.
+
+    For g = a1*d1 + a2*d2 + c0 write <g, s> = a1*s1 + a2*s2; then
+    g(d - s) = g(d) - <g, s>, so the products g_n*g_m cancel and the
+    commutator factor on the left of Delta is
+
+        (g_n - <g_n, m>)*g_m - (g_m - <g_m, n>)*g_n = <g_m, n>*g_n - <g_n, m>*g_m.
+
+    With each image as integer numerators N over D, that is
+    F/(D_m*D_n) with F = k_m*N_n - k_n*N_m for the integers
+    k_m = D_m*<g_m, n> and k_n = D_n*<g_n, m>.  With g_(m+n) = N/D,
+
+        Delta = (F*b*D - c*D_m*D_n*N) / (D_m*D_n*b*D),
+
+    on integer numerators with one gcd pass; a zero Delta is ``_ZERO``.
+    """
+    a1, a2, a0, dm = gm
+    b1, b2, b0, dn = gn
+    s1, s2, s0, ds = g
+    km = a1 * n[0] + a2 * n[1]          # D_m*<g_m, n>
+    kn = b1 * m[0] + b2 * m[1]          # D_n*<g_n, m>
+    den = dm * dn
+    keep, drop = b * ds, c * den
+    e1 = (km * b1 - kn * a1) * keep - drop * s1
+    e2 = (km * b2 - kn * a2) * keep - drop * s2
+    e0 = (km * b0 - kn * a0) * keep - drop * s0
+    if not (e1 or e2 or e0):
+        return _ZERO
+    return Poly2._reduced({key: e for key, e in zip(_AFFINE_KEYS, (e1, e2, e0)) if e},
+                          den * keep)
 
 
 def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
@@ -170,41 +224,59 @@ def commutator_defect(m: IndexPair, n: IndexPair, p: ParamSet,
 
         g_n(d - m) * g_m(d) - g_m(d - n) * g_n(d) = c(m, n) * g_(m+n)(d).
 
-    Contract for the adopted image: zero.  The images must have degree
-    at most 1, as both placements of :func:`generator_image` do.  For
-    g = a1*d1 + a2*d2 + c write <g, s> = a1*s1 + a2*s2; then
-    g(d - s) = g(d) - <g, s>, so the products g_n*g_m cancel and the
-    commutator factor on the left is
-
-        (g_n - <g_n, m>)*g_m - (g_m - <g_m, n>)*g_n = <g_m, n>*g_n - <g_n, m>*g_m.
-
-    With each image as integer numerators N over D, that is
-    F/(D_m*D_n) with F = k_m*N_n - k_n*N_m for the integers
-    k_m = D_m*<g_m, n> and k_n = D_n*<g_n, m>.  With q = a/b,
-    C = b*c(m, n) from ``blockalg.structure_constant`` (read at call
-    time) and g_(m+n) = N/D,
-
-        Delta = (F*b*D - C*D_m*D_n*N) / (D_m*D_n*b*D),
-
-    on integer numerators with one gcd pass; zero is ``_ZERO``.  Delta has
-    degree at most 1 and does not depend on any carrier polynomial.
+    Contract for the adopted image: zero.  The three images are read as
+    integer carriers, so an image of degree above 1 raises ValueError;
+    both placements of :func:`generator_image` are affine.  Delta is
+    :func:`_affine_delta` of those carriers, with c(m, n) from
+    ``blockalg.structure_constant``, read at call time.  It has degree at
+    most 1 and does not depend on any carrier polynomial.
     """
-    gm, gn, g = image(m, p), image(n, p), image(m + n, p)
     a, b = p.context().ratio
-    km = gm._nums.get((1, 0), 0) * n.m1 + gm._nums.get((0, 1), 0) * n.m2
-    kn = gn._nums.get((1, 0), 0) * m.m1 + gn._nums.get((0, 1), 0) * m.m2
-    den = gm._den * gn._den
-    keep, drop = b * g._den, blockalg.structure_constant(m, n, a, b) * den
-    nums = {key: c for key in _AFFINE_KEYS
-            if (c := (km * gn._nums.get(key, 0) - kn * gm._nums.get(key, 0)) * keep
-                - drop * g._nums.get(key, 0))}
-    return Poly2._reduced(nums, den * keep) if nums else _ZERO
+    k = m + n
+    return _affine_delta(m, n, _affine_carrier(m, image(m, p)), _affine_carrier(n, image(n, p)),
+                         _affine_carrier(k, image(k, p)),
+                         blockalg.structure_constant(m, n, a, b), b)
 
 
-def module_axiom_defect(gx, gy, f: Poly2, p: ParamSet, image=action_on_one) -> Poly2:
-    """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)) for generators
-    x = gx, y = gy, each a :class:`blockalg.BasisL` or :data:`blockalg.D2`;
-    contract: zero.
+class ImageTable:
+    """The integer carriers of the generator images that the module-axiom
+    scan of the radius-R box reads, built once per parameter set and image
+    and then only read; the twin of :class:`blockalg.ConstantTable`.
+
+    ``generators`` is ``blockalg.box_generators(R)``: the L(m) of the box in
+    box order, then D2.  ``images`` holds the carrier
+    (:func:`_affine_carrier`) of image(v, p) for every v of the radius-2R
+    box in row-major order, (4R+1)^2 entries, with one ``image`` call per
+    v; an image of degree above 1 raises ValueError here.  ``ratio`` is
+    q's integer pair (a, b).
+
+    Index.  ``indices[i]`` is the index m of ``generators[i]`` and
+    ``cols[i]`` its position lin(m) in ``images``; ``origin`` is lin(0).
+    By :func:`blockalg.box_columns`, lin(m + n) = lin(m) + lin(n) - lin(0),
+    so the image of L(m + n) is ``images[cols[i] + cols[j] - origin]``.
+
+    D2 slot.  ``indices`` and ``cols`` hold None at D2's position, the
+    last, so all three lists line up: position p names ``generators[p]``,
+    and ``cols[p] is None`` exactly when that generator is D2, for every p
+    that a list accepts as an index, negative ones included.
+    """
+
+    __slots__ = ("generators", "indices", "cols", "origin", "images", "ratio")
+
+    def __init__(self, p: ParamSet, radius: int, image):
+        cols, origin = blockalg.box_columns(radius)
+        self.generators = blockalg.box_generators(radius)
+        self.indices = [gen.m for gen in self.generators[:-1]] + [None]
+        self.cols = [col + origin for col in cols] + [None]
+        self.origin = origin
+        self.images = [_affine_carrier(v, image(v, p)) for v in index_box(2 * radius)]
+        self.ratio = p.context().ratio
+
+
+def module_axiom_defect(i: int, j: int, f: Poly2, table: ImageTable) -> Poly2:
+    """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)) for the
+    generators x, y at positions i, j of ``table.generators``, under the
+    image the table was built with; contract: zero.
 
     The defect is bilinear, as the bracket is and act is linear in the
     element, so on sums of generators it is the sum of the generator
@@ -212,7 +284,7 @@ def module_axiom_defect(gx, gy, f: Poly2, p: ParamSet, image=action_on_one) -> P
     on all of B(q) and D2 once they hold on every generator pair.
 
     On x = L(m), y = L(n) the defect is -f(d - m - n) * Delta(m, n),
-    with Delta from :func:`commutator_defect`.  The shift
+    with Delta from :func:`_affine_delta`.  The shift
     S_s: h(d) -> h(d - s) is a substitution, so it is a ring
     homomorphism, and S_m(S_n(h)) = S_(m+n)(h).  Hence
     act(L(m), act(L(n), f)) = S_m(S_n(f)*g_n)*g_m = S_(m+n)(f)*S_m(g_n)*g_m,
@@ -223,8 +295,10 @@ def module_axiom_defect(gx, gy, f: Poly2, p: ParamSet, image=action_on_one) -> P
 
     The bracket is [x, y] = c(m, n)*L(m + n), so
     act([x, y], f) = c(m, n) * f(d-m-n) * g_(m+n)(d), and the difference
-    of the two is -f(d-m-n) * Delta(m, n).  This holds for any
-    ``image``; the closed form of Delta needs images of degree at most 1.
+    of the two is -f(d-m-n) * Delta(m, n).  The kernel reads the three
+    carriers from ``table`` (see :class:`ImageTable` for the index and the
+    D2 slot) and c(m, n) from ``blockalg.structure_constant``, read at
+    call time, so a patched constant enters every defect.
 
     A pair with D2 has defect zero for every image and every f.  With
     x = D2, y = L(n): [D2, L(n)] = n2*L(n), and
@@ -233,13 +307,21 @@ def module_axiom_defect(gx, gy, f: Poly2, p: ParamSet, image=action_on_one) -> P
     is antisymmetric in x and y, so (L(m), D2) cancels too; and
     [D2, D2] = 0 while both nested actions are d2^2*f.
 
-    f is shifted and multiplied only for a nonzero Delta; for the
-    adopted image no polynomial is touched at all.  A zero defect is ``_ZERO``.
+    f is shifted and multiplied only for a nonzero Delta; for the adopted
+    image no polynomial is touched at all.  A zero defect is ``_ZERO``.
+    A position that is no index raises ``TypeError``, and one out of range
+    ``IndexError``.
     """
-    if gx is blockalg.D2 or gy is blockalg.D2:
+    cols = table.cols
+    ci, cj = cols[i], cols[j]
+    if ci is None or cj is None:
         return _ZERO
-    delta = commutator_defect(gx.m, gy.m, p, image)
-    return delta if delta is _ZERO else -(f.shifted(gx.m + gy.m) * delta)
+    m, n = table.indices[i], table.indices[j]
+    images = table.images
+    a, b = table.ratio
+    delta = _affine_delta(m, n, images[ci], images[cj], images[ci + cj - table.origin],
+                          blockalg.structure_constant(m, n, a, b), b)
+    return delta if delta is _ZERO else -(f.shifted(m + n) * delta)
 
 
 def in_proper_submodule(f: Poly2, p: ParamSet) -> bool:

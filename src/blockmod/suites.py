@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import blockalg, identities, omega
-from .blockalg import AlgebraContext, box_generators
+from .blockalg import AlgebraContext
 from .closure import ClosureTag, closure, filtration_dimension
 from .omega import ParamSet, action_on_one, action_on_one_alt
 from .poly import IndexPair, Poly1, Poly2, index_box
@@ -155,24 +155,30 @@ def jacobi_suite(q_values, radius: int = 3) -> list[Check]:
 def axiom_grid_scan(p: ParamSet, polys: list[Poly2], radius: int, image):
     """Scan all ordered generator pairs and polys with :func:`first_defect`.
 
-    Returns ``(cases scanned, ((x, y, f), defect) or None)``.  Before the
-    first case the scan builds g_m = image(m, p) for every m of the
-    radius-2R box into one table, (4R+1)^2 degree-1 polynomials (81 at
-    radius 2), which every case reads: a case of the radius-R box reads
-    only the images of m, n and m + n.
+    Returns ``(cases scanned, ((x, y, f), defect) or None)``, the witness
+    generators mapped back from their positions.  Before the first case
+    the scan builds one :class:`omega.ImageTable`: the integer carriers
+    of image(m, p) for every m of the radius-2R box, (4R+1)^2 images (81
+    at radius 2), each built once.  It then calls
+    :func:`omega.module_axiom_defect`, read from :mod:`omega` at scan
+    time, once per case on ``(i, j, f, table)``, with i and j positions
+    into the table's generators in ``itertools.product`` order.
 
-    :func:`omega.module_axiom_defect` builds, for a case L(m), L(n), the
-    f-free commutator defect Delta(m, n) of three table images
-    (:func:`omega.commutator_defect`), and a case with D2 builds
-    nothing.  It shifts and multiplies f only where Delta is nonzero, so
-    for the adopted image the scan touches no polynomial at all.  Each
-    zero defect is the shared ``omega._ZERO``, tested by identity.
+    A case L(m), L(n) reads three carriers and one structure constant and
+    builds the f-free commutator defect Delta(m, n) on integers; a case
+    with D2 reads nothing.  f is shifted and multiplied only where Delta
+    is nonzero, so for the adopted image the scan touches no polynomial
+    at all.  Each zero defect is the shared ``omega._ZERO``, tested by
+    identity.
     """
-    generators = box_generators(radius)
-    table = {m: image(m, p) for m in index_box(2 * radius)}
+    table = omega.ImageTable(p, radius, image)
+    span = range(len(table.generators))
     count, failure = first_defect(omega.module_axiom_defect, itertools.product(
-        generators, generators, polys, (p,), (lambda m, _p: table[m],)), zero=omega._ZERO)
-    return count, failure and (failure[0][:3], failure[1])
+        span, span, polys, (table,)), zero=omega._ZERO)
+    if failure is None:
+        return count, None
+    (i, j, f, _), defect = failure
+    return count, ((table.generators[i], table.generators[j], f), defect)
 
 
 def _axiom_failure_text(failure) -> str:

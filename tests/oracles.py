@@ -10,6 +10,9 @@
   difference lemma and the Witt-line reduction are checked against.
 * The module action under any generator image, which the module-axiom
   defect is checked against, composed, for both placements of the image.
+* The module-axiom defect of two generators at any indices, the closed
+  form -f(d-m-n) * Delta(m, n) with no image table, which the table scan
+  of :func:`omega.module_axiom_defect` is checked against.
 * The Jacobi defect of three generators as one closed form in the
   structure constants, read per triple, which the table scan of
   :func:`blockalg.jacobi_defect` is checked against.
@@ -34,7 +37,7 @@ from math import gcd
 from blockmod import blockalg
 from blockmod.blockalg import D2, AlgebraContext, AlgebraElement, BasisL
 from blockmod.closure import SubspaceBasis, _IntEchelon
-from blockmod.omega import ParamSet, WittParams, generator_image
+from blockmod.omega import ParamSet, WittParams, action_on_one, commutator_defect, generator_image
 from blockmod.poly import (IndexPair, Monomial2, Poly1, Poly2, _PolyParser, monomial_rank,
                            monomials_upto, shift_terms)
 
@@ -126,6 +129,19 @@ def image_act(x: AlgebraElement, f: Poly2, p: ParamSet, image) -> Poly2:
         else:
             out = out + c * (f.shifted(gen.m) * image(gen.m, p))
     return out
+
+
+def generator_axiom_defect(gx, gy, f: Poly2, p: ParamSet, image=action_on_one) -> Poly2:
+    """act([x,y], f) - act(x, act(y, f)) + act(y, act(x, f)) for generators
+    x = gx, y = gy, each a :class:`BasisL` or :data:`D2`, at any indices.
+
+    The closed form of :func:`omega.module_axiom_defect`, with the images
+    built per case: zero when either generator is D2, else
+    -f(d - m - n) * ``omega.commutator_defect(m, n, p, image)``.
+    """
+    if gx is D2 or gy is D2:
+        return Poly2()
+    return -(f.shifted(gx.m + gy.m) * commutator_defect(gx.m, gy.m, p, image))
 
 
 def witness_coefficient_defects(m: IndexPair, n: IndexPair,

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from blockmod import blockalg, identities, poly, suites
+from blockmod import blockalg, identities, omega, poly, suites
 from blockmod.blockalg import AlgebraContext
 from blockmod.omega import ParamSet
-from blockmod.poly import IndexPair
+from blockmod.poly import IndexPair, index_box
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -107,6 +107,62 @@ def test_constant_table_reads_each_constant_once_and_the_kernel_reads_none(monke
     checks = suites.jacobi_suite([Fraction(5, 7), Fraction(-2)], radius=1)
     assert [c.witness for c in checks] == ["1000 triples, all defects zero"] * 2
     assert len(calls) == 2 * 9 * 25
+
+
+def test_image_table_builds_each_image_once_and_the_kernel_builds_none(monkeypatch):
+    # building one omega.ImageTable calls the image once per index of the
+    # radius-2R box, in box order; the rest of the scan calls no image,
+    # builds no generator image, adds no IndexPair and composes no action
+    # or bracket: every case reads the table's integer carriers
+    p = ParamSet(Fraction(5, 7), Fraction(2, 3), -3, Fraction(1, 2))
+    polys = suites.sample_axiom_polys(3, count=2)
+    images = {m: omega.action_on_one(m, p) for m in index_box(4)}
+    built = []
+
+    def counted_image(m, params):
+        built.append(m)
+        return images[m]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the axiom scan built an image, an index or a composition")
+
+    for radius in (0, 1, 2):
+        built.clear()
+        omega.ImageTable(p, radius, counted_image)
+        assert built == index_box(2 * radius)
+        built.clear()
+        with monkeypatch.context() as patched:
+            for owner, name in ((omega, "generator_image"), (omega, "action_on_one"),
+                                (IndexPair, "__add__"), (omega, "act"), (blockalg, "bracket")):
+                patched.setattr(owner, name, forbidden)
+            count, failure = suites.axiom_grid_scan(p, polys, radius, counted_image)
+        assert (count, failure) == (((2 * radius + 1) ** 2 + 1) ** 2 * len(polys), None)
+        assert built == index_box(2 * radius)
+
+
+def test_axiom_suite_calls_the_kernel_once_per_case_through_the_module_global(monkeypatch):
+    # the benchmark counts module-axiom cases, and ticks its clock, at
+    # omega.module_axiom_defect: the suite calls it through the module global
+    # once per case, ((2R+1)^2 + 1)^2 * len(polys) per parameter set, on
+    # positions into that set's one table; at the module-axioms workload's
+    # scale (radius 2, three parameter sets, one poly) that is 676 per set
+    tables = []
+    kernel = omega.module_axiom_defect
+
+    def counted(i, j, f, table):
+        tables.append(table)
+        return kernel(i, j, f, table)
+
+    monkeypatch.setattr(omega, "module_axiom_defect", counted)
+    params = suites.acceptance_param_sets(2)
+    for radius, count in ((1, 2), (2, 1)):
+        tables.clear()
+        polys = suites.sample_axiom_polys(3, count=count)
+        checks = suites.module_axiom_suite(params, polys, radius=radius)
+        assert all(c.ok for c in checks)
+        per_set = ((2 * radius + 1) ** 2 + 1) ** 2 * count
+        assert [tables.count(t) for t in dict.fromkeys(tables)] == [per_set] * len(params)
+    assert len(tables) == 3 * 676
 
 
 def test_jacobi_suite_calls_the_kernel_once_per_triple_through_the_module_global(monkeypatch):

@@ -5,10 +5,11 @@ import pytest
 
 from blockmod import blockalg, suites
 from blockmod.blockalg import (D2, AlgebraContext, AlgebraElement, BasisL, ConstantTable,
-                               bracket, jacobi_defect, parse_element, structure_constant)
+                               box_generators, bracket, jacobi_defect, parse_element,
+                               structure_constant)
 from blockmod.poly import IndexPair, ParseError, index_box
 from blockmod.prng import SplitMix64
-from blockmod.suites import ACCEPTANCE_Q_VALUES, box_generators
+from blockmod.suites import ACCEPTANCE_Q_VALUES
 
 from oracles import generator_jacobi_defect
 

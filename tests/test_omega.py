@@ -5,7 +5,7 @@ import pytest
 from blockmod import blockalg, omega, poly
 from blockmod.blockalg import AlgebraContext, AlgebraElement, BasisL, bracket
 from blockmod.closure import _ActTable
-from blockmod.omega import (ParamSet, WittParams, act, action_on_one,
+from blockmod.omega import (ImageTable, ParamSet, WittParams, act, action_on_one,
                             action_on_one_alt, commutator_defect,
                             generator_image, in_proper_submodule, iso_check,
                             module_axiom_defect, witt_restrict)
@@ -40,6 +40,14 @@ def random_params(rng):
                     lambda1=rng.fraction(num_bound=4, den_bound=3, nonzero=True),
                     lambda2=rng.fraction(num_bound=4, den_bound=3, nonzero=True),
                     alpha=rng.fraction(num_bound=4, den_bound=3))
+
+
+def table_kernel(p, image=action_on_one, radius=2):
+    """module_axiom_defect on generators of the radius-R box and D2: one
+    ImageTable of p and image, read at the generators' positions."""
+    table = ImageTable(p, radius, image)
+    position = {gen: i for i, gen in enumerate(table.generators)}
+    return lambda x, y, f: module_axiom_defect(position[x], position[y], f, table)
 
 
 def test_param_set_validation():
@@ -161,23 +169,25 @@ def test_act_reads_the_stored_terms(monkeypatch):
 def test_module_axiom_defect_example():
     p = ParamSet(1, 1, 1, 0)
     one = Poly2.const(1)
-    assert module_axiom_defect(G(1, 0), G(0, 1), one, p) == 0
+    defect = table_kernel(p)
+    assert defect(G(1, 0), G(0, 1), one) == 0
     # both orders of the nested action agree with the bracket action
     lhs = act(L(1, 0), act(L(0, 1), one, p), p) - act(L(0, 1), act(L(1, 0), one, p), p)
     assert lhs == -4 * poly.D1 + 2 * poly.D2
     x = G(2, -1)
-    assert module_axiom_defect(x, x, random_poly2(SplitMix64(1)), p) == 0
+    assert defect(x, x, random_poly2(SplitMix64(1))) == 0
 
 
 def test_module_axiom_defect_randomized():
     rng = SplitMix64(31)
     for _ in range(3):
         p = random_params(rng)
+        defect = table_kernel(p)
         for _ in range(25):
             x = rng.choice([G(rng.int_between(-2, 2), rng.int_between(-2, 2)), blockalg.D2])
             y = rng.choice([G(rng.int_between(-2, 2), rng.int_between(-2, 2)), blockalg.D2])
             f = random_poly2(rng)
-            assert module_axiom_defect(x, y, f, p) == 0
+            assert defect(x, y, f) == 0
 
 
 @pytest.mark.parametrize("image", [action_on_one, action_on_one_alt])
@@ -188,6 +198,7 @@ def test_factored_nested_action_matches_the_composed_one(image):
     p = control_param_set(4)
     polys = sample_axiom_polys(3, count=10, max_degree=4)
     ctx = p.context()
+    defect_of = table_kernel(p, image)
     nonzero = 0
     for m in index_box(2):
         for n in index_box(2):
@@ -196,7 +207,7 @@ def test_factored_nested_action_matches_the_composed_one(image):
                 composed = (image_act(x, image_act(y, f, p, image), p, image)
                             - image_act(y, image_act(x, f, p, image), p, image))
                 bracket_term = image_act(bracket(x, y, ctx), f, p, image)
-                defect = module_axiom_defect(BasisL(m), BasisL(n), f, p, image)
+                defect = defect_of(BasisL(m), BasisL(n), f)
                 assert defect == bracket_term - composed, (m, n, f)
                 nonzero += bool(defect)
     # the adopted image has no defect; the variant has some
@@ -207,7 +218,7 @@ def test_factored_nested_action_matches_the_composed_one(image):
         x, y = a * L(1, -2), b * L(-1, 1)
         composed = (image_act(x, image_act(y, f, p, image), p, image)
                     - image_act(y, image_act(x, f, p, image), p, image))
-        assert a * b * module_axiom_defect(G(1, -2), G(-1, 1), f, p, image) == \
+        assert a * b * defect_of(G(1, -2), G(-1, 1), f) == \
             image_act(bracket(x, y, ctx), f, p, image) - composed
 
 
@@ -228,13 +239,15 @@ def test_basis_pair_defect_comes_from_the_f_free_commutator_defect(monkeypatch, 
     with monkeypatch.context() as patched:
         patched.setattr(Poly2, "shifted", _forbidden)
         patched.setattr(Poly2, "__mul__", _forbidden)
+        adopted = table_kernel(p)
         for m in box:
             for n in box:
-                assert not module_axiom_defect(BasisL(m), BasisL(n), f, p), (m, n)
+                assert not adopted(BasisL(m), BasisL(n), f), (m, n)
+    variant = table_kernel(p, action_on_one_alt)
     nonzero = 0
     for m in box:
         for n in box:
-            defect = module_axiom_defect(BasisL(m), BasisL(n), f, p, action_on_one_alt)
+            defect = variant(BasisL(m), BasisL(n), f)
             if not defect:
                 continue
             nonzero += 1
@@ -265,13 +278,13 @@ def _composed_defect(x, y, f, p, image):
             + image_act(y, image_act(x, f, p, image), p, image))
 
 
-def generator_sum(x, y, f, p, image):
-    """The sum of a*b * module_axiom_defect(u, v) over the terms a*u of x
-    and b*v of y: the defect of x, y by bilinearity."""
+def generator_sum(x, y, f, defect):
+    """The sum of a*b * defect(u, v, f) over the terms a*u of x and b*v of
+    y, for a generator kernel ``defect``: the defect of x, y by bilinearity."""
     total = Poly2()
     for u, a in x.terms().items():
         for v, b in y.terms().items():
-            total = total + a * b * module_axiom_defect(u, v, f, p, image)
+            total = total + a * b * defect(u, v, f)
     return total
 
 
@@ -286,9 +299,10 @@ def test_d2_and_multi_term_defects_match_the_composed_actions(monkeypatch, image
     box = index_box(2)
     d2_pairs = [(blockalg.D2, BasisL(m)) for m in box] + [(BasisL(m), blockalg.D2) for m in box]
     d2_pairs.append((blockalg.D2, blockalg.D2))
+    defect_of = table_kernel(p, image)
     for u, v in d2_pairs:
         for f in polys:
-            defect = module_axiom_defect(u, v, f, p, image)
+            defect = defect_of(u, v, f)
             assert (defect._nums, defect._den) == ({}, 1)
             assert not _composed_defect(AlgebraElement({u: 1}), AlgebraElement({v: 1}),
                                         f, p, image), (u, v)
@@ -302,7 +316,7 @@ def test_d2_and_multi_term_defects_match_the_composed_actions(monkeypatch, image
     nonzero = 0
     for x, y in pairs:
         for f in polys:
-            defect = generator_sum(x, y, f, p, image)
+            defect = generator_sum(x, y, f, defect_of)
             assert defect == _composed_defect(x, y, f, p, image), (x, y, f)
             nonzero += bool(defect)
     # the adopted image has no defect; the variant's multi-term elements do
@@ -361,6 +375,83 @@ def test_commutator_factor_closed_form_matches_the_shifted_products(monkeypatch,
     # an integral q puts the adopted image's zero, at (0, -q), in the table
     if image is action_on_one:
         assert sum(not g for g in table.values()) == (p.q.denominator == 1)
+
+
+def _skewed_constant(monkeypatch):
+    true_constant = blockalg.structure_constant
+    monkeypatch.setattr(blockalg, "structure_constant",
+                        lambda m, n, a, b: true_constant(m, n, a, b) + m.m1 * n.m2 + 1)
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_module_axiom_defect_reads_every_position_a_list_accepts(monkeypatch, skewed):
+    # indices and cols hold None at D2's slot, so position p means
+    # table.generators[p] for negative p too: -1 is D2 and -count is the
+    # first L.  Every position pair of range(-count, count) gives the
+    # composed-action defect of those generators, for both images, at
+    # radius 1 and 2 and for three q; the skewed constant reaches the kernel
+    # and the bracket alike and makes the adopted image's defects nonzero,
+    # so a wrong carrier or index read shows for either image
+    if skewed:
+        _skewed_constant(monkeypatch)
+    f = Poly2({(1, 0): 1, (0, 2): Fraction(-3, 2), (0, 0): 2})
+    for image in (action_on_one, action_on_one_alt):
+        for radius in (1, 2):
+            for q in (Fraction(5, 7), -2, 1):
+                p = ParamSet(q, Fraction(2, 3), -3, Fraction(1, 2))
+                table = ImageTable(p, radius, image)
+                gens = table.generators
+                count = len(gens)
+                assert table.indices[-1] is None and table.cols[-1] is None
+                assert len(table.indices) == len(table.cols) == count
+                composed = {}
+                nonzero = 0
+                for i in range(-count, count):
+                    for j in range(-count, count):
+                        x, y = gens[i], gens[j]
+                        if (x, y) not in composed:
+                            composed[x, y] = _composed_defect(
+                                AlgebraElement({x: 1}), AlgebraElement({y: 1}), f, p, image)
+                        got = module_axiom_defect(i, j, f, table)
+                        assert got == composed[x, y], (image.__name__, radius, q, i, j)
+                        assert (got is omega._ZERO) == (not got)
+                        nonzero += bool(got)
+                assert bool(nonzero) == (skewed or image is action_on_one_alt), (radius, q)
+                with pytest.raises(IndexError):
+                    module_axiom_defect(count, 0, f, table)
+                with pytest.raises(IndexError):
+                    module_axiom_defect(0, count, f, table)
+
+
+def test_images_of_degree_above_one_are_rejected():
+    # the closed form of Delta reads only the d1, d2 and 1 numerators, so an
+    # image with a term of higher degree would pass unseen although its
+    # composed actions fail; the one carrier conversion, behind the image
+    # table and commutator_defect, names the index and the degree instead
+    p = ParamSet(Fraction(5, 7), Fraction(2, 3), -3, Fraction(1, 2))
+
+    def bad(m, params):
+        return action_on_one(m, params) + poly.D1 * poly.D1
+
+    assert _composed_defect(L(1, 0), L(0, 1), poly.D1, p, bad)
+    with pytest.raises(ValueError, match=r"image of L\(1,0\) has degree 2"):
+        commutator_defect(IndexPair(1, 0), IndexPair(0, 1), p, bad)
+    # the table converts the radius-2R box in row-major order, from (-2R, -2R)
+    with pytest.raises(ValueError, match=r"image of L\(-2,-2\) has degree 2"):
+        axiom_grid_scan(p, [poly.D1], 1, bad)
+    with pytest.raises(ValueError, match=r"image of L\(-2,-2\) has degree 2"):
+        ImageTable(p, 1, bad)
+
+    def one_bad(m, params):
+        g = action_on_one(m, params)
+        return g + poly.D2 ** 3 if m == IndexPair(1, 1) else g
+
+    # only the image of m + n is bad: it is read too
+    with pytest.raises(ValueError, match=r"image of L\(1,1\) has degree 3"):
+        commutator_defect(IndexPair(1, 0), IndexPair(0, 1), p, one_bad)
+    assert commutator_defect(IndexPair(1, 0), IndexPair(-1, 1), p, one_bad) is omega._ZERO
+    with pytest.raises(ValueError, match=r"image of L\(1,1\) has degree 3"):
+        ImageTable(p, 1, one_bad)
 
 
 def test_weight_shift_compatibility():
@@ -524,11 +615,11 @@ def test_witt_reduction_matches_the_substitution_on_affine_images(monkeypatch):
 
 def test_variant_action_fails_axioms_for_generic_alpha():
     p = ParamSet(1, 1, 1, Fraction(1, 3))
+    variant = table_kernel(p, action_on_one_alt)
     found = None
     for a in range(-2, 3):
         for b in range(-2, 3):
-            defect = module_axiom_defect(G(a, b), G(1, 0), Poly2.const(1), p,
-                                         image=action_on_one_alt)
+            defect = variant(G(a, b), G(1, 0), Poly2.const(1))
             if defect:
                 found = (a, b, defect)
                 break
@@ -538,12 +629,12 @@ def test_variant_action_fails_axioms_for_generic_alpha():
     # alpha = 1 makes the variant a genuine action (a shift of d2 away from
     # the adopted one), so the control grid must exclude it
     p1 = ParamSet(2, 1, 1, 1)
+    variant = table_kernel(p1, action_on_one_alt)
     rng = SplitMix64(37)
     for _ in range(20):
         x = G(rng.int_between(-2, 2), rng.int_between(-2, 2))
         y = G(rng.int_between(-2, 2), rng.int_between(-2, 2))
-        assert module_axiom_defect(x, y, random_poly2(rng), p1,
-                                   image=action_on_one_alt) == 0
+        assert variant(x, y, random_poly2(rng)) == 0
 
 
 def test_iso_check():

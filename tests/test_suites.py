@@ -12,7 +12,7 @@ from blockmod.prng import SplitMix64
 from blockmod.suites import (all_passed, control_param_set, exceptional_indices,
                              iso_parameter_grid, sample_param_set, sample_poly2)
 from child_process import run_python
-from oracles import generator_jacobi_defect
+from oracles import generator_axiom_defect, generator_jacobi_defect
 
 
 def test_splitmix64_reference_sequence():
@@ -314,9 +314,9 @@ def test_module_axiom_failure_witness(monkeypatch):
 
 
 def _per_case_axiom_scan(p, polys, radius, image):
-    """The axiom grid scan as a plain per-case loop, with no image table."""
+    """The axiom grid scan as a plain per-case loop on generators, with no image table."""
     generators = [BasisL(m) for m in index_box(radius)] + [blockalg.D2]
-    return suites.first_defect(lambda x, y, f: omega.module_axiom_defect(x, y, f, p, image),
+    return suites.first_defect(lambda x, y, f: generator_axiom_defect(x, y, f, p, image),
                                itertools.product(generators, generators, polys))
 
 
@@ -328,12 +328,12 @@ def test_axiom_scan_matches_the_per_case_loop(monkeypatch, image):
     expected = _per_case_axiom_scan(p, polys, radius, image)
     assert (expected[1] is None) == (image is omega.action_on_one)
 
-    defect, pair_defect = omega.module_axiom_defect, omega.commutator_defect
+    defect, pair_defect = omega.module_axiom_defect, omega._affine_delta
     calls, composed, pairs = [], [], []
 
-    def recorded_defect(*args, **kwargs):
-        calls.append(args)
-        return defect(*args, **kwargs)
+    def recorded_defect(i, j, f, table):
+        calls.append((table.generators[i], table.generators[j], f))
+        return defect(i, j, f, table)
 
     def recorded_composition(*args, **kwargs):
         composed.append(args)
@@ -352,7 +352,7 @@ def test_axiom_scan_matches_the_per_case_loop(monkeypatch, image):
     monkeypatch.setattr(omega, "module_axiom_defect", recorded_defect)
     monkeypatch.setattr(omega, "act", recorded_composition)
     monkeypatch.setattr(blockalg, "bracket", recorded_composition)
-    monkeypatch.setattr(omega, "commutator_defect", recorded_delta)
+    monkeypatch.setattr(omega, "_affine_delta", recorded_delta)
     count, failure = suites.axiom_grid_scan(p, polys, radius, counted_image)
     # the same first failing case and the same defect, or the same clean count
     assert (count, failure) == expected
@@ -362,7 +362,7 @@ def test_axiom_scan_matches_the_per_case_loop(monkeypatch, image):
     # one table for the scan: every generator image is built at most once
     assert built and len(built) == len(set(built))
     assert set(built) <= set(index_box(2 * radius))
-    # the commutator defect is built once per basis case, in scan order
+    # the one closed form of Delta runs once per basis case, in scan order
     basis_pairs = [(x.m, y.m) for x, y, *_ in calls if blockalg.D2 not in (x, y)]
     assert pairs == basis_pairs
 
