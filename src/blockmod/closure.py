@@ -91,30 +91,53 @@ membership is the vanishing of d_t = den*v[j_t] - sum_i v[p_i]*W_i[j_t]
 at the free (non-pivot) columns j_0 < j_1 < ... alone.
 
 The echelon tests all the d_t with one integer dot product (Kronecker
-substitution).  It keeps a slot width w and one weight per column:
-den * 2^(w*t) at j_t and -sum_t W_i[j_t] * 2^(w*t) at p_i, so that the
-dot product of the weights with v is P = sum_t d_t * 2^(w*t).  The
-width keeps every |d_t| below 2^(w-1).  Let c bound the entries of v,
-|v[j]| <= c, and M_i the entries of row i, |row_i[j]| <= M_i; then
+substitution).  It keeps a slot width w, a slot u_t for each free
+column j_t, with u_0 < u_1 < ..., and one weight per column:
+den * 2^(w*u_t) at j_t and -sum_t W_i[j_t] * 2^(w*u_t) at p_i, so that
+the dot product of the weights with v is P = sum_t d_t * 2^(w*u_t).
+The width keeps every |d_t| below 2^(w-1).  Let c bound the entries of
+v, |v[j]| <= c, and M_i the entries of row i, |row_i[j]| <= M_i; then
 
     |d_t|  <=  c * (den + sum_i (den / row_i[p_i]) * M_i)  =  c*K,
 
-and w = bitlen(c*K) + 1 gives |d_t| <= c*K < 2^(w-1).  The echelon
-keeps c as a capacity: an insert with a larger entry raises c to
-2^b - 1, b that entry's bit length, and recomputes the weights, as
-every addition does.  Digits in [-2^(w-1), 2^(w-1)) of base 2^w are
-unique: two expansions of one integer differ by digits e_t with
-sum_t e_t * 2^(w*t) = 0 and every |e_t| < 2^w, so 2^w divides e_0,
-e_0 = 0, and so on up.  Hence P = 0 exactly when every
+and any w >= bitlen(c*K) + 1 gives |d_t| <= c*K < 2^(w-1).  The
+echelon keeps c as a capacity: an insert with a larger entry raises c
+to 2^b - 1, b that entry's bit length.  A slot that holds no free
+column holds digit 0, so P is a base-2^w expansion with the digit d_t
+at u_t and 0 at every other slot, all in [-2^(w-1), 2^(w-1)).  Such
+digits are unique: two expansions of one integer differ by digits e_t
+with sum_t e_t * 2^(w*t) = 0 and every |e_t| < 2^w, so 2^w divides
+e_0, e_0 = 0, and so on up.  Hence P = 0 exactly when every
 d_t is zero, that is when v lies in S; nearly every generator image
 does, with no elimination and no coefficient growth.  Otherwise the
 d_t are P's balanced digits, read lowest first: the low w bits, less
-2^w when they are 2^(w-1) or more, the borrowed 2^w going to the rest.
+2^w when they are 2^(w-1) or more, the borrowed 2^w going to the rest,
+the zero digit of an empty slot skipped.
 They make the nonzero residual den*v - sum_i v[p_i]*W_i, which holds
 d_t at j_t and vanishes at every pivot column; the residual is divided
 by the gcd of its entries, signed positive at its pivot and stored, and
 its pivot is then eliminated from the other rows, each made primitive
 again.
+
+The weights are kept across inserts.  A compaction sets
+w = bitlen(c*K) + 1 and u_t = t and builds every weight.  An addition
+whose pivot is the free column j_k updates them instead:
+
+* a row the addition does not eliminate from has a 0 at j_k, so its
+  weight, whose terms are its entries at the free columns, is the same
+  over the free columns that remain; the new row and each row the
+  addition eliminates from are packed again over those columns;
+* the slot u_k is left empty: no weight has a term there, so it holds
+  digit 0 in every packed value, and the uniqueness argument and the
+  read-off above stand unchanged;
+* when den grows to den' = f*den for an integer f, every weight is
+  multiplied by f, since den'/row_i[p_i] = f * (den/row_i[p_i]);
+* the width stays: a width above the minimum reads the same digits.
+
+A compaction runs only when c*K, after a capacity raise or an addition,
+no longer fits the width, when den' is not a multiple of den, or when
+the empty slots outnumber the free ones, which keeps every weight
+within twice its compacted length.
 
 The rows added are exactly those of fraction-free elimination.  Within
 the coset v + S exactly one vector vanishes at every pivot column: two
@@ -239,7 +262,11 @@ class _IntEchelon:
     pivot column.  Membership is one dot product of the row with packed
     integer weights, one slot of w bits per free column, sized for rows
     whose entries are at most the capacity in absolute value (see the
-    module docstring).
+    module docstring).  An addition packs again only the new row and the
+    rows it eliminates from, and empties the slot of its pivot; the
+    weights are compacted (:meth:`_weigh`) only when the slots must
+    widen, when the new lcm of the pivot entries is not a multiple of
+    the old one, or when empty slots outnumber free ones.
     """
 
     def __init__(self, dim: int):
@@ -250,67 +277,98 @@ class _IntEchelon:
         self._free_mask = [True] * dim
         self._capacity = 0
         self._magnitudes: dict[int, int] = {}   # pivot -> largest |entry| of its row
+        self._bound = 1                         # K = den + sum_i (den / row_i[p_i]) * M_i
         self._weigh()
 
     def insert(self, row: list[int]) -> tuple[int, list[int]] | None:
         """Store and return the primitive residual of row, or None if row is in the span."""
-        top = max(max(row), -min(row)) if row else 0     # _magnitude, inline
+        nonzero = list(compress(row, row))      # the entries v[j] != 0, in column order
+        if not nonzero:
+            return None
+        top = max(max(nonzero), -min(nonzero))
         if top > self._capacity:
             self._capacity = (1 << top.bit_length()) - 1
-            self._weigh()
-        packed = sum(map(mul, self._weights, row))
+            if (self._capacity * self._bound).bit_length() >= self._width:
+                self._weigh()
+        packed = sum(map(mul, compress(self._weights, row), nonzero))
         if not packed:
             return None
-        width = self._width
-        mask, half, carry = (1 << width) - 1, 1 << (width - 1), 1 << width
-        residual = [0] * self.dim
-        for pivot in self._free:        # balanced base-2^w digits, lowest first
-            digit = packed & mask
-            packed >>= width
-            if digit & half:
-                digit -= carry
-                packed += 1
-            residual[pivot] = digit
-            if not packed:              # the highest nonzero digit: the pivot
-                break
+        pivot, residual = self._residual(packed)
         residual = _primitive(residual, pivot)
         lead = residual[pivot]
         magnitudes = self._magnitudes
+        entry = (pivot, residual)
+        repack = [entry]
         rows = []
         for p, existing in self.rows:
             c = existing[pivot]
             if c:
                 existing = _primitive([lead * x - c * y for x, y in zip(existing, residual)], p)
                 magnitudes[p] = _magnitude(existing)
+                repack.append((p, existing))
             rows.append((p, existing))
         magnitudes[pivot] = _magnitude(residual)
-        entry = (pivot, residual)
         position = 0
         while position < len(rows) and rows[position][0] > pivot:
             position += 1
         rows.insert(position, entry)
         self.rows = rows
-        self._den = lcm(*(row[p] for p, row in rows))
-        self._free.remove(pivot)
+        den = lcm(*(row[p] for p, row in rows))
+        self._bound = den + sum((den // row[p]) * magnitudes[p] for p, row in rows)
+        free = self._free
+        at = free.index(pivot)
+        self._slots[self._shifts[at] // self._width] = None
+        del free[at], self._shifts[at]
         self._free_mask[pivot] = False
-        self._weigh()
+        scale, rest = divmod(den, self._den)
+        self._den = den
+        if (rest or (self._capacity * self._bound).bit_length() >= self._width
+                or len(self._slots) > 2 * len(free)):
+            self._weigh()
+        else:
+            if scale != 1:
+                self._weights = [scale * x for x in self._weights]
+            self._pack(repack)
         return entry
 
+    def _residual(self, packed: int) -> tuple[int, list[int]]:
+        """The pivot and the residual d_t at j_t of a nonzero packed value:
+        its balanced base-2^w digits, lowest first, an empty slot's digit
+        (always 0) skipped; the pivot is the column of the highest nonzero one."""
+        width = self._width
+        mask, half, carry = (1 << width) - 1, 1 << (width - 1), 1 << width
+        residual = [0] * self.dim
+        for pivot in self._slots:
+            digit = packed & mask
+            packed >>= width
+            if digit & half:
+                digit -= carry
+                packed += 1
+            if pivot is not None:
+                residual[pivot] = digit
+            if not packed:              # the highest nonzero digit: the pivot
+                break
+        return pivot, residual
+
+    def _pack(self, rows: list[tuple[int, list[int]]]) -> None:
+        """Write the weight of each stored (p, row) at its pivot p:
+        -(den // row[p]) * sum over the free columns j_t of row[j_t] << w*u_t."""
+        den, mask, shifts, weights = self._den, self._free_mask, self._shifts, self._weights
+        for p, row in rows:
+            weights[p] = -(den // row[p]) * sum(map(lshift, compress(row, mask), shifts))
+
     def _weigh(self) -> None:
-        """The slot width w, bitlen(capacity * K) + 1, and the weight of every
-        column: den << w*t at the t-th free column j_t, and
-        -(den // row_i[p_i]) * sum_t row_i[j_t] << w*t at the pivot p_i of row i."""
-        den = self._den
-        scaled = [(den // row[p], p, row) for p, row in self.rows]
-        bound = den + sum(s * self._magnitudes[p] for s, p, _ in scaled)
-        width = self._width = (self._capacity * bound).bit_length() + 1
-        shifts = range(0, width * len(self._free), width)
-        weights = [0] * self.dim
-        for j, shift in zip(self._free, shifts):
+        """Compact: the slot width w = bitlen(capacity * K) + 1, the slot u_t = t
+        of the t-th free column j_t, and the weight of every column: den << w*t
+        at j_t, and the packed row (:meth:`_pack`) at each pivot."""
+        width = self._width = (self._capacity * self._bound).bit_length() + 1
+        free, den = self._free, self._den
+        self._slots: list[int | None] = list(free)      # column per slot, None if empty
+        shifts = self._shifts = list(range(0, width * len(free), width))     # w*u_t
+        weights = self._weights = [0] * self.dim
+        for j, shift in zip(free, shifts):
             weights[j] = den << shift
-        for s, p, row in scaled:
-            weights[p] = -s * sum(map(lshift, compress(row, self._free_mask), shifts))
-        self._weights = weights
+        self._pack(self.rows)
 
 
 class _ActTable:
@@ -437,14 +495,14 @@ def closure(seeds: list[Poly2], D: int, B: int,
     coefficients C_gamma in m (:meth:`_ActTable.image`), folded onto the
     box [-r, r]^2 with r = min(B, (D+2)//2) (:func:`_on_grid`); they span
     exactly its images over that box, which span the same space as its
-    images over [-B, B]^2.  At r = (D+2)//2 nothing is folded and the
-    C_gamma themselves are inserted.  The fixpoint certificate holds by
-    induction: every row of degree <= D was acted on once, by the pass
-    after the one that added it, and the vectors it gave, of which each
-    of its images over the box is a combination, lie in the final span;
-    the terminating pass added nothing, so every single-step image of
-    the final basis over the box lies in the final span inside the
-    workspace.
+    images over [-B, B]^2.  At r = (D+2)//2, where 2r >= D+1, no exponent
+    is reduced: the fold is skipped and the C_gamma themselves are
+    inserted.  The fixpoint certificate holds by induction: every row of
+    degree <= D was acted on once, by the pass after the one that added
+    it, and the vectors it gave, of which each of its images over the
+    box is a combination, lie in the final span; the terminating pass
+    added nothing, so every single-step image of the final basis over
+    the box lies in the final span inside the workspace.
     """
     if D < 1:
         raise ValueError("degree bound D must be at least 1")
@@ -467,7 +525,8 @@ def closure(seeds: list[Poly2], D: int, B: int,
             active.append(stored[1])
 
     radius = min(B, (D + 2) // 2)     # interpolation bound; see the module docstring
-    reduction = _grid_reduction(radius, D + 1)
+    # at 2r >= D+1 no exponent is reduced: the C_gamma are inserted as they are
+    reduction = _grid_reduction(radius, D + 1) if 2 * radius < D + 1 else None
 
     passes = 0
     growth: list[int] = []
@@ -478,7 +537,9 @@ def closure(seeds: list[Poly2], D: int, B: int,
         added = 0
         for row in fresh:
             coefficients = table.image([(r, c) for r, c in enumerate(row) if c])
-            for _, vector in _on_grid(coefficients, reduction):
+            if reduction is not None:
+                coefficients = _on_grid(coefficients, reduction)
+            for _, vector in coefficients:
                 stored = echelon.insert(vector)
                 if stored is not None:
                     added += 1

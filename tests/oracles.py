@@ -26,13 +26,15 @@
   against, with the leading monomial of a polynomial that it reads.
 * Fraction-free elimination on integer rows, the closure's echelon as it
   was before it was kept reduced, and :class:`CheckedEchelon`, which
-  compares the closure's echelon with it on every insert.
+  compares the closure's echelon with it on every insert, and the
+  weights it keeps across additions with freshly compacted ones.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from blockmod import blockalg
 from blockmod.blockalg import D2, AlgebraContext, AlgebraElement, BasisL
@@ -325,13 +327,44 @@ def assert_reduced(echelon):
         assert gcd(*row) == 1, (pivot, row)
 
 
+def probe_rows(echelon) -> list[list[int]]:
+    """Rows whose entries lie within the echelon's capacity c >= 1: all ones,
+    so nonzero at every free column; +-c alternating; -c at the pivot
+    columns only; and a spread of values in [-c, c]."""
+    c, dim = echelon._capacity, echelon.dim
+    pivots = {p for p, _ in echelon.rows}
+    return [[1] * dim,
+            [c if j % 2 else -c for j in range(dim)],
+            [-c if j in pivots else 0 for j in range(dim)],
+            [(7 * j + 3) % (2 * c + 1) - c for j in range(dim)]]
+
+
+def decode(echelon, row):
+    """The (pivot, residual digits) that the echelon's weights give for row,
+    or None when the packed value is zero."""
+    packed = sum(x * y for x, y in zip(echelon._weights, row))
+    return echelon._residual(packed) if packed else None
+
+
+def compacted(echelon):
+    """A copy of the echelon over the same rows whose weights are rebuilt
+    from scratch, at the minimal width and with no empty slot."""
+    fresh = copy.copy(echelon)
+    fresh._weigh()
+    return fresh
+
+
 class CheckedEchelon(_IntEchelon):
     """The engine's echelon, compared with the oracle on every insert.
 
     The invariants are checked in full after every addition; an insert
     that adds nothing must leave the rows equal to the last checked ones.
     Every row returned so far must still hold the values it was returned
-    with, because the closure goes on acting with it.
+    with, because the closure goes on acting with it.  After every
+    addition den, the bound K and the width are checked against their
+    definitions, and each of :func:`probe_rows` decodes to the same
+    residual digits with the weights kept across additions as with a
+    compacted copy of the echelon.
     """
 
     def __init__(self, dim):
@@ -353,5 +386,12 @@ class CheckedEchelon(_IntEchelon):
             self.returned.append((stored[1], list(stored[1])))
             assert all(row == copy for row, copy in self.returned)
             assert_reduced(self)
+            den = lcm(*(r[pivot] for pivot, r in self.rows))
+            bound = den + sum(den // r[pivot] * max(map(abs, r)) for pivot, r in self.rows)
+            assert (self._den, self._bound) == (den, bound)
+            assert self._width > (self._capacity * bound).bit_length()
+            fresh = compacted(self)
+            for probe in probe_rows(self):
+                assert decode(self, probe) == decode(fresh, probe), (self.calls, probe)
             self.checked_rows = [(pivot, list(r)) for pivot, r in self.rows]
         return stored

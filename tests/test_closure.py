@@ -1,11 +1,12 @@
 import itertools
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
 from blockmod import closure as engine
-from blockmod import poly
+from blockmod import poly, suites
 from blockmod.blockalg import AlgebraElement
 from blockmod.closure import (ClosureTag, SubspaceBasis, classify_span, closure,
                               filtration_dimension, span_insert)
@@ -307,6 +308,52 @@ def test_capacity_rises_when_the_largest_entry_jumps():
             (_, a), (_, b) = echelon.oracle.rows[0], echelon.oracle.rows[-1]
             assert echelon.insert([x - (big + 1) * y for x, y in zip(a, b)]) is None
     assert echelon.added == 12
+
+
+def test_additions_repack_only_the_rows_they_change(monkeypatch):
+    # the closure workload's stream: D=5, B=7, alpha 0 and 1/2, one FULL and one
+    # OMEGA_PRIME seed each, drawn as closure_dichotomy_suite draws them
+    counts = {"compactions": 0, "packed": 0, "inserts": 0, "additions": 0, "lean": 0}
+    weigh, pack = engine._IntEchelon._weigh, engine._IntEchelon._pack
+
+    def counting_weigh(self):
+        counts["compactions"] += 1
+        weigh(self)
+
+    def counting_pack(self, rows):
+        counts["packed"] += len(rows)
+        pack(self, rows)
+
+    class Spied(engine._IntEchelon):
+        def insert(self, row):
+            rows, den, width = dict(self.rows), self._den, self._width
+            empty_after = len(self._slots) - len(self._free) + 1    # if row is added
+            compactions, packed = counts["compactions"], counts["packed"]
+            stored = super().insert(row)
+            counts["inserts"] += 1
+            if stored is not None:
+                counts["additions"] += 1
+                kept = all(r is rows[p] for p, r in self.rows if p in rows)
+                few_empty = empty_after <= len(self._free)
+                if kept and self._den == den and self._width == width and few_empty:
+                    # one row packed, the new one, and no compaction
+                    counts["lean"] += 1
+                    assert counts["compactions"] == compactions
+                    assert counts["packed"] == packed + 1
+            return stored
+
+    monkeypatch.setattr(engine._IntEchelon, "_weigh", counting_weigh)
+    monkeypatch.setattr(engine._IntEchelon, "_pack", counting_pack)
+    monkeypatch.setattr(engine, "_IntEchelon", Spied)
+    draw = random.Random(1)
+    for alpha in (Fraction(0), Fraction(1, 2)):
+        checks = suites.closure_dichotomy_suite(ParamSet(1, 1, 1, alpha), D=5, B=7,
+                                                runs_full=1, runs_sub=1,
+                                                rng_seed=draw.getrandbits(32))
+        assert all(check.ok for check in checks)
+    assert (counts["inserts"], counts["additions"]) == (950, 110)
+    assert counts["compactions"] < counts["additions"]
+    assert counts["lean"] > 0
 
 
 # --- closure -------------------------------------------------------------------
@@ -681,3 +728,24 @@ def test_coefficients_folded_onto_a_small_box_give_its_images():
                     for (d1, d2), c in folded:
                         image = [x + m.m1 ** d1 * m.m2 ** d2 * y for x, y in zip(image, c)]
                     assert image == expected, (p, D, row, radius, m)
+
+
+def test_closure_folds_only_when_an_exponent_is_reduced(monkeypatch):
+    # at 2r >= D+1, r = min(B, (D+2)//2), the folded rows are the C_gamma
+    # themselves, so the closure inserts those and never calls _on_grid
+    calls = []
+    on_grid = engine._on_grid
+
+    def spy(coefficients, reduction):
+        calls.append(len(coefficients))
+        return on_grid(coefficients, reduction)
+
+    monkeypatch.setattr(engine, "_on_grid", spy)
+    p = ParamSet(Fraction(5, 7), 2, Fraction(1, 3), Fraction(3, 4))
+    for D in range(1, 8):
+        for B in range(1, (D + 2) // 2 + 3):
+            calls.clear()
+            closure([poly.D1 - 2 * poly.D2 + 1], D, B, p)
+            radius = min(B, (D + 2) // 2)
+            assert (2 * radius >= D + 1) == (B >= (D + 2) // 2)
+            assert bool(calls) == (B < (D + 2) // 2), (D, B)
