@@ -44,7 +44,10 @@ Where act and witt raise lambda to such an index, the power
 lambda1^m1*lambda2^m2 is held to the coefficient ceiling of
 poly.MAX_POWER_BITS bits as well, so that its digits stay printable:
 witt over [-1000,1000] at m=1,1 with lambda 12345/6789,3/1001 would
-need 23,000 bits and is a usage error.
+need 23,000 bits and is a usage error.  replay holds the powers at
+every index it builds to the same ceiling: the sums of two box indices
+and, for integral q or 2q, the indices of the exceptional pairs, whose
+size follows q rather than any cap.
 Option values and positionals may start with "-" (--q -1/3,
 witt --m -1,4, act "L(1,0)" -d1); "--" ends the options.
 Every rational literal, in a flag, a config file or an expression, is
@@ -242,10 +245,12 @@ def _check_lambda_power(m: IndexPair, params: ParamSet, what: str) -> None:
     """Reject m when lambda1^m1 * lambda2^m2 could outgrow poly.MAX_POWER_BITS.
 
     |m1|*bits(lambda1) + |m2|*bits(lambda2) bounds the numerator and the
-    denominator of the power, with bits as in :func:`poly.coefficient_bits`.
+    denominator of the power, with bits as in :func:`poly.coefficient_bits`
+    for a lambda other than 1 and -1, and 0 for 1 and -1, whose powers
+    are 1 and -1 at every index.
     """
-    bits = (abs(m.m1) * coefficient_bits(params.lambda1)
-            + abs(m.m2) * coefficient_bits(params.lambda2))
+    bits = sum(abs(e) * coefficient_bits(lam)
+               for e, lam in ((m.m1, params.lambda1), (m.m2, params.lambda2)) if abs(lam) != 1)
     if bits > MAX_POWER_BITS:
         raise ValueError(f"{what} {m} gives lambda1^m1*lambda2^m2 of up to {bits} bits, "
                          f"over the coefficient ceiling of {MAX_POWER_BITS} bits")
@@ -469,8 +474,18 @@ _REPLAY_ANCHORS = {
 def _cmd_replay(args, config: RunConfig) -> list[Check]:
     _check_ceiling("replay radius {}", args.replay_radius, MAX_REPLAY_RADIUS)
     _check_ceiling("pair cap {}", args.pair_cap, MAX_REPLAY_PAIRS)
+    # every replay and the control build images and lambda powers at sums
+    # of two box indices, the farthest of which is (2R, 2R) here
+    far = 2 * args.replay_radius
+    _check_lambda_power(IndexPair(far, far), config.params, "replay index")
     selected: list[Check] = []
     if wanted := _REPLAY_ANCHORS[args.eq]:
+        # the replay suite also builds them at m, n and m + n of each
+        # exceptional pair; the paired product of an exceptional index e
+        # reads -e too, whose bound is e's
+        for m, n in suites.exceptional_pairs(config.params):
+            for k in (m, n, m + n):
+                _check_lambda_power(k, config.params, "replay index")
         checks = suites.replay_suite([config.params], config.rng_seed,
                                      radius=args.replay_radius, pair_cap=args.pair_cap)
         selected += [c for c in checks if c.anchor in wanted]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import poly
-from .omega import ParamSet, action_on_one, commutator_defect
+from .omega import _ZERO, ParamSet, action_on_one, commutator_defect
 from .poly import IndexPair, Poly1, Poly2
 
 
@@ -72,18 +72,24 @@ def replay_commutator(m: IndexPair, n: IndexPair, p: ParamSet,
     return commutator_defect(m, n, p, image)
 
 
-def paired_product(m: IndexPair, p: ParamSet) -> Poly2:
-    """G_m(d) = g_m(d + m) * g_{-m}(d)."""
-    return action_on_one(m, p).shifted(-m) * action_on_one(-m, p)
+def paired_product(m: IndexPair, p: ParamSet, image=action_on_one) -> Poly2:
+    """G_m(d) = g_m(d + m) * g_{-m}(d), with g_m = image(m, p)."""
+    return image(m, p).shifted(-m) * image(-m, p)
 
 
-def replay_pair_difference(m: IndexPair, p: ParamSet) -> Poly2:
-    """Defect of G_m(d) - G_m(d - m) = 2*m1*q^2*d1.  Contract: zero."""
-    G = paired_product(m, p)
+def replay_pair_difference(m: IndexPair, p: ParamSet, G: Poly2 | None = None) -> Poly2:
+    """Defect of G_m(d) - G_m(d - m) = 2*m1*q^2*d1.  Contract: zero.
+
+    ``G`` is the paired product G_m when the caller has built it (the
+    replay suite builds one per index for this replay and the separated
+    form); when it is None, :func:`paired_product` builds it.
+    """
+    if G is None:
+        G = paired_product(m, p)
     return G - G.shifted(m) - (2 * m.m1 * p.q * p.q) * poly.D1
 
 
-def replay_separated_form(m: IndexPair, p: ParamSet) -> Poly2:
+def replay_separated_form(m: IndexPair, p: ParamSet, G: Poly2 | None = None) -> Poly2:
     """Defect of the separated form of the paired product,
 
         G_m - q^2*d1*(d1 + m1) = -(X - u*(alpha - 1)) * (X - u*alpha),
@@ -92,16 +98,24 @@ def replay_separated_form(m: IndexPair, p: ParamSet) -> Poly2:
     It is zero exactly when the remainder R = G_m - q^2*d1*(d1 + m1) has
     no d1 residue and its X-part matches the closed form: if the defect is
     zero, R is the closed form, a polynomial in X alone; if R = h(X) with
-    h the closed form, the defect is zero.
+    h the closed form, the defect is zero.  ``G`` is as in
+    :func:`replay_pair_difference`.
     """
+    if G is None:
+        G = paired_product(m, p)
     u = p.q * m.m1
     X = m.m2 * poly.D1 - m.m1 * poly.D2
-    return (paired_product(m, p) - p.q * p.q * poly.D1 * (poly.D1 + m.m1)
+    return (G - p.q * p.q * poly.D1 * (poly.D1 + m.m1)
             + (X - u * (p.alpha - 1)) * (X - u * p.alpha))
 
 
-def replay_coefficient_identities(m: IndexPair, n: IndexPair,
-                                  p: ParamSet) -> tuple[Fraction, Fraction, Fraction]:
+# the three defects of a pair whose commutator defect is omega._ZERO;
+# Fractions are immutable, so the one tuple is shared
+_ZERO_DEFECTS = (Fraction(0),) * 3
+
+
+def replay_coefficient_identities(m: IndexPair, n: IndexPair, p: ParamSet,
+                                  image=action_on_one) -> tuple[Fraction, Fraction, Fraction]:
     """Defects of the three scalar identities: the d1, d2 and constant
     coefficients of the commutator identity, over lambda^(m+n).
     Contract: three zeros.  Both indices must be nonzero.
@@ -121,11 +135,15 @@ def replay_coefficient_identities(m: IndexPair, n: IndexPair,
         -q*alpha*[(q*n1 + G)*n1 - (q*m1 - G)*m1 - c*(m1 + n1)]:
 
     the paper's three defects at the canonical witness (linear coefficient
-    1, constant 0, alpha_m = alpha), the last two negated.
+    1, constant 0, alpha_m = alpha), the last two negated.  ``image`` is
+    as in :func:`replay_commutator`; a Delta that is ``omega._ZERO`` gives
+    three ``Fraction(0)`` with no lambda power.
     """
     if m.is_zero() or n.is_zero():
         raise ValueError("indices must be nonzero")
-    delta = commutator_defect(m, n, p)
+    delta = commutator_defect(m, n, p, image)
+    if delta is _ZERO:
+        return _ZERO_DEFECTS
     lam = p.lam_pow(m + n)
     return (delta.coefficient(1, 0) / lam, -delta.coefficient(0, 1) / lam,
             -delta.coefficient(0, 0) / lam)

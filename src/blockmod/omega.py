@@ -365,7 +365,18 @@ def witt_restrict(m: IndexPair, i_lo: int, i_hi: int,
     return params, failures
 
 
-def iso_check(left: ParamSet, right: ParamSet) -> tuple[bool, IndexPair | None]:
+# the radius-1 box, origin first: the order in which iso_check looks for a witness
+ISO_INDICES = tuple(sorted(index_box(1), key=origin_first_key))
+
+
+def iso_images(p: ParamSet) -> list[Poly2]:
+    """The images of 1 under L(m) for the m of :data:`ISO_INDICES`, in order."""
+    return [action_on_one(m, p) for m in ISO_INDICES]
+
+
+def iso_check(left: ParamSet, right: ParamSet,
+              images: tuple[list[Poly2], list[Poly2]] | None = None
+              ) -> tuple[bool, IndexPair | None]:
     """Decide whether two parameter sets give isomorphic modules.
 
     Modules over the same algebra are isomorphic exactly when the
@@ -373,13 +384,18 @@ def iso_check(left: ParamSet, right: ParamSet) -> tuple[bool, IndexPair | None]:
     and the generator images are degree-1 polynomials, so the scalar
     cancels and the images themselves must agree.  When the answer is
     no, also returns a witness index m whose generator images differ;
-    a witness always exists within radius 1, so only that box is scanned.
+    a witness always exists within radius 1, so only that box is scanned,
+    in the order of :data:`ISO_INDICES`.  ``images`` is the pair of
+    :func:`iso_images` of left and right, for a caller that decides many
+    pairs; when it is None they are built here.
     """
     if left.q != right.q:
         raise ValueError("parameter sets live over different algebras (q mismatch)")
     if left == right:
         return True, None
-    for m in sorted(index_box(1), key=origin_first_key):
-        if action_on_one(m, left) != action_on_one(m, right):
+    if images is None:
+        images = iso_images(left), iso_images(right)
+    for m, g, h in zip(ISO_INDICES, *images):
+        if g != h:
             return False, m
     raise AssertionError("distinct parameters admit a witness within radius 1")

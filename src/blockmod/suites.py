@@ -332,10 +332,35 @@ def _sample_pairs(rng: SplitMix64, radius: int, cap: int) -> list[tuple[IndexPai
     return chosen
 
 
-def _coefficient_defects(m: IndexPair, n: IndexPair, p: ParamSet):
+def _coefficient_defects(m: IndexPair, n: IndexPair, p: ParamSet, image):
     """The three coefficient defects of (m, n), or None when all vanish."""
-    defects = identities.replay_coefficient_identities(m, n, p)
+    defects = identities.replay_coefficient_identities(m, n, p, image)
     return defects if any(defects) else None
+
+
+def exceptional_pairs(p: ParamSet) -> list[tuple[IndexPair, IndexPair]]:
+    """The pairs (e, (1,2)), ((-2,1), e) and (e, e) for each exceptional index e."""
+    return [pair for e in exceptional_indices(p)
+            for pair in ((e, IndexPair(1, 2)), (IndexPair(-2, 1), e), (e, e))]
+
+
+def _image_memo(image, p: ParamSet):
+    """``image`` for the one parameter set p, built once per index.
+
+    The returned function is called as the kernels call an image,
+    ``memo(m, p)``; it ignores its second argument, so it serves only
+    the p it was made for.  Its dict is keyed by the index alone, since
+    hashing an IndexPair is cheaper than building an image, and hashing
+    a ParamSet (four Fractions) is not.
+    """
+    images = {}
+
+    def memo(m: IndexPair, _p: ParamSet) -> Poly2:
+        g = images.get(m)
+        if g is None:
+            g = images[m] = image(m, p)
+        return g
+    return memo
 
 
 def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
@@ -343,32 +368,38 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
     """Replay every classification identity over index grids.
 
     Two-index replays run over a subsample of the box pairs plus, when
-    q or 2q is integral, explicit pairs touching the exceptional
-    indices (0,-q) and (0,-2q).  Single-index replays run over the
-    whole box, exceptional indices included.  Radius 0 is the zero index
-    alone, which the coefficient replay skips, and a zero pair cap leaves
-    no pairs, so both are rejected.
+    q or 2q is integral, the :func:`exceptional_pairs` touching the
+    exceptional indices (0,-q) and (0,-2q).  Single-index replays run
+    over the whole box, exceptional indices included.  Radius 0 is the
+    zero index alone, which the coefficient replay skips, and a zero pair
+    cap leaves no pairs, so both are rejected.
+
+    Per parameter set, each generator image is built once (from
+    ``identities.action_on_one``, read once per call) and every replay
+    reads it, and each paired product G_m is built once and read by both
+    single-index replays.  Nothing built outlives the call.
     """
     if radius < 1:
         raise ValueError(f"replay radius must be at least 1, got {radius}")
     if pair_cap < 1:
         raise ValueError(f"pair cap must be at least 1, got {pair_cap}")
     rng = SplitMix64(rng_seed)
+    action = identities.action_on_one
     checks = []
     for index, p in enumerate(param_sets):
         tag = f"#{index + 1} ({p.describe()})"
-        pairs = _sample_pairs(rng, radius, pair_cap)
-        for e in exceptional_indices(p):
-            pairs.extend([(e, IndexPair(1, 2)), (IndexPair(-2, 1), e), (e, e)])
+        pairs = _sample_pairs(rng, radius, pair_cap) + exceptional_pairs(p)
+        image = _image_memo(action, p)
 
         count, failure = first_defect(identities.replay_commutator,
-                                      [(m, n, p) for m, n in pairs], zero=omega._ZERO)
+                                      [(m, n, p, image) for m, n in pairs], zero=omega._ZERO)
         checks.append(verdict(
             f"commutator replay {tag}", "commutator-replay", count,
             failure and "m={}, n={}, defect={}".format(*failure[0][:2], failure[1]),
             f"{count} pairs, all defects zero"))
 
-        singles = [(m, p) for m in index_box(radius) + exceptional_indices(p)]
+        singles = [(m, p, identities.paired_product(m, p, image))
+                   for m in index_box(radius) + exceptional_indices(p)]
         count, failure = first_defect(identities.replay_pair_difference, singles)
         checks.append(verdict(
             f"pair difference replay {tag}", "pair-difference-replay", count,
@@ -382,7 +413,8 @@ def replay_suite(param_sets: list[ParamSet], rng_seed: int, radius: int = 3,
             f"{count} indices: no d1 residue and the X-part matches "
             f"-(X-q*m1*(alpha-1))*(X-q*m1*alpha)"))
 
-        nonzero_pairs = [(m, n, p) for m, n in pairs if not (m.is_zero() or n.is_zero())]
+        nonzero_pairs = [(m, n, p, image) for m, n in pairs
+                         if not (m.is_zero() or n.is_zero())]
         count, failure = first_defect(_coefficient_defects, nonzero_pairs)
         checks.append(verdict(
             f"coefficient replay {tag}", "coefficient-replay", count,
@@ -429,13 +461,15 @@ def iso_parameter_grid(q) -> list[ParamSet]:
 
 def iso_rigidity_suite(q) -> list[Check]:
     """Only equal grid pairs may be isomorphic; :func:`omega.iso_check`
-    gives a witness for every distinct pair, or raises."""
+    gives a witness for every distinct pair, or raises.  The
+    :func:`omega.iso_images` of each grid point are built once per call."""
     grid = iso_parameter_grid(q)
+    images = [omega.iso_images(p) for p in grid]
     failures = []
     witness_example = None
     for i, left in enumerate(grid):
         for j, right in enumerate(grid):
-            isomorphic, witness = omega.iso_check(left, right)
+            isomorphic, witness = omega.iso_check(left, right, (images[i], images[j]))
             if (i == j) != isomorphic:
                 failures.append(f"grid[{i}] vs grid[{j}]: got {isomorphic}")
             if witness is not None and witness_example is None:

@@ -265,3 +265,66 @@ def test_coefficient_replay_makes_no_commutator_replay_call(monkeypatch):
     for m, n in pairs:
         assert identities.replay_coefficient_identities(m, n, p) == (0, 0, 0)
     assert built == pairs
+
+
+def test_replay_suite_builds_each_image_and_paired_product_once(monkeypatch):
+    # at the quick report's replay scale, one replay_suite call builds each
+    # generator image once per index and parameter set (80 images, where
+    # rebuilding them per case made 722) and each paired product once per
+    # single index, for both single-index replays (53, against 106); the
+    # benchmark's identities.replay layer still sees one kernel call per case
+    built, products, calls = [], [], {}
+    image, product = omega.generator_image, identities.paired_product
+
+    def counted_image(m, p, variant=False):
+        built.append((m, p))
+        return image(m, p, variant)
+
+    def counted_product(m, p, *args):
+        products.append((m, p))
+        return product(m, p, *args)
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    monkeypatch.setattr(omega, "generator_image", counted_image)
+    monkeypatch.setattr(identities, "paired_product", counted_product)
+    anchors = {"replay_commutator": "commutator-replay",
+               "replay_pair_difference": "pair-difference-replay",
+               "replay_separated_form": "separated-form-replay",
+               "replay_coefficient_identities": "coefficient-replay"}
+    for name in anchors:
+        calls[name] = 0
+        monkeypatch.setattr(identities, name, counted(name, getattr(identities, name)))
+    params = suites.acceptance_param_sets(7)[:2]
+    checks = suites.replay_suite(params, rng_seed=8, radius=2, pair_cap=40)
+    assert all(c.ok for c in checks)
+    assert len(built) == len(set(built)) == 80
+    singles = [(m, p) for p in params for m in index_box(2) + suites.exceptional_indices(p)]
+    assert products == singles and len(products) == 53
+    # each check's witness opens with the number of cases it scanned
+    cases = {name: sum(int(c.witness.split()[0]) for c in checks if c.anchor == anchor)
+             for name, anchor in anchors.items()}
+    assert calls == cases
+    assert calls["replay_commutator"] == sum(40 + 3 * len(suites.exceptional_indices(p))
+                                             for p in params)
+
+    # the isomorphism grid builds the radius-1 images of its ten points once
+    # (90, against 448 when each decision built its own) and decides its
+    # 100 ordered pairs with one omega.iso_check call each
+    built.clear()
+    decisions = []
+    decide = omega.iso_check
+
+    def counted_check(*args):
+        decisions.append(args[:2])
+        return decide(*args)
+
+    monkeypatch.setattr(omega, "iso_check", counted_check)
+    (check,) = suites.iso_rigidity_suite(Fraction(5, 7))
+    assert check.ok
+    assert len(built) == len(set(built)) <= 90
+    assert len(decisions) == 100

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -226,6 +227,35 @@ def test_lambda_power_at_the_ceiling_runs():
     code, out, _ = run_cli(["witt", "--m", "1,0", "--i-min", "-1000", "--i-max", "1000",
                             "--lambda", "12345/6789,3/1001"])
     assert code == 0 and "i in [-1000,1000]" in out
+
+
+def test_replay_holds_its_lambda_powers_to_the_ceiling():
+    # at q = 10^7 the replay builds images at the exceptional indices
+    # (0,-q) and (0,-2q) and out to (0,-4q): with lambda2 = 3 the first
+    # would need 10^7 * 2 bits, so the input is refused before any image
+    # is built; a lambda of 1 adds no bits, so the same q at (1,1) runs
+    argv = ["replay", "--q", "10000000", "--radius", "1", "--pairs", "1"]
+    started = time.perf_counter()
+    code, out, err = run_cli(argv + ["--lambda", "1,3"])
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert ("replay index (0,-10000000) gives lambda1^m1*lambda2^m2 of up to 20000000 bits, "
+            "over the coefficient ceiling of 14000 bits") in err
+    code, out, _ = run_cli(argv + ["--lambda", "1,1"])
+    report = json.loads(out)
+    assert code == 0 and report["overall"] == "pass" and len(report["checks"]) == 5
+    # the control, alone, builds images at sums of two box indices, out to
+    # (2R, 2R): at radius 3, lambda1 = 2^k has k + 1 bits, and 6 * 2334 is
+    # over the ceiling where 6 * 2333 is not
+    control = ["replay", "--eq", "control", "--radius", "3", "--alpha", "1/2"]
+    code, _, err = run_cli(control + ["--lambda", f"{2 ** 2333},1"])
+    assert code == 2 and "replay index (6,6) gives lambda1^m1*lambda2^m2 of up to 14004 bits" in err
+    code, out, _ = run_cli(control + ["--lambda", f"{2 ** 2332},1"])
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+    # act and witt read the same bound: L(1,1000) at lambda = (1, 2^13) has
+    # 1000 * 14 bits, and the lambda1 of 1 no longer adds one for m1
+    code, out, _ = run_cli(["act", "L(1,1000)", "d1", "--lambda", "1,8192"])
+    assert code == 0 and json.loads(out)["overall"] == "pass"
 
 
 def test_witt_rejects_m1_zero_as_usage_error():

@@ -410,6 +410,23 @@ def test_variant_image_fails_the_separated_form_replay(monkeypatch):
     assert ", defect=" in check.witness
 
 
+def test_one_image_feeds_all_four_replays(monkeypatch):
+    # the suite reads identities.action_on_one once per call and hands that
+    # image to every replay, so the variant image, at alpha != 1, breaks the
+    # two-index replays as well as the single-index ones
+    p = ParamSet(Fraction(5, 7), 2, 3, Fraction(1, 3))
+    anchors = ["commutator-replay", "pair-difference-replay", "separated-form-replay",
+               "coefficient-replay"]
+
+    def statuses():
+        checks = suites.replay_suite([p], rng_seed=1, radius=2, pair_cap=40)
+        return {c.anchor: c.status for c in checks}
+
+    assert statuses() == dict.fromkeys(anchors, "pass")
+    monkeypatch.setattr(identities, "action_on_one", omega.action_on_one_alt)
+    assert statuses() == dict.fromkeys(anchors, "fail")
+
+
 def test_faulty_generator_image_fails_the_coefficient_replay(monkeypatch):
     # the coefficient replay reads the images the module uses: a constant
     # term added to every g_m breaks the commutator identity's constant part
